@@ -70,11 +70,16 @@ from .p2family import (
     BiForm,
     jacobian_ramification,
     log_canonical_bidegree,
-    ramification_check,
     quartic_family,
     section_pullback_degree,
 )
 from .parser import parse_bipoly, parse_place, parse_ratfunc
-from .verify import RunConfig, audit_steps, emit_report, verify_trichotomy
+from .verify import (
+    RunConfig,
+    audit_steps,
+    classify,
+    emit_report,
+    verify_trichotomy,
+)
 
 __version__ = "0.1.0"

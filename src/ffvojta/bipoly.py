@@ -33,7 +33,8 @@ class BothZero(ValueError):
 
 
 class DegenerateDegree(ValueError):
-    """Raised when a resultant is requested in a variable of degree zero."""
+    """Raised when a resultant is requested in a variable that the first
+    polynomial does not involve but the second does."""
 
 
 class PreconditionViolated(ValueError):
@@ -444,19 +445,35 @@ def _sylvester(a: list[UniPoly], b: list[UniPoly]) -> UniPoly:
     return _det(rows)
 
 
+def _power(b: UniPoly, n: int) -> UniPoly:
+    out = UniPoly.const(1)
+    for _ in range(n):
+        out = out * b
+    return out
+
+
 def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
     """Resultant of A and B with respect to Y: a polynomial in X over Q(t).
 
     Vanishes identically exactly when A and B share a factor involving Y.
+    When B does not involve Y the resultant is B^(deg_Y A), which is 1 when
+    A does not involve Y either.
     """
-    if A.deg_y == 0 or B.deg_y == 0:
+    if B.deg_y == 0:
+        return _power(B.as_unipoly_in_y()[0], A.deg_y)
+    if A.deg_y == 0:
         raise DegenerateDegree("both polynomials must depend on Y")
     return _sylvester(A.as_unipoly_in_y(), B.as_unipoly_in_y())
 
 
 def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
-    """Resultant with respect to X: a polynomial in Y over Q(t)."""
-    if A.deg_x == 0 or B.deg_x == 0:
+    """Resultant with respect to X: a polynomial in Y over Q(t).
+
+    When B does not involve X the resultant is B^(deg_X A).
+    """
+    if B.deg_x == 0:
+        return _power(B.as_unipoly_in_x()[0], A.deg_x)
+    if A.deg_x == 0:
         raise DegenerateDegree("both polynomials must depend on X")
     return _sylvester(A.as_unipoly_in_x(), B.as_unipoly_in_x())
 

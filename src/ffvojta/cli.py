@@ -11,22 +11,25 @@ Modes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .counting import VanishingSubsum
-from .p2family import SectionInsideZ, ramification_check, quartic_family
+from .p2family import quartic_family
 from .parser import parse_place, parse_ratfunc
-from .sunits import PlaceSet, _unit_at_index, sunit_from_ratfunc
+from .sunits import PlaceSet, euler_char, sunit_from_ratfunc
 from .unitsum import SumNonzero, VanishingSum, check_bm
 from .verify import (
     REPORT_SCHEMA,
+    Classification,
     RunConfig,
     audit_steps,
     build_context,
     build_report,
+    classify,
     emit_report,
+    pair_for_index,
     verify_trichotomy,
 )
 
@@ -148,27 +151,34 @@ def _run_bm(args) -> int:
     return 0 if result.holds else 1
 
 
+def _quartic_section(index: int, c: Classification, threshold) -> dict:
+    if c.kind == "degenerate_on_z":
+        return {"pair_index": index, "kind": c.kind,
+                "detail": "the section lies inside the zero locus"}
+    out = {"pair_index": index, "kind": c.kind, "height": c.height,
+           "threshold": str(threshold)}
+    if c.lhs is not None:
+        out["lhs"] = c.lhs
+        out["rhs"] = str(c.rhs)
+    if c.kind == "relation":
+        dep = c.dependence
+        out.update({"r": dep.r, "s": dep.s, "gamma": str(dep.gamma)})
+    return out
+
+
 def _run_quartic(args) -> int:
     fam = quartic_family()
-    cfg = _config_from_args(args)
-    from .constants import theta_ledger
-    from .bipoly import poly_height
-
-    A = fam.image_poly
-    ledger = theta_ledger([(A.deg_x, A.deg_y, poly_height(A))],
-                          Fraction(cfg.epsilon))
+    cfg = dataclasses.replace(
+        _config_from_args(args), poly=str(fam.image_poly),
+        places=tuple(str(p) for p in fam.bad_places.sorted_places()))
+    ctx = build_context(cfg)
+    ledger = ctx.ledger
+    threshold = ledger.theta1 * max(1, euler_char(ctx.S))
     sections = []
-    S = fam.bad_places
     for i in range(cfg.count):
-        u = _unit_at_index(S, cfg.max_exponent, cfg.seed, 2 * i)
-        v = _unit_at_index(S, cfg.max_exponent, cfg.seed, 2 * i + 1)
-        try:
-            check = ramification_check(A, u, v, S, Fraction(cfg.epsilon), ledger)
-        except SectionInsideZ as exc:
-            sections.append({"pair_index": i, "kind": "degenerate_on_z",
-                             "detail": str(exc)})
-            continue
-        sections.append({"pair_index": i, **check.to_json()})
+        u, v = pair_for_index(ctx, i)
+        c = classify(ctx.A, ctx.S, u, v, ledger.theta1, ledger.theta2, ctx.eps)
+        sections.append(_quartic_section(i, c, threshold))
     report = {
         "schema": REPORT_SCHEMA,
         "family": fam.to_json(),

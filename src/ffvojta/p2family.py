@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, evaluate
-from .field_core import Place, Poly, RatFunc, factor_poly, height
-from .sunits import PlaceSet, SUnit, as_ratfunc, euler_char, mult_dependence
-from .counting import strip_set_factors, trunc_count
-from .constants import ThetaLedger
+from .counting import strip_set_factors
+from .field_core import Place, Poly, RatFunc, factor_poly
+from .sunits import PlaceSet, SUnit, as_ratfunc
 
 
 class DegenerateMap(ValueError):
@@ -206,59 +205,6 @@ def section_pullback_degree(A: BiPoly, u: SUnit, v: SUnit, S: PlaceSet) -> int:
     if not S.has_infinity:
         total += max(0, w.den.degree - w.num.degree)
     return total
-
-
-@dataclass(frozen=True)
-class RamCheckReport:
-    """Outcome of the ramification degree check for one section."""
-
-    kind: str  # below_threshold | bound_holds | relation | violation
-    height: int
-    threshold: Fraction
-    lhs: int | None = None
-    rhs: Fraction | None = None
-    r: int | None = None
-    s: int | None = None
-    gamma: RatFunc | None = None
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "height": self.height,
-               "threshold": str(self.threshold)}
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = str(self.rhs)
-        if self.r is not None:
-            out.update({"r": self.r, "s": self.s, "gamma": str(self.gamma)})
-        return out
-
-
-def ramification_check(A: BiPoly, u: SUnit, v: SUnit, S: PlaceSet, eps,
-                   ledger: ThetaLedger) -> RamCheckReport:
-    """Check that multiple zeros of A at a unit section stay below eps times
-    its height, once the height clears the ledger threshold.
-
-    Sections below the threshold short-circuit; dependent unit pairs with
-    exponents within the ledger bound report the relation instead.
-    """
-    eps = Fraction(eps)
-    U = as_ratfunc(u)
-    V = as_ratfunc(v)
-    w = evaluate(A, U, V)
-    if w.is_zero:
-        raise SectionInsideZ("the section lies inside the zero locus")
-    h = max(height(U), height(V))
-    threshold = ledger.theta1 * max(1, euler_char(S))
-    if h < threshold:
-        return RamCheckReport("below_threshold", h, threshold)
-    dep = mult_dependence(u, v)
-    if dep.dependent and max(abs(dep.r), abs(dep.s)) <= ledger.theta2:
-        return RamCheckReport("relation", h, threshold,
-                              r=dep.r, s=dep.s, gamma=dep.gamma)
-    count = trunc_count(w, S)
-    rhs = eps * h
-    kind = "bound_holds" if count.total <= rhs else "violation"
-    return RamCheckReport(kind, h, threshold, lhs=count.total, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

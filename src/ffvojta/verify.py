@@ -3,15 +3,17 @@
 Every generated unit pair must land in one of three buckets: height below
 the ledger threshold, a short multiplicative relation, or a truncated zero
 count within epsilon times the height.  A pair in none of them is a
-VIOLATION and fails the run.  Outcomes are computed per index from the
-seed alone, so any worker partition yields byte-identical reports.
+VIOLATION and fails the run.  `classify` is the one place that decides
+the bucket; the verify outcomes and the quartic mode's sections are both
+rendered from its record.  Outcomes are computed per index from the seed
+alone, so any worker partition yields byte-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import (
@@ -41,6 +43,7 @@ from .field_core import (
 )
 from .parser import parse_bipoly, parse_place, render_ratfunc_expr
 from .sunits import (
+    DependenceResult,
     PlaceSet,
     SUnit,
     _unit_at_index,
@@ -111,15 +114,13 @@ class _Context:
     eps: Fraction
     ledger: ThetaLedger
     cfg: RunConfig
-    chi_term: int = field(init=False)
-
-    def __post_init__(self):
-        self.chi_term = max(1, euler_char(self.S))
 
 
 def build_context(cfg: RunConfig) -> _Context:
     if cfg.count < 0:
         raise ValueError("count must be nonnegative")
+    if cfg.max_exponent < 1:
+        raise ValueError("max_exponent must be at least 1")
     A = parse_bipoly(cfg.poly)
     factors = [parse_bipoly(expr) for expr, _ in cfg.factor_list()]
     product = BiPoly.const(1)
@@ -161,8 +162,8 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
     if len(offsets) == 1:
         return {"checked": True, "member": True, "candidates": 0}
     try:
-        F = _resultant_in_y(A, twist)
-        G = _resultant_in_x(A, twist)
+        F = resultant_y(A, twist)
+        G = resultant_x(A, twist)
     except DegenerateDegree:
         return {"checked": False, "member": None, "candidates": 0}
     if F.is_zero or G.is_zero:
@@ -186,37 +187,77 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
             "candidates": count}
 
 
-def pair_outcome(ctx: _Context, index: int) -> dict:
-    """Classify one generated pair; returns a JSON-ready outcome."""
-    u, v = pair_for_index(ctx, index)
+@dataclass(frozen=True)
+class Classification:
+    """Where one unit pair landed in the trichotomy.
+
+    U and V are the expanded units.  `height` is None only on the zero
+    locus, `dependence` is set once the relation step ran, and `lhs`/`rhs`
+    (truncated count, eps times height) only for bound_holds and violation.
+    """
+
+    U: RatFunc
+    V: RatFunc
+    kind: str
+    height: int | None
+    dependence: DependenceResult | None
+    lhs: int | None
+    rhs: Fraction | None
+
+
+def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
+             theta2: Fraction, eps: Fraction) -> Classification:
+    """Place the pair (u, v) in the trichotomy for A over S.
+
+    The steps run in this order and stop at the first that decides:
+    A(U, V) = 0 is degenerate_on_z; a height below theta1 * max(1, chi(S))
+    is below_threshold; a multiplicative relation with both exponents at
+    most theta2 is a relation; otherwise the truncated zero count is
+    compared with eps times the height (bound_holds or violation).
+    """
     U, V = as_ratfunc(u), as_ratfunc(v)
-    out: dict = {"pair_index": index,
-                 "u": render_ratfunc_expr(U),
-                 "v": render_ratfunc_expr(V)}
-    value = evaluate(ctx.A, U, V)
+    value = evaluate(A, U, V)
     if value.is_zero:
-        out["kind"] = "degenerate_on_z"
-        return out
+        return Classification(U, V, "degenerate_on_z", None, None, None, None)
     h = max(height(U), height(V))
-    out["height"] = h
-    if h < ctx.ledger.theta1 * ctx.chi_term:
-        out["kind"] = "below_threshold"
-        return out
+    if h < theta1 * max(1, euler_char(S)):
+        return Classification(U, V, "below_threshold", h, None, None, None)
     dep = mult_dependence(u, v)
-    if dep.dependent and max(abs(dep.r), abs(dep.s)) <= ctx.ledger.theta2:
-        out["kind"] = "relation"
+    if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
+        return Classification(U, V, "relation", h, dep, None, None)
+    lhs = trunc_count(value, S).total
+    rhs = eps * h
+    kind = "bound_holds" if lhs <= rhs else "violation"
+    return Classification(U, V, kind, h, dep, lhs, rhs)
+
+
+def outcome_json(A: BiPoly, index: int, c: Classification) -> dict:
+    """The verify outcome of pair `index`, keys in report order."""
+    out: dict = {"pair_index": index,
+                 "u": render_ratfunc_expr(c.U),
+                 "v": render_ratfunc_expr(c.V)}
+    if c.height is not None:
+        out["height"] = c.height
+    if c.lhs is not None:
+        out["lhs"] = c.lhs
+        out["rhs"] = str(c.rhs)
+    out["kind"] = c.kind
+    if c.kind == "relation":
+        dep = c.dependence
         out["r"] = dep.r
         out["s"] = dep.s
         out["gamma"] = render_ratfunc_expr(dep.gamma)
         out["gamma_candidates"] = gamma_candidate_membership(
-            ctx.A, dep.r, dep.s, dep.gamma)
-        return out
-    lhs = trunc_count(value, ctx.S).total
-    rhs = ctx.eps * h
-    out["lhs"] = lhs
-    out["rhs"] = str(rhs)
-    out["kind"] = "bound_holds" if lhs <= rhs else "violation"
+            A, dep.r, dep.s, dep.gamma)
     return out
+
+
+def pair_outcome(ctx: _Context, index: int) -> dict:
+    """Classify one generated pair; returns a JSON-ready outcome."""
+    u, v = pair_for_index(ctx, index)
+    c = classify(ctx.A, ctx.S, u, v, ctx.ledger.theta1, ctx.ledger.theta2,
+                 ctx.eps)
+    return outcome_json(ctx.A, index, c)
 
 
 _WORKER_CTX: _Context | None = None
@@ -283,28 +324,6 @@ def load_report(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Stepwise audit of one pair (split case)
 # ---------------------------------------------------------------------------
-
-def _resultant_in_y(A: BiPoly, B: BiPoly) -> UniPoly:
-    if B.deg_y == 0:
-        # B is already a polynomial in X alone; the resultant degenerates
-        # to B raised to the Y-degree of A.
-        b = B.as_unipoly_in_y()[0]
-        out = UniPoly.const(1)
-        for _ in range(A.deg_y):
-            out = out * b
-        return out
-    return resultant_y(A, B)
-
-
-def _resultant_in_x(A: BiPoly, B: BiPoly) -> UniPoly:
-    if B.deg_x == 0:
-        b = B.as_unipoly_in_x()[0]
-        out = UniPoly.const(1)
-        for _ in range(A.deg_x):
-            out = out * b
-        return out
-    return resultant_x(A, B)
-
 
 def _unipoly_height(F: UniPoly) -> int:
     return max(height(c) for c in F.coeffs if not c.is_zero)
@@ -399,8 +418,8 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
             "proportional to it; the attestation is suspect")
 
     # Step 2: resultants with their degree and height bounds.
-    F = _resultant_in_y(A, B)
-    G = _resultant_in_x(A, B)
+    F = resultant_y(A, B)
+    G = resultant_x(A, B)
     c4 = 2 * A.deg_x * A.deg_y
     h_a = poly_height(A)
     chi_sp = max(1, euler_char(S_prime))

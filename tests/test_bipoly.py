@@ -167,6 +167,13 @@ class TestResultants:
         r2 = resultant_y(bi("Y^2-X"), bi("Y-1"))
         assert r2 == UniPoly((RatFunc.one(), RatFunc.const(-1)))
 
+        # B free of the variable: B^(deg A), and 1 when A is free of it too
+        assert resultant_y(bi("Y^2+X"), bi("X+1")) == UniPoly(
+            (RatFunc.one(), RatFunc.const(2), RatFunc.one()))
+        assert resultant_x(bi("X^2+Y"), bi("Y-t")) == UniPoly(
+            (RatFunc.t() ** 2, RatFunc.t() * -2, RatFunc.one()))
+        assert resultant_y(bi("X+1"), bi("X-1")) == UniPoly.const(1)
+
     def test_degenerate_degree(self):
         with pytest.raises(DegenerateDegree):
             resultant_y(bi("X+1"), bi("X+Y"))

@@ -14,11 +14,11 @@ from ffvojta.p2family import (
     SectionInsideZ,
     jacobian_ramification,
     log_canonical_bidegree,
-    ramification_check,
     quartic_family,
     section_pullback_degree,
 )
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc
+from ffvojta.verify import classify
 from conftest import bi, unit_over
 
 
@@ -158,42 +158,41 @@ class TestSectionPullback:
 
 
 class TestPropRamCheck:
+    """The quartic mode's per-section check is verify.classify; the relation
+    and bound branches are reached by passing low thresholds directly."""
+
     def test_below_threshold(self):
         ledger = theta_ledger([(1, 1, 0)], Fraction(1, 2))
         u = SUnit.make(1, {P0: 1}, S011)
         v = SUnit.make(1, {P0: 2}, S011)
-        rep = ramification_check(bi("X+Y+1"), u, v, S011, Fraction(1, 2), ledger)
+        rep = classify(bi("X+Y+1"), S011, u, v, ledger.theta1, ledger.theta2,
+                       Fraction(1, 2))
         assert rep.kind == "below_threshold"
+        assert rep.height == 2 and rep.dependence is None
 
     def test_relation_branch(self):
-        # force the threshold down with a tiny hand ledger
-        ledger = theta_ledger([(1, 1, 0)], Fraction(1, 2))
-        object.__setattr__(ledger, "theta1", Fraction(0))
         u = SUnit.make(1, {P0: 5}, S011)
         v = SUnit.make(1, {P0: -5}, S011)
-        rep = ramification_check(bi("X+Y+1"), u, v, S011, Fraction(1, 2), ledger)
+        rep = classify(bi("X+Y+1"), S011, u, v, 0, 1, Fraction(1, 2))
         assert rep.kind == "relation"
-        assert (rep.r, rep.s) == (1, 1)
-        assert rep.gamma == RatFunc.one()
+        assert (rep.dependence.r, rep.dependence.s) == (1, 1)
+        assert rep.dependence.gamma == RatFunc.one()
+        assert rep.lhs is None
 
     def test_bound_branch(self):
-        ledger = theta_ledger([(1, 1, 0)], Fraction(1, 2))
-        object.__setattr__(ledger, "theta1", Fraction(0))
-        object.__setattr__(ledger, "theta2", Fraction(0))
         u = SUnit.make(1, {P0: 2}, S011)
         v = SUnit.make(-2, {P0: 1}, S011)
-        rep = ramification_check(bi("X+Y+1"), u, v, S011, Fraction(1, 2), ledger)
+        rep = classify(bi("X+Y+1"), S011, u, v, 0, 0, Fraction(1, 2))
         # value (t-1)^2: the place 1 is inside S, so the count is zero
         assert rep.kind == "bound_holds"
         assert rep.lhs == 0
 
-        rep2 = ramification_check(bi("X+Y+1"), u, v, S01, Fraction(1, 2), ledger)
+        rep2 = classify(bi("X+Y+1"), S01, u, v, 0, 0, Fraction(1, 2))
         assert rep2.kind == "bound_holds"
         assert rep2.lhs == 1 and rep2.rhs == Fraction(1)
 
-    def test_inside_z_raises(self):
-        ledger = theta_ledger([(1, 1, 0)], Fraction(1, 2))
+    def test_inside_z_degenerate(self):
         u = SUnit.make(1, {P0: 1}, S01)
         v = SUnit.make(1, {P0: -1}, S01)
-        with pytest.raises(SectionInsideZ):
-            ramification_check(bi("X*Y-1"), u, v, S01, Fraction(1, 2), ledger)
+        rep = classify(bi("X*Y-1"), S01, u, v, 0, 0, Fraction(1, 2))
+        assert rep.kind == "degenerate_on_z" and rep.height is None

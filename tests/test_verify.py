@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from ffvojta.cli import main as cli_main
 from ffvojta.field_core import Place
+from ffvojta.parser import parse_bipoly
 from ffvojta.sunits import PlaceSet, SUnit
 from ffvojta.verify import (
     NotIrreducibleAttested,
@@ -14,9 +16,10 @@ from ffvojta.verify import (
     audit_steps,
     build_context,
     build_report,
+    classify,
     emit_report,
     load_report,
-    pair_outcome,
+    outcome_json,
     verify_trichotomy,
 )
 
@@ -42,9 +45,10 @@ class TestConfig:
     def test_bad_count_and_epsilon_rejected(self):
         from ffvojta.constants import InvalidInput
 
-        with pytest.raises(ValueError):
-            build_context(RunConfig(poly="X+Y+1", places=("0", "inf"),
-                                    count=-1))
+        for bad in ({"count": -1}, {"max_exponent": 0}):
+            with pytest.raises(ValueError):
+                build_context(RunConfig(poly="X+Y+1", places=("0", "inf"),
+                                        **bad))
         with pytest.raises(InvalidInput):
             build_context(RunConfig(poly="X+Y+1", places=("0", "inf"),
                                     epsilon="0"))
@@ -64,43 +68,31 @@ class TestPairOutcomes:
         assert all(o["kind"] in ("below_threshold", "relation", "bound_holds",
                                  "degenerate_on_z") for o in outcomes)
 
+    @staticmethod
+    def _rendered(poly, S, u, v, theta1, theta2):
+        A = parse_bipoly(poly)
+        c = classify(A, S, u, v, theta1, theta2, Fraction(1, 2))
+        return json.dumps(outcome_json(A, 0, c))
+
     def test_degenerate_detection(self):
         # X*Y - t at (t, 1) vanishes identically
-        cfg = RunConfig(poly="X*Y-t", places=("0", "1", "inf"))
-        ctx = build_context(cfg)
-        import ffvojta.verify as verify_mod
-
-        original = verify_mod.pair_for_index
         u = SUnit.make(1, {P0: 1}, S011)
         v = SUnit.make(1, {}, S011)
-        try:
-            verify_mod.pair_for_index = lambda c, i: (u, v)
-            out = pair_outcome(ctx, 0)
-        finally:
-            verify_mod.pair_for_index = original
-        assert out["kind"] == "degenerate_on_z"
+        assert self._rendered("X*Y-t", S011, u, v, 0, 0) == (
+            '{"pair_index": 0, "u": "(t)", "v": "(1)", '
+            '"kind": "degenerate_on_z"}')
 
     def test_relation_outcome_with_forced_threshold(self):
-        cfg = RunConfig(poly="X+Y+1", places=("0", "1", "inf"))
-        ctx = build_context(cfg)
-        object.__setattr__(ctx.ledger, "theta1", Fraction(0))
-        import ffvojta.verify as verify_mod
-
         u = SUnit.make(1, {P0: 7}, S011)
         v = SUnit.make(2, {P0: -7}, S011)
-        original = verify_mod.pair_for_index
-        try:
-            verify_mod.pair_for_index = lambda c, i: (u, v)
-            out = pair_outcome(ctx, 0)
-        finally:
-            verify_mod.pair_for_index = original
-        assert out["kind"] == "relation"
-        assert (out["r"], out["s"]) == (1, 1)
-        assert out["gamma_candidates"]["checked"]
+        assert self._rendered("X+Y+1", S011, u, v, 0, 1) == (
+            '{"pair_index": 0, "u": "(t^7)", "v": "(2)/(t^7)", "height": 7, '
+            '"kind": "relation", "r": 1, "s": 1, "gamma": "(2)", '
+            '"gamma_candidates": {"checked": true, "member": true, '
+            '"candidates": 1}}')
 
     def test_gamma_candidate_membership(self):
         from ffvojta.field_core import RatFunc
-        from ffvojta.parser import parse_bipoly
         from ffvojta.verify import gamma_candidate_membership
 
         # ray case: gamma is pinned by the coefficients alone
@@ -118,23 +110,12 @@ class TestPairOutcomes:
         assert bad["member"] is False
 
     def test_bound_outcome_with_forced_threshold(self):
-        cfg = RunConfig(poly="X+Y+1", places=("0", "inf"), epsilon="1/2")
-        ctx = build_context(cfg)
-        object.__setattr__(ctx.ledger, "theta1", Fraction(0))
-        object.__setattr__(ctx.ledger, "theta2", Fraction(0))
-        import ffvojta.verify as verify_mod
-
         S01 = PlaceSet.of(0, "inf")
         u = SUnit.make(1, {P0: 2}, S01)
         v = SUnit.make(-2, {P0: 1}, S01)
-        original = verify_mod.pair_for_index
-        try:
-            verify_mod.pair_for_index = lambda c, i: (u, v)
-            out = pair_outcome(ctx, 0)
-        finally:
-            verify_mod.pair_for_index = original
-        assert out["kind"] == "bound_holds"
-        assert out["lhs"] == 1 and out["rhs"] == "1"
+        assert self._rendered("X+Y+1", S01, u, v, 0, 0) == (
+            '{"pair_index": 0, "u": "(t^2)", "v": "(-2*t)", "height": 2, '
+            '"lhs": 1, "rhs": "1", "kind": "bound_holds"}')
 
 
 class TestReports:
@@ -310,6 +291,16 @@ class TestCLI:
         rep = json.loads(out.read_text())
         assert rep["family"]["z_bidegree"] == [1, 2]
         assert len(rep["sections"]) == 4
+
+    def test_quartic_report_golden(self, tmp_path):
+        # byte-exact report of the README's quartic command
+        out = tmp_path / "quartic.json"
+        code = cli_main(["--mode", "quartic", "--count", "25",
+                         "--max-exponent", "6", "--seed", "2",
+                         "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f9a043a488b9e53a248f9a58b337764d7330d95353b8ab838c0166bb09fab4fa")
 
     def test_factors_flag(self, tmp_path):
         out = tmp_path / "factored.json"
