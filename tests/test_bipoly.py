@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffvojta.bipoly import (
     BiPoly,
@@ -53,6 +54,41 @@ def rand_bipoly(rng, max_dx=2, max_dy=2, fancy_coeffs=True):
                 c = RatFunc.const(Fraction(rng.randint(-3, 3)))
             out[(i, j)] = c
     return BiPoly(out)
+
+
+_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_polys = st.lists(_fracs, max_size=5).map(Poly)
+
+
+def _lift(p: Poly) -> UniPoly:
+    return UniPoly([RatFunc.const(c) for c in p.coeffs])
+
+
+class TestUniPolyMirrorsPoly:
+    """Over constant coefficients UniPoly must compute exactly what Poly
+    computes: the two share one dense arithmetic."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_polys, _polys, _fracs)
+    def test_ring_ops_and_eval(self, a, b, x):
+        A, B = _lift(a), _lift(b)
+        assert A + B == _lift(a + b)
+        assert A - B == _lift(a - b)
+        assert A * B == _lift(a * b)
+        assert A.eval(RatFunc.const(x)) == RatFunc.const(a.eval(x))
+        if not a.is_zero:
+            assert A.monic() == _lift(a.monic())
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_polys, _polys)
+    def test_divmod(self, a, b):
+        if b.is_zero:
+            return
+        A, B = _lift(a), _lift(b)
+        q, r = divmod(A, B)
+        assert (q, r) == tuple(_lift(p) for p in divmod(a, b))
+        assert q * B + r == A
+        assert r.degree < B.degree
 
 
 class TestEvaluate:

@@ -302,6 +302,30 @@ class TestCLI:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "f9a043a488b9e53a248f9a58b337764d7330d95353b8ab838c0166bb09fab4fa")
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--mode", "verify", "--poly", "X+Y+1", "--count", "20",
+          "--max-exponent", "25", "--seed", "7"],
+         "354a6ff7e7d3f5b6cb74354f4a279d5d824ddd2637dbb0843fa66c536c3685bb"),
+        (["--mode", "verify", "--poly", "X*Y-t", "--count", "20",
+          "--max-exponent", "25", "--seed", "7"],
+         "e1a39db6fa0021a40050bb7e53f9829252aed3c2c327015c560d6ac9a768bf40"),
+        (["--mode", "verify", "--poly", "X^2*Y+X*Y^2-t*(X+Y)+1",
+          "--count", "20", "--max-exponent", "25", "--seed", "7"],
+         "8422af3bc85eb78f0aa56b23c5feab2ab064a8656113c8156635de4a4e51db64"),
+        (["--mode", "audit", "--poly", "X+Y+1", "--places", "0,1,inf",
+          "--u=t^2", "--v=-2*t"],
+         "940e85567916384e103572cf4d53483afedac076052dc319c924f298b5de9f12"),
+        (["--mode", "bm", "--terms", '["t", "1-t", "-1"]',
+          "--places", "0,1,inf"],
+         "4d7480a3e9a6e9a7a8da1fdbfc7f2268d82cdb41e19df6e80c1e2ccdf7d7caf2"),
+    ], ids=["verify-linear", "verify-hyperbola", "verify-cubic",
+            "readme-audit", "readme-bm"])
+    def test_report_golden(self, tmp_path, argv, digest):
+        # byte-exact reports of the VERIFY_FIXTURES and the README examples
+        out = tmp_path / "report.json"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_factors_flag(self, tmp_path):
         out = tmp_path / "factored.json"
         factors = ('[{"expr": "X+Y+1", "attested_irreducible": true},'
