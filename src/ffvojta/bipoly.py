@@ -3,7 +3,8 @@
 A BiPoly is a sparse map (i, j) -> nonzero RatFunc coefficient of X^i Y^j;
 its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
 (one of X or Y eliminated) with RatFunc coefficients, used for resultants
-and root extraction.
+and root extraction; its arithmetic is `field_core.DensePoly`, the same
+code that `Poly` runs over Q.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .field_core import (
+    DensePoly,
     OmegaForm,
     Poly,
     RatFunc,
@@ -49,19 +51,17 @@ class PreconditionViolated(ValueError):
 # UniPoly: univariate over RatFunc coefficients
 # ---------------------------------------------------------------------------
 
-class UniPoly:
+class UniPoly(DensePoly):
     """Univariate polynomial with RatFunc coefficients, lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = RatFunc.zero()
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    def __reduce__(self):
-        return (UniPoly, (self.coeffs,))
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -70,99 +70,6 @@ class UniPoly:
     @staticmethod
     def const(c) -> "UniPoly":
         return UniPoly((c,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self) -> RatFunc:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial")
-        return self.coeffs[-1]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def coeff(self, k: int) -> RatFunc:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return RatFunc.zero()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [RatFunc.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return UniPoly(out)
-
-    def scale(self, c: RatFunc) -> "UniPoly":
-        return UniPoly(tuple(a * c for a in self.coeffs))
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial")
-        inv = RatFunc.one() / self.lc
-        return self.scale(inv)
-
-    def __divmod__(self, other: "UniPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        if len(rem) - 1 < d:
-            return UniPoly(), self
-        quot = [RatFunc.zero()] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if not c.is_zero:
-                q = c / other.lc
-                quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] = rem[i - d + j] - q * b
-        return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def eval(self, x: RatFunc) -> RatFunc:
-        acc = RatFunc.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -445,13 +352,6 @@ def _sylvester(a: list[UniPoly], b: list[UniPoly]) -> UniPoly:
     return _det(rows)
 
 
-def _power(b: UniPoly, n: int) -> UniPoly:
-    out = UniPoly.const(1)
-    for _ in range(n):
-        out = out * b
-    return out
-
-
 def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
     """Resultant of A and B with respect to Y: a polynomial in X over Q(t).
 
@@ -460,7 +360,7 @@ def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
     A does not involve Y either.
     """
     if B.deg_y == 0:
-        return _power(B.as_unipoly_in_y()[0], A.deg_y)
+        return B.as_unipoly_in_y()[0] ** A.deg_y
     if A.deg_y == 0:
         raise DegenerateDegree("both polynomials must depend on Y")
     return _sylvester(A.as_unipoly_in_y(), B.as_unipoly_in_y())
@@ -472,7 +372,7 @@ def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
     When B does not involve X the resultant is B^(deg_X A).
     """
     if B.deg_x == 0:
-        return _power(B.as_unipoly_in_x()[0], A.deg_x)
+        return B.as_unipoly_in_x()[0] ** A.deg_x
     if A.deg_x == 0:
         raise DegenerateDegree("both polynomials must depend on X")
     return _sylvester(A.as_unipoly_in_x(), B.as_unipoly_in_x())
@@ -576,18 +476,18 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
 
 
 def has_repeated_factors(A: BiPoly) -> bool:
-    """True iff A has a repeated factor over the fraction field Q(t)."""
+    """True iff A has a repeated factor over the fraction field Q(t).
+
+    A squared factor involving X divides gcd(A, dA/dX) with positive
+    X-degree, and one free of X does so for Y.  A factor free of X divides
+    dA/dX whether or not it is repeated, so only the positive degree in the
+    differentiated variable counts.
+    """
     if A.is_constant:
         raise ConstantPolynomial("repeated factors need a nonconstant input")
-    if A.deg_x > 0:
-        g = bipoly_gcd(A, A.partial_x())
-        if not g.is_constant:
-            return True
-    if A.deg_y > 0:
-        g = bipoly_gcd(A, A.partial_y())
-        if not g.is_constant:
-            return True
-    return False
+    if A.deg_x > 0 and bipoly_gcd(A, A.partial_x()).deg_x > 0:
+        return True
+    return A.deg_y > 0 and bipoly_gcd(A, A.partial_y()).deg_y > 0
 
 
 # ---------------------------------------------------------------------------

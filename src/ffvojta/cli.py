@@ -1,5 +1,8 @@
 """Command-line surface: verification runs, audits, ledgers and fixtures.
 
+Exit codes: 0 on success, 1 on a VIOLATION or a failed bound, 2 on
+missing or invalid input.
+
 Modes:
   verify    run the trichotomy over seeded unit pairs (exit 1 on VIOLATION)
   audit     stepwise resultant audit of one pair (split case only)
@@ -17,7 +20,7 @@ import sys
 
 from .counting import VanishingSubsum
 from .p2family import quartic_family
-from .parser import parse_place, parse_ratfunc
+from .parser import DivisionByZeroPoly, parse_place, parse_ratfunc
 from .sunits import PlaceSet, euler_char, sunit_from_ratfunc
 from .unitsum import SumNonzero, VanishingSum, check_bm
 from .verify import (
@@ -73,7 +76,6 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed,
         mode=args.mode,
         factors=factors,
-        out=args.out,
     )
 
 
@@ -199,7 +201,11 @@ def main(argv=None) -> int:
         "bm": _run_bm,
         "quartic": _run_quartic,
     }
-    return runners[args.mode](args)
+    try:
+        return runners[args.mode](args)
+    except (ValueError, DivisionByZeroPoly) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

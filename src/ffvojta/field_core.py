@@ -57,19 +57,144 @@ DEBUG_CHECKS = False
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Univariate polynomial over Q, coefficients lowest degree first."""
+class DensePoly:
+    """Dense univariate polynomial over a field, coefficients lowest degree
+    first and no trailing zeros.
+
+    The field-generic algebra lives here once.  A subclass fixes the field:
+    its ``__init__`` coerces the coefficients into it, and ``_zero`` is the
+    field's zero.  Coefficients must support ``+ - * /``, ``==`` and truth
+    (false exactly for zero).
+    """
 
     __slots__ = ("coeffs",)
+
+    def __reduce__(self):
+        return (type(self), (self.coeffs,))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lc(self):
+        if self.is_zero:
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def coeff(self, k: int):
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return self._zero
+
+    def monic(self):
+        if self.is_zero:
+            raise ZeroPolynomial("cannot normalize the zero polynomial")
+        c = self.lc
+        if c == 1:
+            return self
+        return type(self)(tuple(a / c for a in self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return type(self)()
+        out = [self._zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return type(self)(out)
+
+    def scale(self, c):
+        if not c:
+            return type(self)()
+        return type(self)(tuple(a * c for a in self.coeffs))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = type(self)((1,))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        d = other.degree
+        lc = other.lc
+        if len(rem) - 1 < d:
+            return type(self)(), self
+        quot = [self._zero] * (len(rem) - d)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c:
+                q = c / lc
+                quot[i - d] = q
+                for j, b in enumerate(other.coeffs):
+                    rem[i - d + j] -= q * b
+        return type(self)(quot), type(self)(rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def eval(self, x):
+        acc = self._zero
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+class Poly(DensePoly):
+    """Univariate polynomial over Q, coefficients lowest degree first."""
+
+    __slots__ = ()
+    _zero = Fraction(0)
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __reduce__(self):
-        return (Poly, (self.coeffs,))
 
     @staticmethod
     def zero() -> "Poly":
@@ -91,121 +216,13 @@ class Poly:
     def monomial(k: int, c=1) -> "Poly":
         return Poly((0,) * k + (c,))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = self.lc
-        if c == 1:
-            return self
-        return Poly(tuple(a / c for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-a for a in self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly(tuple(a * c for a in self.coeffs))
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "Poly"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.lc
-        if len(rem) - 1 < d:
-            return Poly(), self
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lc
-                quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= q * b
-        return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -467,6 +484,9 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
 
     @property
     def is_constant(self) -> bool:

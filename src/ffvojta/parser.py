@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, UniPoly
+from .bipoly import BiPoly
 from .field_core import Place, Poly, RatFunc, render_poly
 
 
@@ -158,54 +158,29 @@ class _Parser:
 
 
 def _reduce_pair(num: BiPoly, den: BiPoly, src: str):
-    """Normalize a (num, den) pair; the denominator must divide exactly."""
+    """Normalize a (num, den) pair; the denominator must divide exactly.
+
+    A denominator in X or Y is divided out term by term against its
+    lex-leading term.  With a single divisor the remainder is zero exactly
+    when the division is exact, so the first leading term of the running
+    remainder that the divisor's does not divide proves it inexact.
+    """
     if den.is_zero:
         raise DivisionByZeroPoly("division by zero expression")
     if den.is_constant:
         inv = RatFunc.one() / den.coeff(0, 0)
         return num.scale(inv), BiPoly.const(1)
-    # denominator involves X or Y: try exact division
-    main_x = den.deg_x >= den.deg_y
-    a = num.as_unipoly_in_x() if main_x else num.as_unipoly_in_y()
-    b = den.as_unipoly_in_x() if main_x else den.as_unipoly_in_y()
-    quot, rem = _poly_list_divmod(a, b)
-    if rem is None:
-        raise ParseError(
-            f"denominator does not divide the numerator in {src!r}", 0)
-    from .bipoly import _from_main_x, _from_main_y
-
-    out = _from_main_x(quot) if main_x else _from_main_y(quot)
-    return out, BiPoly.const(1)
-
-
-def _poly_list_divmod(a: list[UniPoly], b: list[UniPoly]):
-    """Exact division of main-variable coefficient lists; None if inexact."""
-    while a and a[-1].is_zero:
-        a = a[:-1]
-    while b and b[-1].is_zero:
-        b = b[:-1]
-    if not b:
-        return None, None
-    quot = [UniPoly.zero()] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    db = len(b) - 1
-    while len(rem) - 1 >= db and any(not c.is_zero for c in rem):
-        while rem and rem[-1].is_zero:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        q, r = divmod(rem[-1], b[-1])
-        if not r.is_zero or q.is_zero:
-            return None, None
-        shift = len(rem) - 1 - db
-        quot[shift] = quot[shift] + q
-        for j, bj in enumerate(b):
-            rem[shift + j] = rem[shift + j] - q * bj
-        while rem and rem[-1].is_zero:
-            rem.pop()
-    if rem and any(not c.is_zero for c in rem):
-        return None, None
-    return quot, True
+    (di, dj), lc = max(den.coeffs.items())
+    quot = BiPoly.zero()
+    while not num.is_zero:
+        (i, j), c = max(num.coeffs.items())
+        if i < di or j < dj:
+            raise ParseError(
+                f"denominator does not divide the numerator in {src!r}", 0)
+        term = BiPoly.monomial(i - di, j - dj, c / lc)
+        quot = quot + term
+        num = num - term * den
+    return quot, BiPoly.const(1)
 
 
 def parse_bipoly(src: str) -> BiPoly:

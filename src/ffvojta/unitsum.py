@@ -126,7 +126,7 @@ def random_vanishing_sum(S: PlaceSet, n: int, max_exponent: int,
         last = -total
         support = divisor_of(last).support()
         enlarged = PlaceSet(frozenset(S.places | support))
-        terms = ws + [last]
-        if find_vanishing_subsum(terms) is not None:
+        try:
+            return VanishingSum.build(ws + [last], enlarged)
+        except VanishingSubsum:
             continue
-        return VanishingSum.build(terms, enlarged)

@@ -21,7 +21,6 @@ from .bipoly import (
     DegenerateDegree,
     UniPoly,
     b_polynomial,
-    bipoly_gcd,
     evaluate,
     poly_height,
     rational_roots,
@@ -83,7 +82,6 @@ class RunConfig:
     seed: int = 0
     mode: str = "verify"
     factors: tuple[tuple[str, bool], ...] = ()
-    out: str | None = None
 
     def factor_list(self) -> tuple[tuple[str, bool], ...]:
         if self.factors:
@@ -409,17 +407,19 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
         }
         report["step1"] = step1
         return report
-    g = bipoly_gcd(A, B)
-    step1 = {"coprime": g.is_constant}
-    report["step1"] = step1
-    if not g.is_constant:
+    # B's support lies inside A's and A involves both variables, so a
+    # shared factor involving Y makes F vanish and one involving X makes G
+    # vanish: A and B are coprime exactly when both resultants are nonzero.
+    F = resultant_y(A, B)
+    G = resultant_x(A, B)
+    coprime = not (F.is_zero or G.is_zero)
+    report["step1"] = {"coprime": coprime}
+    if not coprime:
         raise NotIrreducibleAttested(
             "A shares a nonconstant factor with its companion but is not "
             "proportional to it; the attestation is suspect")
 
-    # Step 2: resultants with their degree and height bounds.
-    F = resultant_y(A, B)
-    G = resultant_x(A, B)
+    # Step 2: the resultants' degree and height bounds.
     c4 = 2 * A.deg_x * A.deg_y
     h_a = poly_height(A)
     chi_sp = max(1, euler_char(S_prime))

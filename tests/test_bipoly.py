@@ -69,12 +69,13 @@ class TestUniPolyMirrorsPoly:
     computes: the two share one dense arithmetic."""
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(_polys, _polys, _fracs)
-    def test_ring_ops_and_eval(self, a, b, x):
+    @given(_polys, _polys, _fracs, st.integers(0, 3))
+    def test_ring_ops_and_eval(self, a, b, x, n):
         A, B = _lift(a), _lift(b)
         assert A + B == _lift(a + b)
         assert A - B == _lift(a - b)
         assert A * B == _lift(a * b)
+        assert A ** n == _lift(a ** n)
         assert A.eval(RatFunc.const(x)) == RatFunc.const(a.eval(x))
         if not a.is_zero:
             assert A.monic() == _lift(a.monic())
@@ -264,6 +265,10 @@ class TestRepeatedFactors:
 
     def test_squarefree_products(self):
         assert not has_repeated_factors(bi("(X+Y)*(X-Y)*(X+2*Y+1)"))
+        # a factor free of the differentiated variable is not repeated
+        assert not has_repeated_factors(bi("(Y-1)*(X+Y)"))
+        assert not has_repeated_factors(bi("(X-t)*(X+Y)"))
+        assert not has_repeated_factors(bi("(Y-1)*(X+1)"))
         assert has_repeated_factors(bi("(X+t*Y)^2*(X-Y)"))
 
     def test_gcd_basics(self):

@@ -76,10 +76,14 @@ class TestParseBiPoly:
     def test_exact_division(self):
         assert parse_bipoly("(X*Y)/X") == BiPoly.y()
         assert parse_bipoly("(X^2-Y^2)/(X+Y)") == parse_bipoly("X-Y")
+        assert parse_bipoly("(X*Y^2+Y)/(X*Y+1)") == BiPoly.y()
+        assert parse_bipoly("(X^2*Y-Y)/(t*X*Y-t*Y)") == parse_bipoly(
+            "(1/t)*(X+1)")
 
     def test_inexact_division_rejected(self):
-        with pytest.raises(ParseError):
-            parse_bipoly("X/Y")
+        for src in ("X/Y", "(X^2+1)/(X+1)", "(X*Y+X)/(X*Y+t)"):
+            with pytest.raises(ParseError):
+                parse_bipoly(src)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):

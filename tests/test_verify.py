@@ -20,6 +20,7 @@ from ffvojta.verify import (
     emit_report,
     load_report,
     outcome_json,
+    pair_for_index,
     verify_trichotomy,
 )
 
@@ -211,6 +212,17 @@ class TestAudit:
         assert not rep["step3"]["complete_f"]
         assert rep["outcome"] == "not_split"
 
+    def test_quartic_not_split(self):
+        # step 1 reads coprimality off the resultants; a bivariate gcd of
+        # this quartic and its companion does not finish in minutes
+        cfg = RunConfig(poly="X^4+Y^4+t*X^2*Y+X+Y+t",
+                        places=("0", "1", "inf"), max_exponent=2, seed=7,
+                        mode="audit")
+        u, v = pair_for_index(build_context(cfg), 0)
+        rep = audit_steps(cfg, u, v)
+        assert rep["step1"] == {"coprime": True}
+        assert rep["outcome"] == "not_split"
+
     def test_attestation_required(self):
         cfg = RunConfig(poly="X+Y+1", places=("0", "inf"),
                         factors=(("X+Y+1", False),))
@@ -271,6 +283,19 @@ class TestCLI:
     def test_bm_mode_rejects_bad_sum(self, capsys):
         code = cli_main(["--mode", "bm", "--terms", '["t", "1"]'])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "verify", "--poly", "X+Y+"],
+        ["--mode", "verify", "--poly", "X/0"],
+        ["--mode", "verify", "--poly", "X+Y+1", "--max-exponent", "0"],
+        ["--mode", "audit", "--poly", "X+Y+1", "--u=t+2", "--v=t"],
+    ], ids=["malformed-poly", "zero-denominator", "max-exponent-0",
+            "non-unit"])
+    def test_invalid_input_exit_code(self, capsys, argv):
+        # exit 2 with one line on stderr; 1 is kept for a failed check
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
 
     def test_audit_mode(self, tmp_path):
         out = tmp_path / "audit.json"
