@@ -425,8 +425,8 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     chi_sp = max(1, euler_char(S_prime))
     bound_f = 2 * A.deg_y * (3 * chi_sp + h_a)
     bound_g = 2 * A.deg_x * (3 * chi_sp + h_a)
-    hf = _unipoly_height(F) if not F.is_zero else 0
-    hg = _unipoly_height(G) if not G.is_zero else 0
+    hf = _unipoly_height(F)
+    hg = _unipoly_height(G)
     report["step2"] = {
         "deg_f": F.degree, "deg_g": G.degree, "deg_bound": c4,
         "h_f": hf, "h_g": hg,
