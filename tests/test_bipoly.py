@@ -218,6 +218,9 @@ class TestResultants:
             resultant_x(bi("Y+1"), bi("X+Y"))
 
     def test_specialization_property(self):
+        def swap(A):
+            return BiPoly({(j, i): c for (i, j), c in A.coeffs.items()})
+
         rng = random.Random(88)
         done = 0
         while done < 100:
@@ -226,6 +229,8 @@ class TestResultants:
             if A.deg_y == 0 or B.deg_y == 0:
                 continue
             res = resultant_y(A, B)
+            # the X-resultant of the swapped pair is the same polynomial
+            assert resultant_x(swap(A), swap(B)) == res
             for _ in range(10):
                 if done >= 100:
                     break
@@ -276,6 +281,20 @@ class TestRepeatedFactors:
         assert not g.is_constant
         assert g.deg_x == 1 and g.deg_y == 1
         assert bipoly_gcd(bi("X+Y"), bi("X-Y")).is_constant
+
+    def test_gcd_recovers_common_factor(self):
+        # the gcd is f itself, scaled so its lex-largest coefficient is 1
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(30):
+            f = rand_bipoly(rng)
+            if f.is_zero:
+                continue
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            g = bipoly_gcd(f * bi(f"X+({a})"), f * bi(f"Y+({b})"))
+            assert g == f.scale(RatFunc.one() / f.coeffs[max(f.coeffs)])
+            checked += 1
+        assert checked >= 25
 
 
 class TestRationalRoots:
