@@ -2,16 +2,22 @@
 
 A BiPoly is a sparse map (i, j) -> nonzero RatFunc coefficient of X^i Y^j;
 its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
-(one of X or Y eliminated) with RatFunc coefficients, used for resultants
-and root extraction; its arithmetic is `field_core.DensePoly`, the same
-code that `Poly` runs over Q.
+(one of X or Y eliminated) with RatFunc coefficients, the type of a
+resultant and the input of root extraction; its arithmetic is
+`field_core.DensePoly`, the same code that `Poly` runs over Q.
+
+Bivariate gcds and resultants are not computed over Q(t) here: the inputs
+are cleared of denominators into Z[X, Y, t] and handed to sympy (its
+subresultant PRS and heuristic gcd), and the result is mapped back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
+
+import sympy
 
 from .field_core import (
     DensePoly,
@@ -22,6 +28,7 @@ from .field_core import (
     deriv_omega,
     factor_poly,
     poly_lcm,
+    power,
 )
 from .sunits import SUnit, as_ratfunc, log_derivative
 
@@ -76,15 +83,6 @@ class UniPoly(DensePoly):
             return "0"
         return " + ".join(f"({c})*Z^{i}" for i, c in enumerate(self.coeffs)
                           if not c.is_zero)
-
-
-def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd of univariate polynomials over the field Q(t)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return UniPoly.zero()
-    return a.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +193,7 @@ class BiPoly:
         return BiPoly({ij: v * c for ij, v in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, BiPoly.const(1))
 
     def partial_x(self) -> "BiPoly":
         return BiPoly({(i - 1, j): c * i
@@ -213,24 +202,6 @@ class BiPoly:
     def partial_y(self) -> "BiPoly":
         return BiPoly({(i, j - 1): c * j
                        for (i, j), c in self.coeffs.items() if j > 0})
-
-    def as_unipoly_in_y(self) -> list[UniPoly]:
-        """Coefficients of Y^j, each a polynomial in X over Q(t)."""
-        rows = [dict() for _ in range(self.deg_y + 1)]
-        for (i, j), c in self.coeffs.items():
-            rows[j][i] = c
-        return [UniPoly([row.get(i, RatFunc.zero())
-                         for i in range(max(row, default=-1) + 1)])
-                for row in rows]
-
-    def as_unipoly_in_x(self) -> list[UniPoly]:
-        """Coefficients of X^i, each a polynomial in Y over Q(t)."""
-        rows = [dict() for _ in range(self.deg_x + 1)]
-        for (i, j), c in self.coeffs.items():
-            rows[i][j] = c
-        return [UniPoly([row.get(j, RatFunc.zero())
-                         for j in range(max(row, default=-1) + 1)])
-                for row in rows]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -304,52 +275,50 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants
+# Resultants and gcd, through sympy over Z[X, Y, t]
 # ---------------------------------------------------------------------------
 
-def _det(matrix: list[list[UniPoly]]) -> UniPoly:
-    """Determinant over the UniPoly ring by column-subset expansion."""
-    n = len(matrix)
-    if n == 0:
-        return UniPoly.const(1)
-
-    from functools import lru_cache as _lru
-
-    @_lru(maxsize=None)
-    def minor(row: int, cols: frozenset) -> UniPoly:
-        if row == n:
-            return UniPoly.const(1)
-        acc = UniPoly.zero()
-        sign = 1
-        for c in sorted(cols):
-            entry = matrix[row][c]
-            if not entry.is_zero:
-                term = entry * minor(row + 1, cols - {c})
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        return acc
-
-    return minor(0, frozenset(range(n)))
+_X, _Y, _T = sympy.symbols("X Y t")
 
 
-def _sylvester(a: list[UniPoly], b: list[UniPoly]) -> UniPoly:
-    """Resultant of two polynomials given by coefficient lists (lowest first)
-    over the UniPoly coefficient ring."""
-    m = len(a) - 1
-    n = len(b) - 1
-    size = m + n
-    rows: list[list[UniPoly]] = []
-    for k in range(n):
-        row = [UniPoly.zero()] * size
-        for i, c in enumerate(reversed(a)):
-            row[k + i] = c
-        rows.append(row)
-    for k in range(m):
-        row = [UniPoly.zero()] * size
-        for i, c in enumerate(reversed(b)):
-            row[k + i] = c
-        rows.append(row)
-    return _det(rows)
+def _cleared(A: BiPoly, main: str) -> tuple[sympy.Poly, Poly]:
+    """A times d, the least element of Q[t] times a positive integer that
+    clears every denominator, as a sympy.Poly over ZZ in (main variable,
+    other variable, t); returned together with d."""
+    den = Poly.one()
+    for c in A.coeffs.values():
+        den = poly_lcm(den, c.den)
+    nums = {ij: c.num * (den // c.den) for ij, c in A.coeffs.items()}
+    scale = lcm(*(a.denominator for p in nums.values() for a in p.coeffs))
+    terms = {}
+    for (i, j), p in nums.items():
+        key = (i, j) if main == "x" else (j, i)
+        for k, a in enumerate(p.coeffs):
+            if a:
+                terms[(*key, k)] = int(a * scale)
+    gens = (_X, _Y, _T) if main == "x" else (_Y, _X, _T)
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), den.scale(scale)
+
+
+def _from_sympy(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
+    """The terms of p grouped by their exponents in all variables but the
+    last, t; each group, divided by d, becomes one RatFunc."""
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for monom, c in p.terms():
+        groups.setdefault(monom[:-1], {})[monom[-1]] = int(c)
+    return {key: RatFunc(Poly([ts.get(k, 0) for k in range(max(ts) + 1)]), d)
+            for key, ts in groups.items()}
+
+
+def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
+    """Res_main(A, B) for main-degrees m of A and n of B, by sympy's
+    subresultant PRS on the cleared polynomials."""
+    pa, da = _cleared(A, main)
+    pb, db = _cleared(B, main)
+    # Res(da*A, db*B) = da^n * db^m * Res(A, B)
+    coeffs = _from_sympy(pa.resultant(pb), da ** n * db ** m)
+    return UniPoly([coeffs.get((k,), RatFunc.zero())
+                    for k in range(max(coeffs)[0] + 1)])
 
 
 def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
@@ -359,11 +328,11 @@ def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
     When B does not involve Y the resultant is B^(deg_Y A), which is 1 when
     A does not involve Y either.
     """
-    if B.deg_y == 0:
-        return B.as_unipoly_in_y()[0] ** A.deg_y
+    if A.deg_y == 0 and B.deg_y == 0:
+        return UniPoly.const(1)
     if A.deg_y == 0:
         raise DegenerateDegree("both polynomials must depend on Y")
-    return _sylvester(A.as_unipoly_in_y(), B.as_unipoly_in_y())
+    return _resultant(A, B, "y", A.deg_y, B.deg_y)
 
 
 def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
@@ -371,106 +340,26 @@ def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
 
     When B does not involve X the resultant is B^(deg_X A).
     """
-    if B.deg_x == 0:
-        return B.as_unipoly_in_x()[0] ** A.deg_x
+    if A.deg_x == 0 and B.deg_x == 0:
+        return UniPoly.const(1)
     if A.deg_x == 0:
         raise DegenerateDegree("both polynomials must depend on X")
-    return _sylvester(A.as_unipoly_in_x(), B.as_unipoly_in_x())
-
-
-# ---------------------------------------------------------------------------
-# Bivariate gcd and repeated factors
-# ---------------------------------------------------------------------------
-
-def _content(coeffs: list[UniPoly]) -> UniPoly:
-    g = UniPoly.zero()
-    for c in coeffs:
-        if not c.is_zero:
-            g = unipoly_gcd(g, c) if not g.is_zero else c.monic()
-        if not g.is_zero and g.degree == 0:
-            break
-    return g if not g.is_zero else UniPoly.zero()
-
-
-def _primitive(coeffs: list[UniPoly]) -> list[UniPoly]:
-    g = _content(coeffs)
-    if g.is_zero or g.degree == 0:
-        return list(coeffs)
-    return [c // g for c in coeffs]
-
-
-def _pseudo_rem(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(not c.is_zero for c in a):
-        while a and a[-1].is_zero:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        a = [c * lb for c in a]
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[shift + j] = a[shift + j] - la * bj
-        while a and a[-1].is_zero:
-            a.pop()
-        if not a:
-            break
-    while a and a[-1].is_zero:
-        a.pop()
-    return a
-
-
-def _gcd_main(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    """Primitive gcd in (Q(t)[other])[main] by a primitive remainder sequence."""
-    ca, cb = _content(a), _content(b)
-    a = _primitive(a)
-    b = _primitive(b)
-    if len(a) - 1 < len(b) - 1:
-        a, b = b, a
-    while b and any(not c.is_zero for c in b):
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    cont = unipoly_gcd(ca, cb) if not (ca.is_zero or cb.is_zero) else UniPoly.const(1)
-    if cont.is_zero:
-        cont = UniPoly.const(1)
-    return [c * cont for c in a]
-
-
-def _from_main_x(coeffs: list[UniPoly]) -> BiPoly:
-    out = {}
-    for i, c in enumerate(coeffs):
-        for j, v in enumerate(c.coeffs):
-            if not v.is_zero:
-                out[(i, j)] = v
-    return BiPoly(out)
-
-
-def _from_main_y(coeffs: list[UniPoly]) -> BiPoly:
-    out = {}
-    for j, c in enumerate(coeffs):
-        for i, v in enumerate(c.coeffs):
-            if not v.is_zero:
-                out[(i, j)] = v
-    return BiPoly(out)
+    return _resultant(A, B, "x", A.deg_x, B.deg_x)
 
 
 def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
-    """gcd over Q(t) treating the larger-degree variable as main (X on ties),
-    with content removal in the other variable."""
+    """gcd over Q(t), scaled so its lex-largest coefficient is 1.
+
+    By Gauss's lemma this is the gcd of the cleared polynomials in
+    Z[X, Y, t] with its content in t divided out.
+    """
     if A.is_zero:
         return B
     if B.is_zero:
         return A
-    use_x = max(A.deg_x, B.deg_x) >= max(A.deg_y, B.deg_y)
-    if use_x:
-        g = _gcd_main(A.as_unipoly_in_x(), B.as_unipoly_in_x())
-        result = _from_main_x(g)
-    else:
-        g = _gcd_main(A.as_unipoly_in_y(), B.as_unipoly_in_y())
-        result = _from_main_y(g)
-    # normalize so some coefficient is 1
+    pa, _ = _cleared(A, "x")
+    pb, _ = _cleared(B, "x")
+    result = BiPoly(_from_sympy(pa.gcd(pb), Poly.one()))
     lead = result.coeffs[max(result.coeffs)]
     return result.scale(RatFunc.one() / lead)
 
@@ -668,7 +557,6 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     False when every specialization splits (the attestation is suspect).
     """
     import random
-    import sympy
 
     if A.is_constant:
         raise ConstantPolynomial("attestation needs a nonconstant polynomial")

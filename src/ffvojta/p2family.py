@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, evaluate
 from .counting import strip_set_factors
-from .field_core import Place, Poly, RatFunc, factor_poly
+from .field_core import Place, Poly, RatFunc, factor_poly, power
 from .sunits import PlaceSet, SUnit, as_ratfunc
 
 
@@ -139,14 +139,7 @@ class BiForm:
         return BiForm(out)
 
     def __pow__(self, n: int) -> "BiForm":
-        result = BiForm.monomial()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, BiForm.monomial())
 
     def partial_x(self, k: int) -> "BiForm":
         """Partial derivative with respect to x_k (k in 0..2)."""

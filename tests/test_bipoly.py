@@ -32,7 +32,8 @@ from ffvojta.field_core import (
     choose_omega,
     deriv_omega,
 )
-from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc
+from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
+from ffvojta.verify import RunConfig, build_context, pair_for_index
 from conftest import bi, rat, rand_ratfunc, unit_over
 
 
@@ -281,6 +282,18 @@ class TestRepeatedFactors:
         assert not g.is_constant
         assert g.deg_x == 1 and g.deg_y == 1
         assert bipoly_gcd(bi("X+Y"), bi("X-Y")).is_constant
+
+    def test_gcd_quartic_and_companion_coprime(self):
+        # the audit's quartic with its derivative companion on pair 0 of
+        # seed 7; a remainder sequence over Q(t) ran for minutes on it
+        cfg = RunConfig(poly="X^4+Y^4+t*X^2*Y+X+Y+t",
+                        places=("0", "1", "inf"), max_exponent=2, seed=7)
+        ctx = build_context(cfg)
+        u, v = pair_for_index(ctx, 0)
+        A = ctx.A
+        S_a = enlarge_for_coefficients(ctx.S, list(A.coeffs.values()))
+        B = b_polynomial(A, u, v, choose_omega(S_a.places))
+        assert bipoly_gcd(A, B).is_constant
 
     def test_gcd_recovers_common_factor(self):
         # the gcd is f itself, scaled so its lex-largest coefficient is 1

@@ -51,6 +51,9 @@ class TestBiForm:
         assert (a + b).xdeg == 1
         assert (a * b).coeffs == {(1, 1, 0, 2, 0): Fraction(1)}
         assert (a ** 3).coeffs == {(3, 0, 0, 3, 0): Fraction(1)}
+        assert a ** 0 == BiForm.monomial()
+        with pytest.raises(ValueError):
+            a ** -1
 
     def test_partial(self):
         sq = BiForm.monomial(e0=2, f0=2)

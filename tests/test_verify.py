@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import ffvojta
 from ffvojta.cli import main as cli_main
 from ffvojta.field_core import Place
 from ffvojta.parser import parse_bipoly
@@ -367,9 +369,11 @@ class TestCLI:
         assert len(report["constants"]["pairs"]) == 1
 
     def test_entry_point_runs(self):
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "ffvojta.cli", "--mode", "constants",
              "--poly", "X+Y+1", "--epsilon", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert '"schema": "ffvojta-report/1"' in proc.stdout
