@@ -284,8 +284,8 @@ class TestRepeatedFactors:
         assert bipoly_gcd(bi("X+Y"), bi("X-Y")).is_constant
 
     def test_gcd_quartic_and_companion_coprime(self):
-        # the audit's quartic with its derivative companion on pair 0 of
-        # seed 7; a remainder sequence over Q(t) ran for minutes on it
+        # the audit's quartic and its derivative companion on pair 0 of
+        # seed 7, whose gcd over Q(t) swells its intermediate coefficients
         cfg = RunConfig(poly="X^4+Y^4+t*X^2*Y+X+Y+t",
                         places=("0", "1", "inf"), max_exponent=2, seed=7)
         ctx = build_context(cfg)

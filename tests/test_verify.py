@@ -215,8 +215,7 @@ class TestAudit:
         assert rep["outcome"] == "not_split"
 
     def test_quartic_not_split(self):
-        # step 1 reads coprimality off the resultants; a bivariate gcd of
-        # this quartic and its companion does not finish in minutes
+        # step 1 reads coprimality off the resultants
         cfg = RunConfig(poly="X^4+Y^4+t*X^2*Y+X+Y+t",
                         places=("0", "1", "inf"), max_exponent=2, seed=7,
                         mode="audit")
