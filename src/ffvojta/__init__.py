@@ -45,6 +45,7 @@ from .bipoly import (
     resultant_x,
     resultant_y,
     torus_derivative,
+    vanishes_at,
 )
 from .counting import (
     BoundCheck,

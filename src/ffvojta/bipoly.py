@@ -20,6 +20,7 @@ from math import gcd as int_gcd, lcm
 import sympy
 
 from .field_core import (
+    _GCD_PRIMES,
     DensePoly,
     OmegaForm,
     Poly,
@@ -236,6 +237,47 @@ def evaluate(A: BiPoly, u: RatFunc, v: RatFunc) -> RatFunc:
     return acc
 
 
+_CERT_PRIME = _GCD_PRIMES[0]
+# points away from the small integers that places usually sit at
+_CERT_POINTS = (982451653, 1000000007, 2147483629)
+
+
+def _image(f: RatFunc, tau: int, p: int) -> int | None:
+    """f(tau) mod p, or None when a denominator vanishes there mod p."""
+    vals = []
+    for poly in (f.num, f.den):
+        acc = 0
+        for c in reversed(poly.coeffs):
+            d = c.denominator % p
+            if d == 0:
+                return None
+            acc = (acc * tau + c.numerator * pow(d, -1, p)) % p
+        vals.append(acc)
+    num, den = vals
+    return None if den == 0 else num * pow(den, -1, p) % p
+
+
+def vanishes_at(A: BiPoly, u: RatFunc, v: RatFunc) -> bool:
+    """True iff A(u, v) = 0, exactly.
+
+    Evaluating t at tau and reducing mod p is a ring homomorphism on the
+    elements of Q(t) whose denominators stay nonzero there, so a nonzero
+    image of A(u, v) at one point certifies A(u, v) != 0.  When no point
+    certifies, the exact value decides.
+    """
+    p = _CERT_PRIME
+    for tau in _CERT_POINTS:
+        images = [_image(f, tau, p) for f in (u, v, *A.coeffs.values())]
+        if None in images:
+            continue
+        ut, vt, *cs = images
+        acc = sum(c * pow(ut, i, p) * pow(vt, j, p)
+                  for (i, j), c in zip(A.coeffs, cs))
+        if acc % p:
+            return False
+    return evaluate(A, u, v).is_zero
+
+
 def poly_height(A: BiPoly) -> int:
     """Height of A: the maximum height of its coefficients."""
     from .field_core import height
@@ -324,10 +366,12 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
 def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
     """Resultant of A and B with respect to Y: a polynomial in X over Q(t).
 
-    Vanishes identically exactly when A and B share a factor involving Y.
-    When B does not involve Y the resultant is B^(deg_Y A), which is 1 when
-    A does not involve Y either.
+    Vanishes identically exactly when A and B share a factor involving Y,
+    or when either is zero.  When B does not involve Y the resultant is
+    B^(deg_Y A), which is 1 when A does not involve Y either.
     """
+    if A.is_zero or B.is_zero:
+        return UniPoly.zero()
     if A.deg_y == 0 and B.deg_y == 0:
         return UniPoly.const(1)
     if A.deg_y == 0:
@@ -338,8 +382,11 @@ def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
 def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
     """Resultant with respect to X: a polynomial in Y over Q(t).
 
-    When B does not involve X the resultant is B^(deg_X A).
+    It is 0 when either input is zero; when B does not involve X it is
+    B^(deg_X A).
     """
+    if A.is_zero or B.is_zero:
+        return UniPoly.zero()
     if A.deg_x == 0 and B.deg_x == 0:
         return UniPoly.const(1)
     if A.deg_x == 0:
@@ -504,10 +551,10 @@ def check_dependence_transfer(
         raise PreconditionViolated("(r, s) != (0, 0)")
     if int_gcd(abs(r), abs(s)) != 1:
         raise PreconditionViolated("gcd(|r|, |s|) = 1")
-    if not evaluate(A, alpha, beta).is_zero:
+    if not vanishes_at(A, alpha, beta):
         raise PreconditionViolated("A(alpha, beta) = 0")
     B = b_polynomial(A, u, v, w)
-    if not evaluate(B, alpha, beta).is_zero:
+    if not vanishes_at(B, alpha, beta):
         raise PreconditionViolated("B(alpha, beta) = 0")
     if alpha.is_zero or beta.is_zero:
         raise PreconditionViolated("alpha, beta nonzero")

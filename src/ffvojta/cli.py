@@ -84,7 +84,8 @@ def _write_or_print(report: dict, out: str | None) -> None:
         emit_report(report, out)
         print(f"report written to {out}")
     else:
-        print(json.dumps(report, indent=2))
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
 
 
 def _run_verify(args) -> int:

@@ -28,6 +28,7 @@ from .bipoly import (
     resultant_y,
     specialization_irreducibility_audit,
     torus_derivative,
+    vanishes_at,
 )
 from .constants import ThetaLedger, theta_ledger
 from .counting import strip_set_factors, trunc_count
@@ -174,9 +175,8 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
         for beta in set(roots_g):
             if alpha.is_zero or beta.is_zero:
                 continue
-            if not evaluate(A, alpha, beta).is_zero:
-                continue
-            if not evaluate(twist, alpha, beta).is_zero:
+            if not (vanishes_at(A, alpha, beta)
+                    and vanishes_at(twist, alpha, beta)):
                 continue
             count += 1
             if (gamma / (alpha ** r * beta ** s)).is_constant:
@@ -214,8 +214,7 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     compared with eps times the height (bound_holds or violation).
     """
     U, V = as_ratfunc(u), as_ratfunc(v)
-    value = evaluate(A, U, V)
-    if value.is_zero:
+    if vanishes_at(A, U, V):
         return Classification(U, V, "degenerate_on_z", None, None, None, None)
     h = max(height(U), height(V))
     if h < theta1 * max(1, euler_char(S)):
@@ -223,7 +222,7 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     dep = mult_dependence(u, v)
     if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
         return Classification(U, V, "relation", h, dep, None, None)
-    lhs = trunc_count(value, S).total
+    lhs = trunc_count(evaluate(A, U, V), S).total
     rhs = eps * h
     kind = "bound_holds" if lhs <= rhs else "violation"
     return Classification(U, V, kind, h, dep, lhs, rhs)
@@ -309,9 +308,9 @@ def build_report(cfg: RunConfig, outcomes: list[dict]) -> dict:
 def emit_report(report: dict, path: str) -> None:
     """Write a report as canonical JSON: stable field order, exact rationals
     rendered as `p/q` strings."""
-    data = json.dumps(report, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def load_report(path: str) -> dict:
@@ -454,8 +453,7 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
         for beta in set(roots_g):
             if alpha.is_zero or beta.is_zero:
                 continue
-            if evaluate(A, alpha, beta).is_zero and \
-                    evaluate(B, alpha, beta).is_zero:
+            if vanishes_at(A, alpha, beta) and vanishes_at(B, alpha, beta):
                 zset.append((alpha, beta))
     places = set(S_prime.places)
     for coeffs in (F.coeffs, G.coeffs):

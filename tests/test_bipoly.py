@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffvojta.bipoly import (
+    _CERT_POINTS,
+    _CERT_PRIME,
+    _image,
     BiPoly,
     BothZero,
     ConstantPolynomial,
@@ -23,6 +26,7 @@ from ffvojta.bipoly import (
     resultant_y,
     specialization_irreducibility_audit,
     torus_derivative,
+    vanishes_at,
 )
 from ffvojta.field_core import (
     Place,
@@ -98,6 +102,54 @@ class TestEvaluate:
         assert evaluate(bi("X+Y+1"), RatFunc.t(), RatFunc.t()) == rat("2*t+1")
         assert evaluate(bi("X*Y-t"), RatFunc.t(), RatFunc.one()).is_zero
         assert evaluate(bi("X^2+Y"), RatFunc.t(), rat("-t^2")).is_zero
+
+
+class TestVanishesAt:
+    """The modular certificate must answer exactly what the exact value
+    answers, including where no image certifies."""
+
+    def test_agrees_with_evaluate(self):
+        rng = random.Random(53)
+        for k in range(200):
+            U = as_ratfunc(unit_over(S011, rng, 6))
+            V = as_ratfunc(unit_over(S011, rng, 6))
+            B = rand_bipoly(rng)
+            if k % 4 == 0:
+                # a built zero: A = (X - U) * B vanishes at (U, V)
+                A = (BiPoly.x() - BiPoly.const(U)) * B
+            elif k % 4 == 1:
+                A = B * (BiPoly.y() - BiPoly.const(V))
+            else:
+                A = B
+            assert vanishes_at(A, U, V) == evaluate(A, U, V).is_zero
+
+    def test_pinned_fallback(self):
+        # U - V = -p, whose image vanishes at every point
+        A = bi("X-Y")
+        U = RatFunc.t()
+        V = RatFunc.t() + RatFunc.const(_CERT_PRIME)
+        for tau in _CERT_POINTS:
+            assert _image(U, tau, _CERT_PRIME) == _image(V, tau, _CERT_PRIME)
+        assert vanishes_at(A, U, V) is False
+        assert vanishes_at(A, U, U) is True
+
+    def test_skipped_point(self):
+        tau0 = _CERT_POINTS[0]
+        U = RatFunc.one() / rat(f"t-{tau0}")
+        assert _image(U, tau0, _CERT_PRIME) is None
+        A = bi("X+Y+1")
+        V = RatFunc.t()
+        # certified at a later point, without a ZeroDivisionError
+        assert _image(evaluate(A, U, V), _CERT_POINTS[1], _CERT_PRIME)
+        assert vanishes_at(A, U, V) is False
+
+    def test_denominator_divisible_by_p(self):
+        c = RatFunc.const(Fraction(1, _CERT_PRIME))
+        for tau in _CERT_POINTS:
+            assert _image(c, tau, _CERT_PRIME) is None
+        A = BiPoly({(1, 0): c, (0, 1): -c})
+        assert vanishes_at(A, RatFunc.t(), RatFunc.t()) is True
+        assert vanishes_at(A, RatFunc.t(), rat("t+1")) is False
 
 
 class TestPolyHeight:
@@ -211,6 +263,15 @@ class TestResultants:
         assert resultant_x(bi("X^2+Y"), bi("Y-t")) == UniPoly(
             (RatFunc.t() ** 2, RatFunc.t() * -2, RatFunc.one()))
         assert resultant_y(bi("X+1"), bi("X-1")) == UniPoly.const(1)
+
+        # a zero input gives the zero resultant, whatever the degrees
+        zero = BiPoly.zero()
+        assert resultant_y(zero, bi("X+1")).is_zero
+        assert resultant_y(zero, bi("Y+1")).is_zero
+        assert resultant_y(bi("X+Y"), zero).is_zero
+        assert resultant_x(zero, bi("Y+1")).is_zero
+        assert resultant_x(zero, bi("X+1")).is_zero
+        assert resultant_x(bi("X+Y"), zero).is_zero
 
     def test_degenerate_degree(self):
         with pytest.raises(DegenerateDegree):

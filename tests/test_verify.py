@@ -144,6 +144,13 @@ class TestReports:
         emit_report(report, str(path))
         assert load_report(str(path)) == report
 
+    def test_emit_writes_indented_dump(self, tmp_path):
+        report = build_report(BASE, verify_trichotomy(BASE))
+        path = tmp_path / "report.json"
+        emit_report(report, str(path))
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(report, indent=2) + "\n"
+
     def test_determinism_same_config(self, tmp_path):
         r1 = build_report(BASE, verify_trichotomy(BASE))
         r2 = build_report(BASE, verify_trichotomy(BASE))
@@ -268,8 +275,10 @@ class TestCLI:
         code = cli_main(["--mode", "constants", "--poly", "X*Y-t",
                          "--epsilon", "1/4"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert payload["constants"]["factors"][0]["c3"] == "14"
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_bm_mode(self, capsys):
         code = cli_main(["--mode", "bm",
