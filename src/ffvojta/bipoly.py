@@ -9,6 +9,10 @@ resultant and the input of root extraction; its arithmetic is
 Bivariate gcds and resultants are not computed over Q(t) here: the inputs
 are cleared of denominators into Z[X, Y, t] and handed to sympy (its
 subresultant PRS and heuristic gcd), and the result is mapped back.
+
+The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
+with the `field_core._image` helper that the vanishing-subsum search
+shares, and expands A(u, v) exactly only when no image certifies.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from math import gcd as int_gcd, lcm
 import sympy
 
 from .field_core import (
-    _GCD_PRIMES,
+    _CERT_POINTS,
+    _CERT_PRIME,
     DensePoly,
     OmegaForm,
     Poly,
     RatFunc,
     ZeroPolynomial,
+    _image,
     deriv_omega,
     factor_poly,
     poly_lcm,
@@ -235,26 +241,6 @@ def evaluate(A: BiPoly, u: RatFunc, v: RatFunc) -> RatFunc:
     for (i, j), c in A.items_sorted():
         acc = acc + c * u_pows[i] * v_pows[j]
     return acc
-
-
-_CERT_PRIME = _GCD_PRIMES[0]
-# points away from the small integers that places usually sit at
-_CERT_POINTS = (982451653, 1000000007, 2147483629)
-
-
-def _image(f: RatFunc, tau: int, p: int) -> int | None:
-    """f(tau) mod p, or None when a denominator vanishes there mod p."""
-    vals = []
-    for poly in (f.num, f.den):
-        acc = 0
-        for c in reversed(poly.coeffs):
-            d = c.denominator % p
-            if d == 0:
-                return None
-            acc = (acc * tau + c.numerator * pow(d, -1, p)) % p
-        vals.append(acc)
-    num, den = vals
-    return None if den == 0 else num * pow(den, -1, p) % p
 
 
 def vanishes_at(A: BiPoly, u: RatFunc, v: RatFunc) -> bool:

@@ -14,10 +14,13 @@ from fractions import Fraction
 from math import comb
 
 from .field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
     Place,
     Poly,
     RatFunc,
     ZeroFunction,
+    _image,
     factor_poly,
     height,
     poly_gcd,
@@ -209,18 +212,58 @@ def check_cz_gcd_bound(u: RatFunc, alpha: RatFunc, v: RatFunc, beta: RatFunc,
 MAX_SUBSUM_TERMS = 20
 
 
+def _zero_residue_masks(terms: list[RatFunc]) -> list[int] | None:
+    """Proper nonempty masks whose subsum has image 0 mod p, ascending.
+
+    The images are taken at the first point where every term has one, and
+    the subsets are walked in Gray-code order (Knuth, TAOCP 7.2.1.1), one
+    modular add or subtract per step.  None when no point is usable.
+    """
+    p = _CERT_PRIME
+    for tau in _CERT_POINTS:
+        images = [_image(f, tau, p) for f in terms]
+        if None not in images:
+            break
+    else:
+        return None
+    full = (1 << len(terms)) - 1
+    masks = []
+    acc = gray = 0
+    for k in range(1, full + 1):
+        i = (k & -k).bit_length() - 1
+        gray ^= 1 << i
+        if gray >> i & 1:
+            acc = (acc + images[i]) % p
+        else:
+            acc = (acc - images[i]) % p
+        if acc == 0 and gray != full:
+            masks.append(gray)
+    masks.sort()
+    return masks
+
+
 def find_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
-    """Indices of a vanishing proper nonempty subsum, or None."""
+    """Indices of a vanishing proper nonempty subsum, or None.
+
+    The answer is the subset of least mask (bit i for term i) whose exact
+    sum is zero.  Only subsets whose image mod p vanishes are summed
+    exactly: evaluating t at tau and reducing mod p is a ring homomorphism
+    on the terms regular there, so a nonzero image proves a nonzero
+    subsum.  When no point is usable, every subset is summed exactly.
+    """
     n = len(terms)
     if n > MAX_SUBSUM_TERMS:
         raise ValueError(f"subsum enumeration is capped at {MAX_SUBSUM_TERMS}")
-    for mask in range(1, (1 << n) - 1):
+    masks = _zero_residue_masks(terms)
+    if masks is None:
+        masks = range(1, (1 << n) - 1)
+    for mask in masks:
+        subset = tuple(i for i in range(n) if mask >> i & 1)
         acc = RatFunc.zero()
-        for i in range(n):
-            if mask >> i & 1:
-                acc = acc + terms[i]
+        for i in subset:
+            acc = acc + terms[i]
         if acc.is_zero:
-            return tuple(i for i in range(n) if mask >> i & 1)
+            return subset
     return None
 
 

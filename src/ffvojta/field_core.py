@@ -467,6 +467,15 @@ class RatFunc:
         return (RatFunc, (self.num, self.den))
 
     @staticmethod
+    def _trusted(num: Poly, den: Poly) -> "RatFunc":
+        # For a pair already in normal form: coprime, with a monic
+        # denominator (1 when num is zero); skips the normalising gcd.
+        f = object.__new__(RatFunc)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @staticmethod
     def zero() -> "RatFunc":
         return RatFunc(Poly.zero())
 
@@ -525,13 +534,15 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._trusted(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return RatFunc(self.num * other.den - other.num * self.den,
+                       self.den * other.den)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -581,6 +592,29 @@ def render_ratfunc(f: RatFunc) -> str:
     if f.den == Poly.one():
         return render_poly(f.num)
     return f"({render_poly(f.num)})/({render_poly(f.den)})"
+
+
+# Images mod p: evaluating t at tau and reducing mod p is a ring
+# homomorphism on the elements of Q(t) whose denominators stay nonzero
+# there, so a nonzero image proves a nonzero value.
+_CERT_PRIME = _GCD_PRIMES[0]
+# points away from the small integers that places usually sit at
+_CERT_POINTS = (982451653, 1000000007, 2147483629)
+
+
+def _image(f: RatFunc, tau: int, p: int) -> int | None:
+    """f(tau) mod p, or None when a denominator vanishes there mod p."""
+    vals = []
+    for poly in (f.num, f.den):
+        acc = 0
+        for c in reversed(poly.coeffs):
+            d = c.denominator % p
+            if d == 0:
+                return None
+            acc = (acc * tau + c.numerator * pow(d, -1, p)) % p
+        vals.append(acc)
+    num, den = vals
+    return None if den == 0 else num * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ def as_ratfunc(u: SUnit) -> RatFunc:
             num = num * p.poly ** e
         else:
             den = den * p.poly ** (-e)
-    return RatFunc(num, den)
+    # distinct monic places are coprime, so the pair is already normal
+    return RatFunc._trusted(num, den)
 
 
 def sunit_from_ratfunc(f: RatFunc, S: PlaceSet) -> SUnit:

@@ -1,8 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: order sums
-and truncated counts are recomputed from a full sympy factorization, and
-projective heights from the per-place definition.
+and truncated counts are recomputed from a full sympy factorization,
+projective heights from the per-place definition, and vanishing subsums
+by summing every subset over sympy polynomials.
 """
 
 from __future__ import annotations
@@ -93,6 +94,28 @@ def oracle_min_ord_sum(f: RatFunc, g: RatFunc, S: PlaceSet) -> int:
     if not S.has_infinity:
         total += min(f.den.degree - f.num.degree, g.den.degree - g.num.degree)
     return total
+
+
+def oracle_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
+    """Least-mask proper nonempty subset with an exactly zero sum, or None.
+
+    Brute force over every subset in sympy: a subsum vanishes iff the sum
+    of each numerator times the other denominators is the zero polynomial.
+    """
+    pairs = [(to_sympy(f.num), to_sympy(f.den)) for f in terms]
+    n = len(pairs)
+    for mask in range(1, (1 << n) - 1):
+        subset = [i for i in range(n) if mask >> i & 1]
+        total = sympy.Poly(0, SYMPY_T, domain="QQ")
+        for i in subset:
+            part = pairs[i][0]
+            for j in subset:
+                if j != i:
+                    part = part * pairs[j][1]
+            total = total + part
+        if total.is_zero:
+            return tuple(subset)
+    return None
 
 
 def oracle_proj_height(fs) -> int:

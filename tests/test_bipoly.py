@@ -6,9 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffvojta.bipoly import (
-    _CERT_POINTS,
-    _CERT_PRIME,
-    _image,
     BiPoly,
     BothZero,
     ConstantPolynomial,
@@ -29,10 +26,13 @@ from ffvojta.bipoly import (
     vanishes_at,
 )
 from ffvojta.field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
     Place,
     Poly,
     RatFunc,
     ZeroPolynomial,
+    _image,
     choose_omega,
     deriv_omega,
 )

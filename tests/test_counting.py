@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ffvojta.counting import (
+    MAX_SUBSUM_TERMS,
     ConstantQuotient,
     NotSInteger,
     NotUnit,
@@ -16,9 +17,23 @@ from ffvojta.counting import (
     min_ord_sum,
     trunc_count,
 )
-from ffvojta.field_core import Place, Poly, RatFunc, ZeroFunction
+from ffvojta.field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
+    Place,
+    Poly,
+    RatFunc,
+    ZeroFunction,
+    _image,
+)
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, euler_char, mult_dependence
-from conftest import oracle_min_ord_sum, oracle_trunc_count, rat, unit_over
+from conftest import (
+    oracle_min_ord_sum,
+    oracle_trunc_count,
+    oracle_vanishing_subsum,
+    rat,
+    unit_over,
+)
 
 
 P0 = Place.rational(0)
@@ -216,6 +231,63 @@ class TestZannierBound:
                 continue
             assert check_zannier_bound(units, S011).holds
             done += 1
+
+
+class TestFindVanishingSubsum:
+    """The search fingerprinted mod p must return what the exact brute
+    force returns, also where images collide or no point is usable."""
+
+    def test_agrees_with_oracle(self):
+        rng = random.Random(67)
+        t = RatFunc.t()
+        for k in range(80):
+            terms = [as_ratfunc(unit_over(S011, rng, 3))
+                     for _ in range(rng.randint(1, 5))]
+            w = as_ratfunc(unit_over(S011, rng, 2))
+            if k % 4 == 0:
+                terms.append(-rng.choice(terms))
+            elif k % 4 == 1:
+                terms += [w * t, w * (1 - t), -w]
+            elif k % 4 == 2:
+                # scaled copies: u + 2u - 3u = 0
+                u = rng.choice(terms)
+                terms += [2 * u, -3 * u]
+            rng.shuffle(terms)
+            terms = terms[:8]
+            assert find_vanishing_subsum(terms) == oracle_vanishing_subsum(terms)
+
+    def test_least_mask_wins(self):
+        # masks 0b1001 and 0b1100 both vanish; a Gray-code walk meets 0b1100
+        # first, the old ascending loop 0b1001
+        terms = [RatFunc.one(), RatFunc.t(), RatFunc.one(), -RatFunc.one()]
+        assert find_vanishing_subsum(terms) == (0, 3)
+
+    def test_pinned_collision(self):
+        # t and -(t + p) cancel in every image, but their sum is -p
+        t = RatFunc.t()
+        shifted = -(t + RatFunc.const(_CERT_PRIME))
+        for tau in _CERT_POINTS:
+            assert (_image(t, tau, _CERT_PRIME)
+                    + _image(shifted, tau, _CERT_PRIME)) % _CERT_PRIME == 0
+        assert find_vanishing_subsum([t, shifted, RatFunc.one()]) is None
+        terms = [t, shifted, RatFunc.const(_CERT_PRIME), RatFunc.one()]
+        assert find_vanishing_subsum(terms) == (0, 1, 2)
+
+    def test_no_usable_point(self):
+        c = RatFunc.const(Fraction(1, _CERT_PRIME))
+        for tau in _CERT_POINTS:
+            assert _image(c, tau, _CERT_PRIME) is None
+        t = RatFunc.t()
+        for terms, expected in (
+                ([c * t, t, -c * t, RatFunc.one()], (0, 2)),
+                ([c, t, 1 - t, -RatFunc.one()], (1, 2, 3)),
+                ([c, t, RatFunc.one()], None)):
+            assert find_vanishing_subsum(terms) == expected
+            assert oracle_vanishing_subsum(terms) == expected
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            find_vanishing_subsum([RatFunc.one()] * (MAX_SUBSUM_TERMS + 1))
 
 
 def test_euler_char_values():

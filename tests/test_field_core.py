@@ -103,6 +103,18 @@ class TestPoly:
             assert mine == theirs
 
 
+class TestRatFunc:
+    def test_neg_and_sub_in_normal_form(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            f, g = rand_ratfunc(rng), rand_ratfunc(rng)
+            for h in (-f, f - g, g - f, f - f, 3 - f, f - Fraction(1, 2)):
+                assert h == RatFunc(h.num, h.den)
+            assert f - g == f + (-g)
+            assert (f - g) + g == f
+            assert 3 - f == RatFunc.const(3) + (-f)
+
+
 class TestYun:
     def test_spec_examples(self):
         p = T ** 2 * (T - ONE) ** 3

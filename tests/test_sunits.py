@@ -57,6 +57,10 @@ class TestSUnit:
         v = SUnit.make(1, {P0: 1, P1: -1}, S011)
         assert as_ratfunc(v) == rat("t/(t-1)")
         assert as_ratfunc(SUnit.make(1, {}, S01)) == RatFunc.one()
+        q = Place.finite(Poly((1, 0, 1)))
+        w = SUnit.make(Fraction(-2, 3), {P0: 3, P1: 2, q: -2},
+                       PlaceSet.of(0, 1, q, "inf"))
+        assert as_ratfunc(w) == rat("(-2/3)*t^3*(t-1)^2/(t^2+1)^2")
 
     def test_validation(self):
         with pytest.raises(InvalidSUnit):

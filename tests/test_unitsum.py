@@ -117,6 +117,13 @@ class TestCheckBM:
             assert check_bm(vs).holds
             done += 1
 
+    def test_long_sums(self):
+        for n in range(6, 17):
+            for seed in range(3):
+                vs = random_vanishing_sum(S011, n, 3, seed)
+                assert len(vs.terms) == n
+                assert check_bm(vs).holds
+
     def test_random_constructed_sums(self):
         for seed in range(40):
             n = 3 + seed % 3
