@@ -6,9 +6,11 @@ its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
 resultant and the input of root extraction; its arithmetic is
 `field_core.DensePoly`, the same code that `Poly` runs over Q.
 
-Bivariate gcds and resultants are not computed over Q(t) here: the inputs
-are cleared of denominators into Z[X, Y, t] and handed to sympy (its
-subresultant PRS and heuristic gcd), and the result is mapped back.
+Bivariate gcds, resultants and rational roots are not computed over Q(t)
+here: the inputs are cleared of denominators into Z[X, Y, t] or Z[Z, t]
+and handed to sympy (its subresultant PRS, heuristic gcd and Wang's
+factorisation), and the result is mapped back.  Factorisation and
+resultants first check a size cap and raise InputTooLarge past it.
 
 The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
 with the `field_core._image` helper that the vanishing-subsum search
@@ -17,6 +19,7 @@ shares, and expands A(u, v) exactly only when no image certifies.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
@@ -33,7 +36,6 @@ from .field_core import (
     ZeroPolynomial,
     _image,
     deriv_omega,
-    factor_poly,
     poly_lcm,
     power,
 )
@@ -51,6 +53,11 @@ class BothZero(ValueError):
 class DegenerateDegree(ValueError):
     """Raised when a resultant is requested in a variable that the first
     polynomial does not involve but the second does."""
+
+
+class InputTooLarge(ValueError):
+    """Raised when a polynomial is past the size cap for factorisation and
+    resultants (CLEARED_SIZE_CAP)."""
 
 
 class PreconditionViolated(ValueError):
@@ -306,26 +313,47 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 # Resultants and gcd, through sympy over Z[X, Y, t]
 # ---------------------------------------------------------------------------
 
-_X, _Y, _T = sympy.symbols("X Y t")
+_X, _Y, _Z, _T = sympy.symbols("X Y Z t")
+
+# Cap on the size of a polynomial over Z[t] that sympy factors or that a
+# resultant produces: its degree z in the main variable times its degree
+# in t.  The work grows faster than linearly in either degree alone, so
+# each counts as at least an eighth of the other (and 1): under the cap,
+# z and t are each at most 64.
+CLEARED_SIZE_CAP = 512
 
 
-def _cleared(A: BiPoly, main: str) -> tuple[sympy.Poly, Poly]:
-    """A times d, the least element of Q[t] times a positive integer that
-    clears every denominator, as a sympy.Poly over ZZ in (main variable,
-    other variable, t); returned together with d."""
+def _cleared(coeffs: Mapping[tuple[int, ...], RatFunc],
+             gens: tuple) -> tuple[sympy.Poly, Poly]:
+    """The sum of c * gens[:-1]^e over the items e -> c of `coeffs`, times
+    d, the least element of Q[t] times a positive integer that clears
+    every denominator, as a sympy.Poly over ZZ in gens (t last); returned
+    together with d."""
     den = Poly.one()
-    for c in A.coeffs.values():
+    for c in coeffs.values():
         den = poly_lcm(den, c.den)
-    nums = {ij: c.num * (den // c.den) for ij, c in A.coeffs.items()}
+    nums = {e: c.num * (den // c.den) for e, c in coeffs.items()}
     scale = lcm(*(a.denominator for p in nums.values() for a in p.coeffs))
-    terms = {}
-    for (i, j), p in nums.items():
-        key = (i, j) if main == "x" else (j, i)
-        for k, a in enumerate(p.coeffs):
-            if a:
-                terms[(*key, k)] = int(a * scale)
-    gens = (_X, _Y, _T) if main == "x" else (_Y, _X, _T)
+    terms = {(*e, k): int(a * scale)
+             for e, p in nums.items() for k, a in enumerate(p.coeffs) if a}
     return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), den.scale(scale)
+
+
+def _check_size(z: int, t: int) -> None:
+    """Raise InputTooLarge when degree z in the main variable and degree t
+    in t are past CLEARED_SIZE_CAP."""
+    if max(1, z, t // 8) * max(1, t, z // 8) > CLEARED_SIZE_CAP:
+        raise InputTooLarge(
+            f"a polynomial of degree {z} in its main variable and {t} in t "
+            f"is past the size cap {CLEARED_SIZE_CAP}")
+
+
+def _oriented(A: BiPoly, main: str) -> tuple[dict, tuple]:
+    """A's coefficients keyed (main exponent, other exponent), and the
+    matching sympy generators."""
+    if main == "x":
+        return A.coeffs, (_X, _Y, _T)
+    return {(j, i): c for (i, j), c in A.coeffs.items()}, (_Y, _X, _T)
 
 
 def _from_sympy(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
@@ -341,8 +369,12 @@ def _from_sympy(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
 def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
     """Res_main(A, B) for main-degrees m of A and n of B, by sympy's
     subresultant PRS on the cleared polynomials."""
-    pa, da = _cleared(A, main)
-    pb, db = _cleared(B, main)
+    pa, da = _cleared(*_oriented(A, main))
+    pb, db = _cleared(*_oriented(B, main))
+    # the Sylvester determinant bounds the resultant's degrees in the other
+    # variable and in t; the size check runs on those bounds
+    (ma, oa, ea), (mb, ob, eb) = pa.degree_list(), pb.degree_list()
+    _check_size(ma * ob + mb * oa, ma * eb + mb * ea)
     # Res(da*A, db*B) = da^n * db^m * Res(A, B)
     coeffs = _from_sympy(pa.resultant(pb), da ** n * db ** m)
     return UniPoly([coeffs.get((k,), RatFunc.zero())
@@ -390,8 +422,8 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
         return B
     if B.is_zero:
         return A
-    pa, _ = _cleared(A, "x")
-    pb, _ = _cleared(B, "x")
+    pa, _ = _cleared(A.coeffs, (_X, _Y, _T))
+    pb, _ = _cleared(B.coeffs, (_X, _Y, _T))
     result = BiPoly(_from_sympy(pa.gcd(pb), Poly.one()))
     lead = result.coeffs[max(result.coeffs)]
     return result.scale(RatFunc.one() / lead)
@@ -416,79 +448,28 @@ def has_repeated_factors(A: BiPoly) -> bool:
 # Rational roots of a UniPoly
 # ---------------------------------------------------------------------------
 
-ROOT_SEARCH_DEGREE_CAP = 12
-
-
-def _monic_divisors(p: Poly) -> list[Poly]:
-    """All monic divisors of p in Q[t] (products of prime-power factors)."""
-    divs = [Poly.one()]
-    for q, m in factor_poly(p):
-        powers = [q ** k for k in range(m + 1)]
-        divs = [d * pw for d in divs for pw in powers]
-    return divs
-
-
 def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     """All roots of F lying in Q(t), with multiplicity.
 
-    Clears denominators to Q[t][Z] and runs the rational-root method on the
-    extreme coefficients: a root p/q in lowest terms must have its monic
-    part dividing the trailing (resp. leading) coefficient; the constant is
-    pinned by specializing t.  The flag is True exactly when the roots
-    found account for the full degree.  Extreme coefficients of t-degree
-    above the search cap make the result incomplete, never wrong.
+    Clears F to Z[t][Z] and factors it once over Z[Z, t] (sympy's Wang
+    algorithm); each factor a*Z + b of Z-degree 1 contributes the root
+    -b/a with the factor's multiplicity.  Roots are sorted by their
+    numerator and denominator coefficients, so zero roots come first.  The
+    flag is True exactly when the roots account for the full degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
-    roots: list[RatFunc] = []
-    # strip zero roots
-    k = 0
-    while k <= F.degree and F.coeff(k).is_zero:
-        k += 1
-    if k:
-        roots.extend([RatFunc.zero()] * k)
-        F = UniPoly(F.coeffs[k:])
-    if F.degree == 0:
-        return roots, True
-    # clear denominators to Poly coefficients
-    lcm_den = Poly.one()
-    for c in F.coeffs:
-        lcm_den = poly_lcm(lcm_den, c.den)
-    polys = [(c * RatFunc(lcm_den)).num for c in F.coeffs]
-    a0, ad = polys[0], polys[-1]
-    if a0.degree > ROOT_SEARCH_DEGREE_CAP or ad.degree > ROOT_SEARCH_DEGREE_CAP:
-        return roots, False
-    divisors0 = _monic_divisors(a0)
-    divisorsd = _monic_divisors(ad)
-    # specialization point where leading/trailing coefficients survive
-    tau = None
-    for cand in range(1, 1000):
-        if ad.eval(cand) != 0 and a0.eval(cand) != 0:
-            tau = Fraction(cand)
-            break
-    assert tau is not None
-    spec = Poly([p.eval(tau) for p in polys])
-    spec_roots = {Fraction(-q.coeffs[0])
-                  for q, _ in factor_poly(spec) if q.degree == 1}
-    candidates: set[RatFunc] = set()
-    for p_hat in divisors0:
-        pv = p_hat.eval(tau)
-        for q_hat in divisorsd:
-            qv = q_hat.eval(tau)
-            for rho in spec_roots:
-                c = rho * qv / pv
-                if c != 0:
-                    candidates.add(RatFunc(p_hat.scale(c), q_hat))
-    G = F
-    for alpha in sorted(candidates, key=lambda r: (r.num.coeffs, r.den.coeffs)):
-        lin = UniPoly((-alpha, RatFunc.one()))
-        while G.degree >= 1:
-            q, rem = divmod(G, lin)
-            if not rem.is_zero:
-                break
-            G = q
-            roots.append(alpha)
-    return roots, G.degree == 0
+    p, _ = _cleared({(k,): c for k, c in enumerate(F.coeffs)}, (_Z, _T))
+    _check_size(F.degree, p.degree(_T))
+    found: dict[RatFunc, int] = {}
+    for fac, m in p.factor_list()[1]:
+        if fac.degree(_Z) == 1:
+            lin = _from_sympy(fac, Poly.one())
+            root = -lin.get((0,), RatFunc.zero()) / lin[(1,)]
+            found[root] = m
+    roots = [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
+             for _ in range(found[r])]
+    return roots, len(roots) == F.degree
 
 
 # ---------------------------------------------------------------------------

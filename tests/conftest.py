@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
-projective heights from the per-place definition, and vanishing subsums
-by summing every subset over sympy polynomials.
+projective heights from the per-place definition, vanishing subsums
+by summing every subset over sympy polynomials, and rational roots by the
+rational-root method over Q[t] with trial division.
 """
 
 from __future__ import annotations
@@ -116,6 +117,65 @@ def oracle_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
         if total.is_zero:
             return tuple(subset)
     return None
+
+
+ORACLE_ROOT_DEGREE_CAP = 12
+
+
+def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
+    """Roots of a UniPoly F in Q(t), with multiplicity, by trial division.
+
+    A root p/q in lowest terms has its monic parts dividing the trailing
+    and leading coefficients of F cleared to Q[t][Z]; the constant is
+    pinned by specialising t.  Each candidate is divided out of F as often
+    as it goes.  Extreme coefficients of t-degree above
+    ORACLE_ROOT_DEGREE_CAP give up: the roots found so far, flag False.
+    """
+    from ffvojta.bipoly import UniPoly
+    from ffvojta.field_core import poly_lcm
+
+    def monic_divisors(p: Poly) -> list[Poly]:
+        divs = [Poly.one()]
+        for q, m in sympy_factor_multiplicities(p):
+            divs = [d * q ** k for d in divs for k in range(m + 1)]
+        return divs
+
+    k = 0
+    while F.coeff(k).is_zero:
+        k += 1
+    roots = [RatFunc.zero()] * k
+    F = UniPoly(F.coeffs[k:])
+    if F.degree == 0:
+        return roots, True
+    den = Poly.one()
+    for c in F.coeffs:
+        den = poly_lcm(den, c.den)
+    polys = [(c * RatFunc(den)).num for c in F.coeffs]
+    a0, ad = polys[0], polys[-1]
+    if max(a0.degree, ad.degree) > ORACLE_ROOT_DEGREE_CAP:
+        return roots, False
+    tau = next(Fraction(x) for x in range(1, 1000)
+               if a0.eval(x) != 0 and ad.eval(x) != 0)
+    spec = Poly([p.eval(tau) for p in polys])
+    spec_roots = {-q.coeffs[0] for q, _ in sympy_factor_multiplicities(spec)
+                  if q.degree == 1}
+    candidates = set()
+    for p_hat in monic_divisors(a0):
+        for q_hat in monic_divisors(ad):
+            for rho in spec_roots:
+                c = rho * q_hat.eval(tau) / p_hat.eval(tau)
+                if c != 0:
+                    candidates.add(RatFunc(p_hat.scale(c), q_hat))
+    G = F
+    for alpha in sorted(candidates, key=lambda r: (r.num.coeffs, r.den.coeffs)):
+        lin = UniPoly((-alpha, RatFunc.one()))
+        while G.degree >= 1:
+            q, rem = divmod(G, lin)
+            if not rem.is_zero:
+                break
+            G = q
+            roots.append(alpha)
+    return roots, G.degree == 0
 
 
 def oracle_proj_height(fs) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ffvojta.bipoly import (
     BiPoly,
+    CLEARED_SIZE_CAP,
     BothZero,
     ConstantPolynomial,
     DegenerateDegree,
+    InputTooLarge,
     PreconditionViolated,
     UniPoly,
     b_polynomial,
@@ -38,7 +41,7 @@ from ffvojta.field_core import (
 )
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
 from ffvojta.verify import RunConfig, build_context, pair_for_index
-from conftest import bi, rat, rand_ratfunc, unit_over
+from conftest import bi, oracle_rational_roots, rat, rand_ratfunc, unit_over
 
 
 P0 = Place.rational(0)
@@ -371,6 +374,38 @@ class TestRepeatedFactors:
         assert checked >= 25
 
 
+def _linear(r: RatFunc) -> UniPoly:
+    return UniPoly((-r, RatFunc.one()))
+
+
+def _planted(rng: random.Random) -> tuple[UniPoly, list[RatFunc], bool]:
+    """A product of planted linear factors, maybe an irreducible quadratic
+    cofactor, times t-content; returns it with the planted roots and
+    whether the cofactor is there."""
+    roots: list[RatFunc] = []
+    for _ in range(rng.randint(1, 4)):
+        pick = rng.random()
+        if pick < 0.15:
+            roots.append(RatFunc.zero())
+        elif pick < 0.35 and roots:
+            roots.append(rng.choice(roots))
+        else:
+            roots.append(rand_ratfunc(rng, 1))
+    F = UniPoly.const(rand_ratfunc(rng, 2))
+    for r in roots:
+        F = F * _linear(r)
+    quadratic = rng.random() < 0.3
+    if quadratic:
+        c = rng.choice([rat("t"), rat("-t"), rat("2"), rat("t+3"), rat("-1"),
+                        rat("t^2+1")])
+        F = F * UniPoly((-c, RatFunc.zero(), RatFunc.one()))
+    return F, roots, quadratic
+
+
+def _key(r: RatFunc):
+    return (r.num.coeffs, r.den.coeffs)
+
+
 class TestRationalRoots:
     def test_examples(self):
         t = RatFunc.t()
@@ -408,6 +443,58 @@ class TestRationalRoots:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             rational_roots(UniPoly.zero())
+
+    def test_agrees_with_oracle(self):
+        # planted roots (zero, repeated, with denominators), an irreducible
+        # quadratic cofactor and t-content, all under the oracle's cap
+        rng = random.Random(2024)
+        for _ in range(60):
+            F, planted, quadratic = _planted(rng)
+            roots, complete = rational_roots(F)
+            assert (roots, complete) == oracle_rational_roots(F)
+            assert complete is not quadratic
+            assert roots == sorted(planted, key=_key)
+
+    def test_complete_past_old_cap(self):
+        # extreme coefficients of t-degree above 12: the oracle gives up,
+        # one factorisation still finds every root
+        rng = random.Random(77)
+        for _ in range(5):
+            planted = [rand_ratfunc(rng, 1)
+                       * RatFunc(Poly([rng.randint(1, 5) for _ in range(15)]))
+                       for _ in range(2)]
+            planted.append(RatFunc.one() / RatFunc(
+                Poly([rng.randint(1, 5) for _ in range(14)])))
+            F = UniPoly.const(1)
+            for r in planted:
+                F = F * _linear(r)
+            assert rational_roots(F) == (sorted(planted, key=_key), True)
+            assert oracle_rational_roots(F)[1] is False
+
+    def test_size_cap_raises_at_once(self):
+        # the size check comes before the factorisation, which on these
+        # would take far longer: t^2 * Z^n + t + 1 with n = CLEARED_SIZE_CAP;
+        # free of t, Z-degree 72, counted as 72 * 9; Z-degree 2 with
+        # t-degree 260, counted as 32 * 260 (each degree counts as at least
+        # an eighth of the other)
+        n = CLEARED_SIZE_CAP
+        for F in (UniPoly([rat("t+1")] + [RatFunc.zero()] * (n - 1) + [rat("t^2")]),
+                  UniPoly([RatFunc.const(k % 7 - 3) for k in range(72)] + [1]),
+                  UniPoly((rat("t^260+1"), RatFunc.zero(), rat("t")))):
+            start = time.perf_counter()
+            with pytest.raises(InputTooLarge, match="size cap"):
+                rational_roots(F)
+            assert time.perf_counter() - start < 5
+
+    def test_resultant_size_cap(self):
+        # the Y-resultant of these has X-degree up to 2 * 8 * 8 and t-degree
+        # up to 2 * 8 * 2: past the cap before any elimination starts
+        A = bi("X^8*Y^8 + t^2*X + Y + 1")
+        B = bi("X^8*Y^8 + X - t^2*Y")
+        with pytest.raises(InputTooLarge):
+            resultant_y(A, B)
+        with pytest.raises(InputTooLarge):
+            resultant_x(A, B)
 
 
 class TestDependenceTransfer:

@@ -231,6 +231,18 @@ class TestAudit:
         assert rep["step1"] == {"coprime": True}
         assert rep["outcome"] == "not_split"
 
+    def test_quartic_pair_7_pinned(self):
+        # both resultants have Z-degree 16 and are irreducible over Q(t);
+        # the report is byte-identical to the trial-division root search's
+        cfg = RunConfig(poly="X^4+Y^4+t*X^2*Y+X+Y+t",
+                        places=("0", "1", "inf"), max_exponent=2, seed=7,
+                        mode="audit")
+        u, v = pair_for_index(build_context(cfg), 7)
+        rep = audit_steps(cfg, u, v)
+        assert rep["outcome"] == "not_split"
+        assert hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest() == (
+            "c4162117170b9547f8e12df0cefeda68dca45022ff7da50f39a90b956de0effd")
+
     def test_attestation_required(self):
         cfg = RunConfig(poly="X+Y+1", places=("0", "inf"),
                         factors=(("X+Y+1", False),))
@@ -279,6 +291,14 @@ class TestCLI:
         payload = json.loads(out)
         assert payload["constants"]["factors"][0]["c3"] == "14"
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_audit_past_size_cap(self, capsys):
+        # the resultants of this audit would be past the size cap: a named
+        # error, reported as invalid input, instead of a long elimination
+        code = cli_main(["--mode", "audit", "--poly", "X^8*Y^8+t^2*X+Y+1",
+                         "--places", "0,1,inf", "--u=t^2", "--v=-2*t"])
+        assert code == 2
+        assert "past the size cap" in capsys.readouterr().err
 
     def test_bm_mode(self, capsys):
         code = cli_main(["--mode", "bm",
