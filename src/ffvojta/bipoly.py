@@ -6,11 +6,13 @@ its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
 resultant and the input of root extraction; its arithmetic is
 `field_core.DensePoly`, the same code that `Poly` runs over Q.
 
-Bivariate gcds, resultants and rational roots are not computed over Q(t)
-here: the inputs are cleared of denominators into Z[X, Y, t] or Z[Z, t]
-and handed to sympy (its subresultant PRS, heuristic gcd and Wang's
-factorisation), and the result is mapped back.  Factorisation and
-resultants first check a size cap and raise InputTooLarge past it.
+Bivariate gcds, resultants, rational roots and the specialisation audit
+are not computed over Q(t) here: the inputs are cleared of denominators
+into Z[X, Y, t] or Z[Z, t] by `field_core.clear_denominators` and handed
+to sympy (its subresultant PRS, heuristic gcd and Wang's factorisation),
+and a result comes back through `field_core.from_cleared`.  Gcds,
+factorisation and resultants first check a size cap and raise
+InputTooLarge past it.
 
 The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
 with the `field_core._image` helper that the vanishing-subsum search
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
 import sympy
 
@@ -35,8 +37,9 @@ from .field_core import (
     RatFunc,
     ZeroPolynomial,
     _image,
+    clear_denominators,
     deriv_omega,
-    poly_lcm,
+    from_cleared,
     power,
 )
 from .sunits import SUnit, as_ratfunc, log_derivative
@@ -56,8 +59,8 @@ class DegenerateDegree(ValueError):
 
 
 class InputTooLarge(ValueError):
-    """Raised when a polynomial is past the size cap for factorisation and
-    resultants (CLEARED_SIZE_CAP)."""
+    """Raised when a polynomial is past the size cap for gcds, factorisation
+    and resultants (CLEARED_SIZE_CAP)."""
 
 
 class PreconditionViolated(ValueError):
@@ -315,8 +318,9 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 
 _X, _Y, _Z, _T = sympy.symbols("X Y Z t")
 
-# Cap on the size of a polynomial over Z[t] that sympy factors or that a
-# resultant produces: its degree z in the main variable times its degree
+# Cap on the size of a polynomial over Z[t] that sympy factors, takes a gcd
+# of, or that a resultant produces: its degree z in the main variable (for
+# a gcd, the larger of its X- and Y-degrees) times its degree
 # in t.  The work grows faster than linearly in either degree alone, so
 # each counts as at least an eighth of the other (and 1): under the cap,
 # z and t are each at most 64.
@@ -326,17 +330,11 @@ CLEARED_SIZE_CAP = 512
 def _cleared(coeffs: Mapping[tuple[int, ...], RatFunc],
              gens: tuple) -> tuple[sympy.Poly, Poly]:
     """The sum of c * gens[:-1]^e over the items e -> c of `coeffs`, times
-    d, the least element of Q[t] times a positive integer that clears
-    every denominator, as a sympy.Poly over ZZ in gens (t last); returned
-    together with d."""
-    den = Poly.one()
-    for c in coeffs.values():
-        den = poly_lcm(den, c.den)
-    nums = {e: c.num * (den // c.den) for e, c in coeffs.items()}
-    scale = lcm(*(a.denominator for p in nums.values() for a in p.coeffs))
-    terms = {(*e, k): int(a * scale)
-             for e, p in nums.items() for k, a in enumerate(p.coeffs) if a}
-    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), den.scale(scale)
+    the d of `clear_denominators`, as a sympy.Poly over ZZ in gens (t
+    last); returned together with d."""
+    ints, d = clear_denominators(coeffs)
+    terms = {(*e, k): a for e, ns in ints.items() for k, a in enumerate(ns) if a}
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), d
 
 
 def _check_size(z: int, t: int) -> None:
@@ -356,16 +354,6 @@ def _oriented(A: BiPoly, main: str) -> tuple[dict, tuple]:
     return {(j, i): c for (i, j), c in A.coeffs.items()}, (_Y, _X, _T)
 
 
-def _from_sympy(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
-    """The terms of p grouped by their exponents in all variables but the
-    last, t; each group, divided by d, becomes one RatFunc."""
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for monom, c in p.terms():
-        groups.setdefault(monom[:-1], {})[monom[-1]] = int(c)
-    return {key: RatFunc(Poly([ts.get(k, 0) for k in range(max(ts) + 1)]), d)
-            for key, ts in groups.items()}
-
-
 def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
     """Res_main(A, B) for main-degrees m of A and n of B, by sympy's
     subresultant PRS on the cleared polynomials."""
@@ -376,7 +364,7 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
     (ma, oa, ea), (mb, ob, eb) = pa.degree_list(), pb.degree_list()
     _check_size(ma * ob + mb * oa, ma * eb + mb * ea)
     # Res(da*A, db*B) = da^n * db^m * Res(A, B)
-    coeffs = _from_sympy(pa.resultant(pb), da ** n * db ** m)
+    coeffs = from_cleared(pa.resultant(pb), da ** n * db ** m)
     return UniPoly([coeffs.get((k,), RatFunc.zero())
                     for k in range(max(coeffs)[0] + 1)])
 
@@ -416,7 +404,8 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
     """gcd over Q(t), scaled so its lex-largest coefficient is 1.
 
     By Gauss's lemma this is the gcd of the cleared polynomials in
-    Z[X, Y, t] with its content in t divided out.
+    Z[X, Y, t] with its content in t divided out.  Each cleared input is
+    checked against the size cap first.
     """
     if A.is_zero:
         return B
@@ -424,7 +413,10 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
         return A
     pa, _ = _cleared(A.coeffs, (_X, _Y, _T))
     pb, _ = _cleared(B.coeffs, (_X, _Y, _T))
-    result = BiPoly(_from_sympy(pa.gcd(pb), Poly.one()))
+    for p in (pa, pb):
+        dx, dy, dt = p.degree_list()
+        _check_size(max(dx, dy), dt)
+    result = BiPoly(from_cleared(pa.gcd(pb), Poly.one()))
     lead = result.coeffs[max(result.coeffs)]
     return result.scale(RatFunc.one() / lead)
 
@@ -464,7 +456,7 @@ def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     found: dict[RatFunc, int] = {}
     for fac, m in p.factor_list()[1]:
         if fac.degree(_Z) == 1:
-            lin = _from_sympy(fac, Poly.one())
+            lin = from_cleared(fac, Poly.one())
             root = -lin.get((0,), RatFunc.zero()) / lin[(1,)]
             found[root] = m
     roots = [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
@@ -575,17 +567,15 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     if A.is_constant:
         raise ConstantPolynomial("attestation needs a nonconstant polynomial")
     rng = random.Random(f"irred-audit:{seed}")
-    X, Y = sympy.symbols("X Y")
+    # A(tau) is d(tau)^-1 times the cleared polynomial at tau; d(tau) = 0
+    # exactly when a coefficient of A has a pole at tau
+    p, d = _cleared(A.coeffs, (_X, _Y, _T))
     for _ in range(trials):
         tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
-        try:
-            expr = sympy.Integer(0)
-            for (i, j), c in A.coeffs.items():
-                expr += sympy.Rational(str(c.eval(tau))) * X ** i * Y ** j
-        except ZeroDivisionError:
+        if d.eval(tau) == 0:
             continue
-        poly = sympy.Poly(expr, X, Y, domain="QQ")
-        if poly.degree(X) != A.deg_x or poly.degree(Y) != A.deg_y:
+        poly = p.eval(_T, tau)
+        if poly.degree(_X) != A.deg_x or poly.degree(_Y) != A.deg_y:
             continue
         _, factors = poly.factor_list()
         if len(factors) == 1 and factors[0][1] == 1:

@@ -11,12 +11,17 @@ Geometric counts always weight a place by its degree, so the sums over
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import lcm
 
 import sympy
+from sympy import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_list
 
 
 class ZeroFunction(ValueError):
@@ -254,50 +259,49 @@ def render_poly(p: Poly, var: str = "t") -> str:
     return "".join(parts)
 
 
-# --- gcd machinery ---------------------------------------------------------
+# --- the bridge to sympy over ZZ ------------------------------------------
+#
+# Poly does ring arithmetic only.  Every other algorithm on polynomials over
+# Q or Q(t) runs in sympy over ZZ: the data is cleared of denominators by
+# `clear_denominators`, and a bivariate result comes back through
+# `from_cleared`.
 
-def _clear_to_int(p: Poly) -> list[int]:
-    """Primitive integer coefficient list (lowest first) of a nonzero poly."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
-    return [v // g for v in ints]
+def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
+    """The values of `coeffs` (RatFunc or Poly), all multiplied by one d, as
+    integer coefficient lists, lowest degree first; returned as
+    {key: list of ints} together with d.
+
+    d is the monic lcm of the denominators times the least positive integer
+    that clears the rational coefficients left; the lcm is taken once per
+    distinct denominator.
+    """
+    one = Poly.one()
+    pairs = {k: (c.num, c.den) if isinstance(c, RatFunc) else (c, one)
+             for k, c in coeffs.items()}
+    dens = {q for _, q in pairs.values()}
+    den = one
+    for q in dens:
+        if not q.is_constant:
+            den = poly_lcm(den, q)
+    cofactors = {q: den // q for q in dens if q != den}
+    nums = {k: n * cofactors[q] if q in cofactors else n
+            for k, (n, q) in pairs.items()}
+    scale = lcm(*(a.denominator for n in nums.values() for a in n.coeffs))
+    ints = {k: [a.numerator * (scale // a.denominator) for a in n.coeffs]
+            for k, n in nums.items()}
+    return ints, den.scale(scale)
 
 
-def _int_deg(a: list[int]) -> int:
-    return len(a) - 1
+def from_cleared(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
+    """The inverse of `clear_denominators` for a sympy.Poly over ZZ whose
+    last generator is t: its terms grouped by their exponents in the other
+    generators, each group divided by d as one RatFunc."""
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for monom, c in p.terms():
+        groups.setdefault(monom[:-1], {})[monom[-1]] = int(c)
+    return {key: RatFunc(Poly([ts.get(k, 0) for k in range(max(ts) + 1)]), d)
+            for key, ts in groups.items()}
 
-
-def _int_prim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return a
-    g = 0
-    for v in a:
-        g = int_gcd(g, v)
-    return [v // g for v in a]
-
-
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists."""
-    a = list(a)
-    db, lb = _int_deg(b), b[-1]
-    while _int_deg(a) >= db:
-        da, la = _int_deg(a), a[-1]
-        a = [c * lb for c in a]
-        shift = da - db
-        for j, bj in enumerate(b):
-            a[shift + j] -= la * bj
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
 
 _GCD_PRIMES = (2305843009213693951, 4611686018427387847, 2147483647)
 
@@ -334,10 +338,11 @@ def _mod_gcd_is_one(a: list[int], b: list[int]) -> bool:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[t], via integer primitive remainder sequences.
+    """Monic gcd in Q[t].
 
     A modular pre-check certifies the (common) coprime case without exact
-    big-integer arithmetic.
+    big-integer arithmetic; otherwise sympy's heuristic gcd over ZZ
+    decides.
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -345,17 +350,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    ia, ib = _clear_to_int(a), _clear_to_int(b)
-    if _int_deg(ia) < _int_deg(ib):
-        ia, ib = ib, ia
-    if _int_deg(ib) == 0:
+    if a.degree < b.degree:
+        a, b = b, a
+    if b.degree == 0:
         return Poly.one()
-    if _mod_gcd_is_one(ia, ib):
+    ints, _ = clear_denominators({0: a, 1: b})
+    if _mod_gcd_is_one(ints[0], ints[1]):
         return Poly.one()
-    while ib:
-        r = _int_pseudo_rem(ia, ib)
-        ia, ib = ib, _int_prim(r)
-    return Poly(ia).monic()
+    return Poly(dup_gcd(ints[0][::-1], ints[1][::-1], ZZ)[::-1]).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -365,53 +367,28 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition p = c * prod f_i^{m_i} (Yun's algorithm).
+    """Squarefree decomposition p = c * prod f_i^{m_i}, by sympy's Yun
+    algorithm over ZZ.
 
     The f_i are monic, squarefree, pairwise coprime, and the multiplicities
     are strictly increasing.  Constants decompose to the empty list.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
+    if p.degree == 0:
         return []
-    d = poly_gcd(f, f.derivative())
-    if d.degree == 0:
-        return [(f, 1)]
-    b = f // d
-    c = f.derivative() // d
-    z = c - b.derivative()
-    out: list[tuple[Poly, int]] = []
-    k = 1
-    while b.degree > 0:
-        a = poly_gcd(b, z)
-        if a.degree > 0:
-            out.append((a, k))
-        b = b // a
-        c = z // a
-        z = c - b.derivative()
-        k += 1
-    return out
+    ints, _ = clear_denominators({0: p})
+    _, parts = dup_sqf_list(ints[0][::-1], ZZ)
+    return [(Poly(f[::-1]).monic(), m) for f, m in parts]
 
 
-# --- irreducible factorization (sympy-backed shim) -------------------------
-
-_SYMPY_T = sympy.Symbol("t")
-
+# --- irreducible factorization (sympy over ZZ) -----------------------------
 
 @lru_cache(maxsize=8192)
 def _factor_cached(coeffs: tuple) -> tuple:
-    spoly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        _SYMPY_T,
-        domain="QQ",
-    )
-    _, factors = spoly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((Poly(cs).monic().coeffs, int(mult)))
-    return tuple(out)
+    ints, _ = clear_denominators({0: Poly(coeffs)})
+    _, factors = dup_factor_list(ints[0][::-1], ZZ)
+    return tuple((Poly(f[::-1]).monic().coeffs, m) for f, m in factors)
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
@@ -792,17 +769,13 @@ def proj_height(fs) -> int:
     nonzero = [f for f in fs if not f.is_zero]
     if not nonzero:
         raise AllZero("projective height needs a nonzero entry")
-    lcm_den = Poly.one()
-    for f in nonzero:
-        lcm_den = poly_lcm(lcm_den, f.den)
-    nums = [f.num * (lcm_den // f.den) for f in nonzero]
+    ints, _ = clear_denominators(dict(enumerate(nonzero)))
     g = Poly.zero()
-    for n in nums:
-        g = poly_gcd(g, n)
+    for n in ints.values():
+        g = poly_gcd(g, Poly(n))
         if g.degree == 0:
             break
-    g_deg = g.degree if not g.is_zero else 0
-    return max(n.degree for n in nums) - g_deg
+    return max(len(n) for n in ints.values()) - 1 - g.degree
 
 
 def divisor_of(f: RatFunc) -> Divisor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field_core import Place, RatFunc, ZeroFunction, divisor_of, ord_at, proj_height
+from .field_core import Place, RatFunc, ZeroFunction, divisor_of, ord_at
 from .counting import (
     MAX_SUBSUM_TERMS,
     VanishingSubsum,
@@ -93,15 +93,19 @@ def check_bm(vs: VanishingSum) -> BMCheck:
 
     The left side is the projective height of the terms; the right side is
     the geometrically weighted sum of gamma_n - gamma_{m_P} over the places
-    of S (the genus term vanishes on the projective line).
+    of S (the genus term vanishes on the projective line).  Every term is a
+    unit outside S, so both sides read one table of orders at the places
+    of S: the height is -sum of deg P * min_i ord_P(w_i) there, and m_P
+    counts the zero orders at P.
     """
-    n = len(vs.terms)
-    gn = bm_weight(n)
-    lhs = proj_height(vs.terms)
+    gn = bm_weight(len(vs.terms))
+    places = vs.place_set.sorted_places()
+    orders = [[ord_at(w, p) for w in vs.terms] for p in places]
+    lhs = -sum(p.geom_degree * min(row) for p, row in zip(places, orders))
     deficits = []
     rhs = 0
-    for p in vs.place_set.sorted_places():
-        d = gn - bm_weight(m_at(list(vs.terms), p))
+    for p, row in zip(places, orders):
+        d = gn - bm_weight(row.count(0))
         if d:
             deficits.append((p, d))
         rhs += p.geom_degree * d

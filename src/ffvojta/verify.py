@@ -142,6 +142,16 @@ def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
     return u, v
 
 
+def _common_zeros(A: BiPoly, B: BiPoly, roots_f: list[RatFunc],
+                  roots_g: list[RatFunc]) -> list[tuple[RatFunc, RatFunc]]:
+    """The pairs (alpha, beta) of nonzero roots, alpha of F and beta of G,
+    at which A and B both vanish, in the order of set(roots_f) x
+    set(roots_g)."""
+    return [(alpha, beta) for alpha in set(roots_f) for beta in set(roots_g)
+            if not (alpha.is_zero or beta.is_zero)
+            and vanishes_at(A, alpha, beta) and vanishes_at(B, alpha, beta)]
+
+
 def gamma_candidate_membership(A: BiPoly, r: int, s: int,
                                gamma: RatFunc) -> dict:
     """Informational check that gamma sits in the finite candidate set cut
@@ -169,20 +179,11 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
         return {"checked": False, "member": None, "candidates": 0}
     roots_f, complete_f = rational_roots(F)
     roots_g, complete_g = rational_roots(G)
-    member = False
-    count = 0
-    for alpha in set(roots_f):
-        for beta in set(roots_g):
-            if alpha.is_zero or beta.is_zero:
-                continue
-            if not (vanishes_at(A, alpha, beta)
-                    and vanishes_at(twist, alpha, beta)):
-                continue
-            count += 1
-            if (gamma / (alpha ** r * beta ** s)).is_constant:
-                member = True
+    zeros = _common_zeros(A, twist, roots_f, roots_g)
+    member = any((gamma / (alpha ** r * beta ** s)).is_constant
+                 for alpha, beta in zeros)
     return {"checked": complete_f and complete_g, "member": member,
-            "candidates": count}
+            "candidates": len(zeros)}
 
 
 @dataclass(frozen=True)
@@ -448,13 +449,7 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
 
     # Step 4: assemble the common-zero set and the place set V, then check
     # the pointwise inequality at every zero of A(u, v) outside V.
-    zset = []
-    for alpha in set(roots_f):
-        for beta in set(roots_g):
-            if alpha.is_zero or beta.is_zero:
-                continue
-            if vanishes_at(A, alpha, beta) and vanishes_at(B, alpha, beta):
-                zset.append((alpha, beta))
+    zset = _common_zeros(A, B, roots_f, roots_g)
     places = set(S_prime.places)
     for coeffs in (F.coeffs, G.coeffs):
         for c in (coeffs[0], coeffs[-1]):

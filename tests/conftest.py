@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, vanishing subsums
-by summing every subset over sympy polynomials, and rational roots by the
-rational-root method over Q[t] with trial division.
+by summing every subset over sympy polynomials, rational roots by the
+rational-root method over Q[t] with trial division, and the
+irreducibility audit by building each specialisation as a sympy expression
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -176,6 +178,29 @@ def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
             G = q
             roots.append(alpha)
     return roots, G.degree == 0
+
+
+def oracle_irreducibility_audit(A, seed: int = 0, trials: int = 5) -> bool:
+    """The specialisation audit with the same draws, each specialisation
+    built term by term over QQ; a tau at which a coefficient has a pole is
+    skipped."""
+    rng = random.Random(f"irred-audit:{seed}")
+    X, Y = sympy.symbols("X Y")
+    for _ in range(trials):
+        tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
+        try:
+            expr = sympy.Integer(0)
+            for (i, j), c in A.coeffs.items():
+                expr += sympy.Rational(str(c.eval(tau))) * X ** i * Y ** j
+        except ZeroDivisionError:
+            continue
+        poly = sympy.Poly(expr, X, Y, domain="QQ")
+        if poly.degree(X) != A.deg_x or poly.degree(Y) != A.deg_y:
+            continue
+        _, factors = poly.factor_list()
+        if len(factors) == 1 and factors[0][1] == 1:
+            return True
+    return False
 
 
 def oracle_proj_height(fs) -> int:

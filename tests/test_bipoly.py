@@ -38,10 +38,18 @@ from ffvojta.field_core import (
     _image,
     choose_omega,
     deriv_omega,
+    from_cleared,
 )
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
 from ffvojta.verify import RunConfig, build_context, pair_for_index
-from conftest import bi, oracle_rational_roots, rat, rand_ratfunc, unit_over
+from conftest import (
+    bi,
+    oracle_irreducibility_audit,
+    oracle_rational_roots,
+    rat,
+    rand_ratfunc,
+    unit_over,
+)
 
 
 P0 = Place.rational(0)
@@ -373,6 +381,41 @@ class TestRepeatedFactors:
             checked += 1
         assert checked >= 25
 
+    def test_gcd_size_cap_raises_at_once(self):
+        # X-degree 1 and t-degree 600 count as 75 * 600; Y-degree 80 and
+        # t-degree 1 as 80 * 10
+        for A in (BiPoly({(1, 0): 1, (0, 0): RatFunc(Poly.monomial(600))}),
+                  bi("Y^80 + t*X + 1")):
+            start = time.perf_counter()
+            with pytest.raises(InputTooLarge, match="size cap"):
+                bipoly_gcd(A, bi("X+Y"))
+            with pytest.raises(InputTooLarge, match="size cap"):
+                bipoly_gcd(bi("X+Y"), A)
+            assert time.perf_counter() - start < 1
+
+
+class TestClearing:
+    def test_round_trip(self):
+        # denominators built from a few shared factors, so that their lcm
+        # is smaller than their product
+        from ffvojta.bipoly import _T, _X, _Y, _cleared
+
+        rng = random.Random(43)
+        shared = [rat("t"), rat("t-1"), rat("t^2+3"), rat("2*t+5")]
+        for _ in range(60):
+            coeffs = {}
+            for i, j in itertools.product(range(3), range(3)):
+                if rng.random() < 0.4:
+                    continue
+                c = rand_ratfunc(rng, 2)
+                for q in rng.sample(shared, rng.randint(0, 3)):
+                    c = c / q ** rng.randint(1, 2)
+                coeffs[(i, j)] = c
+            coeffs = {ij: c for ij, c in coeffs.items() if not c.is_zero}
+            p, d = _cleared(coeffs, (_X, _Y, _T))
+            assert all(c.is_integer for c in p.coeffs())
+            assert from_cleared(p, d) == coeffs
+
 
 def _linear(r: RatFunc) -> UniPoly:
     return UniPoly((-r, RatFunc.one()))
@@ -580,3 +623,42 @@ class TestIrreducibilityAudit:
     def test_rejects_products(self):
         assert not specialization_irreducibility_audit(
             bi("(X+Y+1)*(X-Y+t)"))
+
+    def test_agrees_with_oracle(self):
+        # products, near-products and single factors; about a third of the
+        # coefficients get a pole at one of the points the audit draws
+        rng = random.Random(47)
+        skipped = 0
+        for k in range(40):
+            draws = random.Random(f"irred-audit:{k}")
+            taus = [Fraction(draws.randint(2, 50), draws.randint(1, 7))
+                    for _ in range(5)]
+
+            def coeff():
+                c = rand_ratfunc(rng, 2)
+                if rng.random() < 0.35:
+                    c = c / RatFunc(Poly((-rng.choice(taus), 1)))
+                return c
+
+            def linear():
+                return BiPoly({(1, 0): coeff(), (0, 1): coeff(),
+                               (0, 0): coeff()})
+
+            A = linear()
+            if k % 3 == 0:
+                A = A * linear()
+            elif k % 3 == 1:
+                A = A * linear() + BiPoly.const(coeff())
+            if k % 4 == 3:
+                # a pole at every drawn point: every trial is skipped
+                q = Poly.one()
+                for tau in set(taus):
+                    q = q * Poly((-tau, 1))
+                A = A.scale(RatFunc(Poly.one(), q))
+            if A.is_constant:
+                continue
+            for c in A.coeffs.values():
+                skipped += any(c.den.eval(tau) == 0 for tau in taus)
+            assert (specialization_irreducibility_audit(A, seed=k)
+                    == oracle_irreducibility_audit(A, seed=k))
+        assert skipped > 0

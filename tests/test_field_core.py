@@ -81,6 +81,32 @@ class TestPoly:
             coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
             assert poly_gcd(a, b) == Poly(coeffs)
 
+    def test_gcd_fallback_against_sympy_oracle(self):
+        # leading coefficients divisible by every certificate prime make
+        # the modular certificate decline, so sympy's gcd decides; the
+        # planted common factor carries a large integer content
+        import sympy
+        from conftest import SYMPY_T, to_sympy
+        from ffvojta.field_core import (_GCD_PRIMES, _mod_gcd_is_one,
+                                        clear_denominators)
+
+        all_primes = 1
+        for p in _GCD_PRIMES:
+            all_primes *= p
+        rng = random.Random(16)
+        for k in range(80):
+            a = rand_poly(rng, 3) + Poly.monomial(4, all_primes * rng.randint(1, 5))
+            b = rand_poly(rng, 3) + Poly.monomial(5, -all_primes)
+            if k % 2:
+                shared = rand_poly(rng, 3).scale(10 ** 40 + rng.randint(1, 99))
+                a, b = a * shared, b * shared
+            ints, _ = clear_denominators({0: a, 1: b})
+            assert not _mod_gcd_is_one(ints[0], ints[1])
+            expected = sympy.gcd(to_sympy(a).as_expr(), to_sympy(b).as_expr())
+            epoly = sympy.Poly(expected, SYMPY_T, domain="QQ").monic()
+            coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
+            assert poly_gcd(a, b) == Poly(coeffs)
+
     def test_yun_against_sympy_sqf(self):
         from conftest import to_sympy
 
