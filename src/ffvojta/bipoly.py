@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
-
-import sympy
 
 from .field_core import (
     _CERT_POINTS,
@@ -316,7 +315,13 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 # Resultants and gcd, through sympy over Z[X, Y, t]
 # ---------------------------------------------------------------------------
 
-_X, _Y, _Z, _T = sympy.symbols("X Y Z t")
+@lru_cache(maxsize=None)
+def _gens() -> tuple:
+    """The sympy generators X, Y, Z and t.  sympy is imported here, on
+    first use, so a run that never leaves Q(t) arithmetic never loads it."""
+    import sympy
+
+    return sympy.symbols("X Y Z t")
 
 # Cap on the size of a polynomial over Z[t] that sympy factors, takes a gcd
 # of, or that a resultant produces: its degree z in the main variable (for
@@ -332,6 +337,8 @@ def _cleared(coeffs: Mapping[tuple[int, ...], RatFunc],
     """The sum of c * gens[:-1]^e over the items e -> c of `coeffs`, times
     the d of `clear_denominators`, as a sympy.Poly over ZZ in gens (t
     last); returned together with d."""
+    import sympy
+
     ints, d = clear_denominators(coeffs)
     terms = {(*e, k): a for e, ns in ints.items() for k, a in enumerate(ns) if a}
     return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), d
@@ -349,9 +356,10 @@ def _check_size(z: int, t: int) -> None:
 def _oriented(A: BiPoly, main: str) -> tuple[dict, tuple]:
     """A's coefficients keyed (main exponent, other exponent), and the
     matching sympy generators."""
+    X, Y, _, T = _gens()
     if main == "x":
-        return A.coeffs, (_X, _Y, _T)
-    return {(j, i): c for (i, j), c in A.coeffs.items()}, (_Y, _X, _T)
+        return A.coeffs, (X, Y, T)
+    return {(j, i): c for (i, j), c in A.coeffs.items()}, (Y, X, T)
 
 
 def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
@@ -411,8 +419,9 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
         return B
     if B.is_zero:
         return A
-    pa, _ = _cleared(A.coeffs, (_X, _Y, _T))
-    pb, _ = _cleared(B.coeffs, (_X, _Y, _T))
+    X, Y, _, T = _gens()
+    pa, _ = _cleared(A.coeffs, (X, Y, T))
+    pb, _ = _cleared(B.coeffs, (X, Y, T))
     for p in (pa, pb):
         dx, dy, dt = p.degree_list()
         _check_size(max(dx, dy), dt)
@@ -451,11 +460,12 @@ def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
-    p, _ = _cleared({(k,): c for k, c in enumerate(F.coeffs)}, (_Z, _T))
-    _check_size(F.degree, p.degree(_T))
+    _, _, Z, T = _gens()
+    p, _ = _cleared({(k,): c for k, c in enumerate(F.coeffs)}, (Z, T))
+    _check_size(F.degree, p.degree(T))
     found: dict[RatFunc, int] = {}
     for fac, m in p.factor_list()[1]:
-        if fac.degree(_Z) == 1:
+        if fac.degree(Z) == 1:
             lin = from_cleared(fac, Poly.one())
             root = -lin.get((0,), RatFunc.zero()) / lin[(1,)]
             found[root] = m
@@ -569,13 +579,14 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     rng = random.Random(f"irred-audit:{seed}")
     # A(tau) is d(tau)^-1 times the cleared polynomial at tau; d(tau) = 0
     # exactly when a coefficient of A has a pole at tau
-    p, d = _cleared(A.coeffs, (_X, _Y, _T))
+    X, Y, _, T = _gens()
+    p, d = _cleared(A.coeffs, (X, Y, T))
     for _ in range(trials):
         tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
         if d.eval(tau) == 0:
             continue
-        poly = p.eval(_T, tau)
-        if poly.degree(_X) != A.deg_x or poly.degree(_Y) != A.deg_y:
+        poly = p.eval(T, tau)
+        if poly.degree(X) != A.deg_x or poly.degree(Y) != A.deg_y:
             continue
         _, factors = poly.factor_list()
         if len(factors) == 1 and factors[0][1] == 1:

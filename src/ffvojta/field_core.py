@@ -17,12 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import sympy
-from sympy import ZZ
-from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_list
-
 
 class ZeroFunction(ValueError):
     """Raised when an order/height operation receives the zero function."""
@@ -190,6 +184,44 @@ class DensePoly:
         return acc
 
 
+def _kronecker_product(factors) -> list[int]:
+    """Coefficients, lowest degree first, of the product of f**e over the
+    pairs (f, e) in `factors`, each f a nonzero sequence of ints (lowest
+    degree first) and e >= 0; the empty product is [1].
+
+    Kronecker substitution: every f is packed into the integer f(2^k), the
+    packed integers are raised and multiplied with Python's `**` and `*`,
+    and the product is read back once as signed base-2^k digits.  Every
+    coefficient of the product is at most prod ||f||_1^e in absolute value,
+    so k is that bound's bit length plus one bit for the sign, and the
+    digits are exact.
+    """
+    if not factors:
+        return [1]
+    bound, deg = 1, 0
+    for f, e in factors:
+        bound *= sum(map(abs, f)) ** e
+        deg += (len(f) - 1) * e
+    k = bound.bit_length() + 1
+    packed = 1
+    for f, e in factors:
+        x = 0
+        for c in reversed(f):
+            x = (x << k) + c
+        packed *= x ** e
+    # the low digits that are zero (a power of t) come off in one shift
+    low = ((packed & -packed).bit_length() - 1) // k
+    packed >>= low * k
+    # adding half = 2^(k-1) to every signed digit makes it a plain base-2^k
+    # digit in [0, 2^k); anything left above the top digit is an error
+    mask, half, width = (1 << k) - 1, 1 << (k - 1), k * (deg + 1 - low)
+    packed += half * (((1 << width) - 1) // mask)
+    if packed < 0 or packed >> width:
+        raise ArithmeticError("Kronecker unpacking left a nonzero remainder")
+    return [0] * low + [((packed >> i) & mask) - half
+                        for i in range(0, width, k)]
+
+
 class Poly(DensePoly):
     """Univariate polynomial over Q, coefficients lowest degree first."""
 
@@ -201,6 +233,14 @@ class Poly(DensePoly):
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def _trusted(coeffs: tuple) -> "Poly":
+        # For a tuple of Fractions whose last one is nonzero; skips the
+        # coercion and the strip of trailing zeros.
+        p = object.__new__(Poly)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -244,18 +284,23 @@ def render_poly(p: Poly, var: str = "t") -> str:
     parts = []
     for i in range(p.degree, -1, -1):
         c = p.coeffs[i]
-        if c == 0:
+        # sign and magnitude from the integer parts: no Fraction comparison
+        n, d = c.numerator, c.denominator
+        if not n:
             continue
+        negative = n < 0
+        if negative:
+            n = -n
+        mag = str(n) if d == 1 else f"{n}/{d}"
         if i == 0:
-            body = str(c if c > 0 else -c)
+            body = mag
         else:
-            mag = c if c > 0 else -c
-            head = "" if mag == 1 else f"{mag}*"
+            head = "" if n == 1 and d == 1 else f"{mag}*"
             body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
+            parts.append(f" - {body}" if negative else f" + {body}")
     return "".join(parts)
 
 
@@ -264,7 +309,8 @@ def render_poly(p: Poly, var: str = "t") -> str:
 # Poly does ring arithmetic only.  Every other algorithm on polynomials over
 # Q or Q(t) runs in sympy over ZZ: the data is cleared of denominators by
 # `clear_denominators`, and a bivariate result comes back through
-# `from_cleared`.
+# `from_cleared`.  sympy is imported on first use, inside the functions
+# that call it, so a run that never needs it never loads it.
 
 def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     """The values of `coeffs` (RatFunc or Poly), all multiplied by one d, as
@@ -357,6 +403,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ints, _ = clear_denominators({0: a, 1: b})
     if _mod_gcd_is_one(ints[0], ints[1]):
         return Poly.one()
+    from sympy import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
     return Poly(dup_gcd(ints[0][::-1], ints[1][::-1], ZZ)[::-1]).monic()
 
 
@@ -377,6 +426,9 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if p.degree == 0:
         return []
+    from sympy import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_list
+
     ints, _ = clear_denominators({0: p})
     _, parts = dup_sqf_list(ints[0][::-1], ZZ)
     return [(Poly(f[::-1]).monic(), m) for f, m in parts]
@@ -386,6 +438,9 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
 
 @lru_cache(maxsize=8192)
 def _factor_cached(coeffs: tuple) -> tuple:
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
     ints, _ = clear_denominators({0: Poly(coeffs)})
     _, factors = dup_factor_list(ints[0][::-1], ZZ)
     return tuple((Poly(f[::-1]).monic().coeffs, m) for f, m in factors)

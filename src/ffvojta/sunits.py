@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd
 
 from .field_core import (
@@ -20,6 +21,8 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _kronecker_product,
+    clear_denominators,
     divisor_of,
 )
 
@@ -144,15 +147,49 @@ class SUnit:
         return " * ".join(parts)
 
 
+@lru_cache(maxsize=1024)
+def _cleared_place(poly: Poly) -> tuple[tuple[int, ...], int]:
+    """A monic place polynomial p as (P, L) with p = P / L: L the least
+    integer that clears p's denominators, P = L*p a primitive integer tuple
+    (lowest degree first) whose leading coefficient is L."""
+    ints, d = clear_denominators({0: poly})
+    return tuple(ints[0]), d.coeffs[0].numerator
+
+
+def _scaled(ints: list[int], a: int, b: int) -> Poly:
+    """The integer coefficients `ints` times a/b, b > 0, as a Poly; every
+    zero coefficient is the one shared Fraction zero."""
+    zero = Poly._zero
+    if b == 1:
+        return Poly._trusted(tuple([Fraction(a * n) if n else zero
+                                    for n in ints]))
+    return Poly._trusted(tuple([Fraction(a * n, b) if n else zero
+                                for n in ints]))
+
+
 def as_ratfunc(u: SUnit) -> RatFunc:
-    """Exact expansion of an S-unit into a rational function."""
-    num = Poly.const(u.constant)
-    den = Poly.one()
+    """Exact expansion of an S-unit into a rational function.
+
+    With every place polynomial written as P / L (`_cleared_place`), u is
+    c * prod P^e / L^e.  The products of the P's with e > 0 and with e < 0
+    are one integer product each (`field_core._kronecker_product`), and
+    every Fraction coefficient is built once, from c and the L's.
+    """
+    ups, downs = [], []
+    lift_up = lift_down = 1
     for p, e in u.exponents:
+        ints, lift = _cleared_place(p.poly)
         if e > 0:
-            num = num * p.poly ** e
+            ups.append((ints, e))
+            lift_up *= lift ** e
         else:
-            den = den * p.poly ** (-e)
+            downs.append((ints, -e))
+            lift_down *= lift ** -e
+    c = u.constant
+    num = _scaled(_kronecker_product(ups), c.numerator,
+                  c.denominator * lift_up)
+    # the leading coefficient of prod P^-e is lift_down: den comes out monic
+    den = _scaled(_kronecker_product(downs), 1, lift_down)
     # distinct monic places are coprime, so the pair is already normal
     return RatFunc._trusted(num, den)
 

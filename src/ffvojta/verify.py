@@ -15,6 +15,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bipoly import (
     BiPoly,
@@ -333,6 +334,20 @@ def _support_places(f: RatFunc) -> set:
     return divisor_of(f).support()
 
 
+@lru_cache(maxsize=64)
+def _audited_factor(expr: str, seed: int) -> BiPoly:
+    """The attested factor `expr`, parsed and passed through the
+    specialisation audit with `seed`; both run once per (expr, seed).  A
+    call that raises is not cached, so it raises again on every call."""
+    A = parse_bipoly(expr)
+    if A.deg_x == 0 or A.deg_y == 0:
+        raise ValueError("the audit needs a polynomial in both variables")
+    if not specialization_irreducibility_audit(A, seed=seed):
+        raise NotIrreducibleAttested(
+            f"specialization audit could not support irreducibility of {expr!r}")
+    return A
+
+
 def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     """Audit the resultant construction for a single attested-irreducible
     polynomial at one unit pair, in the split case.
@@ -349,12 +364,7 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     expr, attested = exprs[0]
     if not attested:
         raise NotIrreducibleAttested(f"factor {expr!r} is not attested irreducible")
-    A = parse_bipoly(expr)
-    if A.deg_x == 0 or A.deg_y == 0:
-        raise ValueError("the audit needs a polynomial in both variables")
-    if not specialization_irreducibility_audit(A, seed=cfg.seed):
-        raise NotIrreducibleAttested(
-            f"specialization audit could not support irreducibility of {expr!r}")
+    A = _audited_factor(expr, cfg.seed)
 
     S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
     report: dict = {"mode": "audit", "split_case_only": True,

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
-projective heights from the per-place definition, vanishing subsums
+projective heights from the per-place definition, S-unit expansions by
+repeated `Poly` multiplication over Q, vanishing subsums
 by summing every subset over sympy polynomials, rational roots by the
 rational-root method over Q[t] with trial division, and the
 irreducibility audit by building each specialisation as a sympy expression
@@ -201,6 +202,19 @@ def oracle_irreducibility_audit(A, seed: int = 0, trials: int = 5) -> bool:
         if len(factors) == 1 and factors[0][1] == 1:
             return True
     return False
+
+
+def oracle_as_ratfunc(u) -> RatFunc:
+    """An S-unit expanded by `Poly` products over Q: the constant times
+    each place polynomial raised by square-and-multiply."""
+    num = Poly.const(u.constant)
+    den = Poly.one()
+    for p, e in u.exponents:
+        if e > 0:
+            num = num * p.poly ** e
+        else:
+            den = den * p.poly ** (-e)
+    return RatFunc(num, den)
 
 
 def oracle_proj_height(fs) -> int:

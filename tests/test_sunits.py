@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffvojta.field_core import (
     Place,
@@ -14,6 +15,7 @@ from ffvojta.field_core import (
     poly_gcd,
 )
 from ffvojta.sunits import (
+    CONSTANT_POOL,
     InvalidSUnit,
     PlaceSet,
     SUnit,
@@ -27,7 +29,7 @@ from ffvojta.sunits import (
     sunit_from_ratfunc,
     sunit_to_json,
 )
-from conftest import rat, unit_over
+from conftest import oracle_as_ratfunc, rat, unit_over
 
 
 P0 = Place.rational(0)
@@ -85,6 +87,48 @@ class TestSUnit:
         assert data["constant"] == "3/2"
         assert data["exponents"] == {"0": 2, "1": -1}
         assert sunit_from_json(data, S011) == u
+
+
+# places no workload reaches: non-integer roots, irreducible quadratics and a
+# root far past any machine word
+_WIDE_PLACES = (Place.rational(Fraction(1, 2)), Place.rational(Fraction(-3, 4)),
+                Place.finite(Poly((1, 0, 1))), Place.finite(Poly((1, 1, 1))),
+                Place.rational(10 ** 12))
+_S_WIDE = PlaceSet(frozenset(_WIDE_PLACES) | {INF})
+
+
+def _parts(f: RatFunc) -> tuple:
+    return f.num.coeffs, f.den.coeffs
+
+
+class TestExpansion:
+    """`as_ratfunc` (one Kronecker-packed integer product above and below
+    the line) against the `Poly` product over Q in `oracle_as_ratfunc`."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.one_of(st.sampled_from(CONSTANT_POOL),
+                     st.fractions().filter(bool)),
+           st.dictionaries(st.sampled_from(_WIDE_PLACES),
+                           st.integers(-40, 40)))
+    def test_matches_oracle(self, constant, exponents):
+        u = SUnit.make(constant, exponents, _S_WIDE)
+        assert _parts(as_ratfunc(u)) == _parts(oracle_as_ratfunc(u))
+
+    def test_constant_unit(self):
+        u = SUnit.make(Fraction(-3, 2), {}, _S_WIDE)
+        assert _parts(as_ratfunc(u)) == ((Fraction(-3, 2),), (Fraction(1),))
+
+    @pytest.mark.parametrize("root, e", [
+        (-1, 64), (1, 64), (-1, -64), (1, -64),
+        (10 ** 12, 3), (10 ** 12, -3), (Fraction(1, 2), 1),
+    ])
+    def test_near_bound(self, root, e):
+        # the middle binomial of (t -+ 1)^64, about 2^60.7, against a
+        # packing bound of 2^64; the constant term 10^36 of (t - 10^12)^3
+        # and the 2 of 2t - 1 need every bit of the packing width
+        S = PlaceSet.of(root, "inf")
+        u = SUnit.make(3, {Place.rational(root): e}, S)
+        assert _parts(as_ratfunc(u)) == _parts(oracle_as_ratfunc(u))
 
 
 class TestLogDerivative:

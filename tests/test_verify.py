@@ -256,6 +256,34 @@ class TestAudit:
         with pytest.raises(NotIrreducibleAttested):
             audit_steps(cfg, u, u)
 
+    def test_factor_audited_once_per_expr_and_seed(self):
+        from ffvojta.sunits import generate
+        from ffvojta.verify import _audited_factor
+
+        cfg = RunConfig(poly="X*Y-t", places=("0", "1", "inf"), seed=31)
+        units = generate(S011, 3, 6, seed=31)
+        before = _audited_factor.cache_info()
+        for u, v in zip(units[::2], units[1::2]):
+            audit_steps(cfg, u, v)
+        after = _audited_factor.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 2
+
+    @pytest.mark.parametrize("poly, error", [
+        ("(X+Y+1)*(X+Y+2)", NotIrreducibleAttested),
+        ("X+t", ValueError),
+    ])
+    def test_failed_audit_raises_on_every_call(self, poly, error):
+        from ffvojta.verify import _audited_factor
+
+        cfg = RunConfig(poly=poly, places=("0", "inf"))
+        u = SUnit.make(1, {P0: 1}, PlaceSet.of(0, "inf"))
+        size = _audited_factor.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(error):
+                audit_steps(cfg, u, u)
+        assert _audited_factor.cache_info().currsize == size
+
     def test_step2_bounds_hold_on_audited_batch(self):
         from ffvojta.sunits import generate
 
@@ -370,11 +398,17 @@ class TestCLI:
         (["--mode", "audit", "--poly", "X+Y+1", "--places", "0,1,inf",
           "--u=t^2", "--v=-2*t"],
          "940e85567916384e103572cf4d53483afedac076052dc319c924f298b5de9f12"),
+        # places no workload reaches: non-integer roots (content 1/L) and
+        # an irreducible quadratic
+        (["--mode", "verify", "--poly", "X*Y-t",
+          "--places", "0,1/2,-3,t^2+1,inf", "--count", "20",
+          "--max-exponent", "25", "--seed", "7"],
+         "6ddc2ca829f7286e46a7792d3b9c0dfffe66e566e88e0d065a60e12abed77894"),
         (["--mode", "bm", "--terms", '["t", "1-t", "-1"]',
           "--places", "0,1,inf"],
          "4d7480a3e9a6e9a7a8da1fdbfc7f2268d82cdb41e19df6e80c1e2ccdf7d7caf2"),
     ], ids=["verify-linear", "verify-hyperbola", "verify-cubic",
-            "readme-audit", "readme-bm"])
+            "readme-audit", "verify-wide-places", "readme-bm"])
     def test_report_golden(self, tmp_path, argv, digest):
         # byte-exact reports of the VERIFY_FIXTURES and the README examples
         out = tmp_path / "report.json"
@@ -405,3 +439,21 @@ class TestCLI:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert '"schema": "ffvojta-report/1"' in proc.stdout
+
+    @pytest.mark.parametrize("poly", ["X+Y+1", "X^2*Y+X*Y^2-t*(X+Y)+1"])
+    def test_verify_run_leaves_sympy_unloaded(self, tmp_path, poly):
+        # over {0, 1, inf} no gcd falls back, nothing is factored and no
+        # resultant is taken, so sympy, imported on first use, never loads
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+        argv = ["--mode", "verify", "--poly", poly, "--places", "0,1,inf",
+                "--count", "40", "--max-exponent", "25", "--seed", "7",
+                "--out", str(tmp_path / "run.json")]
+        code = ("import sys\n"
+                "from ffvojta.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print('sympy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
