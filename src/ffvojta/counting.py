@@ -20,6 +20,7 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _divide_out,
     _image,
     factor_poly,
     height,
@@ -74,14 +75,7 @@ class CountReport:
 
 def strip_set_factors(num: Poly, S: PlaceSet) -> Poly:
     """Divide out every factor supported at a finite place of S."""
-    for p in S.finite_places():
-        q = p.poly
-        while num.degree >= q.degree:
-            quot, rem = divmod(num, q)
-            if not rem.is_zero:
-                break
-            num = quot
-    return num
+    return _divide_out(num, [p.poly for p in S.finite_places()])[0]
 
 
 def _check_s_integer(f: RatFunc, S: PlaceSet) -> None:

@@ -222,8 +222,38 @@ def _kronecker_product(factors) -> list[int]:
                         for i in range(0, width, k)]
 
 
+def _cleared(coeffs: tuple) -> tuple[list[int], int]:
+    """Rational coefficients as (ints, L) with coeffs = ints / L: L the least
+    positive integer that clears every denominator."""
+    lift = lcm(*[c.denominator for c in coeffs])
+    if lift == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (lift // c.denominator) for c in coeffs], lift
+
+
+def _scaled(ints: list[int], a: int, b: int) -> "Poly":
+    """The integer coefficients `ints` times a/b, b nonzero, as a Poly with
+    its trailing zeros dropped; each Fraction is built once, and every zero
+    coefficient is the one shared Fraction zero."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    zero = Poly._zero
+    if b == 1:
+        return Poly._trusted(tuple([Fraction(a * c) if c else zero
+                                    for c in ints[:n]]))
+    return Poly._trusted(tuple([Fraction(a * c, b) if c else zero
+                                for c in ints[:n]]))
+
+
 class Poly(DensePoly):
-    """Univariate polynomial over Q, coefficients lowest degree first."""
+    """Univariate polynomial over Q, coefficients lowest degree first.
+
+    Products and divisions run on the cleared integer coefficients
+    (`_cleared`): the field-generic Fraction loops of DensePoly are replaced
+    by one integer kernel each, and every Fraction of the result is built
+    once (`_scaled`).
+    """
 
     __slots__ = ()
     _zero = Fraction(0)
@@ -269,6 +299,49 @@ class Poly(DensePoly):
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+    def __mul__(self, other):
+        """One Kronecker-packed integer product, or one scalar loop when an
+        operand is constant."""
+        if not self.coeffs or not other.coeffs:
+            return Poly()
+        a, la = _cleared(self.coeffs)
+        b, lb = _cleared(other.coeffs)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return _scaled([c * x for x in a], 1, la * lb)
+        return _scaled(_kronecker_product(((a, 1), (b, 1))), 1, la * lb)
+
+    def __divmod__(self, other):
+        """Pseudo-division in Z[t] (Knuth, TAOCP vol. 2, 4.6.1).
+
+        With self = A / la, other = B / lb and s = lc(B)^(deg A - deg B + 1),
+        s*A = Q*B + R over Z, so the quotient is Q*lb / (s*la) and the
+        remainder R / (s*la).  Long division of s*A divides every step
+        exactly by lc(B); when lc(B) = +-1 the scale is 1.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        n = other.degree
+        if self.degree < n:
+            return Poly(), self
+        a, la = _cleared(self.coeffs)
+        b, lb = _cleared(other.coeffs)
+        lc = b[-1]
+        m = len(a) - 1
+        s = 1 if lc == 1 or lc == -1 else lc ** (m - n + 1)
+        r = [s * c for c in a] if s != 1 else a
+        q = [0] * (m - n + 1)
+        for i in range(m, n - 1, -1):
+            c = r[i]
+            if c:
+                c //= lc
+                q[i - n] = c
+                for j in range(n):
+                    r[i - n + j] -= c * b[j]
+        return _scaled(q, lb, s * la), _scaled(r[:n], 1, s * la)
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -640,10 +713,13 @@ def _image(f: RatFunc, tau: int, p: int) -> int | None:
     for poly in (f.num, f.den):
         acc = 0
         for c in reversed(poly.coeffs):
-            d = c.denominator % p
-            if d == 0:
-                return None
-            acc = (acc * tau + c.numerator * pow(d, -1, p)) % p
+            n, d = c.numerator, c.denominator
+            if d != 1:
+                d %= p
+                if d == 0:
+                    return None
+                n *= pow(d, -1, p)
+            acc = (acc * tau + n) % p
         vals.append(acc)
     num, den = vals
     return None if den == 0 else num * pow(den, -1, p) % p
@@ -781,18 +857,62 @@ class Divisor:
 # Orders, heights, divisors of functions
 # ---------------------------------------------------------------------------
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[t] for a nonzero a and a primitive b, or None when b does
+    not divide a.
+
+    By Gauss's lemma a primitive b that divides a over Q divides it over Z,
+    so a step whose leading coefficient lc(b) does not divide is a
+    certificate that b does not divide a, and the division stops there;
+    otherwise it runs to the remainder.
+    """
+    n, m = len(b) - 1, len(a) - 1
+    if m < n:
+        return None
+    lc = b[-1]
+    r = list(a)
+    q = [0] * (m - n + 1)
+    for i in range(m, n - 1, -1):
+        c = r[i]
+        if c:
+            c, rest = divmod(c, lc)
+            if rest:
+                return None
+            q[i - n] = c
+            for j in range(n):
+                r[i - n + j] -= c * b[j]
+    return None if any(r[:n]) else q
+
+
+def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
+    """p divided by each nonconstant monic q of `qs`, in turn, as often as
+    it goes, with the number of times each went.
+
+    p is cleared once to A / L and stays in Z[t]: each q is P / L_q with
+    L_q the least integer that clears it, so P is primitive (a prime
+    dividing every coefficient of P would divide its leading coefficient
+    L_q and leave L_q / prime clearing q), and dividing by q^m is dividing
+    A by P^m over Z (`_exact_quotient`) and lifting by L_q^m.
+    """
+    counts = [0] * len(qs)
+    if p.is_zero:
+        return p, counts
+    a, lift = _cleared(p.coeffs)
+    scale = 1
+    for k, q in enumerate(qs):
+        b, lq = _cleared(q.coeffs)
+        while (quot := _exact_quotient(a, b)) is not None:
+            a = quot
+            counts[k] += 1
+        scale *= lq ** counts[k]
+    return (_scaled(a, scale, lift) if any(counts) else p), counts
+
+
 def _multiplicity(p: Poly, q: Poly) -> int:
     """Multiplicity of the monic factor q in p."""
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial")
-    m = 0
-    while p.degree >= q.degree:
-        quot, rem = divmod(p, q)
-        if not rem.is_zero:
-            break
-        p = quot
-        m += 1
-    return m
+    return _divide_out(p, (q,))[1][0]
 
 
 def ord_at(f: RatFunc, p: Place) -> int:

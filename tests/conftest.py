@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, S-unit expansions by
-repeated `Poly` multiplication over Q, vanishing subsums
+repeated `Poly` multiplication over Q, `Poly` products and divisions by
+the Fraction schoolbook, vanishing subsums
 by summing every subset over sympy polynomials, rational roots by the
 rational-root method over Q[t] with trial division, and the
 irreducibility audit by building each specialisation as a sympy expression
@@ -202,6 +203,45 @@ def oracle_irreducibility_audit(A, seed: int = 0, trials: int = 5) -> bool:
         if len(factors) == 1 and factors[0][1] == 1:
             return True
     return False
+
+
+def oracle_poly_mul(a: Poly, b: Poly) -> Poly:
+    """a * b by the schoolbook over Fraction coefficients."""
+    if a.is_zero or b.is_zero:
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def oracle_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """divmod(a, b) by long division over Fraction coefficients."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    d = b.degree
+    if len(rem) - 1 < d:
+        return Poly(), a
+    quot = [Fraction(0)] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = rem[i] / b.lc
+        quot[i - d] = q
+        for j, c in enumerate(b.coeffs):
+            rem[i - d + j] -= q * c
+    return Poly(quot), Poly(rem)
+
+
+def oracle_divide_out(p: Poly, q: Poly) -> tuple[Poly, int]:
+    """p divided by q as often as the division is exact, and how often."""
+    m = 0
+    while p.degree >= q.degree:
+        quot, rem = oracle_poly_divmod(p, q)
+        if not rem.is_zero:
+            break
+        p, m = quot, m + 1
+    return p, m
 
 
 def oracle_as_ratfunc(u) -> RatFunc:

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ffvojta.counting import strip_set_factors
 from ffvojta.field_core import (
     AllZero,
     NotIrreducible,
@@ -14,6 +16,10 @@ from ffvojta.field_core import (
     STooSmall,
     ZeroFunction,
     ZeroPolynomial,
+    _CERT_POINTS,
+    _CERT_PRIME,
+    _image,
+    _multiplicity,
     choose_omega,
     deriv_omega,
     divisor_of,
@@ -24,7 +30,16 @@ from ffvojta.field_core import (
     proj_height,
     yun_squarefree,
 )
-from conftest import oracle_proj_height, rand_poly, rand_ratfunc, rat
+from ffvojta.sunits import PlaceSet
+from conftest import (
+    oracle_divide_out,
+    oracle_poly_divmod,
+    oracle_poly_mul,
+    oracle_proj_height,
+    rand_poly,
+    rand_ratfunc,
+    rat,
+)
 
 
 T = Poly.t()
@@ -127,6 +142,127 @@ class TestPoly:
                           for c in reversed(fac.all_coeffs())]
                 theirs[m] = theirs.get(m, Poly.one()) * Poly(coeffs).monic()
             assert mine == theirs
+
+
+_BIG = 10 ** 30
+# small rationals, and large ones with denominators around 10^30
+_COEFFS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(_BIG // 10, _BIG)))
+_POLYS = st.lists(_COEFFS, max_size=9).map(Poly)
+# monic over Q, non-monic once cleared: 2t - 1, 4t + 3, 3t^2 + 3t + 1
+_NON_MONIC_CLEARED = (Poly((Fraction(-1, 2), 1)), Poly((Fraction(3, 4), 1)),
+                      Poly((Fraction(1, 3), 1, 1)))
+_DIVISORS = st.one_of(_POLYS.filter(lambda p: not p.is_zero),
+                      st.sampled_from(_NON_MONIC_CLEARED))
+_PLACES = (Place.rational(0), Place.rational(1), Place.rational(Fraction(1, 2)),
+           Place.rational(Fraction(-3, 4)), Place.finite(Poly((1, 0, 1))),
+           Place.finite(Poly((Fraction(1, 3), 1, 1))))
+_S_PLACES = PlaceSet(frozenset(_PLACES))
+
+
+class TestIntegerKernels:
+    """`Poly` products and divisions on cleared integers, and the
+    divide-out loop, against the Fraction schoolbook of conftest,
+    coefficient tuple for coefficient tuple."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_POLYS, _POLYS)
+    def test_mul_matches_oracle(self, a, b):
+        assert (a * b).coeffs == oracle_poly_mul(a, b).coeffs
+        assert (b * a).coeffs == oracle_poly_mul(a, b).coeffs
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_POLYS, _DIVISORS)
+    def test_divmod_matches_oracle(self, a, b):
+        q, r = divmod(a, b)
+        eq, er = oracle_poly_divmod(a, b)
+        assert (q.coeffs, r.coeffs) == (eq.coeffs, er.coeffs)
+        assert (a // b).coeffs == eq.coeffs
+        assert (a % b).coeffs == er.coeffs
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_POLYS, _DIVISORS)
+    def test_exact_division(self, a, b):
+        q, r = divmod(a * b, b)
+        assert q.coeffs == a.coeffs and r.is_zero
+        eq, er = oracle_poly_divmod(a * b, b)
+        assert (q.coeffs, r.coeffs) == (eq.coeffs, er.coeffs)
+
+    @pytest.mark.parametrize("a, b", [
+        ((), (3,)), ((5,), (-2,)), ((Fraction(1, 3),), (1, 1)),
+        ((1, 2, 3), (Fraction(-7, 2),)), ((1, -4, 0, 6), (0, 0, 0, 0, 1)),
+        ((Fraction(1, _BIG), 2, -1), (-3, 0, -5)),
+    ])
+    def test_zero_and_constant_operands(self, a, b):
+        a, b = Poly(a), Poly(b)
+        assert (a * b).coeffs == oracle_poly_mul(a, b).coeffs
+        q, r = divmod(a, b)
+        eq, er = oracle_poly_divmod(a, b)
+        assert (q.coeffs, r.coeffs) == (eq.coeffs, er.coeffs)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(T, Poly())
+
+    @pytest.mark.parametrize("a, b, quot, rem", [
+        # (t^2 + 1) = (2t + 1)(t/2 - 1/4) + 5/4: a scale of 2 for 4 fails
+        ((1, 0, 1), (1, 2), (Fraction(-1, 4), Fraction(1, 2)),
+         (Fraction(5, 4),)),
+        # a negative leading coefficient and a gap of three degrees
+        ((1, 0, 0, 0, 0, 1), (1, 0, -3),
+         (0, Fraction(-1, 9), 0, Fraction(-1, 3)), (1, Fraction(1, 9))),
+    ])
+    def test_pseudo_division_scale(self, a, b, quot, rem):
+        q, r = divmod(Poly(a), Poly(b))
+        assert q.coeffs == quot and r.coeffs == rem
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_POLYS.filter(lambda p: not p.is_zero),
+           st.lists(st.integers(0, 4), min_size=len(_PLACES),
+                    max_size=len(_PLACES)))
+    def test_divide_out_matches_oracle(self, rest, exps):
+        p = rest
+        for place, e in zip(_PLACES, exps):
+            p = p * place.poly ** e
+        stripped = p
+        for place in _S_PLACES.finite_places():
+            q = place.poly
+            stripped, _ = oracle_divide_out(stripped, q)
+            assert _multiplicity(p, q) == oracle_divide_out(p, q)[1]
+        assert strip_set_factors(p, _S_PLACES).coeffs == stripped.coeffs
+
+    def test_divide_out_zero(self):
+        assert strip_set_factors(Poly(), _S_PLACES).is_zero
+        with pytest.raises(ZeroPolynomial):
+            _multiplicity(Poly(), T)
+
+
+def _image_reference(f: RatFunc, tau: int, p: int):
+    # `_image` as it was, with an inverse for every coefficient
+    vals = []
+    for poly in (f.num, f.den):
+        acc = 0
+        for c in reversed(poly.coeffs):
+            d = c.denominator % p
+            if d == 0:
+                return None
+            acc = (acc * tau + c.numerator * pow(d, -1, p)) % p
+        vals.append(acc)
+    num, den = vals
+    return None if den == 0 else num * pow(den, -1, p) % p
+
+
+class TestImage:
+    def test_matches_reference(self):
+        rng = random.Random(41)
+        p = _CERT_PRIME
+        fs = [rand_ratfunc(rng, 5) for _ in range(300)]
+        fs += [RatFunc(Poly((Fraction(1, p), 1))), RatFunc(ONE, T - ONE),
+               RatFunc(Poly((1, Fraction(3, 7 * p)))), RatFunc.zero()]
+        for f in fs:
+            for tau in (*_CERT_POINTS, 0, 1, p + 1):
+                assert _image(f, tau, p) == _image_reference(f, tau, p)
 
 
 class TestRatFunc:

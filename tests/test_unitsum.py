@@ -128,6 +128,11 @@ class TestCheckBM:
         for seed in range(40):
             n = 3 + seed % 3
             vs = random_vanishing_sum(S011, n, 3, seed)
+            # the zero sum holds by construction, without a check in build
+            total = RatFunc.zero()
+            for w in vs.terms:
+                total = total + w
+            assert total.is_zero
             result = check_bm(vs)
             assert result.holds
             # deficit support stays inside the place set

@@ -341,6 +341,8 @@ class TestCLI:
     def test_bm_mode_rejects_bad_sum(self, capsys):
         code = cli_main(["--mode", "bm", "--terms", '["t", "1"]'])
         assert code == 2
+        # the exact sum is checked before the term count
+        assert "do not sum to zero" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "verify", "--poly", "X+Y+"],
