@@ -6,13 +6,17 @@ its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
 resultant and the input of root extraction; its arithmetic is
 `field_core.DensePoly`, the same code that `Poly` runs over Q.
 
-Bivariate gcds, resultants, rational roots and the specialisation audit
-are not computed over Q(t) here: the inputs are cleared of denominators
-into Z[X, Y, t] or Z[Z, t] by `field_core.clear_denominators` and handed
-to sympy (its subresultant PRS, heuristic gcd and Wang's factorisation),
-and a result comes back through `field_core.from_cleared`.  Gcds,
-factorisation and resultants first check a size cap and raise
-InputTooLarge past it.
+Resultants and rational roots run on integers.  A resultant clears both
+inputs of denominators (`field_core.clear_denominators`), packs each
+Sylvester entry into one integer by Kronecker substitution and takes one
+fraction-free Bareiss determinant, whose signed digits are the
+coefficients.  Rational roots start with a certificate: one image mod a
+small prime p at t = tau with the full degree and no root in F_p proves
+there is no root besides 0.  Only when no image proves it is the cleared
+polynomial in Z[Z, t] factored by sympy (Wang's algorithm); bivariate gcds
+and the specialisation audit also go to sympy over Z[X, Y, t], and a
+result comes back through `field_core.from_cleared`.  Gcds, factorisation
+and resultants first check a size cap and raise InputTooLarge past it.
 
 The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
 with the `field_core._image` helper that the vanishing-subsum search
@@ -36,6 +40,8 @@ from .field_core import (
     RatFunc,
     ZeroPolynomial,
     _image,
+    _pack,
+    _signed_digits,
     clear_denominators,
     deriv_omega,
     from_cleared,
@@ -312,7 +318,7 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants and gcd, through sympy over Z[X, Y, t]
+# Resultants by Sylvester determinants over Z; gcd through sympy
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -332,16 +338,33 @@ def _gens() -> tuple:
 CLEARED_SIZE_CAP = 512
 
 
+# Cap on one Sylvester determinant of size N = m + n whose value is packed
+# into W bits: N^3 * W^2.  Bareiss's elimination divides about N^3 integers
+# of up to W bits, and CPython divides in time quadratic in their length;
+# over 12 random shapes (main degree 2 to 32) the time was 0.6e-13 to
+# 1.8e-13 s per unit of N^3 * W^2 (2-vCPU Xeon VM, CPython 3.11), so a
+# determinant at the cap takes about a second.  The audits' resultants
+# stay below 2e11.
+SYLVESTER_WORK_CAP = 10 ** 13
+
+
 def _cleared(coeffs: Mapping[tuple[int, ...], RatFunc],
              gens: tuple) -> tuple[sympy.Poly, Poly]:
     """The sum of c * gens[:-1]^e over the items e -> c of `coeffs`, times
     the d of `clear_denominators`, as a sympy.Poly over ZZ in gens (t
     last); returned together with d."""
+    ints, d = clear_denominators(coeffs)
+    return _to_sympy(ints, gens), d
+
+
+def _to_sympy(ints: Mapping[tuple[int, ...], list[int]],
+              gens: tuple) -> sympy.Poly:
+    """Integer lists in t, keyed by exponents in gens[:-1], as one
+    sympy.Poly over ZZ in gens (t last)."""
     import sympy
 
-    ints, d = clear_denominators(coeffs)
     terms = {(*e, k): a for e, ns in ints.items() for k, a in enumerate(ns) if a}
-    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), d
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ)
 
 
 def _check_size(z: int, t: int) -> None:
@@ -353,28 +376,102 @@ def _check_size(z: int, t: int) -> None:
             f"is past the size cap {CLEARED_SIZE_CAP}")
 
 
-def _oriented(A: BiPoly, main: str) -> tuple[dict, tuple]:
-    """A's coefficients keyed (main exponent, other exponent), and the
-    matching sympy generators."""
-    X, Y, _, T = _gens()
+def _check_sylvester_work(size: int, width: int) -> None:
+    """Raise InputTooLarge when a Sylvester determinant of `size` rows,
+    packed into `width` bits, is past SYLVESTER_WORK_CAP."""
+    if size ** 3 * width ** 2 > SYLVESTER_WORK_CAP:
+        raise InputTooLarge(
+            f"a Sylvester matrix of size {size} packed into {width} bits is "
+            f"past the size cap {SYLVESTER_WORK_CAP}")
+
+
+def _oriented(A: BiPoly, main: str) -> dict:
+    """A's coefficients keyed (main exponent, other exponent)."""
     if main == "x":
-        return A.coeffs, (X, Y, T)
-    return {(j, i): c for (i, j), c in A.coeffs.items()}, (Y, X, T)
+        return A.coeffs
+    return {(j, i): c for (i, j), c in A.coeffs.items()}
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968): every division is exact.  `rows` is
+    consumed."""
+    sign, prev, size = 1, 1, len(rows)
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
-    """Res_main(A, B) for main-degrees m of A and n of B, by sympy's
-    subresultant PRS on the cleared polynomials."""
-    pa, da = _cleared(*_oriented(A, main))
-    pb, db = _cleared(*_oriented(B, main))
+    """Res_main(A, B) for main-degrees m of A and n of B, as one integer
+    Sylvester determinant.
+
+    A and B are cleared to da*A and db*B in Z[other, t], and every entry is
+    packed into one integer (Kronecker substitution): t at 2^k and the other
+    variable at 2^(k*(D_t+1)), for the bounds D_o and D_t on the resultant's
+    degrees in them.  The Sylvester matrix has n rows of A's coefficients
+    and m of B's, so by its row sums every coefficient of the resultant is
+    at most ||da*A||_1^n * ||db*B||_1^m in absolute value; k is that bound's
+    bit length plus one bit for the sign, and the determinant's signed
+    base-2^k digits are the coefficients, read back once.
+    """
+    ia, da = clear_denominators(_oriented(A, main))
+    ib, db = clear_denominators(_oriented(B, main))
+    oa, ea = _degrees(ia)
+    ob, eb = _degrees(ib)
     # the Sylvester determinant bounds the resultant's degrees in the other
     # variable and in t; the size check runs on those bounds
-    (ma, oa, ea), (mb, ob, eb) = pa.degree_list(), pb.degree_list()
-    _check_size(ma * ob + mb * oa, ma * eb + mb * ea)
+    d_o, d_t = m * ob + n * oa, m * eb + n * ea
+    _check_size(d_o, d_t)
+    bound = _norm(ia) ** n * _norm(ib) ** m
+    k = bound.bit_length() + 1
+    _check_sylvester_work(m + n, k * (d_o + 1) * (d_t + 1))
+    stride = k * (d_t + 1)
+    pa, pb = _packed(ia, m, k, stride), _packed(ib, n, k, stride)
+    rows = ([[0] * r + pa + [0] * (n - 1 - r) for r in range(n)]
+            + [[0] * r + pb + [0] * (m - 1 - r) for r in range(m)])
+    det = _bareiss_det(rows)
+    if not det:
+        return UniPoly.zero()
+    digits = _signed_digits(det, k, (d_o + 1) * (d_t + 1))
     # Res(da*A, db*B) = da^n * db^m * Res(A, B)
-    coeffs = from_cleared(pa.resultant(pb), da ** n * db ** m)
-    return UniPoly([coeffs.get((k,), RatFunc.zero())
-                    for k in range(max(coeffs)[0] + 1)])
+    d = da ** n * db ** m
+    zero = RatFunc.zero()
+    return UniPoly([RatFunc(Poly(ts), d) if any(ts) else zero
+                    for ts in (digits[i:i + d_t + 1]
+                               for i in range(0, len(digits), d_t + 1))])
+
+
+def _degrees(ints: dict) -> tuple[int, int]:
+    """The degrees in the other variable and in t of a cleared input."""
+    return (max(j for _, j in ints), max(len(ts) for ts in ints.values()) - 1)
+
+
+def _norm(ints: dict) -> int:
+    """The 1-norm of a cleared input: the sum of |c| over its integers."""
+    return sum(abs(c) for ts in ints.values() for c in ts)
+
+
+def _packed(ints: dict, deg: int, k: int, stride: int) -> list[int]:
+    """The coefficients of a cleared input in its main variable, highest
+    degree first, each packed into one integer: t at 2^k, the other
+    variable at 2^stride."""
+    packed = [0] * (deg + 1)
+    for (i, j), ts in ints.items():
+        packed[deg - i] += _pack(ts, k) << (j * stride)
+    return packed
 
 
 def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
@@ -449,28 +546,81 @@ def has_repeated_factors(A: BiPoly) -> bool:
 # Rational roots of a UniPoly
 # ---------------------------------------------------------------------------
 
+# The (p, tau) pairs of the no-root certificate, tried in this order: small
+# primes, so that a root search mod p is a short loop, each with its own
+# tau.  On the audit_cubic pool every resultant without a nonzero rational
+# root was certified by the 13th pair.
+_ROOT_CERT_TRIES = tuple(zip(
+    (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
+     173, 179),
+    range(2, 18)))
+
+
+def _no_root_certificate(ints: list[list[int]]) -> tuple[int, int] | None:
+    """The first (p, tau) of _ROOT_CERT_TRIES that proves the polynomial
+    with the coefficients `ints` (integer lists in t, lowest Z-degree first)
+    has no root in Q(t).
+
+    A root -b/a in Q(t), with a*Z + b primitive in Z[t][Z], makes a*Z + b a
+    factor of the polynomial (Gauss's lemma), so a divides its leading
+    coefficient.  At a tau where the leading coefficient is nonzero mod p,
+    a(tau) is nonzero mod p too, and -b(tau)/a(tau) is a root of the image
+    in F_p[Z].  An image of full degree with no root in F_p therefore
+    proves there is no root.  None means no pair proved it.
+    """
+    for p, tau in _ROOT_CERT_TRIES:
+        image = []
+        for ts in ints:
+            acc = 0
+            for c in reversed(ts):
+                acc = (acc * tau + c) % p
+            image.append(acc)
+        if not image[-1]:
+            continue
+        image.reverse()
+        for x in range(p):
+            acc = 0
+            for c in image:
+                acc = (acc * x + c) % p
+            if not acc:
+                break
+        else:
+            return p, tau
+    return None
+
+
 def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     """All roots of F lying in Q(t), with multiplicity.
 
-    Clears F to Z[t][Z] and factors it once over Z[Z, t] (sympy's Wang
-    algorithm); each factor a*Z + b of Z-degree 1 contributes the root
-    -b/a with the factor's multiplicity.  Roots are sorted by their
-    numerator and denominator coefficients, so zero roots come first.  The
-    flag is True exactly when the roots account for the full degree of F.
+    The root 0 comes off first: F = Z^k * G with G(0) != 0 has it k times.
+    G is cleared to Z[t][Z], and when one image of G mod p at t = tau has
+    the full degree and no root in F_p, G has no root in Q(t)
+    (`_no_root_certificate`).  Otherwise G is factored once over
+    Z[Z, t] (sympy's Wang algorithm), and each factor a*Z + b of Z-degree 1
+    contributes the root -b/a with the factor's multiplicity.  Roots are
+    sorted by their numerator and denominator coefficients, so zero roots
+    come first.  The flag is True exactly when the roots account for the
+    full degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
+    k = next(i for i, c in enumerate(F.coeffs) if not c.is_zero)
+    G = {(i,): c for i, c in enumerate(F.coeffs[k:])}
+    ints, _ = clear_denominators(G)
+    _check_size(F.degree, max(len(ts) for ts in ints.values()) - 1)
+    roots = [RatFunc.zero()] * k
+    if len(G) == 1 or _no_root_certificate(list(ints.values())):
+        return roots, len(roots) == F.degree
     _, _, Z, T = _gens()
-    p, _ = _cleared({(k,): c for k, c in enumerate(F.coeffs)}, (Z, T))
-    _check_size(F.degree, p.degree(T))
+    p = _to_sympy(ints, (Z, T))
     found: dict[RatFunc, int] = {}
     for fac, m in p.factor_list()[1]:
         if fac.degree(Z) == 1:
             lin = from_cleared(fac, Poly.one())
             root = -lin.get((0,), RatFunc.zero()) / lin[(1,)]
             found[root] = m
-    roots = [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
-             for _ in range(found[r])]
+    roots += [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
+              for _ in range(found[r])]
     return roots, len(roots) == F.degree
 
 

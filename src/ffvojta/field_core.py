@@ -205,21 +205,31 @@ def _kronecker_product(factors) -> list[int]:
     k = bound.bit_length() + 1
     packed = 1
     for f, e in factors:
-        x = 0
-        for c in reversed(f):
-            x = (x << k) + c
-        packed *= x ** e
+        packed *= _pack(f, k) ** e
     # the low digits that are zero (a power of t) come off in one shift
     low = ((packed & -packed).bit_length() - 1) // k
-    packed >>= low * k
+    return [0] * low + _signed_digits(packed >> low * k, k, deg + 1 - low)
+
+
+def _pack(f, k: int) -> int:
+    """f(2^k) for a sequence f of ints, lowest degree first."""
+    x = 0
+    for c in reversed(f):
+        x = (x << k) + c
+    return x
+
+
+def _signed_digits(packed: int, k: int, n: int) -> list[int]:
+    """The n signed base-2^k digits of `packed`, lowest first, each in
+    [-2^(k-1), 2^(k-1)); raises ArithmeticError when they do not add up to
+    `packed`."""
     # adding half = 2^(k-1) to every signed digit makes it a plain base-2^k
     # digit in [0, 2^k); anything left above the top digit is an error
-    mask, half, width = (1 << k) - 1, 1 << (k - 1), k * (deg + 1 - low)
+    mask, half, width = (1 << k) - 1, 1 << (k - 1), k * n
     packed += half * (((1 << width) - 1) // mask)
     if packed < 0 or packed >> width:
         raise ArithmeticError("Kronecker unpacking left a nonzero remainder")
-    return [0] * low + [((packed >> i) & mask) - half
-                        for i in range(0, width, k)]
+    return [((packed >> i) & mask) - half for i in range(0, width, k)]
 
 
 def _cleared(coeffs: tuple) -> tuple[list[int], int]:
@@ -380,7 +390,8 @@ def render_poly(p: Poly, var: str = "t") -> str:
 # --- the bridge to sympy over ZZ ------------------------------------------
 #
 # Poly does ring arithmetic only.  Every other algorithm on polynomials over
-# Q or Q(t) runs in sympy over ZZ: the data is cleared of denominators by
+# Q or Q(t), except the integer Sylvester determinants behind the bivariate
+# resultants, runs in sympy over ZZ: the data is cleared of denominators by
 # `clear_denominators`, and a bivariate result comes back through
 # `from_cleared`.  sympy is imported on first use, inside the functions
 # that call it, so a run that never needs it never loads it.

@@ -63,10 +63,6 @@ VERIFY_FIXTURES = {
 }
 
 
-class NotSplit(ValueError):
-    """Raised when an audit needs resultant roots outside Q(t)."""
-
-
 class NotIrreducibleAttested(ValueError):
     """Raised when an audit is requested for an unattested factor."""
 

@@ -5,7 +5,8 @@ and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, S-unit expansions by
 repeated `Poly` multiplication over Q, `Poly` products and divisions by
 the Fraction schoolbook, vanishing subsums
-by summing every subset over sympy polynomials, rational roots by the
+by summing every subset over sympy polynomials, resultants by sympy's
+subresultant PRS over Z[X, Y, t], rational roots by the
 rational-root method over Q[t] with trial division, and the
 irreducibility audit by building each specialisation as a sympy expression
 coefficient by coefficient.
@@ -121,6 +122,26 @@ def oracle_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
         if total.is_zero:
             return tuple(subset)
     return None
+
+
+def oracle_resultant(A, B, main: str):
+    """Res_main(A, B) by sympy's subresultant PRS on the inputs cleared to
+    da*A and db*B over Z[X, Y, t]: Res(da*A, db*B) = da^n * db^m * Res(A, B)
+    for the main-degrees m of A and n of B."""
+    from ffvojta.bipoly import UniPoly, _cleared, _gens, _oriented
+    from ffvojta.field_core import from_cleared
+
+    X, Y, _, T = _gens()
+    gens = (X, Y, T) if main == "x" else (Y, X, T)
+    pa, da = _cleared(_oriented(A, main), gens)
+    pb, db = _cleared(_oriented(B, main), gens)
+    m, n = pa.degree(gens[0]), pb.degree(gens[0])
+    # Res(A, B) = (-1)^(m n) Res(B, A); the larger degree goes first, because
+    # sympy 1.14's PRS returns the wrong sign for main-degrees (1, 3)
+    res = pa.resultant(pb) if m >= n else pb.resultant(pa) * (-1) ** (m * n)
+    coeffs = from_cleared(res, da ** n * db ** m)
+    return UniPoly([coeffs.get((k,), RatFunc.zero())
+                    for k in range(max(coeffs)[0] + 1)])
 
 
 ORACLE_ROOT_DEGREE_CAP = 12

@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from ffvojta.bipoly import (
     BiPoly,
     CLEARED_SIZE_CAP,
+    SYLVESTER_WORK_CAP,
     BothZero,
     ConstantPolynomial,
     DegenerateDegree,
     InputTooLarge,
     PreconditionViolated,
     UniPoly,
+    _ROOT_CERT_TRIES,
+    _no_root_certificate,
     b_polynomial,
     bipoly_gcd,
     check_dependence_transfer,
@@ -38,6 +41,7 @@ from ffvojta.field_core import (
     _image,
     choose_omega,
     deriv_omega,
+    clear_denominators,
     from_cleared,
 )
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
@@ -46,6 +50,7 @@ from conftest import (
     bi,
     oracle_irreducibility_audit,
     oracle_rational_roots,
+    oracle_resultant,
     rat,
     rand_ratfunc,
     unit_over,
@@ -258,6 +263,48 @@ def _perm_resultant(a: list[RatFunc], b: list[RatFunc]) -> RatFunc:
     return total
 
 
+def _swap(A: BiPoly) -> BiPoly:
+    return BiPoly({(j, i): c for (i, j), c in A.coeffs.items()})
+
+
+# denominators that the coefficients of one input share
+_SHARED_DENS = ("1", "3", "t", "t-1", "2*t+6", "t^2+1")
+
+
+@st.composite
+def _resultant_inputs(draw):
+    """(A, B, main, planted): main-degrees 1-3 of A and 0-3 of B, other
+    degrees 0-1, t-degrees 0-3, coefficients over up to two shared
+    denominators; planted means both carry a common factor of main-degree 1,
+    so the resultant is zero.  Every draw stays under CLEARED_SIZE_CAP."""
+    main = draw(st.sampled_from("xy"))
+    dens = [rat(d) for d in draw(st.lists(st.sampled_from(_SHARED_DENS),
+                                          min_size=1, max_size=2))]
+    deg_t = draw(st.integers(0, 3))
+
+    def coeff():
+        num = Poly([draw(st.integers(-4, 4))
+                    for _ in range(draw(st.integers(0, deg_t)) + 1)])
+        return RatFunc(num) / draw(st.sampled_from(dens))
+
+    def poly(main_deg, other_deg):
+        coeffs = {(i, j): coeff() for i in range(main_deg + 1)
+                  for j in range(other_deg + 1) if draw(st.booleans())}
+        # the leading term keeps the main-degree
+        lead = RatFunc(Poly([draw(st.sampled_from((-4, -1, 1, 3)))]))
+        coeffs[(main_deg, draw(st.integers(0, other_deg)))] = lead
+        P = BiPoly(coeffs)
+        return P if main == "x" else _swap(P)
+
+    A = poly(draw(st.integers(1, 3)), draw(st.integers(0, 1)))
+    B = poly(draw(st.integers(0, 3)), draw(st.integers(0, 1)))
+    planted = draw(st.booleans())
+    if planted:
+        C = poly(1, 0)
+        A, B = A * C, B * C
+    return A, B, main, planted
+
+
 class TestResultants:
     def test_examples(self):
         r = resultant_y(bi("X+Y"), bi("X-Y"))
@@ -275,6 +322,10 @@ class TestResultants:
             (RatFunc.t() ** 2, RatFunc.t() * -2, RatFunc.one()))
         assert resultant_y(bi("X+1"), bi("X-1")) == UniPoly.const(1)
 
+        # lc(A)^3 * B(1/4) = (-4)^3 * (-4/64), the Sylvester determinant's
+        # sign (sympy 1.14's PRS gives -4 for main-degrees 1 and 3)
+        assert resultant_x(bi("1-4*X"), bi("-4*X^3")) == UniPoly.const(4)
+
         # a zero input gives the zero resultant, whatever the degrees
         zero = BiPoly.zero()
         assert resultant_y(zero, bi("X+1")).is_zero
@@ -291,9 +342,6 @@ class TestResultants:
             resultant_x(bi("Y+1"), bi("X+Y"))
 
     def test_specialization_property(self):
-        def swap(A):
-            return BiPoly({(j, i): c for (i, j), c in A.coeffs.items()})
-
         rng = random.Random(88)
         done = 0
         while done < 100:
@@ -303,7 +351,7 @@ class TestResultants:
                 continue
             res = resultant_y(A, B)
             # the X-resultant of the swapped pair is the same polynomial
-            assert resultant_x(swap(A), swap(B)) == res
+            assert resultant_x(_swap(A), _swap(B)) == res
             for _ in range(10):
                 if done >= 100:
                     break
@@ -329,6 +377,43 @@ class TestResultants:
         B = shared * bi("X-Y+2")
         assert resultant_y(A, B).is_zero
         assert not resultant_y(bi("X+Y+1"), bi("X-Y+2")).is_zero
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_agrees_with_oracle(self, data):
+        A, B, main, planted = data.draw(_resultant_inputs())
+        res = (resultant_x if main == "x" else resultant_y)(A, B)
+        assert res.coeffs == oracle_resultant(A, B, main).coeffs
+        if planted:
+            assert res.is_zero
+
+    @pytest.mark.parametrize("main", ["x", "y"])
+    @pytest.mark.parametrize("c", [-7, 6, -16])
+    def test_digit_bound_reached(self, main, c):
+        # B free of the main variable and a single term c * (other)^2 * t^3:
+        # the resultant B^m has one coefficient, c^m, at the bound
+        # ||A||_1^0 * ||B||_1^m itself
+        A = bi("t*X^2*Y^3 - 3*X*Y^2 + (t^2+1)*X^2*Y - 2")
+        if main == "x":
+            A = _swap(A)
+        other = (0, 2) if main == "x" else (2, 0)
+        B = BiPoly({other: RatFunc(Poly.monomial(3)) * c})
+        res = (resultant_x if main == "x" else resultant_y)(A, B)
+        assert res.coeffs == oracle_resultant(A, B, main).coeffs
+        assert res.degree == 6 and res.lc == RatFunc(Poly.monomial(9)) * c ** 3
+
+    def test_sylvester_work_cap_raises_at_once(self):
+        # Y-degree 32, X-degree 1, free of t, coefficients in [-5, 5]: under
+        # CLEARED_SIZE_CAP, but a Sylvester matrix of size 64 whose
+        # determinant packs into about 31,000 bits takes 15 s to eliminate
+        rng = random.Random(5)
+        A, B = [BiPoly({(i, j): rng.randint(-5, 5)
+                        for i in range(2) for j in range(33)})
+                for _ in range(2)]
+        start = time.perf_counter()
+        with pytest.raises(InputTooLarge, match=f"size cap {SYLVESTER_WORK_CAP}"):
+            resultant_y(A, B)
+        assert time.perf_counter() - start < 1
 
 
 class TestRepeatedFactors:
@@ -446,6 +531,11 @@ def _planted(rng: random.Random) -> tuple[UniPoly, list[RatFunc], bool]:
     return F, roots, quadratic
 
 
+def _cleared_ints(F: UniPoly) -> list[list[int]]:
+    ints, _ = clear_denominators({(i,): c for i, c in enumerate(F.coeffs)})
+    return list(ints.values())
+
+
 def _key(r: RatFunc):
     return (r.num.coeffs, r.den.coeffs)
 
@@ -498,6 +588,52 @@ class TestRationalRoots:
             assert (roots, complete) == oracle_rational_roots(F)
             assert complete is not quadratic
             assert roots == sorted(planted, key=_key)
+
+    def test_zero_root_multiplicity(self):
+        # Z^2 * (Z - t) * (Z^2 - t): the root 0 twice, then t
+        t = rat("t")
+        F = (UniPoly((RatFunc.zero(), RatFunc.zero(), RatFunc.one())) * _linear(t)
+             * UniPoly((-t, RatFunc.zero(), RatFunc.one())))
+        assert rational_roots(F) == oracle_rational_roots(F) == (
+            [RatFunc.zero(), RatFunc.zero(), t], False)
+
+    def test_root_mod_every_prime(self):
+        # (Z^2 - 2)(Z^2 - 3)(Z^2 - 6) has a root mod every prime, since one
+        # of 2, 3, 6 is a square there, but none in Q(t): no certificate,
+        # and the factorisation finds nothing
+        F = UniPoly.const(1)
+        for c in (2, 3, 6):
+            F = F * UniPoly((RatFunc.const(-c), RatFunc.zero(), RatFunc.one()))
+        assert _no_root_certificate(_cleared_ints(F)) is None
+        assert rational_roots(F) == oracle_rational_roots(F) == ([], False)
+
+    def test_vanishing_leading_coefficient_skipped(self):
+        # ((t - 2) Z + 1)(Z^2 - t): at the first (p, tau) the leading
+        # coefficient vanishes and the image drops to Z^2 - 2, which has no
+        # root mod p; the root 1/(2 - t) is still found
+        p, tau = _ROOT_CERT_TRIES[0]
+        assert tau == 2 and pow(2, (p - 1) // 2, p) == p - 1
+        root = rat("1/(2-t)")
+        F = _linear(root) * UniPoly((-rat("t"), RatFunc.zero(), RatFunc.one()))
+        F = F * UniPoly.const(rat("t-2"))
+        assert _no_root_certificate(_cleared_ints(F)) is None
+        assert rational_roots(F) == oracle_rational_roots(F) == ([root], False)
+
+    def test_certificate_and_fallback(self):
+        # without a rational root a certificate is found; planted roots
+        # with denominators take the factorisation
+        for expr in ("t", "t^2+1", "2*t-1", "-t^3+t"):
+            F = UniPoly((-rat(expr), RatFunc.zero(), RatFunc.one()))
+            assert _no_root_certificate(_cleared_ints(F)) is not None
+            assert rational_roots(F) == ([], False)
+        roots = [rat("1/t"), rat("(t+1)/(t-1)"), rat("-3/(2*t^2+1)")]
+        F = UniPoly((-rat("t^3+2"), RatFunc.zero(), RatFunc.one()))
+        for r in roots:
+            F = F * _linear(r)
+        assert _no_root_certificate(_cleared_ints(F)) is None
+        found = rational_roots(F)
+        assert found == oracle_rational_roots(F)
+        assert found == (sorted(roots, key=_key), False)
 
     def test_complete_past_old_cap(self):
         # extreme coefficients of t-degree above 12: the oracle gives up,
