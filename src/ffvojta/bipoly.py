@@ -609,7 +609,7 @@ def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     ints, _ = clear_denominators(G)
     _check_size(F.degree, max(len(ts) for ts in ints.values()) - 1)
     roots = [RatFunc.zero()] * k
-    if len(G) == 1 or _no_root_certificate(list(ints.values())):
+    if _no_root_certificate(list(ints.values())):
         return roots, len(roots) == F.degree
     _, _, Z, T = _gens()
     p = _to_sympy(ints, (Z, T))
