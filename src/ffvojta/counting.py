@@ -167,15 +167,21 @@ class BoundCheck:
         return out
 
 
-def _check_v_unit(f: RatFunc, V: PlaceSet) -> None:
+def _check_v_unit(f: RatFunc, V: PlaceSet) -> list[int]:
+    """The orders of f at the finite places of V, in `V.finite_places()`
+    order; raises NotUnit unless f is a unit at every place outside V."""
     if f.is_zero:
         raise NotUnit("zero is not a unit")
-    if strip_set_factors(f.num, V).degree > 0:
+    qs = [p.poly for p in V.finite_places()]
+    rest, zeros = _divide_out(f.num, qs)
+    if rest.degree > 0:
         raise NotUnit(f"{f} has a zero outside the place set")
-    if strip_set_factors(f.den, V).degree > 0:
+    rest, poles = _divide_out(f.den, qs)
+    if rest.degree > 0:
         raise NotUnit(f"{f} has a pole outside the place set")
     if not V.has_infinity and f.num.degree != f.den.degree:
         raise NotUnit(f"{f} has a zero or pole at infinity")
+    return [z - q for z, q in zip(zeros, poles)]
 
 
 def check_cz_gcd_bound(u: RatFunc, alpha: RatFunc, v: RatFunc, beta: RatFunc,

@@ -391,10 +391,11 @@ def render_poly(p: Poly, var: str = "t") -> str:
 #
 # Poly does ring arithmetic only.  Every other algorithm on polynomials over
 # Q or Q(t), except the integer Sylvester determinants behind the bivariate
-# resultants, runs in sympy over ZZ: the data is cleared of denominators by
-# `clear_denominators`, and a bivariate result comes back through
-# `from_cleared`.  sympy is imported on first use, inside the functions
-# that call it, so a run that never needs it never loads it.
+# resultants, runs in sympy over ZZ: the data is cleared of denominators,
+# one polynomial by `_cleared` and a coefficient map by `clear_denominators`,
+# and a bivariate result comes back through `from_cleared`.  sympy is
+# imported on first use, inside the functions that call it, so a run that
+# never needs it never loads it.
 
 def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     """The values of `coeffs` (RatFunc or Poly), all multiplied by one d, as
@@ -484,13 +485,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if b.degree == 0:
         return Poly.one()
-    ints, _ = clear_denominators({0: a, 1: b})
-    if _mod_gcd_is_one(ints[0], ints[1]):
+    # each operand cleared on its own: a constant factor moves no gcd
+    a_ints, _ = _cleared(a.coeffs)
+    b_ints, _ = _cleared(b.coeffs)
+    if _mod_gcd_is_one(a_ints, b_ints):
         return Poly.one()
     from sympy import ZZ
     from sympy.polys.euclidtools import dup_gcd
 
-    return Poly(dup_gcd(ints[0][::-1], ints[1][::-1], ZZ)[::-1]).monic()
+    return Poly(dup_gcd(a_ints[::-1], b_ints[::-1], ZZ)[::-1]).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -513,8 +516,8 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     from sympy import ZZ
     from sympy.polys.sqfreetools import dup_sqf_list
 
-    ints, _ = clear_denominators({0: p})
-    _, parts = dup_sqf_list(ints[0][::-1], ZZ)
+    ints, _ = _cleared(p.coeffs)
+    _, parts = dup_sqf_list(ints[::-1], ZZ)
     return [(Poly(f[::-1]).monic(), m) for f, m in parts]
 
 
@@ -525,8 +528,8 @@ def _factor_cached(coeffs: tuple) -> tuple:
     from sympy import ZZ
     from sympy.polys.factortools import dup_factor_list
 
-    ints, _ = clear_denominators({0: Poly(coeffs)})
-    _, factors = dup_factor_list(ints[0][::-1], ZZ)
+    ints, _ = _cleared(coeffs)
+    _, factors = dup_factor_list(ints[::-1], ZZ)
     return tuple((Poly(f[::-1]).monic().coeffs, m) for f, m in factors)
 
 
@@ -551,7 +554,18 @@ def is_irreducible(p: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Element of Q(t): coprime numerator/denominator, monic denominator."""
+    """Element of Q(t): coprime numerator/denominator, monic denominator.
+
+    That normal form is unique, so `==` and `hash` compare the pairs.  The
+    constructor reaches it with one gcd of the whole pair.  The arithmetic
+    reaches it directly, by Henrici's reduced-fraction rules (Henrici,
+    JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): it takes gcds only of the
+    parts that can share a factor, and its result is normal by theorem,
+    so it is built with `_trusted`, which skips the normalising gcd.  The
+    facts used are those of the UFD Q[t]: a factor of a product of coprime
+    parts splits into factors of the parts, and powers of coprime
+    polynomials stay coprime.
+    """
 
     __slots__ = ("num", "den")
 
@@ -584,11 +598,11 @@ class RatFunc:
 
     @staticmethod
     def _trusted(num: Poly, den: Poly) -> "RatFunc":
-        # For a pair already in normal form: coprime, with a monic
-        # denominator (1 when num is zero); skips the normalising gcd.
+        # For a coprime pair with a monic denominator; skips the normalising
+        # gcd.  A zero numerator gets the denominator 1.
         f = object.__new__(RatFunc)
         object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "den", den if num.coeffs else Poly.one())
         return f
 
     @staticmethod
@@ -642,10 +656,34 @@ class RatFunc:
             return RatFunc(other)
         return RatFunc.const(other)
 
+    def _plus(self, c: Poly, d: Poly) -> "RatFunc":
+        """self + c/d, for c/d in normal form.
+
+        With a/b = self and g = gcd(b, d), the sum is t / (b (d/g)) with
+        t = a (d/g) + c (b/g).  A factor of b/g or of d/g divides one term
+        of t and is coprime to the other, so only a factor of g can divide
+        t and the denominator: h = gcd(t, g) is all there is to cancel.
+        A constant (so monic: 1) denominator needs no gcd at all.
+        """
+        a, b = self.num, self.den
+        if b.is_constant:
+            return RatFunc._trusted(a + c if d.is_constant else a * d + c, d)
+        if d.is_constant:
+            return RatFunc._trusted(a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.is_constant:
+            return RatFunc._trusted(a * d + c * b, b * d)
+        b_g, d_g = b // g, d // g
+        t = a * d_g + c * b_g
+        if not t.is_zero:
+            h = poly_gcd(t, g)
+            if not h.is_constant:
+                t, d = t // h, d // h
+        return RatFunc._trusted(t, b_g * d)
+
     def __add__(self, other):
         other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return self._plus(other.num, other.den)
 
     __radd__ = __add__
 
@@ -654,15 +692,35 @@ class RatFunc:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self._plus(-other.num, other.den)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    def _times(self, c: Poly, d: Poly) -> "RatFunc":
+        """self * c/d, for c coprime to a nonzero d (d need not be monic).
+
+        With a/b = self, gcd(a, d) and gcd(c, b) are cancelled across; what
+        is left of a and c is then coprime to what is left of b and d, and
+        dividing both by lc(d) makes the denominator monic.
+        """
+        a, b = self.num, self.den
+        if a.is_zero or c.is_zero:
+            return RatFunc.zero()
+        g = poly_gcd(a, d)
+        if not g.is_constant:
+            a, d = a // g, d // g
+        g = poly_gcd(c, b)
+        if not g.is_constant:
+            c, b = c // g, b // g
+        lc = d.lc
+        if lc != 1:
+            a, d = a.scale(1 / lc), d.scale(1 / lc)
+        return RatFunc._trusted(a * c, b * d)
+
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -670,7 +728,7 @@ class RatFunc:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._times(other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -678,11 +736,12 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n == 0:
             return RatFunc.one()
+        base = self
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+            base, n = RatFunc.one() / self, -n
+        return RatFunc._trusted(base.num ** n, base.den ** n)
 
     def derivative_t(self) -> "RatFunc":
         """Derivative with respect to t."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -63,9 +64,14 @@ class PlaceSet:
     def has_infinity(self) -> bool:
         return any(p.is_infinity for p in self.places)
 
-    def finite_places(self) -> list[Place]:
-        return sorted((p for p in self.places if not p.is_infinity),
-                      key=lambda p: p.sort_key())
+    @cached_property
+    def _finite(self) -> tuple[Place, ...]:
+        return tuple(sorted((p for p in self.places if not p.is_infinity),
+                            key=lambda p: p.sort_key()))
+
+    def finite_places(self) -> tuple[Place, ...]:
+        """The finite places in the canonical order, sorted once per set."""
+        return self._finite
 
     def sorted_places(self) -> list[Place]:
         return sorted(self.places, key=lambda p: p.sort_key())
@@ -290,14 +296,16 @@ CONSTANT_POOL = (
 def _unit_at_index(S: PlaceSet, max_exponent: int, seed: int, index: int) -> SUnit:
     rng = random.Random(f"sunit:{seed}:{index}")
     finite = S.finite_places()
+    balanced = not S.has_infinity
     while True:
-        exps = {p: rng.randint(-max_exponent, max_exponent) for p in finite}
-        if S.has_infinity:
-            break
-        if sum(e * p.geom_degree for p, e in exps.items()) == 0:
+        exps = [rng.randint(-max_exponent, max_exponent) for _ in finite]
+        if not balanced or sum(e * p.geom_degree
+                               for p, e in zip(finite, exps)) == 0:
             break
     constant = rng.choice(CONSTANT_POOL)
-    return SUnit.make(constant, exps, S)
+    # the places of S in canonical order, the constant from the pool and a
+    # balanced divisor when infinity is not in S: the unit is valid as built
+    return SUnit(constant, tuple((p, e) for p, e in zip(finite, exps) if e), S)
 
 
 def generate(S: PlaceSet, max_exponent: int, count: int, seed: int) -> list[SUnit]:

@@ -44,10 +44,17 @@ def m_at(ws: list[RatFunc], p: Place) -> int:
 
 @dataclass(frozen=True)
 class VanishingSum:
-    """Validated zero-sum of S-units with no vanishing proper subsum."""
+    """Validated zero-sum of S-units with no vanishing proper subsum.
+
+    ``orders`` is the table of orders of the terms at the places of S: one
+    row per place in `PlaceSet.sorted_places` order, one column per term.
+    Validation reads the finite rows off the division that proves each term
+    a unit outside S; the row at infinity is deg den - deg num.
+    """
 
     terms: tuple[RatFunc, ...]
     place_set: PlaceSet
+    orders: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def build(terms, S: PlaceSet) -> "VanishingSum":
@@ -67,12 +74,14 @@ class VanishingSum:
         if len(terms) > MAX_SUBSUM_TERMS:
             raise ValueError(
                 f"subsum enumeration is capped at {MAX_SUBSUM_TERMS} terms")
-        for w in terms:
-            _check_v_unit(w, S)
+        columns = [_check_v_unit(w, S) for w in terms]
         bad = find_vanishing_subsum(list(terms))
         if bad is not None:
             raise VanishingSubsum(bad)
-        return VanishingSum(terms, S)
+        orders = list(zip(*columns))
+        if S.has_infinity:
+            orders.append(tuple(w.den.degree - w.num.degree for w in terms))
+        return VanishingSum(terms, S, tuple(orders))
 
 
 @dataclass(frozen=True)
@@ -99,17 +108,17 @@ def check_bm(vs: VanishingSum) -> BMCheck:
     The left side is the projective height of the terms; the right side is
     the geometrically weighted sum of gamma_n - gamma_{m_P} over the places
     of S (the genus term vanishes on the projective line).  Every term is a
-    unit outside S, so both sides read one table of orders at the places
-    of S: the height is -sum of deg P * min_i ord_P(w_i) there, and m_P
-    counts the zero orders at P.
+    unit outside S, so both sides read the table of orders at the places
+    of S that validation built (`VanishingSum.orders`): the height is
+    -sum of deg P * min_i ord_P(w_i) there, and m_P counts the zero orders
+    at P.
     """
     gn = bm_weight(len(vs.terms))
     places = vs.place_set.sorted_places()
-    orders = [[ord_at(w, p) for w in vs.terms] for p in places]
-    lhs = -sum(p.geom_degree * min(row) for p, row in zip(places, orders))
+    lhs = -sum(p.geom_degree * min(row) for p, row in zip(places, vs.orders))
     deficits = []
     rhs = 0
-    for p, row in zip(places, orders):
+    for p, row in zip(places, vs.orders):
         d = gn - bm_weight(row.count(0))
         if d:
             deficits.append((p, d))

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, S-unit expansions by
 repeated `Poly` multiplication over Q, `Poly` products and divisions by
-the Fraction schoolbook, vanishing subsums
+the Fraction schoolbook, `RatFunc` arithmetic by the unreduced pair fed
+to the normalising constructor, vanishing subsums
 by summing every subset over sympy polynomials, resultants by sympy's
 subresultant PRS over Z[X, Y, t], rational roots by the
 rational-root method over Q[t] with trial division, and the
@@ -276,6 +277,29 @@ def oracle_as_ratfunc(u) -> RatFunc:
         else:
             den = den * p.poly ** (-e)
     return RatFunc(num, den)
+
+
+def oracle_ratfunc_op(op: str, f: RatFunc, g) -> RatFunc:
+    """f op g (g an int exponent for "**") by the textbook formula: the
+    unreduced pair, fed to the normalising constructor `RatFunc(num, den)`,
+    which divides out the gcd of the whole pair."""
+    a, b = f.num, f.den
+    if op == "**":
+        if g == 0:
+            return RatFunc.one()
+        if g < 0:
+            a, b, g = b, a, -g
+        return RatFunc(a ** g, b ** g)
+    c, d = g.num, g.den
+    if op == "+":
+        return RatFunc(a * d + c * b, b * d)
+    if op == "-":
+        return RatFunc(a * d - c * b, b * d)
+    if op == "*":
+        return RatFunc(a * c, b * d)
+    if op == "/":
+        return RatFunc(a * d, b * c)
+    raise ValueError(f"unknown operation {op!r}")
 
 
 def oracle_proj_height(fs) -> int:

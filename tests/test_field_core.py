@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from conftest import (
     oracle_poly_divmod,
     oracle_poly_mul,
     oracle_proj_height,
+    oracle_ratfunc_op,
     rand_poly,
     rand_ratfunc,
     rat,
@@ -275,6 +277,127 @@ class TestRatFunc:
             assert f - g == f + (-g)
             assert (f - g) + g == f
             assert 3 - f == RatFunc.const(3) + (-f)
+
+
+# factors for planted common parts: places of content 1/L (cleared, t - 1/2
+# is 2t - 1, not monic), a power of t and an irreducible quadratic
+_FACTORS = (Poly((Fraction(-1, 2), 1)), Poly((Fraction(3, 4), 1)),
+            Poly((Fraction(1, 3), 1, 1)), T, T - ONE, Poly((1, 0, 1)))
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _planted(rng: random.Random) -> RatFunc:
+    """A random function whose numerator and denominator carry random
+    powers of _FACTORS, so that pairs of them share factors."""
+    num, den = rand_poly(rng, 2), rand_poly(rng, 2)
+    for q in _FACTORS:
+        k = rng.randint(-2, 2)
+        if k > 0:
+            num = num * q ** k
+        elif k < 0:
+            den = den * q ** -k
+    return RatFunc(num.scale(Fraction(rng.choice((1, -3, 5)),
+                                      rng.choice((1, 2, 7)))), den)
+
+
+class TestHenrici:
+    """The arithmetic against the unreduced pair fed to the constructor."""
+
+    def _agree(self, f, g):
+        for op, fn in _OPS.items():
+            if op == "/" and g.is_zero:
+                continue
+            got, want = fn(f, g), oracle_ratfunc_op(op, f, g)
+            assert (got.num.coeffs, got.den.coeffs) == \
+                (want.num.coeffs, want.den.coeffs), (op, f, g)
+
+    def test_random_pairs(self):
+        rng = random.Random(1956)
+        for _ in range(150):
+            self._agree(rand_ratfunc(rng), rand_ratfunc(rng))
+
+    def test_planted_common_factors(self):
+        rng = random.Random(451)
+        for _ in range(150):
+            f, g = _planted(rng), _planted(rng)
+            self._agree(f, g)
+            self._agree(g, f)
+
+    def test_coprime_denominators(self):
+        f = RatFunc(T + ONE, T * T)
+        g = RatFunc(Poly((2, 0, 3)), Poly((Fraction(-1, 2), 1)))
+        self._agree(f, g)
+        assert (f + g).den == T * T * Poly((Fraction(-1, 2), 1))
+
+    def test_shared_denominator_factor_cancels(self):
+        # g = gcd(t(t-1), t(t+1)) = t, and the new numerator (t+1) + (t-1)
+        # = 2t shares g with the denominator: the sum is 2/(t^2 - 1)
+        f = RatFunc(ONE, T * (T - ONE))
+        g = RatFunc(ONE, T * (T + ONE))
+        self._agree(f, g)
+        assert f + g == RatFunc(Poly.const(2), T * T - ONE)
+        assert f - g == RatFunc(Poly.const(2), T * (T * T - ONE))
+
+    def test_numerator_meets_other_denominator(self):
+        half = Poly((Fraction(-1, 2), 1))
+        f = RatFunc(half.scale(2) * (T + ONE), T ** 3)
+        g = RatFunc(T * T, half * Poly((1, 0, 1)))
+        self._agree(f, g)
+        assert f * g == RatFunc(Poly.const(2) * (T + ONE),
+                                T * Poly((1, 0, 1)))
+
+    def test_sums_cancel_to_zero(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            f = _planted(rng)
+            for h in (f - f, f + (-f), (-f) + f, f * 0, 0 * f):
+                assert h.is_zero
+                assert (h.num.coeffs, h.den.coeffs) == ((), ONE.coeffs)
+            # the numerator of f + g shares factors with f's denominator
+            g = _planted(rng)
+            assert (f + g) - f == g
+
+    def test_constant_operands(self):
+        rng = random.Random(17)
+        consts = [RatFunc.zero(), RatFunc.one(), RatFunc.const(Fraction(-3, 4)),
+                  RatFunc.const(7)]
+        for _ in range(30):
+            f = _planted(rng)
+            for c in consts:
+                self._agree(f, c)
+                self._agree(c, f)
+        for c in consts:
+            for d in consts:
+                self._agree(c, d)
+        f = _planted(rng)
+        assert 2 - f == oracle_ratfunc_op("-", RatFunc.const(2), f)
+        assert Fraction(1, 3) / f == oracle_ratfunc_op(
+            "/", RatFunc.const(Fraction(1, 3)), f)
+
+    def test_powers(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            f = _planted(rng)
+            for n in (0, 1, 2, 3, -1, -2):
+                if n < 0 and f.is_zero:
+                    continue
+                got, want = f ** n, oracle_ratfunc_op("**", f, n)
+                assert (got.num.coeffs, got.den.coeffs) == \
+                    (want.num.coeffs, want.den.coeffs)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc.zero() ** -1
+
+    def test_results_are_normal(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            f, g = _planted(rng), _planted(rng)
+            results = [f + g, f - g, f * g]
+            if g:
+                results += [f / g, g ** -3]
+            for h in results:
+                assert h.den.lc == 1
+                assert h.is_zero or poly_gcd(h.num, h.den) == ONE
 
 
 class TestYun:

@@ -19,6 +19,7 @@ from ffvojta.sunits import (
     InvalidSUnit,
     PlaceSet,
     SUnit,
+    _unit_at_index,
     as_ratfunc,
     enlarge_for_coefficients,
     euler_char,
@@ -255,6 +256,21 @@ class TestGenerate:
         S = PlaceSet.of(0, 1)
         for u in generate(S, 4, 30, 9):
             assert u.inf_order == 0
+
+    @pytest.mark.parametrize("S", [S011, PlaceSet.of(0, 1, -1),
+                                   PlaceSet.of(Fraction(1, 2), -3, "inf",
+                                               Poly((1, 0, 1)))])
+    def test_units_as_validated_by_make(self, S):
+        # the same draws through SUnit.make's sort and validation
+        for index in range(40):
+            rng = random.Random(f"sunit:5:{index}")
+            while True:
+                exps = {p: rng.randint(-3, 3) for p in S.finite_places()}
+                if S.has_infinity or sum(
+                        e * p.geom_degree for p, e in exps.items()) == 0:
+                    break
+            expected = SUnit.make(rng.choice(CONSTANT_POOL), exps, S)
+            assert _unit_at_index(S, 3, 5, index) == expected
 
 
 class TestEnlarge:

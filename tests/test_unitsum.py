@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ffvojta.counting import NotUnit, VanishingSubsum
-from ffvojta.field_core import Place, RatFunc, divisor_of
+from ffvojta.field_core import Place, RatFunc, divisor_of, ord_at
+from ffvojta.parser import parse_place
 from ffvojta.sunits import PlaceSet
 from ffvojta.unitsum import (
     SumNonzero,
@@ -59,6 +61,32 @@ class TestVanishingSum:
     def test_not_unit_rejected(self):
         with pytest.raises(NotUnit):
             VanishingSum.build([rat("t-3"), rat("1-t"), rat("2")], S011)
+
+    @pytest.mark.parametrize("terms, places, message", [
+        (["t-3", "1-t", "2"], S011, "t - 3 has a zero outside the place set"),
+        (["1/(t-3)", "-1", "(t-4)/(t-3)"], S011,
+         "(1)/(t - 3) has a pole outside the place set"),
+        (["t", "1-t", "-1"], PlaceSet.of(0, 1),
+         "t has a zero or pole at infinity"),
+    ], ids=["zero-outside", "pole-outside", "infinity-outside"])
+    def test_not_unit_messages(self, terms, places, message):
+        with pytest.raises(NotUnit, match=f"^{re.escape(message)}$"):
+            VanishingSum.build([rat(w) for w in terms], places)
+
+    @pytest.mark.parametrize("places", ["0,1,inf", "0,1/2,-3,t^2+1,inf"])
+    def test_order_table(self, places):
+        S = PlaceSet(frozenset(parse_place(p) for p in places.split(",")))
+        for seed in range(12):
+            vs = random_vanishing_sum(S, 3 + seed % 3, 4, seed)
+            assert vs.orders == tuple(
+                tuple(ord_at(w, p) for w in vs.terms)
+                for p in vs.place_set.sorted_places())
+
+    def test_order_table_without_infinity(self):
+        # places -1, 0, 1 in order; no row at infinity
+        terms = [rat("2*t/(t-1)"), rat("-(t+1)/(t-1)"), rat("-1")]
+        vs = VanishingSum.build(terms, PlaceSet.of(-1, 0, 1))
+        assert vs.orders == ((0, 1, 0), (1, 0, 0), (-1, -1, 0))
 
 
 class TestCheckBM:

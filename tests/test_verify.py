@@ -10,8 +10,9 @@ import pytest
 import ffvojta
 from ffvojta.cli import main as cli_main
 from ffvojta.field_core import Place
-from ffvojta.parser import parse_bipoly
+from ffvojta.parser import parse_bipoly, parse_place, render_ratfunc_expr
 from ffvojta.sunits import PlaceSet, SUnit
+from ffvojta.unitsum import check_bm, random_vanishing_sum
 from ffvojta.verify import (
     NotIrreducibleAttested,
     RunConfig,
@@ -416,6 +417,19 @@ class TestCLI:
         out = tmp_path / "report.json"
         assert cli_main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_unitsum_op_golden(self):
+        # one unit-sum op rendered as the benchmark's unitsum op renders it,
+        # over places no workload reaches: non-integer roots and a quadratic
+        S = PlaceSet(frozenset(parse_place(p)
+                               for p in ("0", "1/2", "-3", "t^2+1", "inf")))
+        vs = random_vanishing_sum(S, 5, 4, 4)
+        out = {"terms": [render_ratfunc_expr(t) for t in vs.terms],
+               "places": [str(p) for p in vs.place_set.sorted_places()],
+               "check": check_bm(vs).to_json()}
+        text = json.dumps(out, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3734ca0b38b92b3a2eaee7f6f83ce9394dcad7795331cf33cdaa95cc7d128082")
 
     def test_factors_flag(self, tmp_path):
         out = tmp_path / "factored.json"
