@@ -57,9 +57,18 @@ SYMPY_T = sympy.Symbol("t")
 
 def to_sympy(p: Poly):
     return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        [sympy_rational(c) for c in reversed(p.coeffs)]
         or [0],
         SYMPY_T, domain="QQ")
+
+
+def sympy_rational(c: Fraction):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def from_sympy(p) -> Poly:
+    """A sympy.Poly over QQ in t as a Poly."""
+    return Poly([Fraction(c.p, c.q) for c in reversed(p.all_coeffs())])
 
 
 def sympy_factor_multiplicities(p: Poly) -> list[tuple[Poly, int]]:

@@ -33,6 +33,7 @@ from ffvojta.field_core import (
 )
 from ffvojta.sunits import PlaceSet
 from conftest import (
+    from_sympy,
     oracle_divide_out,
     oracle_poly_divmod,
     oracle_poly_mul,
@@ -41,6 +42,8 @@ from conftest import (
     rand_poly,
     rand_ratfunc,
     rat,
+    sympy_rational,
+    to_sympy,
 )
 
 
@@ -206,6 +209,32 @@ class TestIntegerKernels:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(T, Poly())
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_POLYS, _POLYS, _COEFFS)
+    def test_linear_ops_match_sympy(self, a, b, c):
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert (a + b).coeffs == from_sympy(sa + sb).coeffs
+        assert (a - b).coeffs == from_sympy(sa - sb).coeffs
+        assert (-a).coeffs == from_sympy(-sa).coeffs
+        assert a.scale(c).coeffs == from_sympy(sa * sympy_rational(c)).coeffs
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_POLYS, st.integers(0, 4))
+    def test_pow_matches_sympy(self, a, n):
+        assert (a ** n).coeffs == from_sympy(to_sympy(a) ** n).coeffs
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_POLYS, _COEFFS)
+    def test_monic_and_eval_match_sympy(self, a, x):
+        sa = to_sympy(a)
+        assert a.eval(x) == Fraction(str(sa.eval(sympy_rational(x))))
+        if a.is_zero:
+            with pytest.raises(ZeroPolynomial):
+                a.monic()
+            return
+        assert (a.degree, a.lc) == (sa.degree(), Fraction(str(sa.LC())))
+        assert a.monic().coeffs == from_sympy(sa.monic()).coeffs
 
     @pytest.mark.parametrize("a, b, quot, rem", [
         # (t^2 + 1) = (2t + 1)(t/2 - 1/4) + 5/4: a scale of 2 for 4 fails
