@@ -35,7 +35,6 @@ from .sunits import (
 )
 from .bipoly import (
     BiPoly,
-    UniPoly,
     b_polynomial,
     check_dependence_transfer,
     evaluate,

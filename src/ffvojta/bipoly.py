@@ -1,10 +1,10 @@
 """Bivariate polynomials over Q(t) and the machinery built on them.
 
 A BiPoly is a sparse map (i, j) -> nonzero RatFunc coefficient of X^i Y^j;
-its total degree is deg_X + deg_Y.  UniPoly is the univariate companion
-(one of X or Y eliminated) with RatFunc coefficients, the type of a
-resultant and the input of root extraction; its arithmetic is
-`field_core.DensePoly`, the same code that `Poly` runs over Q.
+its total degree is deg_X + deg_Y.  A resultant eliminates one variable,
+so it is a BiPoly free of the other: Res_Y is keyed (i, 0), a polynomial
+in X, and Res_X is keyed (0, j), a polynomial in Y.  Root extraction takes
+such a polynomial in one variable.
 
 Resultants and rational roots run on integers.  A resultant clears both
 inputs of denominators (`field_core.clear_denominators`), packs each
@@ -34,7 +34,6 @@ from math import gcd as int_gcd
 from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
-    DensePoly,
     OmegaForm,
     Poly,
     RatFunc,
@@ -45,6 +44,7 @@ from .field_core import (
     clear_denominators,
     deriv_omega,
     from_cleared,
+    height,
     power,
 )
 from .sunits import SUnit, as_ratfunc, log_derivative
@@ -74,37 +74,6 @@ class PreconditionViolated(ValueError):
     def __init__(self, identity: str):
         super().__init__(f"precondition failed: {identity}")
         self.identity = identity
-
-
-# ---------------------------------------------------------------------------
-# UniPoly: univariate over RatFunc coefficients
-# ---------------------------------------------------------------------------
-
-class UniPoly(DensePoly):
-    """Univariate polynomial with RatFunc coefficients, lowest degree first."""
-
-    __slots__ = ()
-    _zero = RatFunc.zero()
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, RatFunc) else RatFunc.const(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
-    def const(c) -> "UniPoly":
-        return UniPoly((c,))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({c})*Z^{i}" for i, c in enumerate(self.coeffs)
-                          if not c.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +250,6 @@ def vanishes_at(A: BiPoly, u: RatFunc, v: RatFunc) -> bool:
 
 def poly_height(A: BiPoly) -> int:
     """Height of A: the maximum height of its coefficients."""
-    from .field_core import height
-
     if A.is_zero:
         raise ZeroPolynomial("the zero polynomial has no height")
     return max(height(c) for c in A.coeffs.values())
@@ -414,9 +381,9 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1]
 
 
-def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
+def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     """Res_main(A, B) for main-degrees m of A and n of B, as one integer
-    Sylvester determinant.
+    Sylvester determinant: a BiPoly in the other variable alone.
 
     A and B are cleared to da*A and db*B in Z[other, t], and every entry is
     packed into one integer (Kronecker substitution): t at 2^k and the other
@@ -444,14 +411,16 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> UniPoly:
             + [[0] * r + pb + [0] * (m - 1 - r) for r in range(m)])
     det = _bareiss_det(rows)
     if not det:
-        return UniPoly.zero()
+        return BiPoly.zero()
     digits = _signed_digits(det, k, (d_o + 1) * (d_t + 1))
     # Res(da*A, db*B) = da^n * db^m * Res(A, B)
     d = da ** n * db ** m
-    zero = RatFunc.zero()
-    return UniPoly([RatFunc(Poly(ts), d) if any(ts) else zero
-                    for ts in (digits[i:i + d_t + 1]
-                               for i in range(0, len(digits), d_t + 1))])
+    coeffs = {}
+    for e in range(d_o + 1):
+        ts = digits[e * (d_t + 1):(e + 1) * (d_t + 1)]
+        if any(ts):
+            coeffs[(0, e) if main == "x" else (e, 0)] = RatFunc(Poly(ts), d)
+    return BiPoly(coeffs)
 
 
 def _degrees(ints: dict) -> tuple[int, int]:
@@ -474,57 +443,63 @@ def _packed(ints: dict, deg: int, k: int, stride: int) -> list[int]:
     return packed
 
 
-def resultant_y(A: BiPoly, B: BiPoly) -> UniPoly:
-    """Resultant of A and B with respect to Y: a polynomial in X over Q(t).
+def resultant_y(A: BiPoly, B: BiPoly) -> BiPoly:
+    """Resultant of A and B with respect to Y: a polynomial in X over Q(t),
+    a BiPoly keyed (i, 0).
 
     Vanishes identically exactly when A and B share a factor involving Y,
     or when either is zero.  When B does not involve Y the resultant is
     B^(deg_Y A), which is 1 when A does not involve Y either.
     """
     if A.is_zero or B.is_zero:
-        return UniPoly.zero()
+        return BiPoly.zero()
     if A.deg_y == 0 and B.deg_y == 0:
-        return UniPoly.const(1)
+        return BiPoly.const(1)
     if A.deg_y == 0:
         raise DegenerateDegree("both polynomials must depend on Y")
     return _resultant(A, B, "y", A.deg_y, B.deg_y)
 
 
-def resultant_x(A: BiPoly, B: BiPoly) -> UniPoly:
-    """Resultant with respect to X: a polynomial in Y over Q(t).
+def resultant_x(A: BiPoly, B: BiPoly) -> BiPoly:
+    """Resultant with respect to X: a polynomial in Y over Q(t), a BiPoly
+    keyed (0, j).
 
     It is 0 when either input is zero; when B does not involve X it is
     B^(deg_X A).
     """
     if A.is_zero or B.is_zero:
-        return UniPoly.zero()
+        return BiPoly.zero()
     if A.deg_x == 0 and B.deg_x == 0:
-        return UniPoly.const(1)
+        return BiPoly.const(1)
     if A.deg_x == 0:
         raise DegenerateDegree("both polynomials must depend on X")
     return _resultant(A, B, "x", A.deg_x, B.deg_x)
 
 
 def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
-    """gcd over Q(t), scaled so its lex-largest coefficient is 1.
+    """gcd over Q(t), scaled so its lex-largest coefficient is 1; a zero
+    input gives the other input so scaled, and gcd(0, 0) is 0.
 
     By Gauss's lemma this is the gcd of the cleared polynomials in
     Z[X, Y, t] with its content in t divided out.  Each cleared input is
     checked against the size cap first.
     """
-    if A.is_zero:
-        return B
-    if B.is_zero:
-        return A
+    if A.is_zero or B.is_zero:
+        return _lex_normalised(B if A.is_zero else A)
     X, Y, _, T = _gens()
     pa, _ = _cleared(A.coeffs, (X, Y, T))
     pb, _ = _cleared(B.coeffs, (X, Y, T))
     for p in (pa, pb):
         dx, dy, dt = p.degree_list()
         _check_size(max(dx, dy), dt)
-    result = BiPoly(from_cleared(pa.gcd(pb), Poly.one()))
-    lead = result.coeffs[max(result.coeffs)]
-    return result.scale(RatFunc.one() / lead)
+    return _lex_normalised(BiPoly(from_cleared(pa.gcd(pb), Poly.one())))
+
+
+def _lex_normalised(A: BiPoly) -> BiPoly:
+    """A scaled so that its lex-largest coefficient is 1; 0 stays 0."""
+    if A.is_zero:
+        return A
+    return A.scale(RatFunc.one() / A.coeffs[max(A.coeffs)])
 
 
 def has_repeated_factors(A: BiPoly) -> bool:
@@ -543,7 +518,7 @@ def has_repeated_factors(A: BiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rational roots of a UniPoly
+# Rational roots of a polynomial in one variable
 # ---------------------------------------------------------------------------
 
 # The (p, tau) pairs of the no-root certificate, tried in this order: small
@@ -589,8 +564,10 @@ def _no_root_certificate(ints: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
-def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
-    """All roots of F lying in Q(t), with multiplicity.
+def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
+    """All roots in Q(t), with multiplicity, of F in one variable Z: F is a
+    BiPoly free of X or of Y, as a resultant is; ValueError when it
+    involves both.
 
     The root 0 comes off first: F = Z^k * G with G(0) != 0 has it k times.
     G is cleared to Z[t][Z], and when one image of G mod p at t = tau has
@@ -604,24 +581,29 @@ def rational_roots(F: UniPoly) -> tuple[list[RatFunc], bool]:
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
-    k = next(i for i, c in enumerate(F.coeffs) if not c.is_zero)
-    G = {(i,): c for i, c in enumerate(F.coeffs[k:])}
+    if F.deg_x and F.deg_y:
+        raise ValueError("rational roots need a polynomial in one variable")
+    axis = 1 if F.deg_y else 0
+    by_degree = {ij[axis]: c for ij, c in F.coeffs.items()}
+    k, degree = min(by_degree), max(by_degree)
+    zero = RatFunc.zero()
+    G = {(i - k,): by_degree.get(i, zero) for i in range(k, degree + 1)}
     ints, _ = clear_denominators(G)
-    _check_size(F.degree, max(len(ts) for ts in ints.values()) - 1)
-    roots = [RatFunc.zero()] * k
+    _check_size(degree, max(len(ts) for ts in ints.values()) - 1)
+    roots = [zero] * k
     if _no_root_certificate(list(ints.values())):
-        return roots, len(roots) == F.degree
+        return roots, len(roots) == degree
     _, _, Z, T = _gens()
     p = _to_sympy(ints, (Z, T))
     found: dict[RatFunc, int] = {}
     for fac, m in p.factor_list()[1]:
         if fac.degree(Z) == 1:
             lin = from_cleared(fac, Poly.one())
-            root = -lin.get((0,), RatFunc.zero()) / lin[(1,)]
+            root = -lin.get((0,), zero) / lin[(1,)]
             found[root] = m
     roots += [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
               for _ in range(found[r])]
-    return roots, len(roots) == F.degree
+    return roots, len(roots) == degree
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,6 @@ def min_ord_sum(f: RatFunc, g: RatFunc, S: PlaceSet) -> int:
     nf = strip_set_factors(f.num, S)
     ng = strip_set_factors(g.num, S)
     total = poly_gcd(nf, ng).degree if nf.degree > 0 and ng.degree > 0 else 0
-    if total < 0:
-        total = 0
     if not S.has_infinity:
         total += min(f.den.degree - f.num.degree, g.den.degree - g.num.degree)
     return total
@@ -286,8 +284,6 @@ def check_zannier_bound(monomials: list[RatFunc], V: PlaceSet) -> BoundCheck:
     if total.is_zero:
         raise VanishingSubsum(tuple(range(M)))
     lhs = strip_set_factors(total.num, V).degree
-    if lhs < 0:
-        lhs = 0
     if not V.has_infinity:
         lhs += max(0, total.den.degree - total.num.degree)
     rhs = Fraction(proj_height(monomials) - comb(M, 2) * euler_char(V))

@@ -66,124 +66,6 @@ def power(base, n: int, one):
     return result
 
 
-class DensePoly:
-    """Dense univariate polynomial over a field, coefficients lowest degree
-    first and no trailing zeros.
-
-    The field-generic algebra lives here once.  A subclass fixes the field:
-    its ``__init__`` coerces the coefficients into it, and ``_zero`` is the
-    field's zero.  Coefficients must support ``+ - * /``, ``==`` and truth
-    (false exactly for zero).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __reduce__(self):
-        return (type(self), (self.coeffs,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self):
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self._zero
-
-    def monic(self):
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = self.lc
-        if c == 1:
-            return self
-        return type(self)(tuple(a / c for a in self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return type(self)(tuple(-a for a in self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return type(self)()
-        out = [self._zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return type(self)(out)
-
-    def scale(self, c):
-        if not c:
-            return type(self)()
-        return type(self)(tuple(a * c for a in self.coeffs))
-
-    def __pow__(self, n: int):
-        return power(self, n, type(self)((1,)))
-
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.lc
-        if len(rem) - 1 < d:
-            return type(self)(), self
-        quot = [self._zero] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lc
-                quot[i - d] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= q * b
-        return type(self)(quot), type(self)(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def eval(self, x):
-        acc = self._zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
 def _kronecker_product(factors) -> list[int]:
     """Coefficients, lowest degree first, of the product of f**e over the
     pairs (f, e) in `factors`, each f a nonzero sequence of ints (lowest
@@ -256,16 +138,16 @@ def _scaled(ints: list[int], a: int, b: int) -> "Poly":
                                 for c in ints[:n]]))
 
 
-class Poly(DensePoly):
-    """Univariate polynomial over Q, coefficients lowest degree first.
+class Poly:
+    """Univariate polynomial over Q: a tuple of Fraction coefficients,
+    lowest degree first, with no trailing zeros.
 
     Products and divisions run on the cleared integer coefficients
-    (`_cleared`): the field-generic Fraction loops of DensePoly are replaced
-    by one integer kernel each, and every Fraction of the result is built
-    once (`_scaled`).
+    (`_cleared`), one integer kernel each, and every Fraction of the result
+    is built once (`_scaled`).
     """
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
     _zero = Fraction(0)
 
     def __init__(self, coeffs=()):
@@ -273,6 +155,76 @@ class Poly(DensePoly):
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __reduce__(self):
+        return (type(self), (self.coeffs,))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lc(self):
+        if self.is_zero:
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def coeff(self, k: int):
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return self._zero
+
+    def monic(self):
+        if self.is_zero:
+            raise ZeroPolynomial("cannot normalize the zero polynomial")
+        c = self.lc
+        if c == 1:
+            return self
+        return type(self)(tuple(a / c for a in self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return type(self)()
+        return type(self)(tuple(a * c for a in self.coeffs))
+
+    def __pow__(self, n: int):
+        return power(self, n, type(self)((1,)))
+
+    def eval(self, x):
+        acc = self._zero
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     @staticmethod
     def _trusted(coeffs: tuple) -> "Poly":
@@ -352,6 +304,12 @@ class Poly(DensePoly):
                 for j in range(n):
                     r[i - n + j] -= c * b[j]
         return _scaled(q, lb, s * la), _scaled(r[:n], 1, s * la)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
 
     def __str__(self) -> str:
         return render_poly(self)

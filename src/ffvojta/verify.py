@@ -19,7 +19,6 @@ from functools import lru_cache
 from .bipoly import (
     BiPoly,
     DegenerateDegree,
-    UniPoly,
     b_polynomial,
     evaluate,
     poly_height,
@@ -323,10 +322,6 @@ def load_report(path: str) -> dict:
 # Stepwise audit of one pair (split case)
 # ---------------------------------------------------------------------------
 
-def _unipoly_height(F: UniPoly) -> int:
-    return max(height(c) for c in F.coeffs if not c.is_zero)
-
-
 def _support_places(f: RatFunc) -> set:
     if f.is_zero or f.is_constant:
         return set()
@@ -434,13 +429,13 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     chi_sp = max(1, euler_char(S_prime))
     bound_f = 2 * A.deg_y * (3 * chi_sp + h_a)
     bound_g = 2 * A.deg_x * (3 * chi_sp + h_a)
-    hf = _unipoly_height(F)
-    hg = _unipoly_height(G)
+    hf = poly_height(F)
+    hg = poly_height(G)
     report["step2"] = {
-        "deg_f": F.degree, "deg_g": G.degree, "deg_bound": c4,
+        "deg_f": F.deg_x, "deg_g": G.deg_y, "deg_bound": c4,
         "h_f": hf, "h_g": hg,
         "h_bound_f": bound_f, "h_bound_g": bound_g,
-        "holds": (F.degree <= c4 and G.degree <= c4
+        "holds": (F.deg_x <= c4 and G.deg_y <= c4
                   and hf <= bound_f and hg <= bound_g),
     }
 
@@ -460,9 +455,9 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     # the pointwise inequality at every zero of A(u, v) outside V.
     zset = _common_zeros(A, B, roots_f, roots_g)
     places = set(S_prime.places)
-    for coeffs in (F.coeffs, G.coeffs):
-        for c in (coeffs[0], coeffs[-1]):
-            places |= _support_places(c)
+    for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
+              G.coeff(0, 0), G.coeff(0, G.deg_y)):
+        places |= _support_places(c)
     for alpha in set(roots_f):
         for beta in set(roots_g):
             for val in (evaluate(A, alpha, beta), evaluate(B, alpha, beta)):

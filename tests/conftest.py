@@ -4,11 +4,12 @@ The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, S-unit expansions by
 repeated `Poly` multiplication over Q, `Poly` products and divisions by
-the Fraction schoolbook, `RatFunc` arithmetic by the unreduced pair fed
-to the normalising constructor, vanishing subsums
-by summing every subset over sympy polynomials, resultants by sympy's
-subresultant PRS over Z[X, Y, t], rational roots by the
-rational-root method over Q[t] with trial division, and the
+the Fraction schoolbook, the other `Poly` operations by sympy over QQ
+(`to_sympy` and `from_sympy`), `RatFunc` arithmetic by the unreduced
+pair fed to the normalising constructor, vanishing subsums by summing
+every subset over sympy polynomials, resultants (BiPolys in the variable
+left) by sympy's subresultant PRS over Z[X, Y, t], rational roots by the
+rational-root method over Q[t] with synthetic division, and the
 irreducibility audit by building each specialisation as a sympy expression
 coefficient by coefficient.
 """
@@ -137,8 +138,9 @@ def oracle_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
 def oracle_resultant(A, B, main: str):
     """Res_main(A, B) by sympy's subresultant PRS on the inputs cleared to
     da*A and db*B over Z[X, Y, t]: Res(da*A, db*B) = da^n * db^m * Res(A, B)
-    for the main-degrees m of A and n of B."""
-    from ffvojta.bipoly import UniPoly, _cleared, _gens, _oriented
+    for the main-degrees m of A and n of B.  Returned as a BiPoly in the
+    other variable alone."""
+    from ffvojta.bipoly import BiPoly, _cleared, _gens, _oriented
     from ffvojta.field_core import from_cleared
 
     X, Y, _, T = _gens()
@@ -150,23 +152,24 @@ def oracle_resultant(A, B, main: str):
     # sympy 1.14's PRS returns the wrong sign for main-degrees (1, 3)
     res = pa.resultant(pb) if m >= n else pb.resultant(pa) * (-1) ** (m * n)
     coeffs = from_cleared(res, da ** n * db ** m)
-    return UniPoly([coeffs.get((k,), RatFunc.zero())
-                    for k in range(max(coeffs)[0] + 1)])
+    return BiPoly({((0, e) if main == "x" else (e, 0)): c
+                   for (e,), c in coeffs.items()})
 
 
 ORACLE_ROOT_DEGREE_CAP = 12
 
 
 def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
-    """Roots of a UniPoly F in Q(t), with multiplicity, by trial division.
+    """Roots in Q(t) of a nonzero BiPoly F in one variable Z (X or Y), with
+    multiplicity, by trial division.
 
     A root p/q in lowest terms has its monic parts dividing the trailing
     and leading coefficients of F cleared to Q[t][Z]; the constant is
-    pinned by specialising t.  Each candidate is divided out of F as often
-    as it goes.  Extreme coefficients of t-degree above
-    ORACLE_ROOT_DEGREE_CAP give up: the roots found so far, flag False.
+    pinned by specialising t.  Each candidate alpha is divided out of F by
+    synthetic division by Z - alpha as often as it goes.  Extreme
+    coefficients of t-degree above ORACLE_ROOT_DEGREE_CAP give up: the
+    roots found so far, flag False.
     """
-    from ffvojta.bipoly import UniPoly
     from ffvojta.field_core import poly_lcm
 
     def monic_divisors(p: Poly) -> list[Poly]:
@@ -175,17 +178,20 @@ def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
             divs = [d * q ** k for d in divs for k in range(m + 1)]
         return divs
 
+    axis = 1 if F.deg_y else 0
+    by_degree = {ij[axis]: c for ij, c in F.coeffs.items()}
+    coeffs = [by_degree.get(k, RatFunc.zero()) for k in range(max(by_degree) + 1)]
     k = 0
-    while F.coeff(k).is_zero:
+    while coeffs[k].is_zero:
         k += 1
     roots = [RatFunc.zero()] * k
-    F = UniPoly(F.coeffs[k:])
-    if F.degree == 0:
+    coeffs = coeffs[k:]
+    if len(coeffs) == 1:
         return roots, True
     den = Poly.one()
-    for c in F.coeffs:
+    for c in coeffs:
         den = poly_lcm(den, c.den)
-    polys = [(c * RatFunc(den)).num for c in F.coeffs]
+    polys = [(c * RatFunc(den)).num for c in coeffs]
     a0, ad = polys[0], polys[-1]
     if max(a0.degree, ad.degree) > ORACLE_ROOT_DEGREE_CAP:
         return roots, False
@@ -201,16 +207,18 @@ def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
                 c = rho * q_hat.eval(tau) / p_hat.eval(tau)
                 if c != 0:
                     candidates.add(RatFunc(p_hat.scale(c), q_hat))
-    G = F
     for alpha in sorted(candidates, key=lambda r: (r.num.coeffs, r.den.coeffs)):
-        lin = UniPoly((-alpha, RatFunc.one()))
-        while G.degree >= 1:
-            q, rem = divmod(G, lin)
-            if not rem.is_zero:
+        while len(coeffs) > 1:
+            # the quotient by Z - alpha from the top down; the remainder
+            # is the value at alpha
+            quot = [coeffs[-1]]
+            for c in reversed(coeffs[1:-1]):
+                quot.append(c + alpha * quot[-1])
+            if not (coeffs[0] + alpha * quot[-1]).is_zero:
                 break
-            G = q
+            coeffs = quot[::-1]
             roots.append(alpha)
-    return roots, G.degree == 0
+    return roots, len(coeffs) == 1
 
 
 def oracle_irreducibility_audit(A, seed: int = 0, trials: int = 5) -> bool:

@@ -15,7 +15,6 @@ from ffvojta.bipoly import (
     DegenerateDegree,
     InputTooLarge,
     PreconditionViolated,
-    UniPoly,
     _ROOT_CERT_TRIES,
     _no_root_certificate,
     b_polynomial,
@@ -77,40 +76,10 @@ def rand_bipoly(rng, max_dx=2, max_dy=2, fancy_coeffs=True):
     return BiPoly(out)
 
 
-_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-_polys = st.lists(_fracs, max_size=5).map(Poly)
-
-
-def _lift(p: Poly) -> UniPoly:
-    return UniPoly([RatFunc.const(c) for c in p.coeffs])
-
-
-class TestUniPolyMirrorsPoly:
-    """Over constant coefficients UniPoly must compute exactly what Poly
-    computes: the two share one dense arithmetic."""
-
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(_polys, _polys, _fracs, st.integers(0, 3))
-    def test_ring_ops_and_eval(self, a, b, x, n):
-        A, B = _lift(a), _lift(b)
-        assert A + B == _lift(a + b)
-        assert A - B == _lift(a - b)
-        assert A * B == _lift(a * b)
-        assert A ** n == _lift(a ** n)
-        assert A.eval(RatFunc.const(x)) == RatFunc.const(a.eval(x))
-        if not a.is_zero:
-            assert A.monic() == _lift(a.monic())
-
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(_polys, _polys)
-    def test_divmod(self, a, b):
-        if b.is_zero:
-            return
-        A, B = _lift(a), _lift(b)
-        q, r = divmod(A, B)
-        assert (q, r) == tuple(_lift(p) for p in divmod(a, b))
-        assert q * B + r == A
-        assert r.degree < B.degree
+def _z(*coeffs) -> BiPoly:
+    """c0 + c1*X + c2*X^2 + ..., a BiPoly in X alone: the shape of a
+    Y-resultant and of the input of `rational_roots`."""
+    return BiPoly({(i, 0): c for i, c in enumerate(coeffs)})
 
 
 class TestEvaluate:
@@ -307,24 +276,20 @@ def _resultant_inputs(draw):
 
 class TestResultants:
     def test_examples(self):
-        r = resultant_y(bi("X+Y"), bi("X-Y"))
-        assert r == UniPoly((RatFunc.zero(), RatFunc.const(2)))
+        assert resultant_y(bi("X+Y"), bi("X-Y")) == bi("2*X")
 
         assert resultant_y(bi("Y-t"), bi("Y-t")).is_zero
 
-        r2 = resultant_y(bi("Y^2-X"), bi("Y-1"))
-        assert r2 == UniPoly((RatFunc.one(), RatFunc.const(-1)))
+        assert resultant_y(bi("Y^2-X"), bi("Y-1")) == bi("1-X")
 
         # B free of the variable: B^(deg A), and 1 when A is free of it too
-        assert resultant_y(bi("Y^2+X"), bi("X+1")) == UniPoly(
-            (RatFunc.one(), RatFunc.const(2), RatFunc.one()))
-        assert resultant_x(bi("X^2+Y"), bi("Y-t")) == UniPoly(
-            (RatFunc.t() ** 2, RatFunc.t() * -2, RatFunc.one()))
-        assert resultant_y(bi("X+1"), bi("X-1")) == UniPoly.const(1)
+        assert resultant_y(bi("Y^2+X"), bi("X+1")) == bi("X^2+2*X+1")
+        assert resultant_x(bi("X^2+Y"), bi("Y-t")) == bi("Y^2-2*t*Y+t^2")
+        assert resultant_y(bi("X+1"), bi("X-1")) == BiPoly.const(1)
 
         # lc(A)^3 * B(1/4) = (-4)^3 * (-4/64), the Sylvester determinant's
         # sign (sympy 1.14's PRS gives -4 for main-degrees 1 and 3)
-        assert resultant_x(bi("1-4*X"), bi("-4*X^3")) == UniPoly.const(4)
+        assert resultant_x(bi("1-4*X"), bi("-4*X^3")) == BiPoly.const(4)
 
         # a zero input gives the zero resultant, whatever the degrees
         zero = BiPoly.zero()
@@ -334,6 +299,16 @@ class TestResultants:
         assert resultant_x(zero, bi("Y+1")).is_zero
         assert resultant_x(zero, bi("X+1")).is_zero
         assert resultant_x(bi("X+Y"), zero).is_zero
+
+    def test_result_lies_on_the_other_axis(self):
+        # Res_Y is keyed (i, 0), a polynomial in X; Res_X is keyed (0, j)
+        for A, B in ((bi("X*Y+t*X+1"), bi("X^2*Y-Y+t")),
+                     (bi("Y^2+X"), bi("X+1")),
+                     (bi("X^2*Y^2+t*Y+X-1"), bi("t*X*Y+Y^2-2"))):
+            F, G = resultant_y(A, B), resultant_x(A, B)
+            assert F.deg_x > 0 and G.deg_y > 0
+            assert all(j == 0 for _, j in F.coeffs)
+            assert all(i == 0 for i, _ in G.coeffs)
 
     def test_degenerate_degree(self):
         with pytest.raises(DegenerateDegree):
@@ -350,8 +325,9 @@ class TestResultants:
             if A.deg_y == 0 or B.deg_y == 0:
                 continue
             res = resultant_y(A, B)
-            # the X-resultant of the swapped pair is the same polynomial
-            assert resultant_x(_swap(A), _swap(B)) == res
+            # the X-resultant of the swapped pair is the same polynomial,
+            # in Y
+            assert _swap(resultant_x(_swap(A), _swap(B))) == res
             for _ in range(10):
                 if done >= 100:
                     break
@@ -368,7 +344,8 @@ class TestResultants:
                 # only degree-preserving specializations
                 if a_spec[-1].is_zero or b_spec[-1].is_zero:
                     continue
-                assert res.eval(x0) == _perm_resultant(a_spec, b_spec)
+                assert (evaluate(res, x0, RatFunc.zero())
+                        == _perm_resultant(a_spec, b_spec))
                 done += 1
 
     def test_vanishes_iff_common_factor(self):
@@ -400,7 +377,8 @@ class TestResultants:
         B = BiPoly({other: RatFunc(Poly.monomial(3)) * c})
         res = (resultant_x if main == "x" else resultant_y)(A, B)
         assert res.coeffs == oracle_resultant(A, B, main).coeffs
-        assert res.degree == 6 and res.lc == RatFunc(Poly.monomial(9)) * c ** 3
+        assert res.total_degree == 6
+        assert res.coeffs[max(res.coeffs)] == RatFunc(Poly.monomial(9)) * c ** 3
 
     def test_sylvester_work_cap_raises_at_once(self):
         # Y-degree 32, X-degree 1, free of t, coefficients in [-5, 5]: under
@@ -466,6 +444,16 @@ class TestRepeatedFactors:
             checked += 1
         assert checked >= 25
 
+    def test_gcd_with_zero_is_normalised(self):
+        # gcd(0, B) is B scaled like every other gcd, in either order
+        assert bipoly_gcd(bi("2*X+4"), bi("3*X+6")) == bi("X+2")
+        for A in (bi("2*X+4"), bi("t*X*Y+t^2*Y")):
+            g = bipoly_gcd(A, A.scale(RatFunc.const(3)))
+            assert g.coeffs[max(g.coeffs)] == RatFunc.one()
+            assert bipoly_gcd(BiPoly.zero(), A) == g
+            assert bipoly_gcd(A, BiPoly.zero()) == g
+        assert bipoly_gcd(BiPoly.zero(), BiPoly.zero()).is_zero
+
     def test_gcd_size_cap_raises_at_once(self):
         # X-degree 1 and t-degree 600 count as 75 * 600; Y-degree 80 and
         # t-degree 1 as 80 * 10
@@ -503,11 +491,11 @@ class TestClearing:
             assert from_cleared(p, d) == coeffs
 
 
-def _linear(r: RatFunc) -> UniPoly:
-    return UniPoly((-r, RatFunc.one()))
+def _linear(r: RatFunc) -> BiPoly:
+    return _z(-r, 1)
 
 
-def _planted(rng: random.Random) -> tuple[UniPoly, list[RatFunc], bool]:
+def _planted(rng: random.Random) -> tuple[BiPoly, list[RatFunc], bool]:
     """A product of planted linear factors, maybe an irreducible quadratic
     cofactor, times t-content; returns it with the planted roots and
     whether the cofactor is there."""
@@ -520,19 +508,20 @@ def _planted(rng: random.Random) -> tuple[UniPoly, list[RatFunc], bool]:
             roots.append(rng.choice(roots))
         else:
             roots.append(rand_ratfunc(rng, 1))
-    F = UniPoly.const(rand_ratfunc(rng, 2))
+    F = _z(rand_ratfunc(rng, 2))
     for r in roots:
         F = F * _linear(r)
     quadratic = rng.random() < 0.3
     if quadratic:
         c = rng.choice([rat("t"), rat("-t"), rat("2"), rat("t+3"), rat("-1"),
                         rat("t^2+1")])
-        F = F * UniPoly((-c, RatFunc.zero(), RatFunc.one()))
+        F = F * _z(-c, 0, 1)
     return F, roots, quadratic
 
 
-def _cleared_ints(F: UniPoly) -> list[list[int]]:
-    ints, _ = clear_denominators({(i,): c for i, c in enumerate(F.coeffs)})
+def _cleared_ints(F: BiPoly) -> list[list[int]]:
+    ints, _ = clear_denominators({(i,): F.coeff(i, 0)
+                                  for i in range(F.deg_x + 1)})
     return list(ints.values())
 
 
@@ -543,14 +532,14 @@ def _key(r: RatFunc):
 class TestRationalRoots:
     def test_examples(self):
         t = RatFunc.t()
-        F = UniPoly((-(t * t), RatFunc.zero(), RatFunc.one()))
+        F = _z(-(t * t), 0, 1)
         roots, complete = rational_roots(F)
         assert complete and sorted(str(r) for r in roots) == ["-t", "t"]
 
-        F2 = UniPoly((-t, RatFunc.zero(), RatFunc.one()))
+        F2 = _z(-t, 0, 1)
         assert rational_roots(F2) == ([], False)
 
-        F3 = UniPoly((RatFunc.one(), RatFunc.const(-2), RatFunc.one()))
+        F3 = _z(1, -2, 1)
         roots3, complete3 = rational_roots(F3)
         assert complete3 and roots3 == [RatFunc.one(), RatFunc.one()]
 
@@ -558,25 +547,30 @@ class TestRationalRoots:
         rng = random.Random(99)
         for _ in range(40):
             target_roots = [rand_ratfunc(rng, 1) for _ in range(rng.randint(1, 3))]
-            F = UniPoly((RatFunc.one(),))
+            F = _z(1)
             for r in target_roots:
-                F = F * UniPoly((-r, RatFunc.one()))
+                F = F * _linear(r)
             found, complete = rational_roots(F)
             assert complete
             for r in found:
-                assert F.eval(r).is_zero
+                assert evaluate(F, r, RatFunc.zero()).is_zero
             assert sorted(map(str, found)) == sorted(map(str, target_roots))
 
     def test_denominator_roots(self):
         # roots with nontrivial denominators: (X - 1/t)(X - (t+1)/t)
         r1, r2 = rat("1/t"), rat("(t+1)/t")
-        F = UniPoly((-r1, RatFunc.one())) * UniPoly((-r2, RatFunc.one()))
+        F = _linear(r1) * _linear(r2)
         found, complete = rational_roots(F)
         assert complete and sorted(map(str, found)) == sorted(map(str, [r1, r2]))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            rational_roots(UniPoly.zero())
+            rational_roots(BiPoly.zero())
+
+    def test_both_variables_rejected(self):
+        for F in (bi("X*Y+1"), bi("X+Y"), bi("X^2-t*Y^3")):
+            with pytest.raises(ValueError, match="one variable"):
+                rational_roots(F)
 
     def test_agrees_with_oracle(self):
         # planted roots (zero, repeated, with denominators), an irreducible
@@ -588,12 +582,13 @@ class TestRationalRoots:
             assert (roots, complete) == oracle_rational_roots(F)
             assert complete is not quadratic
             assert roots == sorted(planted, key=_key)
+            # the same polynomial in Y has the same roots
+            assert rational_roots(_swap(F)) == (roots, complete)
 
     def test_zero_root_multiplicity(self):
         # Z^2 * (Z - t) * (Z^2 - t): the root 0 twice, then t
         t = rat("t")
-        F = (UniPoly((RatFunc.zero(), RatFunc.zero(), RatFunc.one())) * _linear(t)
-             * UniPoly((-t, RatFunc.zero(), RatFunc.one())))
+        F = _z(0, 0, 1) * _linear(t) * _z(-t, 0, 1)
         assert rational_roots(F) == oracle_rational_roots(F) == (
             [RatFunc.zero(), RatFunc.zero(), t], False)
 
@@ -601,9 +596,9 @@ class TestRationalRoots:
         # (Z^2 - 2)(Z^2 - 3)(Z^2 - 6) has a root mod every prime, since one
         # of 2, 3, 6 is a square there, but none in Q(t): no certificate,
         # and the factorisation finds nothing
-        F = UniPoly.const(1)
+        F = _z(1)
         for c in (2, 3, 6):
-            F = F * UniPoly((RatFunc.const(-c), RatFunc.zero(), RatFunc.one()))
+            F = F * _z(-c, 0, 1)
         assert _no_root_certificate(_cleared_ints(F)) is None
         assert rational_roots(F) == oracle_rational_roots(F) == ([], False)
 
@@ -614,8 +609,7 @@ class TestRationalRoots:
         p, tau = _ROOT_CERT_TRIES[0]
         assert tau == 2 and pow(2, (p - 1) // 2, p) == p - 1
         root = rat("1/(2-t)")
-        F = _linear(root) * UniPoly((-rat("t"), RatFunc.zero(), RatFunc.one()))
-        F = F * UniPoly.const(rat("t-2"))
+        F = _linear(root) * _z(-rat("t"), 0, 1) * _z(rat("t-2"))
         assert _no_root_certificate(_cleared_ints(F)) is None
         assert rational_roots(F) == oracle_rational_roots(F) == ([root], False)
 
@@ -623,11 +617,11 @@ class TestRationalRoots:
         # without a rational root a certificate is found; planted roots
         # with denominators take the factorisation
         for expr in ("t", "t^2+1", "2*t-1", "-t^3+t"):
-            F = UniPoly((-rat(expr), RatFunc.zero(), RatFunc.one()))
+            F = _z(-rat(expr), 0, 1)
             assert _no_root_certificate(_cleared_ints(F)) is not None
             assert rational_roots(F) == ([], False)
         roots = [rat("1/t"), rat("(t+1)/(t-1)"), rat("-3/(2*t^2+1)")]
-        F = UniPoly((-rat("t^3+2"), RatFunc.zero(), RatFunc.one()))
+        F = _z(-rat("t^3+2"), 0, 1)
         for r in roots:
             F = F * _linear(r)
         assert _no_root_certificate(_cleared_ints(F)) is None
@@ -645,7 +639,7 @@ class TestRationalRoots:
                        for _ in range(2)]
             planted.append(RatFunc.one() / RatFunc(
                 Poly([rng.randint(1, 5) for _ in range(14)])))
-            F = UniPoly.const(1)
+            F = _z(1)
             for r in planted:
                 F = F * _linear(r)
             assert rational_roots(F) == (sorted(planted, key=_key), True)
@@ -658,9 +652,9 @@ class TestRationalRoots:
         # t-degree 260, counted as 32 * 260 (each degree counts as at least
         # an eighth of the other)
         n = CLEARED_SIZE_CAP
-        for F in (UniPoly([rat("t+1")] + [RatFunc.zero()] * (n - 1) + [rat("t^2")]),
-                  UniPoly([RatFunc.const(k % 7 - 3) for k in range(72)] + [1]),
-                  UniPoly((rat("t^260+1"), RatFunc.zero(), rat("t")))):
+        for F in (BiPoly({(0, 0): rat("t+1"), (n, 0): rat("t^2")}),
+                  _z(*[k % 7 - 3 for k in range(72)], 1),
+                  _z(rat("t^260+1"), 0, rat("t"))):
             start = time.perf_counter()
             with pytest.raises(InputTooLarge, match="size cap"):
                 rational_roots(F)
