@@ -1,10 +1,13 @@
-"""Bivariate polynomials over Q(t) and the machinery built on them.
+"""Sparse polynomials, bivariate polynomials over Q(t) and the machinery
+built on them.
 
-A BiPoly is a sparse map (i, j) -> nonzero RatFunc coefficient of X^i Y^j;
-its total degree is deg_X + deg_Y.  A resultant eliminates one variable,
-so it is a BiPoly free of the other: Res_Y is keyed (i, 0), a polynomial
-in X, and Res_X is keyed (0, j), a polynomial in Y.  Root extraction takes
-such a polynomial in one variable.
+SparsePoly is the one sparse arithmetic: a map from exponent tuples to
+nonzero coefficients, with its algebra written once.  A BiPoly is such a
+map (i, j) -> RatFunc coefficient of X^i Y^j, and `p2family.BiForm` is
+one over Q in five variables.  A BiPoly's total degree is deg_X + deg_Y.
+A resultant eliminates one variable, so it is a BiPoly free of the other:
+Res_Y is keyed (i, 0), a polynomial in X, and Res_X is keyed (0, j), a
+polynomial in Y.  Root extraction takes such a polynomial in one variable.
 
 Resultants and rational roots run on integers.  A resultant clears both
 inputs of denominators (`field_core.clear_denominators`), packs each
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
+from operator import add
 
 from .field_core import (
     _CERT_POINTS,
@@ -77,35 +81,112 @@ class PreconditionViolated(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# BiPoly
+# Sparse polynomials: the shared map algebra and BiPoly
 # ---------------------------------------------------------------------------
 
-class BiPoly:
-    """Sparse bivariate polynomial over Q(t); no zero coefficients stored."""
+class SparsePoly:
+    """A sparse polynomial: a map from exponent tuples, all of length
+    `_arity`, to nonzero coefficients.
 
-    __slots__ = ("coeffs", "deg_x", "deg_y")
+    The map algebra lives here once: the constructor merges duplicate keys
+    and drops zeros, and `==`, `hash`, `-`, `+`, `*`, `**` and the partial
+    derivative work on the map.  A subclass supplies `_arity` and
+    `_coerce`, which turns an input coefficient into its field's type, and
+    extends `__init__` with its degree bookkeeping.  Results are built
+    with the subclass's own constructor, so they pass through it too.
+    """
+
+    __slots__ = ("coeffs",)
+
+    _arity: int
 
     def __init__(self, coeffs=None):
-        clean: dict[tuple[int, int], RatFunc] = {}
+        clean = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for (i, j), c in items:
-                if not isinstance(c, RatFunc):
-                    c = RatFunc.const(c)
-                if c.is_zero:
+            for key, c in items:
+                c = self._coerce(c)
+                if not c:
                     continue
-                if (i, j) in clean:
-                    c = clean[(i, j)] + c
-                    if c.is_zero:
-                        del clean[(i, j)]
+                if key in clean:
+                    c = clean[key] + c
+                    if not c:
+                        del clean[key]
                         continue
-                clean[(i, j)] = c
-        self.coeffs = dict(clean)
-        self.deg_x = max((i for i, _ in clean), default=0)
-        self.deg_y = max((j for _, j in clean), default=0)
+                clean[key] = c
+        self.coeffs = clean
 
     def __reduce__(self):
-        return (BiPoly, (tuple(self.coeffs.items()),))
+        return (type(self), (tuple(self.coeffs.items()),))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def items_sorted(self):
+        return sorted(self.coeffs.items())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.items_sorted()))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                key = tuple(map(add, k1, k2))
+                v = out.get(key)
+                prod = c1 * c2
+                out[key] = prod if v is None else v + prod
+        return type(self)(out)
+
+    def __pow__(self, n: int):
+        return power(self, n, type(self)({(0,) * self._arity: 1}))
+
+    def _partial(self, k: int):
+        """Partial derivative in the variable of key position k."""
+        out = {}
+        for key, c in self.coeffs.items():
+            e = key[k]
+            if e:
+                out[key[:k] + (e - 1,) + key[k + 1:]] = c * e
+        return type(self)(out)
+
+
+class BiPoly(SparsePoly):
+    """Sparse bivariate polynomial over Q(t); no zero coefficients stored."""
+
+    __slots__ = ("deg_x", "deg_y")
+
+    _arity = 2
+
+    @staticmethod
+    def _coerce(c) -> RatFunc:
+        return c if isinstance(c, RatFunc) else RatFunc.const(c)
+
+    def __init__(self, coeffs=None):
+        super().__init__(coeffs)
+        self.deg_x = max((i for i, _ in self.coeffs), default=0)
+        self.deg_y = max((j for _, j in self.coeffs), default=0)
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -128,10 +209,6 @@ class BiPoly:
         return BiPoly({(i, j): c})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_constant(self) -> bool:
         return all(ij == (0, 0) for ij in self.coeffs)
 
@@ -143,56 +220,16 @@ class BiPoly:
     def coeff(self, i: int, j: int) -> RatFunc:
         return self.coeffs.get((i, j), RatFunc.zero())
 
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items_sorted()))
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({ij: -c for ij, c in self.coeffs.items()})
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        for ij, c in other.coeffs.items():
-            s = out.get(ij, RatFunc.zero()) + c
-            if s.is_zero:
-                out.pop(ij, None)
-            else:
-                out[ij] = s
-        return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict[tuple[int, int], RatFunc] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                v = out.get(key)
-                prod = c1 * c2
-                out[key] = prod if v is None else v + prod
-        return BiPoly(out)
-
     def scale(self, c: RatFunc) -> "BiPoly":
         if not isinstance(c, RatFunc):
             c = RatFunc.const(c)
         return BiPoly({ij: v * c for ij, v in self.coeffs.items()})
 
-    def __pow__(self, n: int) -> "BiPoly":
-        return power(self, n, BiPoly.const(1))
-
     def partial_x(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): c * i
-                       for (i, j), c in self.coeffs.items() if i > 0})
+        return self._partial(0)
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): c * j
-                       for (i, j), c in self.coeffs.items() if j > 0})
+        return self._partial(1)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -60,10 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _json_list(text: str, flag: str, valid, what: str) -> list:
+    """The JSON list in `text`; ValueError unless every item is `valid`."""
+    raw = json.loads(text)
+    if not (isinstance(raw, list) and all(valid(item) for item in raw)):
+        raise ValueError(f"{flag} must be a JSON list of {what}")
+    return raw
+
+
 def _config_from_args(args) -> RunConfig:
     factors: tuple[tuple[str, bool], ...] = ()
     if args.factors:
-        raw = json.loads(args.factors)
+        raw = _json_list(
+            args.factors, "--factors",
+            lambda item: isinstance(item, dict)
+            and isinstance(item.get("expr"), str),
+            'objects with a string "expr"')
         factors = tuple(
             (item["expr"], bool(item.get("attested_irreducible", False)))
             for item in raw)
@@ -131,7 +143,8 @@ def _run_bm(args) -> int:
     if not args.terms:
         print("bm mode needs --terms", file=sys.stderr)
         return 2
-    exprs = json.loads(args.terms)
+    exprs = _json_list(args.terms, "--terms",
+                       lambda e: isinstance(e, str), "strings")
     terms = [parse_ratfunc(e) for e in exprs]
     places = {parse_place(p.strip())
               for p in args.places.split(",") if p.strip()}

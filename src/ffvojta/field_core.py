@@ -596,8 +596,6 @@ class RatFunc:
         return self.num.constant_value()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         return (
             isinstance(other, RatFunc)
             and self.num == other.num

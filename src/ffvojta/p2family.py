@@ -1,10 +1,12 @@
 """Bidegree bookkeeping and the reducible-quartic family fixture.
 
 Forms live on P^2 x P^1 with coordinates (x0, x1, x2) and (y0, y1); a
-BiForm is bihomogeneous of bidegree (a, b).  The fixture is a pencil of
-reducible plane quartics (two lines plus a conic) whose covering map
-ramifies, away from the boundary, over one ample component; its bad fibers
-and image polynomial are computed here so sections can be audited over Q.
+BiForm is bihomogeneous of bidegree (a, b): a `bipoly.SparsePoly` with
+Fraction coefficients, whose constructor rejects any other input.  The
+fixture is a pencil of reducible plane quartics (two lines plus a conic)
+whose covering map ramifies, away from the boundary, over one ample
+component; its bad fibers and image polynomial are computed here so
+sections can be audited over Q.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, evaluate
+from .bipoly import BiPoly, SparsePoly, evaluate
 from .counting import strip_set_factors
-from .field_core import Place, Poly, RatFunc, factor_poly, power
+from .field_core import Place, Poly, RatFunc, factor_poly
 from .sunits import PlaceSet, SUnit, as_ratfunc
 
 
@@ -57,34 +59,24 @@ def log_canonical_bidegree(d: int, l: int, relative: bool = False) -> BiDegree:
 _VARS = ("x0", "x1", "x2", "y0", "y1")
 
 
-class BiForm:
+class BiForm(SparsePoly):
     """Bihomogeneous form in x0, x1, x2, y0, y1 over Q.
 
     Keys are exponent tuples (e0, e1, e2, f0, f1); every monomial must have
     the same x-degree and the same y-degree.
     """
 
-    __slots__ = ("coeffs", "xdeg", "ydeg")
+    __slots__ = ("xdeg", "ydeg")
+
+    _arity = 5
+    _coerce = staticmethod(Fraction)
 
     def __init__(self, coeffs=None):
-        clean: dict[tuple[int, int, int, int, int], Fraction] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for key, c in items:
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if key in clean:
-                    c = clean[key] + c
-                    if c == 0:
-                        del clean[key]
-                        continue
-                clean[key] = c
-        xdegs = {k[0] + k[1] + k[2] for k in clean}
-        ydegs = {k[3] + k[4] for k in clean}
+        super().__init__(coeffs)
+        xdegs = {k[0] + k[1] + k[2] for k in self.coeffs}
+        ydegs = {k[3] + k[4] for k in self.coeffs}
         if len(xdegs) > 1 or len(ydegs) > 1:
             raise ValueError("a BiForm must be bihomogeneous")
-        self.coeffs = dict(clean)
         self.xdeg = xdegs.pop() if xdegs else 0
         self.ydeg = ydegs.pop() if ydegs else 0
 
@@ -97,60 +89,12 @@ class BiForm:
         return BiForm({(e0, e1, e2, f0, f1): c})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def bidegree(self) -> BiDegree:
         return BiDegree(self.xdeg, self.ydeg)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiForm) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __neg__(self) -> "BiForm":
-        return BiForm({k: -c for k, c in self.coeffs.items()})
-
-    def __add__(self, other: "BiForm") -> "BiForm":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiForm(out)
-
-    def __sub__(self, other: "BiForm") -> "BiForm":
-        return self + (-other)
-
-    def __mul__(self, other: "BiForm") -> "BiForm":
-        out: dict[tuple, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiForm(out)
-
-    def __pow__(self, n: int) -> "BiForm":
-        return power(self, n, BiForm.monomial())
-
     def partial_x(self, k: int) -> "BiForm":
         """Partial derivative with respect to x_k (k in 0..2)."""
-        out = {}
-        for key, c in self.coeffs.items():
-            e = key[k]
-            if e > 0:
-                nk = list(key)
-                nk[k] = e - 1
-                out[tuple(nk)] = c * e
-        return BiForm(out)
+        return self._partial(k)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -256,13 +256,9 @@ def mult_dependence(u: SUnit, v: SUnit) -> DependenceResult:
     b = [ev.get(p, 0) for p in places]
 
     def gamma_for(r: int, s: int) -> RatFunc:
-        value = Fraction(1)
-        merged: dict[Place, int] = {}
-        for p in places:
-            merged[p] = r * eu.get(p, 0) + s * ev.get(p, 0)
-        assert all(e == 0 for e in merged.values())
-        value = (Fraction(u.constant) ** r) * (Fraction(v.constant) ** s)
-        return RatFunc.const(value)
+        # r * a + s * b = 0, so u^r v^s is the constant part alone
+        return RatFunc.const(Fraction(u.constant) ** r
+                             * Fraction(v.constant) ** s)
 
     if not any(a) and not any(b):
         r, s = 1, -1
@@ -271,19 +267,11 @@ def mult_dependence(u: SUnit, v: SUnit) -> DependenceResult:
         return DependenceResult.of(1, 0, gamma_for(1, 0))
     if not any(b):
         return DependenceResult.of(0, 1, gamma_for(0, 1))
-    for i in range(len(places)):
-        for j in range(i + 1, len(places)):
-            if a[i] * b[j] - a[j] * b[i] != 0:
-                return DependenceResult.independent()
-    # Both vectors are nonzero multiples of one primitive direction.
-    g = 0
-    for x in a:
-        g = int_gcd(g, x)
-    direction = [x // g for x in a]
-    k = next(i for i, x in enumerate(direction) if x)
-    m = a[k] // direction[k]
-    n = b[k] // direction[k]
-    r, s = _normalize_pair(n, -m)
+    # the only primitive pair, up to sign, with r * a_k + s * b_k = 0
+    k = next(i for i, x in enumerate(a) if x)
+    r, s = _normalize_pair(b[k], -a[k])
+    if any(r * x + s * y for x, y in zip(a, b)):
+        return DependenceResult.independent()
     return DependenceResult.of(r, s, gamma_for(r, s))
 
 

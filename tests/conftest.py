@@ -7,7 +7,8 @@ repeated `Poly` multiplication over Q, `Poly` products and divisions by
 the Fraction schoolbook, the other `Poly` operations by sympy over QQ
 (`to_sympy` and `from_sympy`), `RatFunc` arithmetic by the unreduced
 pair fed to the normalising constructor, vanishing subsums by summing
-every subset over sympy polynomials, resultants (BiPolys in the variable
+every subset over sympy polynomials, multiplicative dependence by every
+2x2 minor of the exponent vectors, resultants (BiPolys in the variable
 left) by sympy's subresultant PRS over Z[X, Y, t], rational roots by the
 rational-root method over Q[t] with synthetic division, and the
 irreducibility audit by building each specialisation as a sympy expression
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import sympy
 
@@ -138,22 +141,73 @@ def oracle_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
 def oracle_resultant(A, B, main: str):
     """Res_main(A, B) by sympy's subresultant PRS on the inputs cleared to
     da*A and db*B over Z[X, Y, t]: Res(da*A, db*B) = da^n * db^m * Res(A, B)
-    for the main-degrees m of A and n of B.  Returned as a BiPoly in the
-    other variable alone."""
-    from ffvojta.bipoly import BiPoly, _cleared, _gens, _oriented
-    from ffvojta.field_core import from_cleared
+    for the main-degrees m of A and n of B.  The clearing is sympy's own:
+    each input times the lcm of its denominators, then `clear_denoms`.
+    Returned as a BiPoly in the other variable alone."""
+    from ffvojta.bipoly import BiPoly
 
-    X, Y, _, T = _gens()
-    gens = (X, Y, T) if main == "x" else (Y, X, T)
-    pa, da = _cleared(_oriented(A, main), gens)
-    pb, db = _cleared(_oriented(B, main), gens)
+    X, Y = sympy.symbols("X Y")
+    gens = (X, Y, SYMPY_T) if main == "x" else (Y, X, SYMPY_T)
+
+    def cleared(F):
+        d = reduce(lambda p, q: p.lcm(q),
+                   (to_sympy(c.den) for c in F.coeffs.values()))
+        expr = sum((to_sympy(c.num) * d.exquo(to_sympy(c.den))).as_expr()
+                   * X ** i * Y ** j for (i, j), c in F.coeffs.items())
+        k, p = sympy.Poly(expr, *gens, domain="QQ").clear_denoms(convert=True)
+        return p, d * k
+
+    pa, da = cleared(A)
+    pb, db = cleared(B)
     m, n = pa.degree(gens[0]), pb.degree(gens[0])
     # Res(A, B) = (-1)^(m n) Res(B, A); the larger degree goes first, because
     # sympy 1.14's PRS returns the wrong sign for main-degrees (1, 3)
     res = pa.resultant(pb) if m >= n else pb.resultant(pa) * (-1) ** (m * n)
-    coeffs = from_cleared(res, da ** n * db ** m)
-    return BiPoly({((0, e) if main == "x" else (e, 0)): c
-                   for (e,), c in coeffs.items()})
+    den = from_sympy(da ** n * db ** m)
+    coeffs = {}
+    for (e,), c in sympy.Poly(res.as_expr(), gens[1]).terms():
+        num = from_sympy(sympy.Poly(c, SYMPY_T, domain="QQ"))
+        coeffs[(0, e) if main == "x" else (e, 0)] = RatFunc(num, den)
+    return BiPoly(coeffs)
+
+
+def oracle_mult_dependence(u, v):
+    """Multiplicative dependence of two S-units by every 2x2 minor of
+    their exponent vectors, the kernel pair read off their common
+    primitive direction."""
+    from ffvojta.sunits import DependenceResult
+
+    places = sorted({p for p, _ in u.exponents} | {p for p, _ in v.exponents},
+                    key=lambda p: p.sort_key())
+    eu, ev = u.exponent_map(), v.exponent_map()
+    a = [eu.get(p, 0) for p in places]
+    b = [ev.get(p, 0) for p in places]
+
+    def result(r: int, s: int):
+        gamma = Fraction(u.constant) ** r * Fraction(v.constant) ** s
+        return DependenceResult.of(r, s, RatFunc.const(gamma))
+
+    if not any(a) and not any(b):
+        return result(1, -1)
+    if not any(a):
+        return result(1, 0)
+    if not any(b):
+        return result(0, 1)
+    for i in range(len(places)):
+        for j in range(i + 1, len(places)):
+            if a[i] * b[j] - a[j] * b[i] != 0:
+                return DependenceResult.independent()
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+    direction = [x // g for x in a]
+    k = next(i for i, x in enumerate(direction) if x)
+    r, s = b[k] // direction[k], -(a[k] // direction[k])
+    g = gcd(r, s)
+    r, s = r // g, s // g
+    if r < 0 or (r == 0 and s < 0):
+        r, s = -r, -s
+    return result(r, s)
 
 
 ORACLE_ROOT_DEGREE_CAP = 12

@@ -307,6 +307,16 @@ class TestRatFunc:
             assert (f - g) + g == f
             assert 3 - f == RatFunc.const(3) + (-f)
 
+    def test_eq_and_hash_agree(self):
+        # a RatFunc equals only a RatFunc, as Poly and BiPoly do: a number
+        # hashes differently, so equality with it would break set lookups
+        two = RatFunc.const(2)
+        for n in (2, Fraction(2)):
+            assert (two == n) == (n in {two}) == (two in {n})
+            assert two != n
+        assert two == RatFunc(Poly((4,)), Poly((2,)))
+        assert hash(two) == hash(RatFunc(Poly((4,)), Poly((2,))))
+
 
 # factors for planted common parts: places of content 1/L (cleared, t - 1/2
 # is 2t - 1, not monic), a power of t and an irreducible quadratic

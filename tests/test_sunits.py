@@ -30,7 +30,7 @@ from ffvojta.sunits import (
     sunit_from_ratfunc,
     sunit_to_json,
 )
-from conftest import oracle_as_ratfunc, rat, unit_over
+from conftest import oracle_as_ratfunc, oracle_mult_dependence, rat, unit_over
 
 
 P0 = Place.rational(0)
@@ -225,6 +225,30 @@ class TestDependence:
                 assert as_ratfunc(u) ** d.r * as_ratfunc(v) ** d.s == d.gamma
                 assert d.r > 0 or (d.r == 0 and d.s > 0)
         assert hits > 20
+
+    def test_agrees_with_oracle(self):
+        # half the pairs are multiples m*d, n*d of one direction d (m or n
+        # may be 0); the rest are drawn freely and mostly independent
+        S = PlaceSet.of(0, 1, 2, "inf")
+        places = S.finite_places()
+        rng = random.Random(2019)
+        dependent = 0
+        for _ in range(10000):
+            if rng.random() < 0.5:
+                d = [rng.randint(-3, 3) for _ in places]
+                m, n = rng.randint(-3, 3), rng.randint(-3, 3)
+                ea, eb = [m * x for x in d], [n * x for x in d]
+            else:
+                ea = [rng.randint(-2, 2) for _ in places]
+                eb = [rng.randint(-2, 2) for _ in places]
+            u = SUnit.make(rng.choice((1, -2, Fraction(1, 3))),
+                           dict(zip(places, ea)), S)
+            v = SUnit.make(rng.choice((1, 3, Fraction(-1, 2))),
+                           dict(zip(places, eb)), S)
+            d = mult_dependence(u, v)
+            assert d == oracle_mult_dependence(u, v)
+            dependent += d.dependent
+        assert 4000 < dependent < 6000
 
 
 class TestGenerate:

@@ -350,8 +350,15 @@ class TestCLI:
         ["--mode", "verify", "--poly", "X/0"],
         ["--mode", "verify", "--poly", "X+Y+1", "--max-exponent", "0"],
         ["--mode", "audit", "--poly", "X+Y+1", "--u=t+2", "--v=t"],
+        ["--mode", "constants", "--poly", "X+Y+1",
+         "--factors", '[{"attested_irreducible": true}]'],
+        ["--mode", "constants", "--poly", "X+Y+1", "--factors", "[1]"],
+        ["--mode", "bm", "--terms", "[1,2,3]"],
+        ["--mode", "bm", "--terms", "null"],
+        ["--mode", "bm", "--terms", '{"t": 1}'],
     ], ids=["malformed-poly", "zero-denominator", "max-exponent-0",
-            "non-unit"])
+            "non-unit", "factor-without-expr", "factor-not-object",
+            "terms-not-strings", "terms-null", "terms-object"])
     def test_invalid_input_exit_code(self, capsys, argv):
         # exit 2 with one line on stderr; 1 is kept for a failed check
         assert cli_main(argv) == 2
