@@ -43,15 +43,17 @@ from .field_core import (
     RatFunc,
     ZeroPolynomial,
     _image,
+    _over_known_den,
     _pack,
+    _scaled,
     _signed_digits,
     clear_denominators,
-    deriv_omega,
+    factor_poly,
     from_cleared,
     height,
     power,
 )
-from .sunits import SUnit, as_ratfunc, log_derivative
+from .sunits import SUnit, _log_derivative_num, as_ratfunc
 
 
 class ConstantPolynomial(ValueError):
@@ -295,15 +297,37 @@ def poly_height(A: BiPoly) -> int:
 def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
     """The companion polynomial whose value at (u, v) is the derivative.
 
-    Coefficient (i, j) is lam * (i u'/u + j v'/v) + lam', so evaluating it
-    at (u, v) reproduces the derivative of A(u, v) against the form w,
-    exactly.
+    Coefficient (i, j) is lam * (i theta_u + j theta_v) + lam', with theta
+    = du/u and lam' measured against the form w = dt/q, so evaluating it at
+    (u, v) reproduces the derivative of A(u, v) against w, exactly.
+
+    Every denominator is known: with D the product of the places of u and
+    v, theta_u = N_u / D and theta_v = N_v / D
+    (`sunits._log_derivative_num`), and for lam = a/b, lam' = q (a'b - ab')
+    / b^2.  So the coefficient is
+
+        [a b (i N_u + j N_v) + (a'b - ab') q D] / (b^2 D),
+
+    and only a place of D or a factor of b can cancel:
+    `field_core._over_known_den` takes it to its normal form without a gcd.
     """
-    theta_u = log_derivative(u, w)
-    theta_v = log_derivative(v, w)
+    q = w.denominator
+    # the places of D, each with its multiplicity 1 there
+    places = dict.fromkeys((p.poly for p, _ in u.exponents + v.exponents), 1)
+    n_u = _log_derivative_num(u, q, places)
+    n_v = _log_derivative_num(v, q, places)
+    qd = q
+    for r in places:
+        qd = qd * r
     out: dict[tuple[int, int], RatFunc] = {}
     for (i, j), lam in A.coeffs.items():
-        c = lam * (i * theta_u + j * theta_v) + deriv_omega(lam, w)
+        a, b = lam.num, lam.den
+        top = (a * b * (n_u.scale(i) + n_v.scale(j))
+               + (a.derivative() * b - a * b.derivative()) * qd)
+        den = dict(places)
+        for f, m in factor_poly(b):
+            den[f] = den.get(f, 0) + 2 * m
+        c = _over_known_den(top, den.items())
         if not c.is_zero:
             out[(i, j)] = c
     return BiPoly(out)
@@ -429,7 +453,11 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     and m of B's, so by its row sums every coefficient of the resultant is
     at most ||da*A||_1^n * ||db*B||_1^m in absolute value; k is that bound's
     bit length plus one bit for the sign, and the determinant's signed
-    base-2^k digits are the coefficients, read back once.
+    base-2^k digits are the coefficients, read back once.  Each is then
+    divided by da^n * db^m: only a factor of that denominator can cancel,
+    and those factors are those of the monic parts of da and db, with
+    their multiplicities times n and times m, so
+    `field_core._over_known_den` reduces every coefficient without a gcd.
     """
     ia, da = clear_denominators(_oriented(A, main))
     ib, db = clear_denominators(_oriented(B, main))
@@ -450,13 +478,19 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     if not det:
         return BiPoly.zero()
     digits = _signed_digits(det, k, (d_o + 1) * (d_t + 1))
-    # Res(da*A, db*B) = da^n * db^m * Res(A, B)
-    d = da ** n * db ** m
+    # Res(da*A, db*B) = da^n * db^m * Res(A, B): every coefficient is
+    # ts / d with d = da^n * db^m, whose factors are known
+    den: dict[Poly, int] = {}
+    for part, e in ((da, n), (db, m)):
+        for f, mult in factor_poly(part.monic()):
+            den[f] = den.get(f, 0) + mult * e
+    lc = da.lc.numerator ** n * db.lc.numerator ** m
     coeffs = {}
     for e in range(d_o + 1):
         ts = digits[e * (d_t + 1):(e + 1) * (d_t + 1)]
         if any(ts):
-            coeffs[(0, e) if main == "x" else (e, 0)] = RatFunc(Poly(ts), d)
+            coeffs[(0, e) if main == "x" else (e, 0)] = _over_known_den(
+                _scaled(ts, 1, lc), den.items())
     return BiPoly(coeffs)
 
 

@@ -522,7 +522,9 @@ class RatFunc:
     so it is built with `_trusted`, which skips the normalising gcd.  The
     facts used are those of the UFD Q[t]: a factor of a product of coprime
     parts splits into factors of the parts, and powers of coprime
-    polynomials stay coprime.
+    polynomials stay coprime.  Where the irreducible factors of a
+    denominator are known in advance, `_over_known_den` reaches the normal
+    form with no gcd at all.
     """
 
     __slots__ = ("num", "den")
@@ -565,19 +567,19 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(Poly.zero())
+        return RatFunc._trusted(Poly.zero(), Poly.one())
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(Poly.one())
+        return RatFunc._trusted(Poly.one(), Poly.one())
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c))
+        return RatFunc._trusted(Poly.const(c), Poly.one())
 
     @staticmethod
     def t() -> "RatFunc":
-        return RatFunc(Poly.t())
+        return RatFunc._trusted(Poly.t(), Poly.one())
 
     @property
     def is_zero(self) -> bool:
@@ -932,6 +934,37 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
             counts[k] += 1
         scale *= lq ** counts[k]
     return (_scaled(a, scale, lift) if any(counts) else p), counts
+
+
+def _over_known_den(num: Poly, den) -> RatFunc:
+    """num / prod q^m over the pairs (q, m) of `den`, in normal form: each q
+    monic irreducible, no two equal, and m >= 1.
+
+    Only a factor of the denominator can cancel, so no gcd is needed: each
+    q is divided out of num, on integers as in `_divide_out`, until it no
+    longer goes or m times.  What is left of a q that stopped short is
+    coprime to what is left of num, and the distinct q are coprime to each
+    other, so the pair is normal by theorem.  The denominator is one integer
+    product of the primitive P's that remain, and its leading coefficient
+    is the product of their lifts: it comes out monic.
+    """
+    if num.is_zero:
+        return RatFunc.zero()
+    a, lift = _cleared(num.coeffs)
+    scale = down_lift = 1
+    down = []
+    for q, m in den:
+        b, lq = _cleared(q.coeffs)
+        k = 0
+        while k < m and (quot := _exact_quotient(a, b)) is not None:
+            a = quot
+            k += 1
+        scale *= lq ** k
+        if k < m:
+            down.append((b, m - k))
+            down_lift *= lq ** (m - k)
+    return RatFunc._trusted(_scaled(a, scale, lift),
+                            _scaled(_kronecker_product(down), 1, down_lift))
 
 
 def _multiplicity(p: Poly, q: Poly) -> int:

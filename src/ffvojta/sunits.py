@@ -23,6 +23,7 @@ from .field_core import (
     ZeroFunction,
     _cleared,
     _kronecker_product,
+    _over_known_den,
     _scaled,
     divisor_of,
 )
@@ -201,15 +202,50 @@ def sunit_from_ratfunc(f: RatFunc, S: PlaceSet) -> SUnit:
 def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:
     """The function d(u)/u measured against the form w.
 
-    For u = c * prod p^e this is q * sum e p'/p with q the form's
-    denominator.  With the form's poles inside S it has only simple poles
-    and height at most the Euler characteristic of the complement of S.
+    For u = c * prod P^e this is q * sum e P'/P with q the form's
+    denominator, so it is N / D with D the product of the places P of u
+    (`_log_derivative_num`).  Only a P can cancel, at most once, and it
+    does exactly when P divides q; `field_core._over_known_den` takes the
+    pair to its normal form without a gcd.  With the form's poles inside S
+    it has only simple poles and height at most the Euler characteristic
+    of the complement of S.
     """
-    q = RatFunc(w.denominator)
-    total = RatFunc.zero()
-    for p, e in u.exponents:
-        total = total + e * q * RatFunc(p.poly.derivative(), p.poly)
-    return total
+    places = [p.poly for p, _ in u.exponents]
+    return _over_known_den(_log_derivative_num(u, w.denominator, places),
+                           [(r, 1) for r in places])
+
+
+def _log_derivative_num(u: SUnit, q: Poly, places) -> Poly:
+    """The N with d(u)/u = N / prod(places) against the form dt/q, for
+    `places` distinct monic place polynomials that hold the support of u:
+    N = q * sum e * P' * prod_{R != P} R over the (P, e) of u.
+
+    Every polynomial is cleared once (`field_core._cleared`), each term is
+    one integer product (`field_core._kronecker_product`), and N is scaled
+    back once: with R = R_i / L_R and q = q_i / L_q, every term carries
+    the same 1 / (L_q * prod L_R).
+    """
+    exps = {p.poly: e for p, e in u.exponents}
+    q_ints, lift = _cleared(q.coeffs)
+    cleared = []
+    for r in places:
+        ints, lr = _cleared(r.coeffs)
+        cleared.append(ints)
+        lift *= lr
+    # every term has the degree deg q + deg D - 1
+    total = [0] * (len(q_ints) - 1 + sum(len(c) - 1 for c in cleared))
+    for k, r in enumerate(places):
+        e = exps.get(r)
+        if not e:
+            continue
+        ints = cleared[k]
+        others = [(c, 1) for i, c in enumerate(cleared) if i != k]
+        term = _kronecker_product(
+            [(q_ints, 1), ([i * c for i, c in enumerate(ints)][1:], 1),
+             *others])
+        for i, c in enumerate(term):
+            total[i] += e * c
+    return _scaled(total, 1, lift)
 
 
 @dataclass(frozen=True)

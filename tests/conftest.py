@@ -388,6 +388,18 @@ def oracle_proj_height(fs) -> int:
     return -total
 
 
+# place sets beyond the rational ones with infinity: the degree-2 places
+# t^2 + 1 and t^2 + t + 1, and sets without infinity, where a unit's
+# exponents balance and both poles of the chosen form are finite
+ODD_PLACE_SETS = (
+    PlaceSet.of(Poly((1, 0, 1)), "inf"),
+    PlaceSet.of(0, Poly((1, 0, 1)), "inf"),
+    PlaceSet.of(0, 1, Poly((1, 0, 1))),
+    PlaceSet.of(Fraction(1, 2), -1, 3),
+    PlaceSet.of(Poly((1, 0, 1)), Poly((1, 1, 1))),
+)
+
+
 def unit_over(S: PlaceSet, rng: random.Random, max_exp: int):
     """One random valid S-unit (exponents balanced when needed)."""
     from ffvojta.sunits import SUnit

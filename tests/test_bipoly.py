@@ -46,11 +46,13 @@ from ffvojta.field_core import (
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
 from ffvojta.verify import RunConfig, build_context, pair_for_index
 from conftest import (
+    ODD_PLACE_SETS,
     bi,
     oracle_irreducibility_audit,
     oracle_rational_roots,
     oracle_resultant,
     rat,
+    rand_poly,
     rand_ratfunc,
     unit_over,
 )
@@ -178,6 +180,30 @@ class TestBPolynomial:
             B = b_polynomial(A, u, v, w)
             U, V = as_ratfunc(u), as_ratfunc(v)
             assert deriv_omega(evaluate(A, U, V), w) == evaluate(B, U, V)
+
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from(ODD_PLACE_SETS), st.integers(0, 2 ** 32))
+    def test_derivation_identity_rational_coefficients(self, S, seed):
+        # every coefficient has a denominator, and some share a place of
+        # the units, so the companion's divide-out meets b^2 and D at once
+        rng = random.Random(seed)
+        w = choose_omega(S.places)
+        finite = S.finite_places()
+        A = BiPoly({(i, j): RatFunc(rand_poly(rng, 2),
+                                    rand_poly(rng, 1)
+                                    * rng.choice(finite).poly ** rng.randint(0, 2))
+                    for i in range(3) for j in range(3) if rng.random() < 0.6})
+        u = unit_over(S, rng, 3)
+        v = unit_over(S, rng, 3)
+        B = b_polynomial(A, u, v, w)
+        U, V = as_ratfunc(u), as_ratfunc(v)
+        assert deriv_omega(evaluate(A, U, V), w) == evaluate(B, U, V)
+        theta_u = deriv_omega(U, w) / U
+        theta_v = deriv_omega(V, w) / V
+        for (i, j), lam in A.coeffs.items():
+            assert B.coeff(i, j) == (lam * (i * theta_u + j * theta_v)
+                                     + deriv_omega(lam, w))
 
 
 class TestTorusDerivative:

@@ -21,6 +21,7 @@ from ffvojta.field_core import (
     _CERT_PRIME,
     _image,
     _multiplicity,
+    _over_known_den,
     choose_omega,
     deriv_omega,
     divisor_of,
@@ -269,6 +270,41 @@ class TestIntegerKernels:
             _multiplicity(Poly(), T)
 
 
+class TestOverKnownDen:
+    """`_over_known_den` against the normalising constructor: num over a
+    product of places, some of them planted in num too, among them the
+    degree-2 places t^2 + 1 and t^2 + t + 1/3."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_POLYS,
+           st.lists(st.integers(0, 3), min_size=len(_PLACES),
+                    max_size=len(_PLACES)),
+           st.lists(st.integers(0, 3), min_size=len(_PLACES),
+                    max_size=len(_PLACES)))
+    def test_matches_constructor(self, rest, planted, mults):
+        num, den = rest, Poly.one()
+        for place, e, m in zip(_PLACES, planted, mults):
+            num = num * place.poly ** e
+            den = den * place.poly ** m
+        factors = [(place.poly, m) for place, m in zip(_PLACES, mults) if m]
+        got = _over_known_den(num, factors)
+        want = RatFunc(num, den)
+        assert (got.num.coeffs, got.den.coeffs) == (
+            want.num.coeffs, want.den.coeffs)
+
+    def test_examples(self):
+        t, t1 = Poly.t(), Place.rational(1).poly
+        # t^2 (t - 1) / (t^3 (t - 1)^2): each factor goes out as far as it can
+        f = _over_known_den(t ** 2 * t1, [(t, 3), (t1, 2)])
+        assert f == RatFunc(ONE, t * t1)
+        # a multiplicity caps the division: t^3 / t is t^2
+        assert _over_known_den(t ** 3, [(t, 1)]) == RatFunc(t ** 2)
+        assert _over_known_den(Poly.const(Fraction(3, 2)), []) == \
+            RatFunc.const(Fraction(3, 2))
+        zero = _over_known_den(Poly(), [(t, 2)])
+        assert zero.is_zero and zero.den == ONE
+
+
 def _image_reference(f: RatFunc, tau: int, p: int):
     # `_image` as it was, with an inverse for every coefficient
     vals = []
@@ -316,6 +352,16 @@ class TestRatFunc:
             assert two != n
         assert two == RatFunc(Poly((4,)), Poly((2,)))
         assert hash(two) == hash(RatFunc(Poly((4,)), Poly((2,))))
+
+    @pytest.mark.parametrize("built, num, den", [
+        (RatFunc.zero(), Poly(), ONE), (RatFunc.one(), ONE, ONE),
+        (RatFunc.const(0), Poly(), ONE),
+        (RatFunc.const(Fraction(-3, 4)), Poly((Fraction(-3, 4),)), ONE),
+        (RatFunc.t(), T, ONE),
+    ])
+    def test_constants_in_normal_form(self, built, num, den):
+        assert (built.num, built.den) == (num, den) == (
+            RatFunc(num, den).num, RatFunc(num, den).den)
 
 
 # factors for planted common parts: places of content 1/L (cleared, t - 1/2

@@ -30,7 +30,13 @@ from ffvojta.sunits import (
     sunit_from_ratfunc,
     sunit_to_json,
 )
-from conftest import oracle_as_ratfunc, oracle_mult_dependence, rat, unit_over
+from conftest import (
+    ODD_PLACE_SETS,
+    oracle_as_ratfunc,
+    oracle_mult_dependence,
+    rat,
+    unit_over,
+)
 
 
 P0 = Place.rational(0)
@@ -158,6 +164,16 @@ class TestLogDerivative:
             if u.is_constant:
                 continue
             assert log_derivative(u, w) == deriv_omega(f, w) / f
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.sampled_from(ODD_PLACE_SETS), st.integers(0, 2 ** 32))
+    def test_matches_derivative_quotient_on_odd_sets(self, S, seed):
+        # the divide-out of q's places: t^2 + 1 cancels when it is the
+        # form's pole, and no set here has a pole at infinity
+        w = choose_omega(S.places)
+        u = unit_over(S, random.Random(seed), 4)
+        f = as_ratfunc(u)
+        assert log_derivative(u, w) == deriv_omega(f, w) / f
 
     def test_additive(self):
         rng = random.Random(6)

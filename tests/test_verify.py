@@ -244,6 +244,27 @@ class TestAudit:
         assert hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest() == (
             "c4162117170b9547f8e12df0cefeda68dca45022ff7da50f39a90b956de0effd")
 
+    @pytest.mark.parametrize("index, outcome_digest", [
+        # the Y-resultant's roots need sympy's factorisation; only 0 is one
+        (0, "e784820b6bca714943f267536a76082ff35fb8351cb13a3f9e632945df76a18b"),
+        # the costliest pair of the 144
+        (10, "7a80e5f9f3e928e29b61ecfb2e2cf85811858010273c908d8daa3c5fe753f091"),
+        # the Y-resultant has the nonzero rational root 1/t
+        (39, "8760658d427aae2575b01110194e89d1c5ee88d8841e8fef2bdd113cff54bc45"),
+    ])
+    def test_cubic_audit_pairs_pinned(self, index, outcome_digest):
+        # the pairs of the cubic audit at max_exponent 2, seed 7: the
+        # companion's coefficients and the resultants' normal forms decide
+        # every byte of the report
+        cfg = RunConfig(poly="X^2*Y+X*Y^2-t*(X+Y)+1",
+                        places=("0", "1", "inf"), epsilon="1/2",
+                        max_exponent=2, seed=7, mode="audit")
+        u, v = pair_for_index(build_context(cfg), index)
+        rep = audit_steps(cfg, u, v)
+        assert rep["outcome"] == "not_split"
+        assert hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest() == (
+            outcome_digest)
+
     def test_attestation_required(self):
         cfg = RunConfig(poly="X+Y+1", places=("0", "inf"),
                         factors=(("X+Y+1", False),))
