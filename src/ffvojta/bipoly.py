@@ -13,13 +13,17 @@ Resultants and rational roots run on integers.  A resultant clears both
 inputs of denominators (`field_core.clear_denominators`), packs each
 Sylvester entry into one integer by Kronecker substitution and takes one
 fraction-free Bareiss determinant, whose signed digits are the
-coefficients.  Rational roots start with a certificate: one image mod a
-small prime p at t = tau with the full degree and no root in F_p proves
-there is no root besides 0.  Only when no image proves it is the cleared
-polynomial in Z[Z, t] factored by sympy (Wang's algorithm); bivariate gcds
-and the specialisation audit also go to sympy over Z[X, Y, t], and a
-result comes back through `field_core.from_cleared`.  Gcds, factorisation
-and resultants first check a size cap and raise InputTooLarge past it.
+coefficients.  Rational roots specialise the cleared polynomial at a
+small t = tau, find the rational roots of that image p-adically (roots mod
+a small prime, Hensel lifting, rational reconstruction) and lift each one
+t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
+root rebuilt by Pade reconstruction; exact division in Z[t][Z] keeps it,
+and an image with no rational root proves there is none.  Only when no
+tau decides is the polynomial factored over Z[Z, t] by sympy (Wang's
+algorithm).  Bivariate gcds and the specialisation audit go to sympy over
+Z[X, Y, t], and a result comes back through `field_core.from_cleared`.
+Gcds, root finding and resultants first check a size cap and raise
+InputTooLarge past it.
 
 The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
 with the `field_core._image` helper that the vanishing-subsum search
@@ -32,7 +36,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from itertools import zip_longest
+from math import gcd as int_gcd, isqrt, perm
 from operator import add
 
 from .field_core import (
@@ -42,7 +47,9 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroPolynomial,
+    _exact_quotient,
     _image,
+    _kronecker_product,
     _over_known_den,
     _pack,
     _scaled,
@@ -357,12 +364,12 @@ def _gens() -> tuple:
 
     return sympy.symbols("X Y Z t")
 
-# Cap on the size of a polynomial over Z[t] that sympy factors, takes a gcd
-# of, or that a resultant produces: its degree z in the main variable (for
-# a gcd, the larger of its X- and Y-degrees) times its degree
-# in t.  The work grows faster than linearly in either degree alone, so
-# each counts as at least an eighth of the other (and 1): under the cap,
-# z and t are each at most 64.
+# Cap on the size of a polynomial over Z[t] whose rational roots are
+# sought, whose gcd sympy takes, or that a resultant produces: its degree z
+# in the main variable (for a gcd, the larger of its X- and Y-degrees)
+# times its degree in t.  The work grows faster than linearly in either
+# degree alone, so each counts as at least an eighth of the other (and 1):
+# under the cap, z and t are each at most 64.
 CLEARED_SIZE_CAP = 512
 
 
@@ -592,47 +599,332 @@ def has_repeated_factors(A: BiPoly) -> bool:
 # Rational roots of a polynomial in one variable
 # ---------------------------------------------------------------------------
 
-# The (p, tau) pairs of the no-root certificate, tried in this order: small
-# primes, so that a root search mod p is a short loop, each with its own
-# tau.  On the audit_cubic pool every resultant without a nonzero rational
-# root was certified by the 13th pair.
-_ROOT_CERT_TRIES = tuple(zip(
-    (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167,
-     173, 179),
-    range(2, 18)))
+# The points t = tau at which `rational_roots` specialises, in this order:
+# small, so that the images have small coefficients.
+_LIFT_POINTS = tuple(range(2, 10))
+
+# The primes for the rational roots of an image in Z[x] of degree n: the
+# first three above n that do not divide its leading coefficient.  Above
+# n, a root mod p of multiplicity mu is a simple root of the (mu-1)-th
+# derivative; five are above 64, the largest degree CLEARED_SIZE_CAP lets
+# through.
+_IMAGE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83)
+
+# Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
+# prime by the Lucas-Lehmer test); the t-adic lift runs modulo the least
+# one above twice its coefficient bound.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423)
 
 
-def _no_root_certificate(ints: list[list[int]]) -> tuple[int, int] | None:
-    """The first (p, tau) of _ROOT_CERT_TRIES that proves the polynomial
-    with the coefficients `ints` (integer lists in t, lowest Z-degree first)
-    has no root in Q(t).
+def _value(f, x: int) -> int:
+    """f(x) for a sequence f of ints, lowest degree first."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
-    A root -b/a in Q(t), with a*Z + b primitive in Z[t][Z], makes a*Z + b a
-    factor of the polynomial (Gauss's lemma), so a divides its leading
-    coefficient.  At a tau where the leading coefficient is nonzero mod p,
-    a(tau) is nonzero mod p too, and -b(tau)/a(tau) is a root of the image
-    in F_p[Z].  An image of full degree with no root in F_p therefore
-    proves there is no root.  None means no pair proved it.
+
+def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
+    """The rational roots of g in Z[x] (lowest degree first, g(0) and
+    lc(g) nonzero) with their multiplicities, or None when no prime of
+    _IMAGE_PRIMES decides them.
+
+    A root u/v in lowest terms has u | g(0) and v | lc(g).  For a prime p
+    that does not divide lc(g) it reduces to a root x of g mod p, and if x
+    has multiplicity mu there, mu roots of g over the p-adic numbers, with
+    multiplicity, reduce to x.  x is a simple root of the (mu-1)-th
+    derivative h mod p, so Newton's iteration lifts it to the one p-adic
+    root of h above x, to a precision q = p^(2^i) above 2 |g(0) lc(g)|,
+    where rational reconstruction finds u/v if it is that root (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 5.10), and exact division
+    confirms it.  A root confirmed with multiplicity mu accounts for
+    everything above x, and for mu = 1 the lift is the only root above x,
+    so no confirmed root means no rational root there.  Anything else
+    leaves the prime undecided.
     """
-    for p, tau in _ROOT_CERT_TRIES:
-        image = []
-        for ts in ints:
-            acc = 0
-            for c in reversed(ts):
-                acc = (acc * tau + c) % p
-            image.append(acc)
-        if not image[-1]:
-            continue
-        image.reverse()
-        for x in range(p):
-            acc = 0
-            for c in image:
-                acc = (acc * x + c) % p
-            if not acc:
+    bound = 2 * abs(g[0] * g[-1])
+    primes = [p for p in _IMAGE_PRIMES if p >= len(g) and g[-1] % p]
+    for p in primes[:3]:
+        gp = [c % p for c in g]
+        values = [0] * p
+        for c in reversed(gp):
+            values = [(v * x + c) % p for x, v in enumerate(values)]
+        found: dict[Fraction, int] = {}
+        for x in (x for x, v in enumerate(values) if not v):
+            mu, rest = 0, gp
+            while True:
+                # synthetic division by (Z - x) mod p: the quotient, top
+                # down, then the remainder
+                acc, quo = 0, []
+                for c in reversed(rest):
+                    acc = (acc * x + c) % p
+                    quo.append(acc)
+                if acc:
+                    break
+                rest, mu = quo[-2::-1], mu + 1
+            h = [perm(i, mu - 1) * c for i, c in enumerate(g)][mu - 1:]
+            root = _reconstructed(*_padic_root(h, x, p, bound),
+                                  abs(g[0]), abs(g[-1]))
+            m, rest = 0, g
+            linear = None if root is None else [-root.numerator,
+                                                root.denominator]
+            while linear and m < mu:
+                rest = _exact_quotient(rest, linear)
+                if rest is None:
+                    break
+                m += 1
+            if m == mu:
+                found[root] = mu
+            elif mu > 1:
                 break
         else:
-            return p, tau
+            return found
     return None
+
+
+def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:
+    """The root of h above its simple root x mod p, to a precision q above
+    `bound`, by Newton's iteration: (root mod q, q)."""
+    q = p
+    while q <= bound:
+        q *= q
+        acc = der = 0
+        for c in reversed(h):
+            der = (der * x + acc) % q
+            acc = (acc * x + c) % q
+        x = (x - acc * pow(der, -1, q)) % q
+    return x, q
+
+
+def _reconstructed(x: int, q: int, n: int, d: int) -> Fraction | None:
+    """The fraction u/v with |u| <= n and 0 < v <= d congruent to x mod q,
+    unique when 2nd < q, by the half-extended Euclidean algorithm; None
+    when there is none."""
+    r0, r1, s0, s1 = q, x, 0, 1
+    while r1 > n:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if not s1 or abs(s1) > d:
+        return None
+    return Fraction(r1, s1)
+
+
+def _series_mul(a: list[int], b: list[int], n: int, mod: int) -> list[int]:
+    """a * b mod (s^n, mod) for power series a and b in s, lowest first."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
+    return [c % mod for c in out]
+
+
+def _series_inverse(a: list[int], n: int, mod: int) -> list[int]:
+    """1 / a mod (s^n, mod), for a[0] a unit mod `mod`."""
+    inv = pow(a[0], -1, mod)
+    out = [inv]
+    for k in range(1, n):
+        acc = sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+        out.append(-acc * inv % mod)
+    return out
+
+
+def _trim(f: list[int]) -> list[int]:
+    """f without its trailing zeros."""
+    n = len(f)
+    while n and not f[n - 1]:
+        n -= 1
+    return f[:n]
+
+
+def _plus(a: list[int], b: list[int], mod: int) -> list[int]:
+    """a + b mod `mod`, coefficientwise."""
+    return [(x + y) % mod for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
+    """a - b, coefficientwise and reduced mod `mod` when it is given, with
+    the trailing zeros dropped."""
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    return _trim([c % mod for c in out] if mod else out)
+
+
+def _divmod_mod(a: list[int], b: list[int], mod: int):
+    """Quotient and remainder of a by b over the field Z/mod, lowest first."""
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, mod)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = quo[i - db] = a[i] * inv % mod
+        if c:
+            for j in range(db):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % mod
+    return quo, _trim(a[:db])
+
+
+def _pade(f: list[int], n: int, k: int, mod: int):
+    """(r, q) with r = q * f mod s^n, deg r < k and deg q <= n - k, over
+    the field Z/mod, by the extended Euclidean algorithm on s^n and f,
+    stopped at the first remainder of degree below k (Modern Computer
+    Algebra, 5.9): every such pair is a multiple of this one."""
+    r0, r1, q0, q1 = [0] * n + [1], _trim(f), [], [1]
+    while len(r1) > k:
+        quo, rem = _divmod_mod(r0, r1, mod)
+        prod = _series_mul(quo, q1, len(quo) + len(q1) - 1, mod)
+        q0, q1 = q1, _minus(q0, prod, mod)
+        r0, r1 = r1, rem
+    return r1, q1
+
+
+def _shift(f: list[int], tau: int, mod: int) -> list[int]:
+    """The coefficients of f(s + tau) mod `mod`, lowest first."""
+    out: list[int] = []
+    for c in reversed(f):
+        nxt = [tau * x for x in out] + [0]
+        for i, x in enumerate(out):
+            nxt[i + 1] += x
+        nxt[0] += c
+        out = [x % mod for x in nxt]
+    return out
+
+
+def _divide_linear(cols: list[list[int]], a: list[int], b: list[int],
+                   m: int) -> list[list[int]] | None:
+    """The quotient of sum cols[i] Z^i by (a*Z + b)^m in Z[t][Z] (integer
+    lists in t, lowest first, [] for 0), or None when the division is not
+    exact."""
+    for _ in range(m):
+        quo = [[]] * (len(cols) - 1)
+        rem = cols[-1]
+        for i in range(len(cols) - 2, -1, -1):
+            q = _exact_quotient(rem, a) if rem else []
+            if q is None:
+                return None
+            quo[i] = q
+            if b and q:
+                rem = _minus(cols[i], _kronecker_product(((b, 1), (q, 1))))
+            else:
+                rem = cols[i]
+        if rem:
+            return None
+        cols = quo
+    return cols
+
+
+def _lifted_root(shifted: list[list[int]], r0: Fraction, m: int, tau: int,
+                 lc_t: int, degrees: tuple[int, int], mod: int):
+    """The primitive a*Z + b, as integer lists (a, b), that the image root
+    r0 of multiplicity m lifts to, or None.
+
+    `shifted` holds G's coefficients in s = t - tau, mod `mod`.  r0 is a
+    simple root of the image of H, the (m-1)-th Z-derivative of G, so
+    Newton's iteration lifts it to the one root R of H in (Z/mod)[[s]]
+    above it, to the precision n = deg a + deg b + 1 of the degree bounds
+    `degrees` = (deg lc_Z(G), deg G(0)).  If G has a root -b/a of
+    multiplicity m above r0, that root is R, and Pade reconstruction gives
+    r/q = R with q a constant multiple of a mod `mod` (while a and b stay
+    coprime mod `mod`).  Scaled so that lc(q) = lc_t and shifted back to t,
+    q and -r are a' = a * lc_t / lc(a) and b' = b * lc_t / lc(a) mod `mod`,
+    which exceeds twice their coefficients, so the symmetric residues are
+    a' and b' themselves.  The caller's exact division decides every other
+    case.
+    """
+    h = [[perm(i, m - 1) * c % mod for c in ts]
+         for i, ts in enumerate(shifted)][m - 1:]
+    den = r0.denominator % mod
+    if not den:
+        return None
+    root = [r0.numerator * pow(den, -1, mod) % mod]
+    n = degrees[0] + degrees[1] + 1
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        root += [0] * (prec - len(root))
+        val, der = h[-1][:prec], []
+        for ts in reversed(h[:-1]):
+            der = _plus(_series_mul(der, root, prec, mod), val, mod)
+            val = _plus(_series_mul(val, root, prec, mod), ts[:prec], mod)
+        if not der[0]:
+            return None
+        step = _series_mul(val, _series_inverse(der, prec, mod), prec, mod)
+        root = [(x - y) % mod for x, y in zip(root, step)]
+    r, q = _pade(root, n, degrees[1] + 1, mod)
+    if len(q) - 1 > degrees[0] or not q[0]:
+        return None
+    scale = lc_t * pow(q[-1], -1, mod)
+    half = mod // 2
+    a, b = ([c - mod if c > half else c
+             for c in _shift([x * scale for x in f], -tau, mod)]
+            for f in (q, [-x for x in r]))
+    content = int_gcd(*a, *b)
+    return [c // content for c in a], [c // content for c in b]
+
+
+def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int] | None:
+    """The roots in Q(t) with their multiplicities of G = sum cols[i] Z^i
+    in Z[t][Z] (integer lists in t, lowest first; G(0) nonzero), or None
+    when no point of _LIFT_POINTS decides them.
+
+    A root -b/a with a*Z + b primitive divides G (Gauss's lemma), so a |
+    lc_Z(G) and b | G(0).  At a tau where neither vanishes, a(tau) != 0 and
+    the root's value at tau is a rational root r0 of the image
+    G(Z, tau); if r0 has multiplicity m there, m roots of G over the
+    algebraic closure, with multiplicity, take the value r0 at tau.  Each
+    r0 is lifted to one candidate (`_lifted_root`), kept only if a*Z + b
+    divides G exactly m times: then it accounts for all m, and when every
+    r0 has such a candidate, they are all the roots.  Otherwise the next
+    tau is tried.  By Mignotte's factor bound (Modern Computer Algebra,
+    6.33) the coefficients of a' = a * lc_t / lc(a) are at most
+    2^deg(a) ||lc_Z(G)||_2 and those of b' at most
+    |lc_t| 2^deg(b) ||G(0)||_2, lc_t the leading coefficient of lc_Z(G),
+    so the lift runs modulo the least Mersenne prime above twice the
+    larger; past 2^4423 - 1 it is None.
+    """
+    if len(cols) == 1:
+        return {}
+    lc, g0 = cols[-1], cols[0]
+    degrees = (len(lc) - 1, len(g0) - 1)
+    norm = isqrt(max(sum(c * c for c in lc), sum(c * c for c in g0))) + 1
+    bound = 2 * abs(lc[-1]) * norm << max(degrees)
+    mod = next((2 ** e - 1 for e in _MERSENNE_EXPONENTS
+                if 2 ** e - 1 > bound), None)
+    if mod is None:
+        return None
+    for tau in _LIFT_POINTS:
+        image = [_value(ts, tau) for ts in cols]
+        if not image[0] or not image[-1]:
+            continue
+        image_roots = _image_roots(image)
+        if image_roots is None:
+            continue
+        shifted = [_shift(ts, tau, mod) for ts in cols] if image_roots else []
+        found: dict[RatFunc, int] = {}
+        rest = cols
+        for r0, m in image_roots.items():
+            factor = _lifted_root(shifted, r0, m, tau, lc[-1], degrees, mod)
+            rest = factor and _divide_linear(rest, *factor, m)
+            if rest is None:
+                break
+            a, b = factor
+            found[RatFunc(Poly([-c for c in b]), Poly(a))] = m
+        else:
+            return found
+    return None
+
+
+def _factored_roots(ints: dict) -> dict[RatFunc, int]:
+    """The roots in Q(t) with their multiplicities of the polynomial with
+    the coefficients `ints`, read off the factors a*Z + b of one sympy
+    factorisation over Z[Z, t] (Wang's algorithm)."""
+    _, _, Z, T = _gens()
+    zero = RatFunc.zero()
+    found: dict[RatFunc, int] = {}
+    for fac, m in _to_sympy(ints, (Z, T)).factor_list()[1]:
+        if fac.degree(Z) == 1:
+            lin = from_cleared(fac, Poly.one())
+            found[-lin.get((0,), zero) / lin[(1,)]] = m
+    return found
 
 
 def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
@@ -641,14 +933,13 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     involves both.
 
     The root 0 comes off first: F = Z^k * G with G(0) != 0 has it k times.
-    G is cleared to Z[t][Z], and when one image of G mod p at t = tau has
-    the full degree and no root in F_p, G has no root in Q(t)
-    (`_no_root_certificate`).  Otherwise G is factored once over
-    Z[Z, t] (sympy's Wang algorithm), and each factor a*Z + b of Z-degree 1
-    contributes the root -b/a with the factor's multiplicity.  Roots are
-    sorted by their numerator and denominator coefficients, so zero roots
-    come first.  The flag is True exactly when the roots account for the
-    full degree of F.
+    G is cleared to Z[t][Z] and its roots are found by specialising t at a
+    small tau, finding the rational roots of that image p-adically and
+    lifting each t-adically (`_lifted_roots`); an image with no rational
+    root proves there is none.  Only when no tau decides is G factored
+    over Z[Z, t] by sympy (`_factored_roots`).  Roots are sorted by their
+    numerator and denominator coefficients, so zero roots come first.  The
+    flag is True exactly when the roots account for the full degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
@@ -661,17 +952,10 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     G = {(i - k,): by_degree.get(i, zero) for i in range(k, degree + 1)}
     ints, _ = clear_denominators(G)
     _check_size(degree, max(len(ts) for ts in ints.values()) - 1)
+    found = _lifted_roots(list(ints.values()))
+    if found is None:
+        found = _factored_roots(ints)
     roots = [zero] * k
-    if _no_root_certificate(list(ints.values())):
-        return roots, len(roots) == degree
-    _, _, Z, T = _gens()
-    p = _to_sympy(ints, (Z, T))
-    found: dict[RatFunc, int] = {}
-    for fac, m in p.factor_list()[1]:
-        if fac.degree(Z) == 1:
-            lin = from_cleared(fac, Poly.one())
-            root = -lin.get((0,), zero) / lin[(1,)]
-            found[root] = m
     roots += [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
               for _ in range(found[r])]
     return roots, len(roots) == degree

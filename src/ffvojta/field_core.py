@@ -362,22 +362,31 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
 
     d is the monic lcm of the denominators times the least positive integer
     that clears the rational coefficients left; the lcm is taken once per
-    distinct denominator.
+    distinct denominator.  The distinct ones are found by identity and `==`
+    in a short list, not by hashing: they are few, and a Poly's hash
+    hashes every Fraction coefficient.
     """
     one = Poly.one()
-    pairs = {k: (c.num, c.den) if isinstance(c, RatFunc) else (c, one)
-             for k, c in coeffs.items()}
-    dens = {q for _, q in pairs.values()}
+    pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
+             for c in coeffs.values()]
+    dens: list[Poly] = []
+    which = []
+    for _, q in pairs:
+        i = next((i for i, d in enumerate(dens) if q is d or q == d),
+                 len(dens))
+        if i == len(dens):
+            dens.append(q)
+        which.append(i)
     den = one
     for q in dens:
         if not q.is_constant:
             den = poly_lcm(den, q)
-    cofactors = {q: den // q for q in dens if q != den}
-    nums = {k: n * cofactors[q] if q in cofactors else n
-            for k, (n, q) in pairs.items()}
-    scale = lcm(*(a.denominator for n in nums.values() for a in n.coeffs))
+    cofactors = [None if q == den else den // q for q in dens]
+    nums = [n if cofactors[i] is None else n * cofactors[i]
+            for (n, _), i in zip(pairs, which)]
+    scale = lcm(*(a.denominator for n in nums for a in n.coeffs))
     ints = {k: [a.numerator * (scale // a.denominator) for a in n.coeffs]
-            for k, n in nums.items()}
+            for k, n in zip(coeffs, nums)}
     return ints, den.scale(scale)
 
 

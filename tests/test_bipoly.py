@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffvojta.bipoly import (
     BiPoly,
@@ -15,8 +15,11 @@ from ffvojta.bipoly import (
     DegenerateDegree,
     InputTooLarge,
     PreconditionViolated,
-    _ROOT_CERT_TRIES,
-    _no_root_certificate,
+    _IMAGE_PRIMES,
+    _LIFT_POINTS,
+    _image_roots,
+    _lifted_roots,
+    _value,
     b_polynomial,
     bipoly_gcd,
     check_dependence_transfer,
@@ -545,6 +548,58 @@ def _planted(rng: random.Random) -> tuple[BiPoly, list[RatFunc], bool]:
     return F, roots, quadratic
 
 
+@st.composite
+def _lift_inputs(draw):
+    """(F, planted, quadratic) for the specialise-and-lift path: planted
+    nonzero roots, each 1 to 3 times and 4 in all at most, among them roots
+    that agree with another at the first tau, roots with a pole there (so
+    the cleared leading coefficient vanishes) and roots with coefficients
+    near 2^61, where the lift's modulus moves to the next Mersenne prime;
+    maybe an irreducible quadratic cofactor.  The extreme coefficients stay
+    within the oracle's degree cap."""
+    tau = _LIFT_POINTS[0]
+    small = st.integers(-4, 4)
+    big = st.integers(2 ** 59, 2 ** 63) | st.integers(-2 ** 63, -2 ** 59)
+    roots: list[RatFunc] = []
+    total = 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("plain", "agree", "pole", "big")))
+        if kind == "agree" and roots:
+            c = draw(st.integers(1, 3))
+            r = draw(st.sampled_from(roots)) + RatFunc(Poly([-tau * c, c]))
+        elif kind == "pole":
+            r = RatFunc(Poly([draw(small), draw(small)]), Poly([-tau, 1]))
+        else:
+            num = big if kind == "big" else small
+            den = Poly([draw(st.integers(1, 4)), draw(st.integers(0, 2))])
+            r = RatFunc(Poly([draw(num), draw(num)]), den)
+        if r.is_zero or r in roots or total == 4:
+            continue
+        m = draw(st.integers(1, min(3, 4 - total)))
+        roots += [r] * m
+        total += m
+    F = _z(RatFunc.const(draw(st.integers(1, 3))))
+    for r in roots:
+        F = F * _linear(r)
+    quadratic = draw(st.booleans())
+    if quadratic:
+        c = draw(st.sampled_from(("2", "-1", "t", "t^2+1", "t^2+2")))
+        F = F * _z(-rat(c), 0, 1)
+    return F, roots, quadratic
+
+
+def _lift_case(roots: list[str], square: str | None = None):
+    """The `_lift_inputs` case with these planted roots, each listed as
+    often as it is repeated, and the cofactor Z^2 - square if given."""
+    planted = [rat(r) for r in roots]
+    F = _z(1)
+    for r in planted:
+        F = F * _linear(r)
+    if square is not None:
+        F = F * _z(-rat(square), 0, 1)
+    return F, planted, square is not None
+
+
 def _cleared_ints(F: BiPoly) -> list[list[int]]:
     ints, _ = clear_denominators({(i,): F.coeff(i, 0)
                                   for i in range(F.deg_x + 1)})
@@ -620,40 +675,79 @@ class TestRationalRoots:
 
     def test_root_mod_every_prime(self):
         # (Z^2 - 2)(Z^2 - 3)(Z^2 - 6) has a root mod every prime, since one
-        # of 2, 3, 6 is a square there, but none in Q(t): no certificate,
-        # and the factorisation finds nothing
+        # of 2, 3, 6 is a square there, but none in Q(t): every image prime
+        # sees roots, the p-adic lifts prove none is rational, and the
+        # factorisation is never reached
         F = _z(1)
         for c in (2, 3, 6):
             F = F * _z(-c, 0, 1)
-        assert _no_root_certificate(_cleared_ints(F)) is None
+        image = [_value(ts, 0) for ts in _cleared_ints(F)]
+        assert all(any(not _value(image, x) % p for x in range(p))
+                   for p in _IMAGE_PRIMES)
+        assert _image_roots(image) == {}
+        assert _lifted_roots(_cleared_ints(F)) == {}
         assert rational_roots(F) == oracle_rational_roots(F) == ([], False)
 
     def test_vanishing_leading_coefficient_skipped(self):
-        # ((t - 2) Z + 1)(Z^2 - t): at the first (p, tau) the leading
-        # coefficient vanishes and the image drops to Z^2 - 2, which has no
-        # root mod p; the root 1/(2 - t) is still found
-        p, tau = _ROOT_CERT_TRIES[0]
-        assert tau == 2 and pow(2, (p - 1) // 2, p) == p - 1
+        # ((t - 2) Z + 1)(Z^2 - t): at the first tau the leading coefficient
+        # vanishes and the image would drop to Z^2 - 2, which has no
+        # rational root; that tau is skipped and the root 1/(2 - t) is
+        # still found, without the factorisation
+        assert _LIFT_POINTS[0] == 2
         root = rat("1/(2-t)")
         F = _linear(root) * _z(-rat("t"), 0, 1) * _z(rat("t-2"))
-        assert _no_root_certificate(_cleared_ints(F)) is None
+        ints = _cleared_ints(F)
+        assert _value(ints[-1], 2) == 0 and _value(ints[0], 2) != 0
+        assert _lifted_roots(ints) == {root: 1}
         assert rational_roots(F) == oracle_rational_roots(F) == ([root], False)
 
     def test_certificate_and_fallback(self):
-        # without a rational root a certificate is found; planted roots
-        # with denominators take the factorisation
+        # without a rational root the image at the first tau has none
+        # either, which proves it; planted roots with denominators are
+        # lifted from the image roots, without the factorisation
         for expr in ("t", "t^2+1", "2*t-1", "-t^3+t"):
             F = _z(-rat(expr), 0, 1)
-            assert _no_root_certificate(_cleared_ints(F)) is not None
+            image = [_value(ts, _LIFT_POINTS[0]) for ts in _cleared_ints(F)]
+            assert _image_roots(image) == {}
             assert rational_roots(F) == ([], False)
         roots = [rat("1/t"), rat("(t+1)/(t-1)"), rat("-3/(2*t^2+1)")]
         F = _z(-rat("t^3+2"), 0, 1)
         for r in roots:
             F = F * _linear(r)
-        assert _no_root_certificate(_cleared_ints(F)) is None
+        assert _lifted_roots(_cleared_ints(F)) == dict.fromkeys(roots, 1)
         found = rational_roots(F)
         assert found == oracle_rational_roots(F)
         assert found == (sorted(roots, key=_key), False)
+
+    @given(_lift_inputs())
+    @example(_lift_case(["t+1", "2*t-1"], "2"))
+    @example(_lift_case(["1/(t-2)", "(t+3)/(t-2)", "3"]))
+    @example(_lift_case(["1/t", "1/t", "-t-1", "-t-1", "-t-1"], "t"))
+    @example(_lift_case([f"({2 ** 61 - 2}*t-1)/(t+1)", f"-{2 ** 62 + 1}"]))
+    @settings(max_examples=25, deadline=None, database=None,
+              derandomize=True)
+    def test_lift_agrees_with_oracle(self, case):
+        F, planted, quadratic = case
+        roots, complete = rational_roots(F)
+        assert (roots, complete) == oracle_rational_roots(F)
+        assert roots == sorted(planted, key=_key)
+        assert complete is not quadratic
+        assert rational_roots(_swap(F)) == (roots, complete)
+
+    def test_roots_agreeing_at_every_point_fall_back(self):
+        # R2 - R1 vanishes at every tau of _LIFT_POINTS, so each image has
+        # the double root R1(tau), whose lift (a root of dG/dZ) is no root
+        # of G; no tau decides, and the factorisation finds both
+        r1 = rat("t+1")
+        gap = RatFunc.one()
+        for tau in _LIFT_POINTS:
+            gap = gap * RatFunc(Poly([-tau, 1]))
+        r2 = r1 + gap
+        F = _linear(r1) * _linear(r2)
+        assert _lifted_roots(_cleared_ints(F)) is None
+        assert rational_roots(F) == oracle_rational_roots(F) == (
+            sorted([r1, r2], key=_key), True)
+        assert rational_roots(_swap(F)) == rational_roots(F)
 
     def test_complete_past_old_cap(self):
         # extreme coefficients of t-degree above 12: the oracle gives up,
