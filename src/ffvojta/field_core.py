@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(t), places and divisors on the projective line.
 
-Everything here is immutable and exact: polynomials are tuples of
-`fractions.Fraction` coefficients (lowest degree first), rational functions
-are coprime numerator/denominator pairs with monic denominator, and a place
-is either a monic irreducible polynomial over Q or the point at infinity.
+Everything here is immutable and exact: a polynomial is a tuple of
+integers over one positive integer denominator (lowest degree first, in
+lowest terms), rational functions are coprime numerator/denominator pairs
+with monic denominator, and a place is either a monic irreducible
+polynomial over Q or the point at infinity.
 Geometric counts always weight a place by its degree, so the sums over
 "all points" of the algebraically closed picture stay exact over Q.
 """
@@ -14,8 +15,8 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 
 class ZeroFunction(ValueError):
@@ -114,133 +115,174 @@ def _signed_digits(packed: int, k: int, n: int) -> list[int]:
     return [((packed >> i) & mask) - half for i in range(0, width, k)]
 
 
-def _cleared(coeffs: tuple) -> tuple[list[int], int]:
-    """Rational coefficients as (ints, L) with coeffs = ints / L: L the least
-    positive integer that clears every denominator."""
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Rational coefficients (ints or Fractions) as (ints, L) with
+    coeffs = ints / L: L the least positive integer that clears every
+    denominator.  It is how `Poly` takes rational input; a Poly itself is
+    stored cleared."""
     lift = lcm(*[c.denominator for c in coeffs])
     if lift == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (lift // c.denominator) for c in coeffs], lift
 
 
-def _scaled(ints: list[int], a: int, b: int) -> "Poly":
-    """The integer coefficients `ints` times a/b, b nonzero, as a Poly with
-    its trailing zeros dropped; each Fraction is built once, and every zero
-    coefficient is the one shared Fraction zero."""
+def _scaled(ints, a: int, b: int) -> "Poly":
+    """The Poly ints * a / b, for a sequence of ints (lowest degree first,
+    trailing zeros allowed) and nonzero ints a and b, in normal form.
+
+    With g = gcd(b, *ints) and h = gcd(a, b / g), the result is
+    (a / h) * (ints / g) over b / (g h): a prime of the denominator divides
+    neither a / h nor every one of ints / g, so one gcd over the list and
+    one with a reach the normal form, and no Fraction is built."""
     n = len(ints)
     while n and not ints[n - 1]:
         n -= 1
-    zero = Poly._zero
-    if b == 1:
-        return Poly._trusted(tuple([Fraction(a * c) if c else zero
-                                    for c in ints[:n]]))
-    return Poly._trusted(tuple([Fraction(a * c, b) if c else zero
-                                for c in ints[:n]]))
+    p = object.__new__(Poly)
+    if not n:
+        p.nums, p.den = (), 1
+        return p
+    if b < 0:
+        a, b = -a, -b
+    if b != 1:
+        g = gcd(b, *ints)
+        if g != 1:
+            b //= g
+            ints = [c // g for c in ints[:n]]
+        if a != 1:
+            h = gcd(a, b)
+            if h != 1:
+                a, b = a // h, b // h
+    p.nums = tuple(ints[:n]) if a == 1 else tuple([a * c for c in ints[:n]])
+    p.den = b
+    return p
 
 
 class Poly:
-    """Univariate polynomial over Q: a tuple of Fraction coefficients,
-    lowest degree first, with no trailing zeros.
+    """Univariate polynomial over Q, stored as integers over one
+    denominator (FLINT's fmpq_poly layout): the coefficients, lowest degree
+    first, are nums[i] / den, with den >= 1, gcd(den, *nums) = 1 and no
+    trailing zero in nums; zero is ((), 1).
 
-    Products and divisions run on the cleared integer coefficients
-    (`_cleared`), one integer kernel each, and every Fraction of the result
-    is built once (`_scaled`).
+    That normal form is unique, so `==` and `hash` compare (nums, den), and
+    den is the least integer that clears the coefficients.  Every kernel
+    reads the integers directly, runs one integer computation (a
+    Kronecker-packed product, a pseudo-division, a divide-out) and writes
+    its result through `_scaled`.  `coeffs` derives the Fraction
+    coefficients on demand, for the readers that want rationals.
     """
 
-    __slots__ = ("coeffs",)
-    _zero = Fraction(0)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        nums, den = _cleared([c if isinstance(c, (int, Fraction))
+                              else Fraction(c) for c in coeffs])
+        # den is the lcm of the reduced denominators, so gcd(den, *nums) = 1
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums = tuple(nums)
+        self.den = den if nums else 1
 
     def __reduce__(self):
-        return (type(self), (self.coeffs,))
+        return (_scaled, (self.nums, 1, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        d = self.den
+        return tuple([Fraction(c, d) for c in self.nums])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
-    def lc(self):
-        if self.is_zero:
+    def lc(self) -> Fraction:
+        if not self.nums:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self._zero
+    def coeff(self, k: int) -> Fraction:
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
+        return Fraction(0)
 
     def monic(self):
-        if self.is_zero:
+        if not self.nums:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        c = self.lc
-        if c == 1:
+        lc = self.nums[-1]
+        if lc == self.den:
             return self
-        return type(self)(tuple(a / c for a in self.coeffs))
+        return _scaled(self.nums, 1, lc)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return (type(other) is type(self) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __neg__(self):
-        return type(self)(tuple(-a for a in self.coeffs))
+        return _scaled(self.nums, -1, self.den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        la, lb = self.den, other.den
+        # over the common denominator la * (lb / g) = lb * (la / g)
+        g = gcd(la, lb)
+        if g != lb:
+            a = [c * (lb // g) for c in a]
+        if g != la:
+            b = [c * (la // g) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return type(self)(out)
+        return _scaled(out, 1, la * (lb // g))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         if not c:
-            return type(self)()
-        return type(self)(tuple(a * c for a in self.coeffs))
+            return _ZERO
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _scaled(self.nums, c.numerator, self.den * c.denominator)
 
     def __pow__(self, n: int):
-        return power(self, n, type(self)((1,)))
+        return power(self, n, Poly.one())
 
-    def eval(self, x):
-        acc = self._zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @staticmethod
-    def _trusted(coeffs: tuple) -> "Poly":
-        # For a tuple of Fractions whose last one is nonzero; skips the
-        # coercion and the strip of trailing zeros.
-        p = object.__new__(Poly)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
+    def eval(self, x) -> Fraction:
+        """The value at a rational x = u / v: one integer Horner sum of the
+        nums[i] u^i v^(deg - i), over den * v^deg."""
+        if not self.nums:
+            return Fraction(0)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        u, v = x.numerator, x.denominator
+        acc, vk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * u + c * vk
+            vk *= v
+        return Fraction(acc, self.den * (vk // v))
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _ONE
 
     @staticmethod
     def const(c) -> "Poly":
@@ -257,24 +299,24 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeff(0)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return _scaled([i * c for i, c in enumerate(self.nums)][1:], 1,
+                       self.den)
 
     def __mul__(self, other):
-        """One Kronecker-packed integer product, or one scalar loop when an
+        """One Kronecker-packed integer product, or one scaling when an
         operand is constant."""
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        a, la = _cleared(self.coeffs)
-        b, lb = _cleared(other.coeffs)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return _ZERO
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:
-            c = b[0]
-            return _scaled([c * x for x in a], 1, la * lb)
-        return _scaled(_kronecker_product(((a, 1), (b, 1))), 1, la * lb)
+            return _scaled(a, b[0], self.den * other.den)
+        return _scaled(_kronecker_product(((a, 1), (b, 1))), 1,
+                       self.den * other.den)
 
     def __divmod__(self, other):
         """Pseudo-division in Z[t] (Knuth, TAOCP vol. 2, 4.6.1).
@@ -284,17 +326,17 @@ class Poly:
         remainder R / (s*la).  Long division of s*A divides every step
         exactly by lc(B); when lc(B) = +-1 the scale is 1.
         """
-        if other.is_zero:
+        if not other.nums:
             raise ZeroDivisionError("polynomial division by zero")
         n = other.degree
         if self.degree < n:
-            return Poly(), self
-        a, la = _cleared(self.coeffs)
-        b, lb = _cleared(other.coeffs)
+            return _ZERO, self
+        a, la = self.nums, self.den
+        b, lb = other.nums, other.den
         lc = b[-1]
         m = len(a) - 1
         s = 1 if lc == 1 or lc == -1 else lc ** (m - n + 1)
-        r = [s * c for c in a] if s != 1 else a
+        r = [s * c for c in a] if s != 1 else list(a)
         q = [0] * (m - n + 1)
         for i in range(m, n - 1, -1):
             c = r[i]
@@ -318,17 +360,25 @@ class Poly:
         return f"Poly({render_poly(self)!r})"
 
 
+# Polys are immutable, so zero and one are shared
+_ZERO, _ONE = Poly(), Poly((1,))
+
+
 def render_poly(p: Poly, var: str = "t") -> str:
     """Render a polynomial in the expression grammar (re-parseable)."""
     if p.is_zero:
         return "0"
     parts = []
+    den = p.den
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        # sign and magnitude from the integer parts: no Fraction comparison
-        n, d = c.numerator, c.denominator
+        n = p.nums[i]
         if not n:
             continue
+        # each coefficient n / den in lowest terms
+        d = den
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
         negative = n < 0
         if negative:
             n = -n
@@ -349,9 +399,9 @@ def render_poly(p: Poly, var: str = "t") -> str:
 #
 # Poly does ring arithmetic only.  Every other algorithm on polynomials over
 # Q or Q(t), except the integer Sylvester determinants behind the bivariate
-# resultants, runs in sympy over ZZ: the data is cleared of denominators,
-# one polynomial by `_cleared` and a coefficient map by `clear_denominators`,
-# and a bivariate result comes back through `from_cleared`.  sympy is
+# resultants, runs in sympy over ZZ: a Poly hands over its `nums`, which are
+# already cleared, a coefficient map is cleared by `clear_denominators`, and
+# a bivariate result comes back through `from_cleared`.  sympy is
 # imported on first use, inside the functions that call it, so a run that
 # never needs it never loads it.
 
@@ -362,21 +412,14 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
 
     d is the monic lcm of the denominators times the least positive integer
     that clears the rational coefficients left; the lcm is taken once per
-    distinct denominator.  The distinct ones are found by identity and `==`
-    in a short list, not by hashing: they are few, and a Poly's hash
-    hashes every Fraction coefficient.
+    distinct denominator.
     """
     one = Poly.one()
     pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
              for c in coeffs.values()]
-    dens: list[Poly] = []
-    which = []
-    for _, q in pairs:
-        i = next((i for i, d in enumerate(dens) if q is d or q == d),
-                 len(dens))
-        if i == len(dens):
-            dens.append(q)
-        which.append(i)
+    index: dict[Poly, int] = {}
+    which = [index.setdefault(q, len(index)) for _, q in pairs]
+    dens = list(index)
     den = one
     for q in dens:
         if not q.is_constant:
@@ -384,8 +427,8 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     cofactors = [None if q == den else den // q for q in dens]
     nums = [n if cofactors[i] is None else n * cofactors[i]
             for (n, _), i in zip(pairs, which)]
-    scale = lcm(*(a.denominator for n in nums for a in n.coeffs))
-    ints = {k: [a.numerator * (scale // a.denominator) for a in n.coeffs]
+    scale = lcm(*(n.den for n in nums))
+    ints = {k: [c * (scale // n.den) for c in n.nums]
             for k, n in zip(coeffs, nums)}
     return ints, den.scale(scale)
 
@@ -452,15 +495,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if b.degree == 0:
         return Poly.one()
-    # each operand cleared on its own: a constant factor moves no gcd
-    a_ints, _ = _cleared(a.coeffs)
-    b_ints, _ = _cleared(b.coeffs)
-    if _mod_gcd_is_one(a_ints, b_ints):
+    # each operand's nums on its own: a constant factor moves no gcd
+    if _mod_gcd_is_one(a.nums, b.nums):
         return Poly.one()
     from sympy import ZZ
     from sympy.polys.euclidtools import dup_gcd
 
-    return Poly(dup_gcd(a_ints[::-1], b_ints[::-1], ZZ)[::-1]).monic()
+    return Poly(dup_gcd(list(a.nums[::-1]), list(b.nums[::-1]),
+                        ZZ)[::-1]).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -483,30 +525,40 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     from sympy import ZZ
     from sympy.polys.sqfreetools import dup_sqf_list
 
-    ints, _ = _cleared(p.coeffs)
-    _, parts = dup_sqf_list(ints[::-1], ZZ)
+    _, parts = dup_sqf_list(list(p.nums[::-1]), ZZ)
     return [(Poly(f[::-1]).monic(), m) for f, m in parts]
 
 
 # --- irreducible factorization (sympy over ZZ) -----------------------------
 
 @lru_cache(maxsize=8192)
-def _factor_cached(coeffs: tuple) -> tuple:
+def _factor_cached(prim: tuple[int, ...]) -> tuple:
+    """The monic irreducible factors, with multiplicities, of the primitive
+    integer polynomial `prim` (lowest degree first, positive leading
+    coefficient)."""
     from sympy import ZZ
     from sympy.polys.factortools import dup_factor_list
 
-    ints, _ = _cleared(coeffs)
-    _, factors = dup_factor_list(ints[::-1], ZZ)
-    return tuple((Poly(f[::-1]).monic().coeffs, m) for f, m in factors)
+    _, factors = dup_factor_list(list(prim[::-1]), ZZ)
+    return tuple((Poly(f[::-1]).monic(), m) for f, m in factors)
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors of p over Q, with multiplicities."""
+    """Monic irreducible factors of p over Q, with multiplicities.
+
+    The cache is keyed on the primitive part of p's nums with a positive
+    leading coefficient, so p and every c * p share one entry."""
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    return [(Poly(cs), m) for cs, m in _factor_cached(p.coeffs)]
+    nums = p.nums
+    c = gcd(*nums)
+    if nums[-1] < 0:
+        c = -c
+    if c != 1:
+        nums = tuple([a // c for a in nums])
+    return list(_factor_cached(nums))
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -571,7 +623,7 @@ class RatFunc:
         # gcd.  A zero numerator gets the denominator 1.
         f = object.__new__(RatFunc)
         object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den if num.coeffs else Poly.one())
+        object.__setattr__(f, "den", den if num.nums else Poly.one())
         return f
 
     @staticmethod
@@ -745,21 +797,24 @@ _CERT_POINTS = (982451653, 1000000007, 2147483629)
 
 
 def _image(f: RatFunc, tau: int, p: int) -> int | None:
-    """f(tau) mod p, or None when a denominator vanishes there mod p."""
+    """f(tau) mod p, or None when a denominator vanishes there mod p.
+
+    With f = (N / a) / (D / b) for the nums N, D and dens a, b of its
+    parts, the image is N(tau) * b / (a * D(tau)); a prime divides a or b
+    exactly when it divides the reduced denominator of some coefficient."""
+    num, den = f.num, f.den
+    if not num.den % p or not den.den % p:
+        return None
     vals = []
-    for poly in (f.num, f.den):
+    for poly in (num.nums, den.nums):
         acc = 0
-        for c in reversed(poly.coeffs):
-            n, d = c.numerator, c.denominator
-            if d != 1:
-                d %= p
-                if d == 0:
-                    return None
-                n *= pow(d, -1, p)
-            acc = (acc * tau + n) % p
+        for c in reversed(poly):
+            acc = (acc * tau + c) % p
         vals.append(acc)
-    num, den = vals
-    return None if den == 0 else num * pow(den, -1, p) % p
+    n, d = vals
+    if not d:
+        return None
+    return n * den.den * pow(num.den * d, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -813,19 +868,25 @@ class Place:
         return 1 if self.poly is None else self.poly.degree
 
     def sort_key(self):
+        return self._sort_key
+
+    @cached_property
+    def _sort_key(self):
         # Total order: finite before infinity; finite places by degree,
         # degree-1 places by their root, higher degrees by coefficients.
+        # Built once per place: the key's Fractions are derived from the
+        # place polynomial's integers.
         if self.poly is None:
             return (1, 0, ())
         if self.poly.degree == 1:
-            return (0, 1, (-self.poly.coeffs[0],))
+            return (0, 1, (-self.poly.coeff(0),))
         return (0, self.poly.degree, self.poly.coeffs)
 
     def __str__(self) -> str:
         if self.poly is None:
             return "inf"
         if self.poly.degree == 1:
-            return str(-self.poly.coeffs[0])
+            return str(-self.poly.coeff(0))
         return render_poly(self.poly)
 
     def __repr__(self) -> str:
@@ -925,19 +986,19 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     """p divided by each nonconstant monic q of `qs`, in turn, as often as
     it goes, with the number of times each went.
 
-    p is cleared once to A / L and stays in Z[t]: each q is P / L_q with
-    L_q the least integer that clears it, so P is primitive (a prime
-    dividing every coefficient of P would divide its leading coefficient
-    L_q and leave L_q / prime clearing q), and dividing by q^m is dividing
-    A by P^m over Z (`_exact_quotient`) and lifting by L_q^m.
+    p is A / L (its nums and den) and stays in Z[t]: each q is P / L_q in
+    the same way, and P is primitive (a prime dividing every coefficient of
+    P would divide its leading coefficient L_q, and gcd(L_q, *P) = 1), so
+    dividing by q^m is dividing A by P^m over Z (`_exact_quotient`) and
+    lifting by L_q^m.
     """
     counts = [0] * len(qs)
     if p.is_zero:
         return p, counts
-    a, lift = _cleared(p.coeffs)
+    a, lift = p.nums, p.den
     scale = 1
     for k, q in enumerate(qs):
-        b, lq = _cleared(q.coeffs)
+        b, lq = q.nums, q.den
         while (quot := _exact_quotient(a, b)) is not None:
             a = quot
             counts[k] += 1
@@ -959,11 +1020,11 @@ def _over_known_den(num: Poly, den) -> RatFunc:
     """
     if num.is_zero:
         return RatFunc.zero()
-    a, lift = _cleared(num.coeffs)
+    a, lift = num.nums, num.den
     scale = down_lift = 1
     down = []
     for q, m in den:
-        b, lq = _cleared(q.coeffs)
+        b, lq = q.nums, q.den
         k = 0
         while k < m and (quot := _exact_quotient(a, b)) is not None:
             a = quot

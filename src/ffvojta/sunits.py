@@ -21,7 +21,6 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
-    _cleared,
     _kronecker_product,
     _over_known_den,
     _scaled,
@@ -157,16 +156,17 @@ class SUnit:
 def as_ratfunc(u: SUnit) -> RatFunc:
     """Exact expansion of an S-unit into a rational function.
 
-    With every place polynomial written as P / L (`field_core._cleared`:
-    L the least integer that clears p, so P is primitive), u is
+    Every place polynomial is stored as P / L (its `nums` and `den`: L the
+    least integer that clears it, so a monic P is primitive), and u is
     c * prod P^e / L^e.  The products of the P's with e > 0 and with e < 0
     are one integer product each (`field_core._kronecker_product`), and
-    every Fraction coefficient is built once, from c and the L's.
+    each is put over its denominator, from c and the L's, by one
+    `field_core._scaled`.
     """
     ups, downs = [], []
     lift_up = lift_down = 1
     for p, e in u.exponents:
-        ints, lift = _cleared(p.poly.coeffs)
+        ints, lift = p.poly.nums, p.poly.den
         if e > 0:
             ups.append((ints, e))
             lift_up *= lift ** e
@@ -220,18 +220,17 @@ def _log_derivative_num(u: SUnit, q: Poly, places) -> Poly:
     `places` distinct monic place polynomials that hold the support of u:
     N = q * sum e * P' * prod_{R != P} R over the (P, e) of u.
 
-    Every polynomial is cleared once (`field_core._cleared`), each term is
-    one integer product (`field_core._kronecker_product`), and N is scaled
-    back once: with R = R_i / L_R and q = q_i / L_q, every term carries
-    the same 1 / (L_q * prod L_R).
+    Each term is one integer product (`field_core._kronecker_product`) of
+    the polynomials' `nums`, and N is scaled back once: with R = R_i / L_R
+    and q = q_i / L_q (their nums over their dens), every term carries the
+    same 1 / (L_q * prod L_R).
     """
     exps = {p.poly: e for p, e in u.exponents}
-    q_ints, lift = _cleared(q.coeffs)
+    q_ints, lift = q.nums, q.den
     cleared = []
     for r in places:
-        ints, lr = _cleared(r.coeffs)
-        cleared.append(ints)
-        lift *= lr
+        cleared.append(r.nums)
+        lift *= r.den
     # every term has the degree deg q + deg D - 1
     total = [0] * (len(q_ints) - 1 + sum(len(c) - 1 for c in cleared))
     for k, r in enumerate(places):

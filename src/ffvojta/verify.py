@@ -140,9 +140,10 @@ def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
 def _common_zeros(A: BiPoly, B: BiPoly, roots_f: list[RatFunc],
                   roots_g: list[RatFunc]) -> list[tuple[RatFunc, RatFunc]]:
     """The pairs (alpha, beta) of nonzero roots, alpha of F and beta of G,
-    at which A and B both vanish, in the order of set(roots_f) x
-    set(roots_g)."""
-    return [(alpha, beta) for alpha in set(roots_f) for beta in set(roots_g)
+    at which A and B both vanish, without repeats: alpha and beta each in
+    the order of their first occurrence in roots_f and roots_g."""
+    return [(alpha, beta) for alpha in dict.fromkeys(roots_f)
+            for beta in dict.fromkeys(roots_g)
             if not (alpha.is_zero or beta.is_zero)
             and vanishes_at(A, alpha, beta) and vanishes_at(B, alpha, beta)]
 
@@ -458,8 +459,8 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
               G.coeff(0, 0), G.coeff(0, G.deg_y)):
         places |= _support_places(c)
-    for alpha in set(roots_f):
-        for beta in set(roots_g):
+    for alpha in dict.fromkeys(roots_f):
+        for beta in dict.fromkeys(roots_g):
             for val in (evaluate(A, alpha, beta), evaluate(B, alpha, beta)):
                 if not val.is_zero:
                     places |= _support_places(val)

@@ -1,6 +1,9 @@
 import operator
+import pickle
 import random
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +22,11 @@ from ffvojta.field_core import (
     ZeroPolynomial,
     _CERT_POINTS,
     _CERT_PRIME,
+    _factor_cached,
     _image,
     _multiplicity,
     _over_known_den,
+    _scaled,
     choose_omega,
     deriv_omega,
     divisor_of,
@@ -51,11 +56,95 @@ from conftest import (
 T = Poly.t()
 ONE = Poly.one()
 
+_SEEDS = st.integers(0, 2 ** 32)
+
+
+def assert_normal(p: Poly) -> None:
+    """p is in the one layout: a tuple of ints with no trailing zero over a
+    positive int, in lowest terms, and zero is ((), 1)."""
+    assert type(p.nums) is tuple and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den >= 1
+    assert gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] if p.nums else p.den == 1
+
+
+def _stripped(coeffs) -> tuple:
+    """Fraction coefficients with the trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
 
 class TestPoly:
     def test_normalization_strips_trailing_zeros(self):
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
         assert Poly((0, 0)).is_zero
+        assert (Poly((0, 0)).nums, Poly((0, 0)).den) == ((), 1)
+        assert (Poly((Fraction(1, 2), Fraction(-2, 3), 0)).nums,
+                Poly((Fraction(1, 2), Fraction(-2, 3), 0)).den) == ((3, -4), 6)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(_SEEDS)
+    def test_results_normal_and_match_fraction_oracles(self, seed):
+        rng = random.Random(seed)
+        a = rand_poly(rng, 6, zero_ok=True)
+        b = rand_poly(rng, 4)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        n = rng.randint(0, 3)
+        fa, fb = a.coeffs, b.coeffs
+        pairs = list(zip_longest(fa, fb, fillvalue=Fraction(0)))
+        q, r = divmod(a, b)
+        eq, er = oracle_poly_divmod(a, b)
+        want_pow = ONE
+        for _ in range(n):
+            want_pow = oracle_poly_mul(want_pow, a)
+        cases = [
+            (a + b, _stripped(x + y for x, y in pairs)),
+            (a - b, _stripped(x - y for x, y in pairs)),
+            (-a, _stripped(-x for x in fa)),
+            (a * b, oracle_poly_mul(a, b).coeffs),
+            (q, eq.coeffs), (r, er.coeffs),
+            (a // b, eq.coeffs), (a % b, er.coeffs),
+            (a ** n, want_pow.coeffs),
+            (b.monic(), _stripped(x / fb[-1] for x in fb)),
+            (a.scale(c), _stripped(x * c for x in fa)),
+            (a.derivative(), _stripped(i * x for i, x in enumerate(fa))[1:]),
+        ]
+        for got, want in cases:
+            assert_normal(got)
+            assert got.coeffs == want
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(_SEEDS)
+    def test_equal_rationals_written_differently(self, seed):
+        rng = random.Random(seed)
+        p = rand_poly(rng, 5, zero_ok=True)
+        k = rng.randint(2, 30)
+        variants = [
+            Poly([int(x) if x.denominator == 1 else x for x in p.coeffs]),
+            Poly([str(x) for x in p.coeffs] + ["0"] * rng.randint(0, 2)),
+            Poly([Fraction(x.numerator * k, x.denominator * k)
+                  for x in p.coeffs]),
+            _scaled([k * x for x in p.nums] + [0], 1, k * p.den),
+            _scaled([-x for x in p.nums], -1, p.den),
+            p.scale(k).scale(Fraction(1, k)),
+        ]
+        for v in variants:
+            assert_normal(v)
+            assert v == p and hash(v) == hash(p)
+
+    def test_pickle_round_trips(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            p = rand_poly(rng, 5, zero_ok=True)
+            f = rand_ratfunc(rng)
+            back_p, back_f = pickle.loads(pickle.dumps((p, f)))
+            assert_normal(back_p)
+            assert (back_p.nums, back_p.den) == (p.nums, p.den)
+            assert back_f == f and hash(back_f) == hash(f)
 
     def test_divmod_roundtrip(self):
         rng = random.Random(11)
@@ -394,6 +483,8 @@ class TestHenrici:
             if op == "/" and g.is_zero:
                 continue
             got, want = fn(f, g), oracle_ratfunc_op(op, f, g)
+            assert_normal(got.num)
+            assert_normal(got.den)
             assert (got.num.coeffs, got.den.coeffs) == \
                 (want.num.coeffs, want.den.coeffs), (op, f, g)
 
@@ -401,6 +492,22 @@ class TestHenrici:
         rng = random.Random(1956)
         for _ in range(150):
             self._agree(rand_ratfunc(rng), rand_ratfunc(rng))
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(_SEEDS)
+    def test_random_pairs_hypothesis(self, seed):
+        rng = random.Random(seed)
+        f, g = rand_ratfunc(rng), rand_ratfunc(rng)
+        self._agree(f, g)
+        for n in (2, -1):
+            if n < 0 and f.is_zero:
+                continue
+            got, want = f ** n, oracle_ratfunc_op("**", f, n)
+            assert_normal(got.num)
+            assert_normal(got.den)
+            assert (got.num.coeffs, got.den.coeffs) == \
+                (want.num.coeffs, want.den.coeffs)
 
     def test_planted_common_factors(self):
         rng = random.Random(451)
@@ -468,6 +575,8 @@ class TestHenrici:
                 if n < 0 and f.is_zero:
                     continue
                 got, want = f ** n, oracle_ratfunc_op("**", f, n)
+                assert_normal(got.num)
+                assert_normal(got.den)
                 assert (got.num.coeffs, got.den.coeffs) == \
                     (want.num.coeffs, want.den.coeffs)
         with pytest.raises(ZeroDivisionError):
@@ -718,3 +827,12 @@ class TestFactorShim:
                 assert q.lc == 1
                 prod = prod * q ** m
             assert prod == p
+
+    def test_cache_entry_shared_by_scalar_multiples(self):
+        p = Poly((Fraction(1, 3), 0, -2, 5)) * Poly((-1, Fraction(2, 7), 1))
+        _factor_cached.cache_clear()
+        first = factor_poly(p)
+        second = factor_poly(p.scale(Fraction(-3, 7)))
+        assert first == second
+        info = _factor_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

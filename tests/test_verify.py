@@ -176,6 +176,21 @@ class TestReports:
 
 
 class TestAudit:
+    def test_common_zeros_in_first_occurrence_order(self):
+        # A vanishes at X in {1, t} and B at Y in {2, -t}, so every pair of
+        # nonzero roots is a common zero; repeats and the zero root drop out
+        from ffvojta.field_core import RatFunc
+        from ffvojta.verify import _common_zeros
+
+        t, one, two = RatFunc.t(), RatFunc.one(), RatFunc.const(2)
+        A = parse_bipoly("(X-1)*(X-t)")
+        B = parse_bipoly("(Y-2)*(Y+t)")
+        zeros = _common_zeros(A, B, [t, RatFunc.zero(), one, t, one],
+                              [-t, two, -t, two])
+        assert zeros == [(t, -t), (t, two), (one, -t), (one, two)]
+        zeros = _common_zeros(A, B, [one, t], [two, -t, two])
+        assert zeros == [(one, two), (one, -t), (t, two), (t, -t)]
+
     def test_resultant_bounds_example(self):
         cfg = RunConfig(poly="X+Y+1", places=("0", "1", "inf"), seed=1)
         u = SUnit.make(1, {P0: 2}, S011)
