@@ -411,22 +411,46 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     {key: list of ints} together with d.
 
     d is the monic lcm of the denominators times the least positive integer
-    that clears the rational coefficients left; the lcm is taken once per
-    distinct denominator.
+    that clears the rational coefficients left.  A denominator is monic, so
+    its nums are primitive, and by Gauss's lemma one exact division over Z
+    (`_exact_quotient`) tells whether it divides the lcm so far, and another
+    whether the lcm so far divides it; `poly_lcm` runs only when neither
+    does.  The distinct denominators are taken by falling degree, so in a
+    nested chain the first is the lcm and the quotients by it are the
+    cofactors.
     """
     one = Poly.one()
     pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
              for c in coeffs.values()]
-    index: dict[Poly, int] = {}
-    which = [index.setdefault(q, len(index)) for _, q in pairs]
-    dens = list(index)
+    # the distinct denominators, each mapped below to its cofactor den / q
+    # (None for den itself)
+    cofactors = dict.fromkeys(q for _, q in pairs)
     den = one
-    for q in dens:
-        if not q.is_constant:
+    quotients: dict[Poly, list[int]] = {}
+    for q in sorted((q for q in cofactors if not q.is_constant),
+                    key=lambda q: -q.degree):
+        quo = _exact_quotient(den.nums, q.nums)
+        if quo is not None:
+            quotients[q] = quo
+            continue
+        # the lcm grows, and the quotients by the old one are stale
+        quotients.clear()
+        if _exact_quotient(q.nums, den.nums) is not None:
+            den = q
+        else:
             den = poly_lcm(den, q)
-    cofactors = [None if q == den else den // q for q in dens]
-    nums = [n if cofactors[i] is None else n * cofactors[i]
-            for (n, _), i in zip(pairs, which)]
+    for q in cofactors:
+        if q == den:
+            cofactors[q] = None
+        elif q.is_constant:
+            cofactors[q] = den
+        elif q in quotients:
+            # den.nums = q.nums * quo, so den / q = quo * q.den / den.den
+            cofactors[q] = _scaled(quotients[q], q.den, den.den)
+        else:
+            cofactors[q] = den // q
+    nums = [n if cofactors[q] is None else n * cofactors[q]
+            for n, q in pairs]
     scale = lcm(*(n.den for n in nums))
     ints = {k: [c * (scale // n.den) for c in n.nums]
             for k, n in zip(coeffs, nums)}

@@ -32,6 +32,7 @@ from .bipoly import (
 from .constants import ThetaLedger, theta_ledger
 from .counting import strip_set_factors, trunc_count
 from .field_core import (
+    OmegaForm,
     RatFunc,
     choose_omega,
     divisor_of,
@@ -330,17 +331,23 @@ def _support_places(f: RatFunc) -> set:
 
 
 @lru_cache(maxsize=64)
-def _audited_factor(expr: str, seed: int) -> BiPoly:
-    """The attested factor `expr`, parsed and passed through the
-    specialisation audit with `seed`; both run once per (expr, seed).  A
-    call that raises is not cached, so it raises again on every call."""
+def _audit_setting(expr: str, places: tuple[str, ...],
+                   seed: int) -> tuple[BiPoly, PlaceSet, PlaceSet, OmegaForm]:
+    """The part of an audit that no pair changes, built once per (expr,
+    places, seed): the attested factor A, parsed and passed through the
+    specialisation audit with `seed`; the place set S; S_a, which is S
+    enlarged so that A's coefficients are units; and the form w that
+    `choose_omega` picks on S_a.  Returned as (A, S, S_a, w).  A call that
+    raises is not cached, so it raises again on every call."""
     A = parse_bipoly(expr)
     if A.deg_x == 0 or A.deg_y == 0:
         raise ValueError("the audit needs a polynomial in both variables")
     if not specialization_irreducibility_audit(A, seed=seed):
         raise NotIrreducibleAttested(
             f"specialization audit could not support irreducibility of {expr!r}")
-    return A
+    S = PlaceSet(frozenset(parse_place(p) for p in places))
+    S_a = enlarge_for_coefficients(S, list(A.coeffs.values()))
+    return A, S, S_a, choose_omega(S_a.places)
 
 
 def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
@@ -359,17 +366,13 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     expr, attested = exprs[0]
     if not attested:
         raise NotIrreducibleAttested(f"factor {expr!r} is not attested irreducible")
-    A = _audited_factor(expr, cfg.seed)
-
-    S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
+    A, S, S_a, w = _audit_setting(expr, tuple(cfg.places), cfg.seed)
+    U_f, V_f = as_ratfunc(u), as_ratfunc(v)
     report: dict = {"mode": "audit", "split_case_only": True,
                     "poly": expr,
-                    "u": render_ratfunc_expr(as_ratfunc(u)),
-                    "v": render_ratfunc_expr(as_ratfunc(v))}
+                    "u": render_ratfunc_expr(U_f),
+                    "v": render_ratfunc_expr(V_f)}
 
-    # enlarge S so the coefficients of A are units, then pick the form
-    S_a = enlarge_for_coefficients(S, list(A.coeffs.values()))
-    w = choose_omega(S_a.places)
     B = b_polynomial(A, u, v, w)
     S_prime = enlarge_for_coefficients(S_a, [c for c in B.coeffs.values()])
     chi_term = max(1, euler_char(S))
@@ -401,7 +404,7 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
         r, s = i - hh, j - kk
         if r < 0 or (r == 0 and s < 0):
             r, s, (i, j), (hh, kk) = -r, -s, (hh, kk), (i, j)
-        gamma = as_ratfunc(u) ** r * as_ratfunc(v) ** s
+        gamma = U_f ** r * V_f ** s
         lam_ratio = A.coeff(hh, kk) / A.coeff(i, j)
         mu = gamma / lam_ratio
         step1 = {
@@ -466,8 +469,6 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
                     places |= _support_places(val)
     V = PlaceSet(frozenset(places))
 
-    U_f = as_ratfunc(u)
-    V_f = as_ratfunc(v)
     a_val = evaluate(A, U_f, V_f)
     b_val = evaluate(B, U_f, V_f)
     checks = []

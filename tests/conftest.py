@@ -10,9 +10,10 @@ pair fed to the normalising constructor, vanishing subsums by summing
 every subset over sympy polynomials, multiplicative dependence by every
 2x2 minor of the exponent vectors, resultants (BiPolys in the variable
 left) by sympy's subresultant PRS over Z[X, Y, t], rational roots by the
-rational-root method over Q[t] with synthetic division, and the
-irreducibility audit by building each specialisation as a sympy expression
-coefficient by coefficient.
+rational-root method over Q[t] with synthetic division, cleared
+denominators by a `poly_lcm` chain, and the irreducibility audit by
+building each specialisation as a sympy expression coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -335,6 +336,28 @@ def oracle_divide_out(p: Poly, q: Poly) -> tuple[Poly, int]:
             break
         p, m = quot, m + 1
     return p, m
+
+
+def oracle_clear_denominators(coeffs) -> tuple[dict, Poly]:
+    """`field_core.clear_denominators` by a `poly_lcm` chain, one link per
+    distinct nonconstant denominator in first-occurrence order, and each
+    cofactor by a `Poly` division."""
+    from math import lcm
+
+    from ffvojta.field_core import poly_lcm
+
+    one = Poly.one()
+    pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
+             for c in coeffs.values()]
+    den = one
+    for q in dict.fromkeys(q for _, q in pairs):
+        if not q.is_constant:
+            den = poly_lcm(den, q)
+    nums = [n if q == den else n * (den // q) for n, q in pairs]
+    scale = lcm(*(n.den for n in nums))
+    ints = {k: [c * (scale // n.den) for c in n.nums]
+            for k, n in zip(coeffs, nums)}
+    return ints, den.scale(scale)
 
 
 def oracle_as_ratfunc(u) -> RatFunc:

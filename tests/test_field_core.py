@@ -6,7 +6,7 @@ from itertools import zip_longest
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffvojta.counting import strip_set_factors
 from ffvojta.field_core import (
@@ -28,6 +28,7 @@ from ffvojta.field_core import (
     _over_known_den,
     _scaled,
     choose_omega,
+    clear_denominators,
     deriv_omega,
     divisor_of,
     factor_poly,
@@ -40,6 +41,7 @@ from ffvojta.field_core import (
 from ffvojta.sunits import PlaceSet
 from conftest import (
     from_sympy,
+    oracle_clear_denominators,
     oracle_divide_out,
     oracle_poly_divmod,
     oracle_poly_mul,
@@ -392,6 +394,59 @@ class TestOverKnownDen:
             RatFunc.const(Fraction(3, 2))
         zero = _over_known_den(Poly(), [(t, 2)])
         assert zero.is_zero and zero.den == ONE
+
+
+# a value for `clear_denominators`: a numerator with either None (a bare
+# Poly) or the exponents of the places of _PLACES in its denominator
+_ENTRIES = st.lists(
+    st.tuples(_POLYS, st.none() | st.tuples(*[st.integers(0, 2)] * len(_PLACES))),
+    min_size=1, max_size=6)
+_N = Poly((Fraction(3, 2), 0, 5))
+
+
+def _exps(*pairs) -> tuple:
+    # the exponent tuple with the given (place index, exponent) pairs
+    exps = [0] * len(_PLACES)
+    for i, e in pairs:
+        exps[i] = e
+    return tuple(exps)
+
+
+class TestClearDenominators:
+    """`clear_denominators` against the `poly_lcm` chain of conftest on
+    denominators that are products of powers of the places above, the
+    degree-2 places among them: (ints, d) must be the same, int for int.
+    The audits meet only nested chains, so the examples pin a nested one
+    in rising degree, a disjoint one, an overlapping one in which the lcm
+    grows past a quotient already taken, and equal denominators built
+    apart beside a `Poly` and a constant."""
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(_ENTRIES)
+    @example([(_N, _exps((0, 1))), (_N, _exps((0, 2))),
+              (T, _exps((0, 2), (1, 1), (4, 1)))])
+    @example([(_N, _exps((0, 1))), (T, _exps((1, 1))),
+              (_N, _exps((4, 1))), (ONE, _exps((5, 2)))])
+    @example([(_N, _exps((2, 1), (3, 2))), (T, _exps((3, 2))),
+              (_N, _exps((0, 1), (3, 1)))])
+    @example([(_N, _exps((2, 1), (4, 1))), (T, _exps((2, 1), (4, 1))),
+              (_N, None), (Poly.const(Fraction(5, 7)), _exps())])
+    def test_matches_lcm_chain(self, entries):
+        coeffs = {}
+        for k, (num, exps) in enumerate(entries):
+            if exps is None:
+                coeffs[k] = num
+                continue
+            den = ONE
+            for place, e in zip(_PLACES, exps):
+                den = den * place.poly ** e
+            coeffs[k] = RatFunc(num, den)
+        ints, d = clear_denominators(coeffs)
+        want_ints, want_d = oracle_clear_denominators(coeffs)
+        assert list(ints.items()) == list(want_ints.items())
+        assert all(type(c) is int for cs in ints.values() for c in cs)
+        assert (d.nums, d.den) == (want_d.nums, want_d.den)
 
 
 def _image_reference(f: RatFunc, tau: int, p: int):

@@ -295,14 +295,14 @@ class TestAudit:
 
     def test_factor_audited_once_per_expr_and_seed(self):
         from ffvojta.sunits import generate
-        from ffvojta.verify import _audited_factor
+        from ffvojta.verify import _audit_setting
 
         cfg = RunConfig(poly="X*Y-t", places=("0", "1", "inf"), seed=31)
         units = generate(S011, 3, 6, seed=31)
-        before = _audited_factor.cache_info()
+        before = _audit_setting.cache_info()
         for u, v in zip(units[::2], units[1::2]):
             audit_steps(cfg, u, v)
-        after = _audited_factor.cache_info()
+        after = _audit_setting.cache_info()
         assert after.misses - before.misses <= 1
         assert after.hits - before.hits >= 2
 
@@ -311,15 +311,51 @@ class TestAudit:
         ("X+t", ValueError),
     ])
     def test_failed_audit_raises_on_every_call(self, poly, error):
-        from ffvojta.verify import _audited_factor
+        from ffvojta.verify import _audit_setting
 
         cfg = RunConfig(poly=poly, places=("0", "inf"))
         u = SUnit.make(1, {P0: 1}, PlaceSet.of(0, "inf"))
-        size = _audited_factor.cache_info().currsize
+        size = _audit_setting.cache_info().currsize
         for _ in range(2):
             with pytest.raises(error):
                 audit_steps(cfg, u, u)
-        assert _audited_factor.cache_info().currsize == size
+        assert _audit_setting.cache_info().currsize == size
+
+    def test_setting_not_shared_across_places(self):
+        # S is part of the setting: configs that differ only in places
+        # report different base sizes, so they must not share an entry
+        from ffvojta.verify import _audit_setting
+
+        S0 = PlaceSet.of(0, "inf")
+        u, v = SUnit.make(1, {P0: 1}, S0), SUnit.make(1, {P0: 2}, S0)
+        before = _audit_setting.cache_info()
+        sizes = [audit_steps(RunConfig(poly="X*Y-t", places=places, seed=41),
+                             u, v)["s_prime"]["base_size"]
+                 for places in (("0", "inf"), ("0", "1", "inf"))]
+        after = _audit_setting.cache_info()
+        assert sizes[0] != sizes[1]
+        assert after.misses - before.misses == 2
+
+    @pytest.mark.parametrize("poly, places, index, outcome, digest", [
+        # split pairs: both resultants' roots lie in Q(t) and step 4 runs
+        ("X+Y+1", ("0", "1", "inf"), 0, "split_audit_complete",
+         "2fa98c00e77306705c7d885f56368a5449b002a45c7b475940218376b6004f72"),
+        ("X*Y-t", ("0", "1", "inf"), 1, "split_audit_complete",
+         "c78648653b4073a90edb19c424bdda326ff6e995eb6003a64fbe440e105a0f36"),
+        # with the degree-2 place t^2 + 1, four distinct denominators meet
+        # in one clear of the resultants' inputs
+        ("X^2*Y+X*Y^2-t*(X+Y)+1", ("0", "1", "t^2+1", "inf"), 3, "not_split",
+         "0243a57e7aaee6da846d0373c573916e86960ba027d5cdfc7ad7d820419bc8a2"),
+    ])
+    def test_audit_pairs_off_the_benchmark_pinned(self, poly, places, index,
+                                                  outcome, digest):
+        cfg = RunConfig(poly=poly, places=places, epsilon="1/2",
+                        max_exponent=2, seed=7, mode="audit")
+        u, v = pair_for_index(build_context(cfg), index)
+        rep = audit_steps(cfg, u, v)
+        assert rep["outcome"] == outcome
+        assert hashlib.sha256(json.dumps(rep, indent=2).encode()).hexdigest() == (
+            digest)
 
     def test_step2_bounds_hold_on_audited_batch(self):
         from ffvojta.sunits import generate
