@@ -9,11 +9,13 @@ A resultant eliminates one variable, so it is a BiPoly free of the other:
 Res_Y is keyed (i, 0), a polynomial in X, and Res_X is keyed (0, j), a
 polynomial in Y.  Root extraction takes such a polynomial in one variable.
 
-Resultants and rational roots run on integers.  A resultant clears both
-inputs of denominators (`field_core.clear_denominators`), packs each
-Sylvester entry into one integer by Kronecker substitution and takes one
+Resultants and rational roots run on integers.  A BiPoly is cleared of
+denominators (`field_core.clear_denominators`) at most once and keeps that
+form (`BiPoly.cleared`).  A resultant packs each Sylvester entry of its
+cleared inputs into one integer by Kronecker substitution and takes one
 fraction-free Bareiss determinant, whose signed digits are the
-coefficients.  Rational roots specialise the cleared polynomial at a
+coefficients; it fills in its own cleared form from them.  Rational roots
+specialise the cleared polynomial at a
 small t = tau, find the rational roots of that image p-adically (roots mod
 a small prime, Hensel lifting, rational reconstruction) and lift each one
 t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
@@ -49,10 +51,11 @@ from .field_core import (
     ZeroPolynomial,
     _exact_quotient,
     _image,
+    _den_product,
+    _known_quotient,
     _kronecker_product,
     _over_known_den,
     _pack,
-    _scaled,
     _signed_digits,
     clear_denominators,
     factor_poly,
@@ -182,9 +185,13 @@ class SparsePoly:
 
 
 class BiPoly(SparsePoly):
-    """Sparse bivariate polynomial over Q(t); no zero coefficients stored."""
+    """Sparse bivariate polynomial over Q(t); no zero coefficients stored.
 
-    __slots__ = ("deg_x", "deg_y")
+    `cleared` keeps the cleared form of the coefficients once it is found,
+    per instance; it takes no part in `==`, `hash` or pickling.
+    """
+
+    __slots__ = ("deg_x", "deg_y", "_cleared_form")
 
     _arity = 2
 
@@ -196,6 +203,16 @@ class BiPoly(SparsePoly):
         super().__init__(coeffs)
         self.deg_x = max((i for i, _ in self.coeffs), default=0)
         self.deg_y = max((j for _, j in self.coeffs), default=0)
+        self._cleared_form = None
+
+    def cleared(self) -> tuple[dict, Poly]:
+        """`field_core.clear_denominators(self.coeffs)`: the coefficients
+        times one d, as {(i, j): list of ints in t}, with d.  Found on the
+        first call and kept; a resultant arrives with it filled in.  The
+        lists are shared, so a caller reads them and never changes them."""
+        if self._cleared_form is None:
+            self._cleared_form = clear_denominators(self.coeffs)
+        return self._cleared_form
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -420,11 +437,13 @@ def _check_sylvester_work(size: int, width: int) -> None:
             f"past the size cap {SYLVESTER_WORK_CAP}")
 
 
-def _oriented(A: BiPoly, main: str) -> dict:
-    """A's coefficients keyed (main exponent, other exponent)."""
+def _oriented(A: BiPoly, main: str) -> tuple[dict, Poly]:
+    """A's cleared form (`BiPoly.cleared`) keyed (main exponent, other
+    exponent)."""
+    ints, d = A.cleared()
     if main == "x":
-        return A.coeffs
-    return {(j, i): c for (i, j), c in A.coeffs.items()}
+        return ints, d
+    return {(j, i): ts for (i, j), ts in ints.items()}, d
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -453,7 +472,8 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     """Res_main(A, B) for main-degrees m of A and n of B, as one integer
     Sylvester determinant: a BiPoly in the other variable alone.
 
-    A and B are cleared to da*A and db*B in Z[other, t], and every entry is
+    A and B come cleared to da*A and db*B in Z[other, t] (`BiPoly.cleared`,
+    found once per instance), and every entry is
     packed into one integer (Kronecker substitution): t at 2^k and the other
     variable at 2^(k*(D_t+1)), for the bounds D_o and D_t on the resultant's
     degrees in them.  The Sylvester matrix has n rows of A's coefficients
@@ -464,10 +484,13 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     divided by da^n * db^m: only a factor of that denominator can cancel,
     and those factors are those of the monic parts of da and db, with
     their multiplicities times n and times m, so
-    `field_core._over_known_den` reduces every coefficient without a gcd.
+    `field_core._known_quotient` reduces every coefficient without a gcd.
+    The counts it divides out also give the result's own cleared form
+    (`_known_cleared`), which is filled in, so `rational_roots` does not
+    clear the resultant again.
     """
-    ia, da = clear_denominators(_oriented(A, main))
-    ib, db = clear_denominators(_oriented(B, main))
+    ia, da = _oriented(A, main)
+    ib, db = _oriented(B, main)
     oa, ea = _degrees(ia)
     ob, eb = _degrees(ib)
     # the Sylvester determinant bounds the resultant's degrees in the other
@@ -489,16 +512,61 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     # ts / d with d = da^n * db^m, whose factors are known
     den: dict[Poly, int] = {}
     for part, e in ((da, n), (db, m)):
+        if not e:
+            continue
         for f, mult in factor_poly(part.monic()):
             den[f] = den.get(f, 0) + mult * e
+    den = tuple(den.items())
     lc = da.lc.numerator ** n * db.lc.numerator ** m
-    coeffs = {}
+    coeffs, parts = {}, {}
     for e in range(d_o + 1):
-        ts = digits[e * (d_t + 1):(e + 1) * (d_t + 1)]
-        if any(ts):
-            coeffs[(0, e) if main == "x" else (e, 0)] = _over_known_den(
-                _scaled(ts, 1, lc), den.items())
-    return BiPoly(coeffs)
+        ts = _trim(digits[e * (d_t + 1):(e + 1) * (d_t + 1)])
+        if ts:
+            key = (0, e) if main == "x" else (e, 0)
+            coeffs[key], a, counts = _known_quotient(ts, lc, den)
+            parts[key] = a, counts
+    F = BiPoly(coeffs)
+    F._cleared_form = _known_cleared(parts, den, lc)
+    return F
+
+
+def _known_cleared(parts: dict, den: tuple, lift: int) -> tuple[dict, Poly]:
+    """`clear_denominators` of the values c = ts / (lift * prod q^m), one
+    for each key of `parts`, read off what `_known_quotient(ts, lift, den)`
+    returned besides c: the quotient a = ts / prod P^k in Z[t] and the
+    counts k, for the pairs (q, m) of `den`, q = P / l with P primitive.
+
+    No lcm is searched for.  c's reduced denominator is prod q^(m - k),
+    and the q are distinct monic irreducibles, so the monic lcm of them all
+    is L = prod q^(m - j), j the least k of q over the keys.  Then
+
+        c * L = a * prod P^(k - j) * prod l^j / lift = Q * p / r,
+
+    p / r in lowest terms, and with g = gcd(r, content of every Q) the
+    least positive integer s that clears every s * c * L is r / g.  The
+    cleared integers are Q * p / g and d = s * L, which is the pair
+    `clear_denominators` returns, int for int.
+    """
+    least = [min(ks[i] for _, ks in parts.values()) for i in range(len(den))]
+    top = lcm_lift = 1
+    lcm_parts = []
+    for (q, m), j in zip(den, least):
+        top *= q.den ** j
+        if j < m:
+            lcm_parts.append((q.nums, m - j))
+            lcm_lift *= q.den ** (m - j)
+    cols, content = {}, 0
+    for key, (a, ks) in parts.items():
+        extra = [(q.nums, k - j)
+                 for (q, _), k, j in zip(den, ks, least) if k > j]
+        cols[key] = col = (_kronecker_product([(a, 1), *extra]) if extra
+                           else a)
+        content = int_gcd(content, *col)
+    h = int_gcd(top, lift)
+    top, bottom = top // h, lift // h
+    g = int_gcd(bottom, content)
+    ints = {key: [top * (c // g) for c in col] for key, col in cols.items()}
+    return ints, _den_product(tuple(lcm_parts), lcm_lift).scale(bottom // g)
 
 
 def _degrees(ints: dict) -> tuple[int, int]:
@@ -933,7 +1001,8 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     involves both.
 
     The root 0 comes off first: F = Z^k * G with G(0) != 0 has it k times.
-    G is cleared to Z[t][Z] and its roots are found by specialising t at a
+    G is read in Z[t][Z] off F's cleared form (`BiPoly.cleared`, which a
+    resultant brings filled in) and its roots are found by specialising t at a
     small tau, finding the rational roots of that image p-adically and
     lifting each t-adically (`_lifted_roots`); an image with no rational
     root proves there is none.  Only when no tau decides is G factored
@@ -946,16 +1015,14 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     if F.deg_x and F.deg_y:
         raise ValueError("rational roots need a polynomial in one variable")
     axis = 1 if F.deg_y else 0
-    by_degree = {ij[axis]: c for ij, c in F.coeffs.items()}
+    by_degree = {ij[axis]: ts for ij, ts in F.cleared()[0].items()}
     k, degree = min(by_degree), max(by_degree)
-    zero = RatFunc.zero()
-    G = {(i - k,): by_degree.get(i, zero) for i in range(k, degree + 1)}
-    ints, _ = clear_denominators(G)
+    ints = {(i - k,): by_degree.get(i, []) for i in range(k, degree + 1)}
     _check_size(degree, max(len(ts) for ts in ints.values()) - 1)
     found = _lifted_roots(list(ints.values()))
     if found is None:
         found = _factored_roots(ints)
-    roots = [zero] * k
+    roots = [RatFunc.zero()] * k
     roots += [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
               for _ in range(found[r])]
     return roots, len(roots) == degree

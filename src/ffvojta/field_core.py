@@ -1006,6 +1006,19 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(r[:n]) else q
 
 
+# the nums of the place t: dividing by it drops a zero low coefficient
+_T_NUMS = (0, 1)
+
+
+def _low_zeros(a) -> int:
+    """The number of zero low coefficients of a nonzero integer list, the
+    multiplicity of t in it."""
+    n = 0
+    while not a[n]:
+        n += 1
+    return n
+
+
 def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     """p divided by each nonconstant monic q of `qs`, in turn, as often as
     it goes, with the number of times each went.
@@ -1014,7 +1027,8 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     the same way, and P is primitive (a prime dividing every coefficient of
     P would divide its leading coefficient L_q, and gcd(L_q, *P) = 1), so
     dividing by q^m is dividing A by P^m over Z (`_exact_quotient`) and
-    lifting by L_q^m.
+    lifting by L_q^m.  The place t goes out as one slice of A's zero low
+    coefficients.
     """
     counts = [0] * len(qs)
     if p.is_zero:
@@ -1023,6 +1037,10 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     scale = 1
     for k, q in enumerate(qs):
         b, lq = q.nums, q.den
+        if b == _T_NUMS:
+            counts[k] = _low_zeros(a)
+            a = a[counts[k]:]
+            continue
         while (quot := _exact_quotient(a, b)) is not None:
             a = quot
             counts[k] += 1
@@ -1030,35 +1048,60 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     return (_scaled(a, scale, lift) if any(counts) else p), counts
 
 
-def _over_known_den(num: Poly, den) -> RatFunc:
-    """num / prod q^m over the pairs (q, m) of `den`, in normal form: each q
-    monic irreducible, no two equal, and m >= 1.
+def _known_quotient(a, lift: int, den) -> tuple[RatFunc, list[int], list[int]]:
+    """The value a / lift / prod q^m over the pairs (q, m) of the sequence
+    `den`, in normal form, for a nonzero integer list a (lowest degree
+    first) and an integer lift != 0; each q monic irreducible, no two
+    equal, and m >= 1.  Returned with the quotient of a in Z[t] that it
+    comes from and the number of times each q went out of a.
 
     Only a factor of the denominator can cancel, so no gcd is needed: each
-    q is divided out of num, on integers as in `_divide_out`, until it no
-    longer goes or m times.  What is left of a q that stopped short is
-    coprime to what is left of num, and the distinct q are coprime to each
-    other, so the pair is normal by theorem.  The denominator is one integer
-    product of the primitive P's that remain, and its leading coefficient
-    is the product of their lifts: it comes out monic.
+    q is divided out of a, on integers as in `_divide_out`, until it no
+    longer goes or m times (the place t as one slice of zero low
+    coefficients, at most m long).  What is left of a q that stopped short
+    is coprime to what is left of a, and the distinct q are coprime to each
+    other, so the pair is normal by theorem.  The denominator is one
+    integer product of the primitive P's that remain, and its leading
+    coefficient is the product of their lifts: it comes out monic.
     """
-    if num.is_zero:
-        return RatFunc.zero()
-    a, lift = num.nums, num.den
     scale = down_lift = 1
-    down = []
+    down, counts = [], []
     for q, m in den:
         b, lq = q.nums, q.den
-        k = 0
-        while k < m and (quot := _exact_quotient(a, b)) is not None:
-            a = quot
-            k += 1
-        scale *= lq ** k
+        if b == _T_NUMS:
+            k = min(m, _low_zeros(a))
+            a = a[k:]
+        else:
+            k = 0
+            while k < m and (quot := _exact_quotient(a, b)) is not None:
+                a = quot
+                k += 1
+            scale *= lq ** k
+        counts.append(k)
         if k < m:
             down.append((b, m - k))
             down_lift *= lq ** (m - k)
-    return RatFunc._trusted(_scaled(a, scale, lift),
-                            _scaled(_kronecker_product(down), 1, down_lift))
+    return (RatFunc._trusted(_scaled(a, scale, lift),
+                             _den_product(tuple(down), down_lift)),
+            a, counts)
+
+
+def _over_known_den(num: Poly, den) -> RatFunc:
+    """num / prod q^m over the pairs (q, m) of `den`, in normal form, by
+    `_known_quotient`: each q monic irreducible, no two equal, m >= 1."""
+    if num.is_zero:
+        return RatFunc.zero()
+    return _known_quotient(num.nums, num.den, den)[0]
+
+
+@lru_cache(maxsize=1024)
+def _den_product(down: tuple, lift: int) -> Poly:
+    """The monic Poly prod P^m / lift over the pairs (P, m) of `down`, P a
+    primitive integer tuple and lift the product of the leading
+    coefficients; one `_kronecker_product` per distinct product.  Most
+    denominators of an audit repeat: a handful of products of the places
+    of S cover nearly every coefficient."""
+    return _scaled(_kronecker_product(down), 1, lift)
 
 
 def _multiplicity(p: Poly, q: Poly) -> int:

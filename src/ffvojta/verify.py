@@ -330,6 +330,35 @@ def _support_places(f: RatFunc) -> set:
     return divisor_of(f).support()
 
 
+def _companion_places(S_a: PlaceSet, B: BiPoly, u: SUnit,
+                      v: SUnit) -> PlaceSet:
+    """S', the place set S_a enlarged by the zeros and poles of the
+    coefficients of the companion B = `b_polynomial(A, u, v, w)`: the set
+    `enlarge_for_coefficients(S_a, B.coeffs.values())` builds, with only
+    the numerators factored, when S_a is A's enlarged set from
+    `_audit_setting` and u's and v's places lie in it.
+
+    A coefficient of B is reduced over b^2 * D, b the denominator of A's
+    coefficient and D the product of the places of u and v, so each of its
+    finite poles is a place of b or of D.  The places of b are poles of a
+    coefficient of A, which lie in S_a by its construction, and those of D
+    lie in S_a when u's and v's places do.  So S' is S_a with the zeros of
+    the numerators, and with infinity when some nonconstant coefficient has
+    numerator and denominator of different degrees.  When u's or v's places
+    leave S_a, every coefficient is enlarged by in full.
+    """
+    if not all(p in S_a.places for p, _ in u.exponents + v.exponents):
+        return enlarge_for_coefficients(S_a, list(B.coeffs.values()))
+    places = set(S_a.places)
+    for c in B.coeffs.values():
+        if c.is_constant:
+            continue
+        places.update(Place._trusted(q) for q, _ in factor_poly(c.num))
+        if c.num.degree != c.den.degree:
+            places.add(Place.infinity())
+    return PlaceSet(frozenset(places))
+
+
 @lru_cache(maxsize=64)
 def _audit_setting(expr: str, places: tuple[str, ...],
                    seed: int) -> tuple[BiPoly, PlaceSet, PlaceSet, OmegaForm]:
@@ -359,6 +388,14 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     resultants split over Q(t) verifies the pointwise common-zero
     inequality outside the assembled place set V.  Reports are labeled
     split-case only.
+
+    Each polynomial is cleared of denominators once: A once per config
+    (it is the one instance `_audit_setting` keeps), B once for both
+    resultants, and each resultant arrives with its cleared form, which
+    `rational_roots` reads.  S' is S_a with the zeros of the numerators of
+    B's coefficients (and infinity when one of them has a zero or pole
+    there), since every finite pole of such a coefficient is a place of
+    b^2 * D and so already in S_a (`_companion_places` gives the proof).
     """
     exprs = cfg.factor_list()
     if len(exprs) != 1:
@@ -374,7 +411,7 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
                     "v": render_ratfunc_expr(V_f)}
 
     B = b_polynomial(A, u, v, w)
-    S_prime = enlarge_for_coefficients(S_a, [c for c in B.coeffs.values()])
+    S_prime = _companion_places(S_a, B, u, v)
     chi_term = max(1, euler_char(S))
     s2_value = S_prime.geometric_size
     report["s_prime"] = {

@@ -1,10 +1,11 @@
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ffvojta.bipoly import (
     BiPoly,
@@ -303,6 +304,45 @@ def _resultant_inputs(draw):
     return A, B, main, planted
 
 
+# functions of t planted in every coefficient of an input of a resultant:
+# none, a constant, places that are also shared denominators (one of them
+# with its square over 3), and the place 1/2, whose primitive 2*t - 1 has
+# the lift 2, as a factor and as a pole
+_PLANTED_FACTORS = ("1", "6", "t", "t-1", "(t-1)^2/3", "2*t+6", "t^2+1",
+                    "2*t-1", "1/(2*t-1)")
+
+
+@st.composite
+def _filled_inputs(draw):
+    """(A, B, main): `_resultant_inputs` without the common factor, with a
+    function of t from _PLANTED_FACTORS multiplied into every coefficient
+    of A and one into every coefficient of B, so that a power of each
+    divides every coefficient of the resultant and cancels in part against
+    the denominators."""
+    A, B, main, _ = draw(_resultant_inputs().filter(lambda case: not case[3]))
+    fa, fb = (rat(draw(st.sampled_from(_PLANTED_FACTORS))) for _ in "ab")
+    return A.scale(fa), B.scale(fb), main
+
+
+def _check_filled(F: BiPoly) -> None:
+    """F came from a resultant with its cleared form filled in: that form
+    is `clear_denominators(F.coeffs)` int for int, and F equals, hashes,
+    pickles and finds roots like a fresh BiPoly with the same
+    coefficients, which has no cleared form until it is asked for one."""
+    filled = F._cleared_form
+    assert filled is not None
+    ints, d = clear_denominators(F.coeffs)
+    assert filled[0] == ints and filled[1] == d
+    assert all(type(ts) is list for ts in filled[0].values())
+    fresh = BiPoly(F.coeffs)
+    assert fresh._cleared_form is None
+    assert fresh == F and hash(fresh) == hash(F)
+    assert pickle.dumps(F) == pickle.dumps(fresh)
+    thawed = pickle.loads(pickle.dumps(F))
+    assert thawed == F and thawed._cleared_form is None
+    assert rational_roots(F) == rational_roots(fresh)
+
+
 class TestResultants:
     def test_examples(self):
         assert resultant_y(bi("X+Y"), bi("X-Y")) == bi("2*X")
@@ -392,6 +432,45 @@ class TestResultants:
         assert res.coeffs == oracle_resultant(A, B, main).coeffs
         if planted:
             assert res.is_zero
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(_filled_inputs())
+    def test_filled_cleared_form(self, case):
+        A, B, main = case
+        F = (resultant_x if main == "x" else resultant_y)(A, B)
+        assume(not F.is_zero)
+        _check_filled(F)
+
+    @pytest.mark.parametrize("main", ["x", "y"])
+    @pytest.mark.parametrize("pole, factor", [
+        (None, "t+3"),
+        # the lift 2 of 2*t - 1 meets the even leading coefficient of the
+        # cleared denominator of A
+        ("1/(2*t-1)", "2*t-1"),
+    ])
+    def test_filled_cleared_form_examples(self, main, pole, factor):
+        # the cleared denominators 6*(t+3) of A and 2*(t^2+1) of B have
+        # leading coefficients 6 and 2; a factor planted in B that is a
+        # pole of A divides every coefficient of the resultant, and the
+        # common denominator loses part of its known power
+        A = BiPoly({(2, 0): rat("1/3"), (1, 1): rat("t"),
+                    (0, 0): rat("1/(2*t+6)")})
+        B = BiPoly({(1, 0): rat("(t-1)/2"), (0, 1): rat("3/(t^2+1)"),
+                    (0, 0): rat("t")})
+        if main == "y":
+            A, B = _swap(A), _swap(B)
+        assert A.cleared()[1].lc == 6 and B.cleared()[1].lc == 2
+        res = resultant_x if main == "x" else resultant_y
+        _check_filled(res(A, B))
+        if pole is not None:
+            A = A + BiPoly.monomial(*((1, 0) if main == "x" else (0, 1)),
+                                    rat(pole))
+        planted = res(A, B.scale(rat(factor)))
+        _check_filled(planted)
+        m, n = (A.deg_x, B.deg_x) if main == "x" else (A.deg_y, B.deg_y)
+        da, db = A.cleared()[1].monic(), B.cleared()[1].monic()
+        assert planted.cleared()[1].degree < n * da.degree + m * db.degree
 
     @pytest.mark.parametrize("main", ["x", "y"])
     @pytest.mark.parametrize("c", [-7, 6, -16])

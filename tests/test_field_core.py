@@ -22,6 +22,7 @@ from ffvojta.field_core import (
     ZeroPolynomial,
     _CERT_POINTS,
     _CERT_PRIME,
+    _den_product,
     _factor_cached,
     _image,
     _multiplicity,
@@ -394,6 +395,29 @@ class TestOverKnownDen:
             RatFunc.const(Fraction(3, 2))
         zero = _over_known_den(Poly(), [(t, 2)])
         assert zero.is_zero and zero.den == ONE
+
+    def test_denominator_products_cached(self):
+        # the denominator left over, prod q^(m - k), is built once per
+        # distinct product: a second call with the same input hits the cache
+        assert _den_product.cache_info().maxsize == 1024
+        rng = random.Random(83)
+        for _ in range(40):
+            num, den, factors = rand_poly(rng, 3), Poly.one(), []
+            if num.is_zero:
+                continue
+            for place in _PLACES:
+                num = num * place.poly ** rng.randint(0, 3)
+                m = rng.randint(0, 3)
+                den = den * place.poly ** m
+                if m:
+                    factors.append((place.poly, m))
+            want = RatFunc(num, den)
+            for call in range(2):
+                hits = _den_product.cache_info().hits
+                got = _over_known_den(num, factors)
+                assert (got.num, got.den) == (want.num, want.den)
+                if call:
+                    assert _den_product.cache_info().hits == hits + 1
 
 
 # a value for `clear_denominators`: a numerator with either None (a bare

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -175,7 +176,56 @@ class TestReports:
             assert report["summary"]["violation"] == 0, name
 
 
+CUBIC = "X^2*Y+X*Y^2-t*(X+Y)+1"
+
+
 class TestAudit:
+    @pytest.mark.parametrize("poly, places, indices", [
+        # a seeded sample of the benchmark's audit_cubic pool pairs
+        (CUBIC, ("0", "1", "inf"), random.Random(20).sample(range(144), 16)),
+        # no infinity in S, and A's coefficients are constants, so none in
+        # S_a: it comes in only through a coefficient of B
+        ("X+Y+1", ("0", "1", "-1"), range(12)),
+        # the degree-2 place t^2 + 1
+        (CUBIC, ("0", "1", "t^2+1", "inf"), range(12)),
+        # a coefficient of A with a pole at -1, which b^2 brings into B
+        ("X^2*Y+X*Y^2-t*(X+Y)+1/(t+1)", ("0", "1", "inf"), range(12)),
+    ])
+    def test_companion_places(self, poly, places, indices):
+        from ffvojta.bipoly import b_polynomial
+        from ffvojta.sunits import enlarge_for_coefficients
+        from ffvojta.verify import _audit_setting, _companion_places
+
+        cfg = RunConfig(poly=poly, places=places, epsilon="1/2",
+                        max_exponent=2, seed=7, mode="audit")
+        ctx = build_context(cfg)
+        A, _, S_a, w = _audit_setting(poly, places, 7)
+        assert S_a.has_infinity == ("inf" in places or "t" in poly)
+        assert (Place.rational(-1) in S_a.places) == ("-1" in places
+                                                      or "t+1" in poly)
+        for index in indices:
+            u, v = pair_for_index(ctx, index)
+            B = b_polynomial(A, u, v, w)
+            assert _companion_places(S_a, B, u, v) == enlarge_for_coefficients(
+                S_a, list(B.coeffs.values()))
+
+    def test_companion_places_off_s_a(self):
+        # u lives on a place that S_a lacks, so the poles of B's
+        # coefficients are not all known: every coefficient is enlarged by
+        # in full, and the place of u comes in as a pole
+        from ffvojta.bipoly import b_polynomial
+        from ffvojta.sunits import enlarge_for_coefficients
+        from ffvojta.verify import _audit_setting, _companion_places
+
+        A, _, S_a, w = _audit_setting("X+Y+1", ("0", "1", "inf"), 7)
+        P2 = Place.rational(2)
+        S2 = PlaceSet(S_a.places | {P2})
+        u, v = SUnit.make(1, {P2: 1}, S2), SUnit.make(3, {P0: 1}, S2)
+        B = b_polynomial(A, u, v, w)
+        got = _companion_places(S_a, B, u, v)
+        assert got == enlarge_for_coefficients(S_a, list(B.coeffs.values()))
+        assert P2 in got.places
+
     def test_common_zeros_in_first_occurrence_order(self):
         # A vanishes at X in {1, t} and B at Y in {2, -t}, so every pair of
         # nonzero roots is a common zero; repeats and the zero root drop out
