@@ -64,7 +64,7 @@ from .constants import (
     section_height_constant,
     theta_ledger,
 )
-from .unitsum import VanishingSum, bm_weight, check_bm, m_at
+from .unitsum import VanishingSum, bm_weight, check_bm
 from .p2family import (
     BiDegree,
     BiForm,

@@ -45,6 +45,7 @@ from operator import add
 from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
+    _MERSENNE_EXPONENTS,
     OmegaForm,
     Poly,
     RatFunc,
@@ -52,11 +53,13 @@ from .field_core import (
     _exact_quotient,
     _image,
     _den_product,
+    _divmod_mod,
     _known_quotient,
     _kronecker_product,
     _over_known_den,
     _pack,
     _signed_digits,
+    _trim,
     clear_denominators,
     factor_poly,
     from_cleared,
@@ -679,13 +682,6 @@ _LIFT_POINTS = tuple(range(2, 10))
 _IMAGE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                  71, 73, 79, 83)
 
-# Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
-# prime by the Lucas-Lehmer test); the t-adic lift runs modulo the least
-# one above twice its coefficient bound.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                       4253, 4423)
-
-
 def _value(f, x: int) -> int:
     """f(x) for a sequence f of ints, lowest degree first."""
     acc = 0
@@ -799,14 +795,6 @@ def _series_inverse(a: list[int], n: int, mod: int) -> list[int]:
     return out
 
 
-def _trim(f: list[int]) -> list[int]:
-    """f without its trailing zeros."""
-    n = len(f)
-    while n and not f[n - 1]:
-        n -= 1
-    return f[:n]
-
-
 def _plus(a: list[int], b: list[int], mod: int) -> list[int]:
     """a + b mod `mod`, coefficientwise."""
     return [(x + y) % mod for x, y in zip_longest(a, b, fillvalue=0)]
@@ -817,18 +805,6 @@ def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
     the trailing zeros dropped."""
     out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
     return _trim([c % mod for c in out] if mod else out)
-
-
-def _divmod_mod(a: list[int], b: list[int], mod: int):
-    """Quotient and remainder of a by b over the field Z/mod, lowest first."""
-    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, mod)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = quo[i - db] = a[i] * inv % mod
-        if c:
-            for j in range(db):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % mod
-    return quo, _trim(a[:db])
 
 
 def _pade(f: list[int], n: int, k: int, mod: int):

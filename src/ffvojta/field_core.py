@@ -12,11 +12,12 @@ Geometric counts always weight a place by its degree, so the sums over
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class ZeroFunction(ValueError):
@@ -52,18 +53,19 @@ PLACE_DEGREE_CAP = 8
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
-def power(base, n: int, one):
+def power(base, n: int, one, mul=operator.mul):
     """base ** n by square-and-multiply, for n >= 0; `one` is the unit of
-    the ring.  Squares only while exponent bits remain."""
+    the ring and `mul` its product.  Squares only while exponent bits
+    remain."""
     if n < 0:
         raise ValueError("negative power of a polynomial")
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -399,11 +401,12 @@ def render_poly(p: Poly, var: str = "t") -> str:
 #
 # Poly does ring arithmetic only.  Every other algorithm on polynomials over
 # Q or Q(t), except the integer Sylvester determinants behind the bivariate
-# resultants, runs in sympy over ZZ: a Poly hands over its `nums`, which are
-# already cleared, a coefficient map is cleared by `clear_denominators`, and
-# a bivariate result comes back through `from_cleared`.  sympy is
-# imported on first use, inside the functions that call it, so a run that
-# never needs it never loads it.
+# resultants, the lifted rational roots and the factoriser of squarefree
+# polynomials below, runs in sympy over ZZ: a Poly hands over its `nums`,
+# which are already cleared, a coefficient map is cleared by
+# `clear_denominators`, and a bivariate result comes back through
+# `from_cleared`.  sympy is imported on first use, inside the functions that
+# call it, so a run that never needs it never loads it.
 
 def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     """The values of `coeffs` (RatFunc or Poly), all multiplied by one d, as
@@ -468,6 +471,50 @@ def from_cleared(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
             for key, ts in groups.items()}
 
 
+# --- polynomials over Z/p ---------------------------------------------------
+#
+# Residue lists, lowest degree first, without trailing zeros: the images
+# behind the gcd certificate and the factoriser below, and the t-adic lifts
+# of `bipoly.rational_roots`.
+
+# Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
+# prime by the Lucas-Lehmer test); a big-prime step runs modulo the least
+# one above twice its coefficient bound.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423)
+
+
+def _trim(f: list[int]) -> list[int]:
+    """f without its trailing zeros."""
+    n = len(f)
+    while n and not f[n - 1]:
+        n -= 1
+    return f[:n]
+
+
+def _divmod_mod(a: list[int], b: list[int], mod: int):
+    """Quotient and remainder of a by b over the field Z/mod, lowest first."""
+    a, db, inv = list(a), len(b) - 1, pow(b[-1], -1, mod)
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = quo[i - db] = a[i] * inv % mod
+        if c:
+            k = i - db
+            a[k:i] = [(x - c * y) % mod for x, y in zip(a[k:i], b)]
+    return quo, _trim(a[:db])
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of the residue lists a and b over the field Z/p, by
+    Euclid's algorithm; [] when both are zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
 _GCD_PRIMES = (2305843009213693951, 4611686018427387847, 2147483647)
 
 
@@ -476,29 +523,7 @@ def _mod_gcd_is_one(a: list[int], b: list[int]) -> bool:
     for p in _GCD_PRIMES:
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
-        fa = [c % p for c in a]
-        fb = [c % p for c in b]
-        while fb and any(fb):
-            while fb and fb[-1] == 0:
-                fb.pop()
-            if not fb:
-                break
-            inv = pow(fb[-1], p - 2, p)
-            fb = [c * inv % p for c in fb]
-            db = len(fb) - 1
-            while len(fa) - 1 >= db and any(fa):
-                while fa and fa[-1] == 0:
-                    fa.pop()
-                if len(fa) - 1 < db:
-                    break
-                la = fa[-1]
-                shift = len(fa) - 1 - db
-                for j, c in enumerate(fb):
-                    fa[shift + j] = (fa[shift + j] - la * c) % p
-            fa, fb = fb, fa
-            while fb and fb[-1] == 0:
-                fb.pop()
-        return len(fa) == 1
+        return len(_gcd_mod([c % p for c in a], [c % p for c in b], p)) == 1
     return False
 
 
@@ -553,13 +578,291 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     return [(Poly(f[::-1]).monic(), m) for f, m in parts]
 
 
-# --- irreducible factorization (sympy over ZZ) -----------------------------
+# --- irreducible factorization ---------------------------------------------
+#
+# A primitive integer polynomial f whose image mod a prime p not dividing
+# its leading coefficient is squarefree is squarefree over Q (a repeated
+# factor would stay repeated mod p), and is factored here, exactly:
+#
+# - degree analysis (Musser, JACM 25, 1978): an integer factor of degree k
+#   reduces to a product of irreducible factors mod p whose degrees add up
+#   to k, so the degrees a factor can have lie in the subset sums of the
+#   distinct-degree factorisation mod each such p; when those intersect to
+#   {0, n}, f is irreducible;
+# - otherwise Zassenhaus' recombination (J. Number Theory 1, 1969) with one
+#   big prime: f is split mod the least Mersenne prime P above
+#   2 |lc f| 2^n ||f||_2 (distinct degrees, then Cantor-Zassenhaus with
+#   a = x, x + 1, ...).  An integer factor g has coefficients at most
+#   2^deg g ||f||_2 (Mignotte), so lc(f/g) * g, the product of its modular
+#   factors times lc f, is read off exactly in symmetric residues, and each
+#   candidate is kept only if it divides exactly in Z[t].
+#
+# Nothing rests on probability: the bounds below only send work to sympy's
+# Zassenhaus (`dup_factor_list`), as does every input that no small prime
+# certifies squarefree.
+
+# the small primes of the degree analysis, and how many usable ones it takes
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                 61, 67, 71, 73, 79, 83, 89, 97)
+_DEGREE_PRIMES = 8
+# the points a = x + c tried for one equal-degree split
+_SPLIT_TRIES = 32
+# the most modular factors recombined (at most C(12, 6) = 924 subsets of
+# one size)
+_MAX_MODULAR_FACTORS = 12
+
+
+def _unpacked(x: int, k: int, n: int, p: int) -> list[int]:
+    """The n base-2^k digits of x >= 0, lowest first, each reduced mod p."""
+    mask = (1 << k) - 1
+    return [(x >> i & mask) % p for i in range(0, k * n, k)]
+
+
+class _ModRing:
+    """Residues of Z/p[x] modulo a monic f of degree n >= 1.
+
+    A product of two residues is one Kronecker-packed integer product.  Its
+    low n digits stay packed, and each high digit, reduced mod p, adds its
+    row of x^n, ..., x^(2n-2) mod f, packed the same way: one integer sum.
+    A digit of the product is a sum of fewer than n products of residues,
+    and a high digit adds fewer than n more, so the width k holds 2 n p^2.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.k = k = (2 * n * p * p).bit_length() + 1
+        self.low_digits = (1 << k * n) - 1
+        # x^n = tail mod f, and each row is x times the one before
+        row, rows = [0] * (n - 1) + [1], []
+        tail = [-c % p for c in f[:n]]
+        for _ in range(n - 1):
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [(x + top * y) % p for x, y in zip(row, tail)]
+            rows.append(_pack(row, k))
+        self.rows = rows
+
+    def _reduced(self, packed: int, top: int) -> list[int]:
+        """The packed polynomial of degree below `top` <= 2n - 1 mod f, as
+        residues."""
+        n, k, p = self.n, self.k, self.p
+        acc = packed & self.low_digits
+        for c, row in zip(_unpacked(packed >> k * n, k, top - n, p),
+                          self.rows):
+            if c:
+                acc += c * row
+        return _trim(_unpacked(acc, k, n, p))
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        if not a or not b:
+            return []
+        k = self.k
+        packed = _pack(a, k)
+        packed *= packed if a is b else _pack(b, k)
+        return self._reduced(packed, len(a) + len(b) - 1)
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        return power(a, e, [1], self.mul)
+
+    def frobenius_base(self) -> list[int]:
+        """The rows x^(ip) mod f, i < n, packed: the p-th power map is
+        linear over Z/p, so h^p = sum h_i x^(ip)."""
+        n, p, k = self.n, self.p, self.k
+        if p < n:
+            # x^(ip) is x^((i-1)p) shifted up by p digits
+            rows, row = [], [1]
+            for _ in range(n):
+                rows.append(row)
+                row = self._reduced(_pack(row, k) << k * p, len(row) + p)
+        else:
+            xp = self.pow([0, 1], p)
+            rows = [[1]]
+            for _ in range(n - 1):
+                rows.append(self.mul(rows[-1], xp))
+        return [_pack(r, k) for r in rows]
+
+    def frobenius(self, h: list[int], base: list[int]) -> list[int]:
+        """h^p mod f, from the packed `frobenius_base`."""
+        acc = 0
+        for c, row in zip(h, base):
+            if c:
+                acc += c * row
+        return _trim(_unpacked(acc, self.k, self.n, self.p))
+
+
+def _monic_image(f, p: int) -> list[int]:
+    """f mod p made monic, for p not dividing lc(f)."""
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """True when the residues f (of degree >= 1) are squarefree over Z/p."""
+    der = _trim([i * c % p for i, c in enumerate(f)][1:])
+    return len(_gcd_mod(f, der, p)) == 1
+
+
+def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """The distinct-degree factorisation of a monic squarefree f over Z/p:
+    pairs (g, d), g the product of the irreducible factors of degree d.
+
+    h = x^(p^d) mod f, and gcd(h - x, f) is the product of the irreducible
+    factors of degree dividing d; those of lower degree are divided out
+    already, and the gcd is taken with what is left of f, which divides f.
+    What is left once 2d exceeds its degree is irreducible."""
+    ring = _ModRing(f, p)
+    base = ring.frobenius_base()
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = ring.frobenius(h, base)
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        g = _gcd_mod(f, _trim(hx), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_mod(f, g, p)[0]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _edf(g: list[int], d: int, p: int) -> list[list[int]] | None:
+    """The irreducible factors, each of degree d, of a monic g over Z/p
+    (p odd) that is a product of distinct ones; None when the tries run
+    out.
+
+    For a = x + c and e = (p^d - 1) / 2, a^e is +-1 or 0 modulo each
+    factor, so gcd(a^e - 1, part) collects the factors of a part where it
+    is 1; the parts are split again with the next c until each has degree
+    d."""
+    parts = [g]
+    if len(g) - 1 == d:
+        return parts
+    ring = _ModRing(g, p)
+    base = ring.frobenius_base()
+    for c in range(_SPLIT_TRIES):
+        # a^((p^d - 1) / 2) = (a^(1 + p + ... + p^(d-1)))^((p - 1) / 2)
+        acc = frob = [c, 1]
+        for _ in range(d - 1):
+            frob = ring.frobenius(frob, base)
+            acc = ring.mul(acc, frob)
+        b = ring.pow(acc, (p - 1) // 2) or [0]
+        b[0] = (b[0] - 1) % p
+        b = _trim(b)
+        split = []
+        for part in parts:
+            h = _gcd_mod(part, b, p) if len(part) - 1 > d else part
+            if 1 < len(h) < len(part):
+                split += [h, _divmod_mod(part, h, p)[0]]
+            else:
+                split.append(part)
+        parts = split
+        if all(len(part) - 1 == d for part in parts):
+            return parts
+    return None
+
+
+def _subset_sums(degrees) -> int:
+    """The subset sums of the degrees, as a bit mask."""
+    mask = 1
+    for d in degrees:
+        mask |= mask << d
+    return mask
+
+
+def _recombined(f: list[int], mods: list[list[int]], mod: int,
+                degrees: int) -> list[list[int]]:
+    """The irreducible factors of the primitive f in Z[t] (positive leading
+    coefficient), from its monic irreducible factors `mods` modulo a prime
+    `mod` above twice the factor bound: subsets of growing size, those
+    whose degree lies in the mask `degrees`, each tried by exact
+    division.  A factor found from the fewest modular factors has no
+    proper factor, since that would have been found first."""
+    found, left, s, half = [], list(range(len(mods))), 1, mod // 2
+    while 2 * s <= len(left):
+        for subset in itertools.combinations(left, s):
+            if not degrees >> sum(len(mods[i]) - 1 for i in subset) & 1:
+                continue
+            g = [f[-1]]
+            for i in subset:
+                g = [c % mod for c in _kronecker_product(((g, 1),
+                                                          (mods[i], 1)))]
+            g = [c - mod if c > half else c for c in g]
+            content = gcd(*g)
+            g = [c // content for c in g]
+            quo = _exact_quotient(f, g)
+            if quo is not None:
+                found.append(g)
+                f = quo
+                left = [i for i in left if i not in subset]
+                break
+        else:
+            s += 1
+    return found + [f]
+
+
+def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
+    """The irreducible factors in Z[t] of the primitive f (lowest degree
+    first, degree >= 2, positive leading coefficient), or None when no
+    small prime certifies it squarefree or a bound is reached."""
+    n = len(f) - 1
+    irreducible = 1 | 1 << n
+    degrees, usable = (1 << n + 1) - 1, 0
+    for p in _SMALL_PRIMES:
+        if not f[-1] % p:
+            continue
+        image = _monic_image(f, p)
+        if not _squarefree_mod(image, p):
+            continue
+        usable += 1
+        degrees &= _subset_sums(d for g, d in _ddf(image, p)
+                                for _ in range((len(g) - 1) // d))
+        if degrees == irreducible:
+            return [f]
+        if usable == _DEGREE_PRIMES:
+            break
+    if not usable:
+        return None
+    bound = 2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n
+    for e in _MERSENNE_EXPONENTS:
+        mod = 2 ** e - 1
+        if mod <= bound:
+            continue
+        image = _monic_image(f, mod)
+        if not _squarefree_mod(image, mod):
+            continue
+        parts = _ddf(image, mod)
+        if sum((len(g) - 1) // d for g, d in parts) > _MAX_MODULAR_FACTORS:
+            return None
+        mods = []
+        for g, d in parts:
+            split = _edf(g, d, mod)
+            if split is None:
+                return None
+            mods += split
+        return _recombined(f, mods, mod, degrees)
+    return None
+
 
 @lru_cache(maxsize=8192)
 def _factor_cached(prim: tuple[int, ...]) -> tuple:
     """The monic irreducible factors, with multiplicities, of the primitive
     integer polynomial `prim` (lowest degree first, positive leading
-    coefficient)."""
+    coefficient), in sympy's order: by degree, multiplicity, then integer
+    coefficients from the top.
+
+    A degree-1 input is its own factor; an input certified squarefree by a
+    small prime is factored in house (`_factor_squarefree`); anything else,
+    or an input a bound sends back, goes to sympy's `dup_factor_list`."""
+    if len(prim) == 2:
+        return ((_scaled(prim, 1, prim[-1]), 1),)
+    factors = _factor_squarefree(list(prim))
+    if factors is not None:
+        factors.sort(key=lambda g: (len(g), g[::-1]))
+        return tuple((_scaled(g, 1, g[-1]), 1) for g in factors)
     from sympy import ZZ
     from sympy.polys.factortools import dup_factor_list
 
@@ -568,10 +871,13 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors of p over Q, with multiplicities.
+    """Monic irreducible factors of p over Q, with multiplicities, in
+    sympy's order (`_factor_cached`).
 
     The cache is keyed on the primitive part of p's nums with a positive
-    leading coefficient, so p and every c * p share one entry."""
+    leading coefficient, so p and every c * p share one entry.  An input
+    that a small prime certifies squarefree is factored in house, without
+    sympy."""
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:

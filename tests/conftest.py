@@ -10,7 +10,8 @@ pair fed to the normalising constructor, vanishing subsums by summing
 every subset over sympy polynomials, multiplicative dependence by every
 2x2 minor of the exponent vectors, resultants (BiPolys in the variable
 left) by sympy's subresultant PRS over Z[X, Y, t], rational roots by the
-rational-root method over Q[t] with synthetic division, cleared
+rational-root method over Q[t] with synthetic division, factorisations
+over Q by sympy's Zassenhaus over ZZ, cleared
 denominators by a `poly_lcm` chain, and the irreducibility audit by
 building each specialisation as a sympy expression coefficient by
 coefficient.
@@ -84,6 +85,17 @@ def sympy_factor_multiplicities(p: Poly) -> list[tuple[Poly, int]]:
         coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
         out.append((Poly(coeffs).monic(), int(mult)))
     return out
+
+
+def oracle_factor(p: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of p over Q with multiplicities, in the
+    order of sympy's Zassenhaus factoriser (`dup_factor_list` over ZZ on
+    p's integers)."""
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(list(p.nums[::-1]), ZZ)
+    return [(Poly(f[::-1]).monic(), m) for f, m in factors]
 
 
 def oracle_trunc_count(f: RatFunc, S: PlaceSet) -> int:

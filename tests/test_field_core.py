@@ -24,6 +24,7 @@ from ffvojta.field_core import (
     _CERT_PRIME,
     _den_product,
     _factor_cached,
+    _factor_squarefree,
     _image,
     _multiplicity,
     _over_known_den,
@@ -44,6 +45,7 @@ from conftest import (
     from_sympy,
     oracle_clear_denominators,
     oracle_divide_out,
+    oracle_factor,
     oracle_poly_divmod,
     oracle_poly_mul,
     oracle_proj_height,
@@ -915,3 +917,85 @@ class TestFactorShim:
         assert first == second
         info = _factor_cached.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+def _primitive(p: Poly) -> list[int]:
+    """p's integers, primitive with a positive leading coefficient."""
+    c = gcd(*p.nums) * (1 if p.nums[-1] > 0 else -1)
+    return [a // c for a in p.nums]
+
+
+class TestFactoriser:
+    """`factor_poly` against sympy's Zassenhaus: the same factors, with
+    the same multiplicities, in the same order."""
+
+    @staticmethod
+    def check(p: Poly) -> bool:
+        """Asserts the factorisation and its order; True when the in-house
+        factoriser decided it."""
+        _factor_cached.cache_clear()
+        assert factor_poly(p) == oracle_factor(p)
+        return p.degree < 2 or _factor_squarefree(_primitive(p)) is not None
+
+    def test_random_products(self):
+        rng = random.Random(2021)
+        decided = total = 0
+        for _ in range(60):
+            p = Poly.one()
+            for _ in range(rng.randint(1, 4)):
+                deg = rng.randint(1, 5)
+                p = p * Poly([rng.randint(-9, 9) for _ in range(deg)]
+                             + [rng.choice((1, 2, 3, -1, -4))])
+            decided += self.check(p)
+            total += 1
+        # the big-prime bounds send at most a few products back to sympy
+        assert decided >= total - 6
+
+    def test_reducible_pool_remainders(self):
+        # pool ops 1 and 26 of the unit-sum workload: the balancing term's
+        # numerator, stripped of the places of S, is (t^2 - t + 1) times an
+        # irreducible of higher degree; the other 190 are irreducible
+        from ffvojta.unitsum import random_vanishing_sum
+
+        S = PlaceSet.of(0, 1, "inf")
+        for index in (1, 26):
+            last = random_vanishing_sum(S, 5, 10, index).terms[-1]
+            rest = strip_set_factors(last.num, S)
+            assert self.check(rest)
+            factors = factor_poly(rest)
+            assert [m for _, m in factors] == [1, 1]
+            assert factors[0][0] == Poly((1, -1, 1))
+            assert factors[1][0].degree > 2
+
+    @pytest.mark.parametrize("nums", [
+        (1, 0, -10, 0, 1),
+        (576, 0, -960, 0, 352, 0, -40, 0, 1),
+    ], ids=["sqrt2-sqrt3", "sqrt2-sqrt3-sqrt5"])
+    def test_swinnerton_dyer(self, nums):
+        # irreducible, yet split into factors of degree <= 2 mod every
+        # prime: the degree analysis cannot certify them, recombination
+        # must try every subset
+        p = Poly(nums)
+        assert self.check(p)
+        assert factor_poly(p) == [(p, 1)]
+        assert self.check(p * Poly((-2, 0, 1)))
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 12, 15, 16, 24])
+    def test_cyclotomics(self, n):
+        # t^15 - 1 and t^24 - 1 have more linear factors mod the big prime
+        # than recombination takes, and go to sympy; both ways agree
+        decided = self.check(Poly((-1,) + (0,) * (n - 1) + (1,)))
+        assert decided == (n not in (15, 24))
+        self.check(Poly((1,) + (0,) * (n - 1) + (1,)))
+
+    def test_repeated_factor_declines_to_sympy(self):
+        p = Poly((-1, 1)) ** 2 * Poly((2, 1)) * Poly((1, 0, 1))
+        assert _factor_squarefree(_primitive(p)) is None
+        _factor_cached.cache_clear()
+        assert factor_poly(p) == oracle_factor(p)
+        assert [m for _, m in factor_poly(p)] == [1, 2, 1]
+
+    def test_content_and_sign(self):
+        p = Poly((Fraction(-6, 5), Fraction(3, 5), 0, Fraction(-12, 5)))
+        assert self.check(p)
+        assert factor_poly(p) == factor_poly(p.scale(-7))

@@ -1,25 +1,30 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import ffvojta
 
 from ffvojta.counting import NotUnit, VanishingSubsum
-from ffvojta.field_core import Place, RatFunc, divisor_of, ord_at
+from ffvojta.field_core import RatFunc, divisor_of, ord_at
 from ffvojta.parser import parse_place
-from ffvojta.sunits import PlaceSet
+from ffvojta.sunits import PlaceSet, as_ratfunc
 from ffvojta.unitsum import (
     SumNonzero,
     VanishingSum,
+    _known_den_sum,
     bm_weight,
     check_bm,
-    m_at,
     random_vanishing_sum,
 )
-from conftest import rat
+from conftest import ODD_PLACE_SETS, rat, unit_over
 
 
-P0 = Place.rational(0)
 S011 = PlaceSet.of(0, 1, "inf")
 
 
@@ -34,14 +39,6 @@ class TestWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bm_weight(-1)
-
-
-class TestMAt:
-    def test_examples(self):
-        terms = [rat("t"), rat("1-t"), rat("-1")]
-        assert m_at(terms, P0) == 2
-        assert m_at(terms, Place.rational(7)) == 3
-        assert m_at([rat("t"), rat("t")], P0) == 0
 
 
 class TestVanishingSum:
@@ -81,6 +78,21 @@ class TestVanishingSum:
             assert vs.orders == tuple(
                 tuple(ord_at(w, p) for w in vs.terms)
                 for p in vs.place_set.sorted_places())
+
+    @pytest.mark.parametrize("places", ["0,1,inf", "0,1/2,-3,t^2+1,inf",
+                                        "-1,0,1"])
+    def test_enlarged_by_the_balancing_support(self, places):
+        S = PlaceSet(frozenset(parse_place(p) for p in places.split(",")))
+        for seed in range(8):
+            vs = random_vanishing_sum(S, 3 + seed % 3, 4, seed)
+            assert vs.place_set.places == \
+                S.places | divisor_of(vs.terms[-1]).support()
+
+    @pytest.mark.parametrize("n", [1, 2, 21])
+    def test_term_count_rejected_before_a_draw(self, n):
+        # max_exponent 0 would make the draw itself raise another message
+        with pytest.raises(ValueError, match="three terms|capped at 20"):
+            random_vanishing_sum(S011, n, 0, 0)
 
     def test_order_table_without_infinity(self):
         # places -1, 0, 1 in order; no row at infinity
@@ -165,3 +177,42 @@ class TestCheckBM:
             assert result.holds
             # deficit support stays inside the place set
             assert {p for p, _ in result.deficits} <= vs.place_set.places
+
+
+class TestKnownDenominatorSum:
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(ODD_PLACE_SETS) - 1), st.integers(0, 2 ** 32),
+           st.integers(1, 6), st.integers(1, 5), st.booleans())
+    def test_matches_the_sum_of_expansions(self, which, seed, count, max_exp,
+                                           cancel):
+        S = ODD_PLACE_SETS[which]
+        rng = random.Random(seed)
+        units = [unit_over(S, rng, max_exp) for _ in range(count)]
+        if cancel:
+            # a unit and its negative: the sum loses a term, and with
+            # count 1 it is zero
+            u = units[0]
+            units.append(type(u)(-u.constant, u.exponents, u.places))
+        expected = RatFunc.zero()
+        for u in units:
+            expected = expected + as_ratfunc(u)
+        got = _known_den_sum(units, [u.exponent_map() for u in units], S)
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def test_bm_run_leaves_sympy_unloaded():
+    # the unit sums of the bm workload over {0, 1, inf}: the balancing
+    # term's new places are factored in house, and no gcd runs
+    src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+    code = ("import sys\n"
+            "from ffvojta.sunits import PlaceSet\n"
+            "from ffvojta.unitsum import check_bm, random_vanishing_sum\n"
+            "S = PlaceSet.of(0, 1, 'inf')\n"
+            "for i in range(192):\n"
+            "    assert check_bm(random_vanishing_sum(S, 5, 10, i)).holds\n"
+            "print('sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
