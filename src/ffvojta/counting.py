@@ -210,20 +210,24 @@ def check_cz_gcd_bound(u: RatFunc, alpha: RatFunc, v: RatFunc, beta: RatFunc,
 MAX_SUBSUM_TERMS = 20
 
 
-def _zero_residue_masks(terms: list[RatFunc]) -> list[int] | None:
+def _zero_residue_masks(terms: list[RatFunc],
+                        images: list[int] | None = None) -> list[int] | None:
     """Proper nonempty masks whose subsum has image 0 mod p, ascending.
 
-    The images are taken at the first point where every term has one, and
-    the subsets are walked in Gray-code order (Knuth, TAOCP 7.2.1.1), one
-    modular add or subtract per step.  None when no point is usable.
+    `images` are the terms' images mod p at one point where every term is
+    regular, when the caller knows them; otherwise they are taken at the
+    first point of `_CERT_POINTS` where every term has one.  The subsets
+    are walked in Gray-code order (Knuth, TAOCP 7.2.1.1), one modular add
+    or subtract per step.  None when no point is usable.
     """
     p = _CERT_PRIME
-    for tau in _CERT_POINTS:
-        images = [_image(f, tau, p) for f in terms]
-        if None not in images:
-            break
-    else:
-        return None
+    if images is None:
+        for tau in _CERT_POINTS:
+            images = [_image(f, tau, p) for f in terms]
+            if None not in images:
+                break
+        else:
+            return None
     full = (1 << len(terms)) - 1
     masks = []
     acc = gray = 0
@@ -240,19 +244,24 @@ def _zero_residue_masks(terms: list[RatFunc]) -> list[int] | None:
     return masks
 
 
-def find_vanishing_subsum(terms: list[RatFunc]) -> tuple[int, ...] | None:
+def find_vanishing_subsum(terms: list[RatFunc],
+                          images: list[int] | None = None
+                          ) -> tuple[int, ...] | None:
     """Indices of a vanishing proper nonempty subsum, or None.
 
     The answer is the subset of least mask (bit i for term i) whose exact
     sum is zero.  Only subsets whose image mod p vanishes are summed
     exactly: evaluating t at tau and reducing mod p is a ring homomorphism
     on the terms regular there, so a nonzero image proves a nonzero
-    subsum.  When no point is usable, every subset is summed exactly.
+    subsum.  A caller that built the terms may pass their `images` mod
+    `_CERT_PRIME` at any one point where all are regular; the answer does
+    not depend on the point.  When no point is usable, every subset is
+    summed exactly.
     """
     n = len(terms)
     if n > MAX_SUBSUM_TERMS:
         raise ValueError(f"subsum enumeration is capped at {MAX_SUBSUM_TERMS}")
-    masks = _zero_residue_masks(terms)
+    masks = _zero_residue_masks(terms, images)
     if masks is None:
         masks = range(1, (1 << n) - 1)
     for mask in masks:

@@ -16,7 +16,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from math import gcd, isqrt, lcm
 
 
@@ -1126,6 +1126,14 @@ _CERT_PRIME = _GCD_PRIMES[0]
 _CERT_POINTS = (982451653, 1000000007, 2147483629)
 
 
+def _horner(ints, tau: int, p: int) -> int:
+    """The integer polynomial `ints` (lowest degree first) at tau, mod p."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * tau + c) % p
+    return acc
+
+
 def _image(f: RatFunc, tau: int, p: int) -> int | None:
     """f(tau) mod p, or None when a denominator vanishes there mod p.
 
@@ -1135,21 +1143,44 @@ def _image(f: RatFunc, tau: int, p: int) -> int | None:
     num, den = f.num, f.den
     if not num.den % p or not den.den % p:
         return None
-    vals = []
-    for poly in (num.nums, den.nums):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * tau + c) % p
-        vals.append(acc)
-    n, d = vals
+    d = _horner(den.nums, tau, p)
     if not d:
         return None
+    n = _horner(num.nums, tau, p)
     return n * den.den * pow(num.den * d, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
 # Places and divisors
 # ---------------------------------------------------------------------------
+
+@total_ordering
+class _CoeffOrder:
+    """The coefficients nums[i] / den of a place polynomial, ordered as the
+    tuple of their Fractions, lowest degree first, on integers: both dens
+    are positive, so a / d < b / e exactly when a * e < b * d, and the
+    first index where the cross-multiplied nums differ decides.  A sort
+    key compares two of these only for places of one degree."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, p: Poly):
+        self.nums, self.den = p.nums, p.den
+
+    def __eq__(self, other) -> bool:
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __lt__(self, other) -> bool:
+        d, e = self.den, other.den
+        for a, b in zip(self.nums, other.nums):
+            a, b = a * e, b * d
+            if a != b:
+                return a < b
+        return False
+
 
 @dataclass(frozen=True)
 class Place:
@@ -1203,16 +1234,21 @@ class Place:
     @cached_property
     def _sort_key(self):
         # Total order: finite before infinity; finite places by degree,
-        # degree-1 places by their root, higher degrees by coefficients.
-        # Built once per place: the key's Fractions are derived from the
-        # place polynomial's integers.
+        # degree-1 places by their root, higher degrees by coefficients
+        # from the lowest (`_CoeffOrder`, on the place's integers).  Built
+        # once per place.
         if self.poly is None:
             return (1, 0, ())
         if self.poly.degree == 1:
             return (0, 1, (-self.poly.coeff(0),))
-        return (0, self.poly.degree, self.poly.coeffs)
+        return (0, self.poly.degree, _CoeffOrder(self.poly))
 
     def __str__(self) -> str:
+        return self._str
+
+    @cached_property
+    def _str(self) -> str:
+        # rendered once per place: a report names a place in several fields
         if self.poly is None:
             return "inf"
         if self.poly.degree == 1:

@@ -21,6 +21,7 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _horner,
     _kronecker_product,
     _over_known_den,
     _scaled,
@@ -56,25 +57,34 @@ class PlaceSet:
                 out.add(Place.rational(p))
         return PlaceSet(frozenset(out))
 
-    @property
+    # the set is immutable: its size, its infinity test and its orders
+    # are found once
+
+    @cached_property
     def geometric_size(self) -> int:
         return sum(p.geom_degree for p in self.places)
 
-    @property
+    @cached_property
     def has_infinity(self) -> bool:
-        return any(p.is_infinity for p in self.places)
+        return Place.infinity() in self.places
 
     @cached_property
     def _finite(self) -> tuple[Place, ...]:
         return tuple(sorted((p for p in self.places if not p.is_infinity),
                             key=lambda p: p.sort_key()))
 
+    @cached_property
+    def _sorted(self) -> tuple[Place, ...]:
+        # infinity sorts after every finite place
+        return self._finite + tuple(p for p in self.places if p.is_infinity)
+
     def finite_places(self) -> tuple[Place, ...]:
         """The finite places in the canonical order, sorted once per set."""
         return self._finite
 
     def sorted_places(self) -> list[Place]:
-        return sorted(self.places, key=lambda p: p.sort_key())
+        """Every place in the canonical order, as a fresh list."""
+        return list(self._sorted)
 
     def __contains__(self, place: Place) -> bool:
         return place in self.places
@@ -180,6 +190,28 @@ def as_ratfunc(u: SUnit) -> RatFunc:
     den = _scaled(_kronecker_product(downs), 1, lift_down)
     # distinct monic places are coprime, so the pair is already normal
     return RatFunc._trusted(num, den)
+
+
+def unit_image(u: SUnit, tau: int, p: int) -> int | None:
+    """u(tau) mod p from its exponents, c * prod P(tau)^e, or None when a
+    denominator vanishes there mod p.
+
+    Evaluating t at tau and reducing mod p is a ring homomorphism on the
+    functions regular there, so this is `field_core._image` of
+    `as_ratfunc(u)` wherever both are defined, without the expansion: each
+    place P = N / L (its `nums` and `den`) gives N(tau) / L."""
+    c = u.constant
+    num, den = c.numerator, c.denominator
+    for place, e in u.exponents:
+        q = place.poly
+        x, lift = _horner(q.nums, tau, p), q.den
+        if e < 0:
+            x, lift, e = lift, x, -e
+        num = num * pow(x, e, p) % p
+        den = den * pow(lift, e, p) % p
+    if not den % p:
+        return None
+    return num * pow(den, -1, p) % p
 
 
 def sunit_from_ratfunc(f: RatFunc, S: PlaceSet) -> SUnit:

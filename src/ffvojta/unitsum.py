@@ -14,11 +14,13 @@ from math import lcm
 
 from . import field_core
 from .field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
     Place,
     RatFunc,
     _divide_out,
+    _known_quotient,
     _kronecker_product,
-    _over_known_den,
     _scaled,
 )
 from .counting import (
@@ -27,11 +29,22 @@ from .counting import (
     _check_v_unit,
     find_vanishing_subsum,
 )
-from .sunits import PlaceSet, as_ratfunc, generate
+from .sunits import PlaceSet, as_ratfunc, generate, unit_image
 
 
 class SumNonzero(ValueError):
     """Raised when the terms of a claimed vanishing sum do not add to zero."""
+
+
+class DrawsExhausted(ValueError):
+    """Raised when `random_vanishing_sum` runs out of draws."""
+
+
+# A seeded draw over {0, 1, inf} almost always gives a vanishing sum at
+# once, but over a set whose units are all constants (S = {inf}) most
+# draws of ten or more terms have a vanishing subsum, and each draw costs
+# a walk over 2^n subsets: the draws are capped.
+MAX_DRAWS = 64
 
 
 def bm_weight(l: int) -> int:
@@ -58,8 +71,8 @@ class VanishingSum:
     ``orders`` is the table of orders of the terms at the places of S: one
     row per place in `PlaceSet.sorted_places` order, one column per term.
     Validation reads the finite rows off the division that proves each term
-    a unit outside S, or, for the S-units that `random_vanishing_sum` draws,
-    off their exponents; the row at infinity is deg den - deg num.
+    a unit outside S, or, for the terms that `random_vanishing_sum` builds,
+    off how they were built; the row at infinity is deg den - deg num.
     """
 
     terms: tuple[RatFunc, ...]
@@ -77,20 +90,19 @@ class VanishingSum:
         return VanishingSum._validated(terms, S)
 
     @staticmethod
-    def _validated(terms: tuple, S: PlaceSet,
-                   columns=None) -> "VanishingSum":
+    def _validated(terms: tuple, S: PlaceSet, columns=None,
+                   images=None) -> "VanishingSum":
         """Every check but the zero sum, which the caller has made.
 
         `columns` holds, per term, its orders at the finite places of S in
-        `S.finite_places()` order where they are known, else None; a term
-        without a column is proven a unit outside S by `_check_v_unit`,
-        which gives its column."""
+        `S.finite_places()` order, from a caller that has proven every term
+        a unit outside S; without them each term is proven one by
+        `_check_v_unit`, which gives its column.  `images`, when known, are
+        the terms' images for `find_vanishing_subsum`."""
         _check_term_count(len(terms))
         if columns is None:
-            columns = [None] * len(terms)
-        columns = [_check_v_unit(w, S) if c is None else c
-                   for w, c in zip(terms, columns)]
-        bad = find_vanishing_subsum(list(terms))
+            columns = [_check_v_unit(w, S) for w in terms]
+        bad = find_vanishing_subsum(list(terms), images)
         if bad is not None:
             raise VanishingSubsum(bad)
         orders = list(zip(*columns))
@@ -141,17 +153,18 @@ def check_bm(vs: VanishingSum) -> BMCheck:
     return BMCheck(lhs, rhs, tuple(deficits), lhs <= rhs)
 
 
-def _known_den_sum(units, exps, S: PlaceSet) -> RatFunc:
+def _known_den_sum(units, exps, S: PlaceSet) -> tuple[RatFunc, list[int]]:
     """The sum of the S-units `units`, with their exponent maps `exps`,
-    over its known denominator.
+    over its known denominator, and the order of its pole at each finite
+    place of S, in `S.finite_places()` order.
 
     With e_kP the exponent of unit k at the finite place P of S, the sum
     has the denominator prod P^m_P, m_P = max(0, -min_k e_kP).  Each place
     is stored as integers N_P over L_P (its `nums` and `den`), so over that
     denominator term k is c_k prod N_P^(e_kP + m_P) / L_P^(e_kP + m_P): one
     `_kronecker_product` each.  The numerators add over one common integer
-    denominator, and `_over_known_den` divides out whatever cancels, so no
-    gcd runs.
+    denominator, and `_known_quotient` divides out whatever cancels, k_P
+    times, so no gcd runs and the pole at P has order m_P - k_P.
     """
     finite = S.finite_places()
     m = [max(0, -min(e.get(p, 0) for e in exps)) for p in finite]
@@ -170,47 +183,74 @@ def _known_den_sum(units, exps, S: PlaceSet) -> RatFunc:
         c *= den // lift
         for i, x in enumerate(ints):
             acc[i] += c * x
-    return _over_known_den(_scaled(acc, 1, den),
-                           [(p.poly, mp) for p, mp in zip(finite, m) if mp])
+    num = _scaled(acc, 1, den)
+    if num.is_zero:
+        return RatFunc.zero(), [0] * len(finite)
+    total, _, counts = _known_quotient(
+        num.nums, num.den, [(p.poly, mp) for p, mp in zip(finite, m) if mp])
+    gone = iter(counts)
+    return total, [mp - next(gone) if mp else 0 for mp in m]
+
+
+def _sum_images(units) -> list[int] | None:
+    """The images mod `_CERT_PRIME` of the units and of minus their sum,
+    at the first point of `_CERT_POINTS` where every unit has one, or None.
+
+    Evaluation mod p is a ring homomorphism, so the image of minus the sum
+    is minus the sum of the images."""
+    p = _CERT_PRIME
+    for tau in _CERT_POINTS:
+        images = [unit_image(u, tau, p) for u in units]
+        if None not in images:
+            return images + [-sum(images) % p]
+    return None
 
 
 def random_vanishing_sum(S: PlaceSet, n: int, max_exponent: int,
                          seed: int) -> VanishingSum:
     """Build a vanishing sum: n - 1 seeded S-units plus the balancing term,
     over S enlarged by the support of that term.  A draw is retried when
-    its units sum to zero or a proper subsum vanishes.
+    its units sum to zero or a proper subsum vanishes, at most `MAX_DRAWS`
+    times; then `DrawsExhausted` is raised.
 
     The units are summed over their known denominator (`_known_den_sum`),
-    so the balancing term, minus that sum, has its poles in S.  Its
-    numerator is divided by the finite places of S once; the new places
-    are the irreducible factors of what is left, and infinity when it is
-    not in S and the term has an order there.  The units' columns of
-    orders are their exponents, and the balancing term is validated as a
-    term of `VanishingSum.build` is.
+    so the balancing term, minus that sum, has its poles in S, of the
+    orders that sum returns.  Its numerator is divided by the finite places
+    of S once, which gives its zeros there; the new places are the
+    irreducible factors of what is left, each a zero of its multiplicity,
+    and infinity when it is not in S and the term has an order there.  So
+    the balancing term is proven a unit outside the enlarged set, with its
+    column of orders, as `_check_v_unit` would prove it.  The units'
+    columns are their exponents, and the subsum search takes every term's
+    image from the exponents (`_sum_images`).
     """
     _check_term_count(n)
-    finite = [p.poly for p in S.finite_places()]
-    attempt = 0
-    while True:
+    finite = S.finite_places()
+    qs = [p.poly for p in finite]
+    for attempt in range(MAX_DRAWS):
         units = generate(S, max_exponent, n - 1, seed * 100003 + attempt)
-        attempt += 1
         exps = [u.exponent_map() for u in units]
-        total = _known_den_sum(units, exps, S)
+        total, poles = _known_den_sum(units, exps, S)
         if total.is_zero:
             continue
         last = -total
-        rest = _divide_out(last.num, finite)[0]
+        rest, zeros = _divide_out(last.num, qs)
+        orders = {p: z - k for p, z, k in zip(finite, zeros, poles)}
         # through the module, so that a wrapper put on factor_poly sees it
-        support = {Place._trusted(q) for q, _ in field_core.factor_poly(rest)}
+        for q, mult in field_core.factor_poly(rest):
+            orders[Place._trusted(q)] = mult
+        support = set(orders)
         if not S.has_infinity and last.num.degree != last.den.degree:
             support.add(Place.infinity())
         enlarged = PlaceSet(frozenset(S.places | support))
         columns = [[e.get(p, 0) for p in enlarged.finite_places()]
-                   for e in exps]
+                   for e in (*exps, orders)]
         try:
             # the terms sum to zero by the choice of last
             return VanishingSum._validated(
-                (*(as_ratfunc(u) for u in units), last), enlarged,
-                columns + [None])
+                (*(as_ratfunc(u) for u in units), last), enlarged, columns,
+                _sum_images(units))
         except VanishingSubsum:
             continue
+    raise DrawsExhausted(
+        f"no vanishing sum of {n} terms in {MAX_DRAWS} draws")

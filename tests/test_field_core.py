@@ -835,6 +835,44 @@ class TestPlace:
         ordered = sorted(places, key=lambda p: p.sort_key())
         assert [str(p) for p in ordered] == ["-1", "0", "2", "t^2 + 2", "inf"]
 
+    @staticmethod
+    def _fraction_key(p):
+        # the order by Fraction tuples that the integer keys must keep
+        if p.is_infinity:
+            return (1, 0, ())
+        if p.poly.degree == 1:
+            return (0, 1, (-p.poly.coeff(0),))
+        return (0, p.poly.degree, p.poly.coeffs)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.tuples(
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(-4, 4), st.sampled_from((1, 2, 3, 6))),
+                 min_size=4, max_size=4)), min_size=2, max_size=12),
+        st.booleans())
+    def test_integer_order_is_the_fraction_order(self, drawn, infinity):
+        # monic polynomials, not checked irreducible: only the order counts;
+        # small numerators over mixed denominators tie in leading places
+        places = [Place._trusted(Poly([Fraction(a, b) for a, b in cs[:d]]
+                                      + [1]))
+                  for d, cs in drawn]
+        places += places[:2]
+        if infinity:
+            places.append(Place.infinity())
+        assert sorted(places, key=lambda p: p.sort_key()) == \
+            sorted(places, key=self._fraction_key)
+        for a in places:
+            for b in places:
+                ka, kb = a.sort_key(), b.sort_key()
+                fa, fb = self._fraction_key(a), self._fraction_key(b)
+                assert (ka < kb, ka == kb, ka > kb) == (fa < fb, fa == fb,
+                                                        fa > fb)
+
+    def test_rendered_once(self):
+        p = Place.finite(Poly((1, 0, 1)))
+        assert str(p) is str(p)
+
 
 class TestOmega:
     def test_spec_examples(self):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffvojta.field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
     Place,
     Poly,
     RatFunc,
+    _image,
     choose_omega,
     deriv_omega,
     divisor_of,
@@ -29,6 +32,7 @@ from ffvojta.sunits import (
     sunit_from_json,
     sunit_from_ratfunc,
     sunit_to_json,
+    unit_image,
 )
 from conftest import (
     ODD_PLACE_SETS,
@@ -57,6 +61,23 @@ class TestEulerChar:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             PlaceSet(frozenset())
+
+
+class TestPlaceSet:
+    @pytest.mark.parametrize("S", [S01, S011, *ODD_PLACE_SETS])
+    def test_cached_fields(self, S):
+        assert S.has_infinity == any(p.is_infinity for p in S.places)
+        assert S.geometric_size == sum(p.geom_degree for p in S.places)
+        assert S.sorted_places() == sorted(S.places,
+                                           key=lambda p: p.sort_key())
+        assert S.sorted_places()[:len(S.finite_places())] == \
+            list(S.finite_places())
+
+    def test_sorted_places_is_a_fresh_list(self):
+        first = S011.sorted_places()
+        first.reverse()
+        assert [str(p) for p in S011.sorted_places()] == ["0", "1", "inf"]
+        assert S011.sorted_places() is not S011.sorted_places()
 
 
 class TestSUnit:
@@ -136,6 +157,36 @@ class TestExpansion:
         S = PlaceSet.of(root, "inf")
         u = SUnit.make(3, {Place.rational(root): e}, S)
         assert _parts(as_ratfunc(u)) == _parts(oracle_as_ratfunc(u))
+
+
+class TestUnitImage:
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(ODD_PLACE_SETS)), st.integers(0, 2 ** 32),
+           st.integers(1, 12))
+    def test_matches_the_image_of_the_expansion(self, which, seed, max_exp):
+        S = (S011, *ODD_PLACE_SETS)[which]
+        u = unit_over(S, random.Random(seed), max_exp)
+        for tau in _CERT_POINTS:
+            assert unit_image(u, tau, _CERT_PRIME) == \
+                _image(as_ratfunc(u), tau, _CERT_PRIME)
+
+    def test_pole_at_the_point(self):
+        tau = _CERT_POINTS[0]
+        S = PlaceSet.of(tau, 0, "inf")
+        pole = SUnit.make(3, {Place.rational(tau): -2, P0: 1}, S)
+        assert unit_image(pole, tau, _CERT_PRIME) is None
+        # a zero there is an image, 0
+        zero = SUnit.make(3, {Place.rational(tau): 2, P0: -1}, S)
+        assert unit_image(zero, tau, _CERT_PRIME) == 0
+        for u in (pole, zero):
+            tau = _CERT_POINTS[1]
+            assert unit_image(u, tau, _CERT_PRIME) == \
+                _image(as_ratfunc(u), tau, _CERT_PRIME)
+
+    def test_constant_denominator_divisible_by_p(self):
+        u = SUnit.make(Fraction(1, _CERT_PRIME), {P0: 1}, S011)
+        assert unit_image(u, _CERT_POINTS[0], _CERT_PRIME) is None
 
 
 class TestLogDerivative:

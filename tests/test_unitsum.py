@@ -10,22 +10,44 @@ from hypothesis import given, settings, strategies as st
 
 import ffvojta
 
-from ffvojta.counting import NotUnit, VanishingSubsum
-from ffvojta.field_core import RatFunc, divisor_of, ord_at
+from ffvojta.counting import (
+    NotUnit,
+    VanishingSubsum,
+    _check_v_unit,
+    find_vanishing_subsum,
+)
+from ffvojta.field_core import (
+    _CERT_POINTS,
+    _CERT_PRIME,
+    RatFunc,
+    _image,
+    divisor_of,
+    ord_at,
+)
 from ffvojta.parser import parse_place
-from ffvojta.sunits import PlaceSet, as_ratfunc
+from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc
 from ffvojta.unitsum import (
+    MAX_DRAWS,
+    DrawsExhausted,
     SumNonzero,
     VanishingSum,
     _known_den_sum,
+    _sum_images,
     bm_weight,
     check_bm,
     random_vanishing_sum,
 )
-from conftest import ODD_PLACE_SETS, rat, unit_over
+from conftest import (
+    ODD_PLACE_SETS,
+    oracle_vanishing_subsum,
+    rat,
+    unit_over,
+)
 
 
 S011 = PlaceSet.of(0, 1, "inf")
+# over {0, 1, inf} and the odd sets, some without infinity
+SETS = (S011, *ODD_PLACE_SETS)
 
 
 class TestWeights:
@@ -93,6 +115,15 @@ class TestVanishingSum:
         # max_exponent 0 would make the draw itself raise another message
         with pytest.raises(ValueError, match="three terms|capped at 20"):
             random_vanishing_sum(S011, n, 0, 0)
+
+    def test_draws_capped(self):
+        # over {inf} every unit is a constant from the pool, and most draws
+        # of eleven terms have a vanishing subsum: this seed needs more
+        # draws than the cap
+        with pytest.raises(DrawsExhausted,
+                           match=f"^no vanishing sum of 11 terms in "
+                                 f"{MAX_DRAWS} draws$"):
+            random_vanishing_sum(PlaceSet.of("inf"), 11, 10, 2)
 
     def test_order_table_without_infinity(self):
         # places -1, 0, 1 in order; no row at infinity
@@ -179,6 +210,68 @@ class TestCheckBM:
             assert {p for p, _ in result.deficits} <= vs.place_set.places
 
 
+class TestCarriedColumns:
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(SETS) - 1), st.integers(3, 6),
+           st.integers(1, 10), st.integers(0, 2 ** 32))
+    def test_balancing_column(self, which, n, max_exp, seed):
+        # the column carried from the construction is the one the division
+        # of _check_v_unit proves, and the table is that of ord_at
+        vs = random_vanishing_sum(SETS[which], n, max_exp, seed)
+        finite = vs.place_set.finite_places()
+        assert [row[-1] for row in vs.orders[:len(finite)]] == \
+            _check_v_unit(vs.terms[-1], vs.place_set)
+        assert vs.orders == tuple(
+            tuple(ord_at(w, p) for w in vs.terms)
+            for p in vs.place_set.sorted_places())
+
+
+class TestConstructionImages:
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(SETS) - 1), st.integers(0, 2 ** 32),
+           st.integers(2, 4), st.integers(1, 4), st.booleans())
+    def test_subsum_matches_the_oracle(self, which, seed, count, max_exp,
+                                       cancel):
+        S = SETS[which]
+        rng = random.Random(seed)
+        units = [unit_over(S, rng, max_exp) for _ in range(count)]
+        if cancel:
+            # a unit and its negative: a vanishing subsum with the last term
+            # minus the others
+            u = units[0]
+            units.append(SUnit(-u.constant, u.exponents, u.places))
+        terms = [as_ratfunc(u) for u in units]
+        total = RatFunc.zero()
+        for w in terms:
+            total = total + w
+        if total.is_zero:
+            return
+        terms.append(-total)
+        images = _sum_images(units)
+        # the odd sets' places have no root at the first point
+        assert images == [_image(w, _CERT_POINTS[0], _CERT_PRIME)
+                          for w in terms]
+        assert find_vanishing_subsum(terms, images) == \
+            oracle_vanishing_subsum(terms)
+
+    def test_no_point_serves_every_unit(self):
+        # a pole at each point: the search takes the images of the terms
+        S = PlaceSet.of(*_CERT_POINTS, "inf")
+        units = [SUnit.make(c, {p: -1}, S)
+                 for c, p in zip((1, 2, -1), S.finite_places())]
+        units.append(SUnit.make(-2, {S.finite_places()[1]: -1}, S))
+        assert _sum_images(units) is None
+        terms = [as_ratfunc(u) for u in units]
+        total = RatFunc.zero()
+        for w in terms:
+            total = total + w
+        terms.append(-total)
+        assert find_vanishing_subsum(terms, None) == \
+            oracle_vanishing_subsum(terms) == (1, 3)
+
+
 class TestKnownDenominatorSum:
     @settings(max_examples=80, deadline=None, database=None,
               derandomize=True)
@@ -197,8 +290,13 @@ class TestKnownDenominatorSum:
         expected = RatFunc.zero()
         for u in units:
             expected = expected + as_ratfunc(u)
-        got = _known_den_sum(units, [u.exponent_map() for u in units], S)
+        got, poles = _known_den_sum(units, [u.exponent_map() for u in units],
+                                    S)
         assert (got.num, got.den) == (expected.num, expected.den)
+        # the pole orders come from the counts divided out, not from ord_at
+        assert poles == [0 if expected.is_zero
+                         else max(0, -ord_at(expected, p))
+                         for p in S.finite_places()]
 
 
 def test_bm_run_leaves_sympy_unloaded():
