@@ -10,7 +10,8 @@ import pytest
 
 import ffvojta
 from ffvojta.cli import main as cli_main
-from ffvojta.field_core import Place
+from conftest import ODD_PLACE_SETS
+from ffvojta.field_core import Place, Poly
 from ffvojta.parser import parse_bipoly, parse_place, render_ratfunc_expr
 from ffvojta.sunits import PlaceSet, SUnit
 from ffvojta.unitsum import check_bm, random_vanishing_sum
@@ -121,6 +122,84 @@ class TestPairOutcomes:
         assert self._rendered("X+Y+1", S01, u, v, 0, 0) == (
             '{"pair_index": 0, "u": "(t^2)", "v": "(-2*t)", "height": 2, '
             '"lhs": 1, "rhs": "1", "kind": "bound_holds"}')
+
+
+Q2 = Place.finite(Poly((1, 0, 1)))
+# {0, t^2 + 1, inf}: a set with a degree-2 place
+S0Q = ODD_PLACE_SETS[1]
+PIN_SETS = {"S011": S011, "S0Q": S0Q}
+PIN_PLACES = {"0": P0, "1": P1, "q": Q2}
+
+
+class TestBranchPins:
+    """Byte pins of outcomes off the benchmarked branch: theta1 = 0 puts
+    every nonzero pair above the threshold, so the pairs reach
+    degenerate_on_z, relation (theta2 = 1) and bound_holds.  A unit is
+    (constant, {place: exponent}) with places 0, 1 and q = t^2 + 1."""
+
+    @pytest.mark.parametrize("index, poly, where, u, v, theta2, kind, digest", [
+        (0, "X-Y", "S011", (3, {"0": 2, "1": -1}), (3, {"0": 2, "1": -1}), 0,
+         "degenerate_on_z",
+         "de1b5417e3a8f380957c24aab778d773526127c877f9c4e1812f06d82d4b20f0"),
+        (1, "X*Y-1", "S011", (2, {"0": 3, "1": 2}),
+         ("1/2", {"0": -3, "1": -2}), 1, "degenerate_on_z",
+         "5440359e232a0ee222dbae506ee92417d4ecb5f4915559ffd24f7b22be1433f6"),
+        (2, "X+Y+1", "S011", (-1, {"0": 1}), (1, {"1": 1}), 0,
+         "degenerate_on_z",
+         "25686fa42f40332f31f9efff9c778947e67547095c04da88776c2ca29618480c"),
+        (3, "X-Y", "S0Q", (1, {"q": 2, "0": -1}), (1, {"q": 2, "0": -1}), 1,
+         "degenerate_on_z",
+         "4158ab7c90027839ac33862e5f6413c1dc79b1cb42a6b74d1f5e782d4f3eba7f"),
+        (4, "X*Y-1", "S0Q", (5, {"q": -3}), ("1/5", {"q": 3}), 0,
+         "degenerate_on_z",
+         "13a978c2d205aa9102a29c682bca100bf0a5e88905de1fda9b3e61d8d7143a99"),
+        (5, "X+Y+1", "S0Q", (-1, {"q": 1}), (1, {"0": 2}), 1,
+         "degenerate_on_z",
+         "265ffa21a08009569c98f81efad19a93ddb8c154f2e73b1ccbc683fdd683473d"),
+        (6, "X+Y+1", "S011", (1, {"0": 3, "1": -1}), (2, {"0": -3, "1": 1}),
+         1, "relation",
+         "d21d99558807ea51c78bc327c12391615d25444e1032e87b72bed247691ee0af"),
+        (7, "X-Y", "S011", (1, {"0": 1, "1": 2}),
+         ("-1/3", {"0": -1, "1": -2}), 1, "relation",
+         "3af0c6aa4df32af515b1177e45c929e883b52c5474d6e58f212d1d7dde069c3e"),
+        (8, "X*Y-1", "S0Q", (1, {"q": 1, "0": -2}), (3, {"q": -1, "0": 2}),
+         1, "relation",
+         "8a244a77a39ad4c83c86133d0f676ef713de5aded379c8db89df559d218fd207"),
+        (9, "X+Y+1", "S0Q", (1, {"q": 1}), (2, {}), 1, "relation",
+         "97d0ed8126f80a0da18c1269e3a0ead5217b4ccb244a503148ebe94cee67252a"),
+        # lhs = rhs = 1: (t + 1)^2
+        (10, "X+Y+1", "S011", (1, {"0": 2}), (2, {"0": 1}), 0, "bound_holds",
+         "e53f40d7f9f1d0bce2e2c2955350c38270ed034744b682dc77e14a1b3406eb05"),
+        (11, "X-Y", "S011", (1, {"0": 2}), (1, {"0": -1}), 1, "bound_holds",
+         "07e5fb6c9372a3ce3ffdf6326319ed33245abd8c396c2449e2afac41bd4a40ce"),
+        # -(2t - 1)^2
+        (12, "X*Y-1", "S011", (-4, {"0": 3}), (1, {"0": -2, "1": 1}), 0,
+         "bound_holds",
+         "e50d405002921d66130e68d1113f3d02522de648d984b938a533efbc2589c6fc"),
+        (13, "X+Y+1", "S0Q", (1, {"q": 1, "0": -1}), ("-1/2", {"0": 1}), 0,
+         "bound_holds",
+         "8ae57636a15adc92d7c3aedd27e81b05cf2505fa44d1c5ca9502d71d361acb87"),
+        # lhs = rhs = 1: (t + 1)^2
+        (14, "X-Y", "S0Q", (1, {"q": 1}), (-2, {"0": 1}), 0, "bound_holds",
+         "9fcb1557ba04a7b6192947381d08f95a500029afd482e8cdf2d4c7f29f25d34c"),
+        (15, "X*Y-1", "S0Q", (2, {"q": -1, "0": 1}), (1, {"q": 1, "0": 1}), 1,
+         "bound_holds",
+         "bf7e8ea7f57c22964fd2917882416fbfb10e6d0f735821aea2778d323e52cd84"),
+    ])
+    def test_outcome_pinned(self, index, poly, where, u, v, theta2, kind,
+                            digest):
+        S = PIN_SETS[where]
+
+        def unit(spec):
+            c, exps = spec
+            return SUnit.make(Fraction(c), {PIN_PLACES[k]: e
+                                            for k, e in exps.items()}, S)
+
+        A = parse_bipoly(poly)
+        c = classify(A, S, unit(u), unit(v), 0, theta2, Fraction(1, 2))
+        assert c.kind == kind
+        text = json.dumps(outcome_json(A, index, c), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestReports:
