@@ -27,9 +27,12 @@ Z[X, Y, t], and a result comes back through `field_core.from_cleared`.
 Gcds, root finding and resultants first check a size cap and raise
 InputTooLarge past it.
 
-The zero test `vanishes_at` certifies A(u, v) != 0 by one image mod p,
-with the `field_core._image` helper that the vanishing-subsum search
-shares, and expands A(u, v) exactly only when no image certifies.
+The zero test `vanishes_at` takes u and v each as an S-unit or a rational
+function and certifies A(u, v) != 0 by one image mod p: an S-unit's image
+comes from its exponents (`sunits.unit_image`), a rational function's from
+`field_core._image`, and A's coefficients' images at the certificate
+points are found once per instance (`BiPoly.cert_images`).  Only when no
+image certifies are the units expanded and A(u, v) evaluated exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from .field_core import (
     height,
     power,
 )
-from .sunits import SUnit, _log_derivative_num, as_ratfunc
+from .sunits import SUnit, _log_derivative_num, as_ratfunc, unit_image
 
 
 class ConstantPolynomial(ValueError):
@@ -191,10 +194,11 @@ class BiPoly(SparsePoly):
     """Sparse bivariate polynomial over Q(t); no zero coefficients stored.
 
     `cleared` keeps the cleared form of the coefficients once it is found,
-    per instance; it takes no part in `==`, `hash` or pickling.
+    and `cert_images` their images at the certificate points, per
+    instance; neither takes part in `==`, `hash` or pickling.
     """
 
-    __slots__ = ("deg_x", "deg_y", "_cleared_form")
+    __slots__ = ("deg_x", "deg_y", "_cleared_form", "_cert_images")
 
     _arity = 2
 
@@ -207,6 +211,7 @@ class BiPoly(SparsePoly):
         self.deg_x = max((i for i, _ in self.coeffs), default=0)
         self.deg_y = max((j for _, j in self.coeffs), default=0)
         self._cleared_form = None
+        self._cert_images = None
 
     def cleared(self) -> tuple[dict, Poly]:
         """`field_core.clear_denominators(self.coeffs)`: the coefficients
@@ -216,6 +221,22 @@ class BiPoly(SparsePoly):
         if self._cleared_form is None:
             self._cleared_form = clear_denominators(self.coeffs)
         return self._cleared_form
+
+    def cert_images(self) -> tuple[list[tuple[int, int, int]] | None, ...]:
+        """For each point tau of `_CERT_POINTS`, the coefficients' images
+        mod `_CERT_PRIME` there as (i, j, image) triples, or None when one
+        of them has a pole there mod p.  Found on the first call and
+        kept."""
+        if self._cert_images is None:
+            p = _CERT_PRIME
+            out = []
+            for tau in _CERT_POINTS:
+                images = [(i, j, _image(c, tau, p))
+                          for (i, j), c in self.coeffs.items()]
+                out.append(None if any(c is None for _, _, c in images)
+                           else images)
+            self._cert_images = tuple(out)
+        return self._cert_images
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -293,25 +314,41 @@ def evaluate(A: BiPoly, u: RatFunc, v: RatFunc) -> RatFunc:
     return acc
 
 
-def vanishes_at(A: BiPoly, u: RatFunc, v: RatFunc) -> bool:
-    """True iff A(u, v) = 0, exactly.
+def vanishes_at(A: BiPoly, u: SUnit | RatFunc, v: SUnit | RatFunc) -> bool:
+    """True iff A(u, v) = 0, exactly, for u and v each an S-unit or a
+    rational function.
 
     Evaluating t at tau and reducing mod p is a ring homomorphism on the
     elements of Q(t) whose denominators stay nonzero there, so a nonzero
-    image of A(u, v) at one point certifies A(u, v) != 0.  When no point
-    certifies, the exact value decides.
+    image of A(u, v) at one point certifies A(u, v) != 0.  An S-unit's
+    image comes from its exponents (`sunits.unit_image`) and A's
+    coefficients' from `BiPoly.cert_images`.  When no point certifies, the
+    exact value decides, on the units expanded.
     """
     p = _CERT_PRIME
-    for tau in _CERT_POINTS:
-        images = [_image(f, tau, p) for f in (u, v, *A.coeffs.values())]
-        if None in images:
+    for tau, coeffs in zip(_CERT_POINTS, A.cert_images()):
+        if coeffs is None:
             continue
-        ut, vt, *cs = images
-        acc = sum(c * pow(ut, i, p) * pow(vt, j, p)
-                  for (i, j), c in zip(A.coeffs, cs))
+        ut = _value_image(u, tau, p)
+        if ut is None:
+            continue
+        vt = _value_image(v, tau, p)
+        if vt is None:
+            continue
+        acc = 0
+        for i, j, c in coeffs:
+            acc += c * pow(ut, i, p) * pow(vt, j, p)
         if acc % p:
             return False
-    return evaluate(A, u, v).is_zero
+    return evaluate(A, _expanded(u), _expanded(v)).is_zero
+
+
+def _value_image(f: SUnit | RatFunc, tau: int, p: int) -> int | None:
+    return unit_image(f, tau, p) if isinstance(f, SUnit) else _image(f, tau, p)
+
+
+def _expanded(f: SUnit | RatFunc) -> RatFunc:
+    return as_ratfunc(f) if isinstance(f, SUnit) else f
 
 
 def poly_height(A: BiPoly) -> int:

@@ -366,34 +366,55 @@ class Poly:
 _ZERO, _ONE = Poly(), Poly((1,))
 
 
+# "t^i" for the exponents rendered polynomials usually reach; a longer
+# table for another variable or a higher degree is built on the call
+_T_POWERS = ("", "t") + tuple([f"t^{i}" for i in range(2, 65)])
+
+
+def _powers(var: str, top: int) -> tuple[str, ...]:
+    """The strings "", var, var^2, ..., var^top (at least)."""
+    if var == "t" and top < len(_T_POWERS):
+        return _T_POWERS
+    return ("", var) + tuple([f"{var}^{i}" for i in range(2, top + 1)])
+
+
 def render_poly(p: Poly, var: str = "t") -> str:
-    """Render a polynomial in the expression grammar (re-parseable)."""
-    if p.is_zero:
+    """Render a polynomial in the expression grammar (re-parseable).
+
+    One pass from the highest term: each sign becomes the separator before
+    its term, each coefficient n / den is reduced only when den != 1, and
+    the powers of var come from one table."""
+    nums = p.nums
+    if not nums:
         return "0"
-    parts = []
     den = p.den
-    for i in range(p.degree, -1, -1):
-        n = p.nums[i]
+    top = len(nums) - 1
+    powers = _powers(var, top)
+    parts = []
+    for i in range(top, -1, -1):
+        n = nums[i]
         if not n:
             continue
-        # each coefficient n / den in lowest terms
-        d = den
-        if d != 1:
-            g = gcd(n, d)
-            n, d = n // g, d // g
-        negative = n < 0
-        if negative:
+        if n < 0:
+            parts.append(" - ")
             n = -n
-        mag = str(n) if d == 1 else f"{n}/{d}"
-        if i == 0:
-            body = mag
         else:
-            head = "" if n == 1 and d == 1 else f"{mag}*"
-            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
+            parts.append(" + ")
+        if den != 1:
+            g = gcd(n, den)
+            if g != den:
+                mag = f"{n // g}/{den // g}"
+                parts.append(f"{mag}*{powers[i]}" if i else mag)
+                continue
+            n //= g
+        if not i:
+            parts.append(str(n))
+        elif n == 1:
+            parts.append(powers[i])
         else:
-            parts.append(f" - {body}" if negative else f" + {body}")
+            parts.append(f"{n}*{powers[i]}")
+    # the leading term carries its sign without the separator's spaces
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
 
 

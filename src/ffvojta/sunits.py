@@ -142,6 +142,20 @@ class SUnit:
     def is_constant(self) -> bool:
         return not self.exponents
 
+    @property
+    def height(self) -> int:
+        """`field_core.height(as_ratfunc(self))` from the exponents: the
+        larger of the degrees of prod P^e over e > 0 and over e < 0.  The
+        two products are the numerator and denominator as they stand,
+        because distinct monic places are coprime."""
+        up = down = 0
+        for p, e in self.exponents:
+            if e > 0:
+                up += e * p.geom_degree
+            else:
+                down -= e * p.geom_degree
+        return max(up, down)
+
     def exponent_map(self) -> dict[Place, int]:
         return dict(self.exponents)
 

@@ -37,7 +37,6 @@ from .field_core import (
     choose_omega,
     divisor_of,
     factor_poly,
-    height,
     ord_at,
     Place,
 )
@@ -125,9 +124,20 @@ def build_context(cfg: RunConfig) -> _Context:
         raise ValueError("the factor list does not multiply back to the polynomial")
     S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
     eps = Fraction(cfg.epsilon)
-    shapes = [(f.deg_x, f.deg_y, poly_height(f)) for f in factors]
-    ledger = theta_ledger(shapes, eps)
+    ledger = _ledger(cfg.factor_list(), cfg.epsilon)
     return _Context(A=A, factors=factors, S=S, eps=eps, ledger=ledger, cfg=cfg)
+
+
+@lru_cache(maxsize=64)
+def _ledger(factors: tuple[tuple[str, bool], ...], epsilon: str) -> ThetaLedger:
+    """The constant ledger of a config's factor list and epsilon, built once
+    per process for `build_context` and `build_report`.  A call that raises
+    is not cached."""
+    shapes = []
+    for expr, _ in factors:
+        f = parse_bipoly(expr)
+        shapes.append((f.deg_x, f.deg_y, poly_height(f)))
+    return theta_ledger(shapes, Fraction(epsilon))
 
 
 def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
@@ -210,12 +220,17 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     is below_threshold; a multiplicative relation with both exponents at
     most theta2 is a relation; otherwise the truncated zero count is
     compared with eps times the height (bound_holds or violation).
+
+    The zero test and the height read the units' exponents, and the
+    threshold is compared on integers; the units are expanded for the
+    record, and the count evaluates A on the expansions.
     """
+    degenerate = vanishes_at(A, u, v)
     U, V = as_ratfunc(u), as_ratfunc(v)
-    if vanishes_at(A, U, V):
+    if degenerate:
         return Classification(U, V, "degenerate_on_z", None, None, None, None)
-    h = max(height(U), height(V))
-    if h < theta1 * max(1, euler_char(S)):
+    h = max(u.height, v.height)
+    if h * theta1.denominator < theta1.numerator * max(1, euler_char(S)):
         return Classification(U, V, "below_threshold", h, None, None, None)
     dep = mult_dependence(u, v)
     if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
@@ -294,7 +309,7 @@ OUTCOME_KINDS = ("below_threshold", "relation", "bound_holds",
 
 def build_report(cfg: RunConfig, outcomes: list[dict]) -> dict:
     counted = [o for o in outcomes if o["kind"] != "degenerate_on_z"]
-    ledger = build_context(cfg).ledger
+    ledger = _ledger(cfg.factor_list(), cfg.epsilon)
     summary = {"pairs": len(outcomes), "counted": len(counted)}
     for kind in OUTCOME_KINDS:
         summary[kind] = sum(1 for o in outcomes if o["kind"] == kind)

@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
-projective heights from the per-place definition, S-unit expansions by
-repeated `Poly` multiplication over Q, `Poly` products and divisions by
-the Fraction schoolbook, the other `Poly` operations by sympy over QQ
+projective heights from the per-place definition, rendered polynomials
+term by term, S-unit expansions by repeated `Poly` multiplication over Q,
+`Poly` products and divisions by the Fraction schoolbook, the other `Poly` operations by sympy over QQ
 (`to_sympy` and `from_sympy`), `RatFunc` arithmetic by the unreduced
 pair fed to the normalising constructor, vanishing subsums by summing
 every subset over sympy polynomials, multiplicative dependence by every
@@ -383,6 +383,38 @@ def oracle_as_ratfunc(u) -> RatFunc:
         else:
             den = den * p.poly ** (-e)
     return RatFunc(num, den)
+
+
+def oracle_render_poly(p: Poly, var: str = "t") -> str:
+    """A polynomial in the expression grammar, term by term from the
+    highest: each coefficient reduced to n/d and formatted with its own
+    sign, head and power of var."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    den = p.den
+    for i in range(p.degree, -1, -1):
+        n = p.nums[i]
+        if not n:
+            continue
+        d = den
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        negative = n < 0
+        if negative:
+            n = -n
+        mag = str(n) if d == 1 else f"{n}/{d}"
+        if i == 0:
+            body = mag
+        else:
+            head = "" if n == 1 and d == 1 else f"{mag}*"
+            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts)
 
 
 def oracle_ratfunc_op(op: str, f: RatFunc, g) -> RatFunc:

@@ -47,7 +47,13 @@ from ffvojta.field_core import (
     clear_denominators,
     from_cleared,
 )
-from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, enlarge_for_coefficients
+from ffvojta.sunits import (
+    PlaceSet,
+    SUnit,
+    as_ratfunc,
+    enlarge_for_coefficients,
+    unit_image,
+)
 from ffvojta.verify import RunConfig, build_context, pair_for_index
 from conftest import (
     ODD_PLACE_SETS,
@@ -141,6 +147,60 @@ class TestVanishesAt:
         A = BiPoly({(1, 0): c, (0, 1): -c})
         assert vanishes_at(A, RatFunc.t(), RatFunc.t()) is True
         assert vanishes_at(A, RatFunc.t(), rat("t+1")) is False
+
+    @settings(max_examples=120, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(ODD_PLACE_SETS)), st.integers(0, 2 ** 32))
+    def test_units_agree_with_evaluate(self, which, seed):
+        # S-units, one unit beside its expansion, and planted zeros: u = v
+        # on X - Y, v = 1/u on X*Y - 1, and A built to vanish at (u, v)
+        S = (S011, *ODD_PLACE_SETS)[which]
+        rng = random.Random(seed)
+        u = unit_over(S, rng, rng.randint(1, 8))
+        v = unit_over(S, rng, rng.randint(1, 8))
+        U, V = as_ratfunc(u), as_ratfunc(v)
+        B = rand_bipoly(rng)
+        cases = [(B, u, v), (B, u, V), (B, U, v),
+                 (bi("X-Y"), u, u), (bi("X-Y"), u, v),
+                 (bi("X*Y-1"), u, u ** -1), (bi("X*Y-1"), u, v),
+                 ((BiPoly.x() - BiPoly.const(U)) * B, u, v),
+                 (B * (BiPoly.y() - BiPoly.const(V)), u, v)]
+        for A, a, b in cases:
+            want = evaluate(A, as_ratfunc(a) if isinstance(a, SUnit) else a,
+                            as_ratfunc(b) if isinstance(b, SUnit) else b)
+            assert vanishes_at(A, a, b) == want.is_zero
+        assert vanishes_at(bi("X-Y"), u, u) and vanishes_at(bi("X*Y-1"), u,
+                                                             u ** -1)
+
+    def test_unit_without_an_image(self):
+        # the constant 1/p has no image mod p at any point, so the exact
+        # value decides
+        u = SUnit.make(Fraction(1, _CERT_PRIME), {P0: 2, P1: -1}, S011)
+        v = SUnit.make(3, {P0: 1}, S011)
+        for tau in _CERT_POINTS:
+            assert unit_image(u, tau, _CERT_PRIME) is None
+        assert vanishes_at(bi("X-Y"), u, u) is True
+        assert vanishes_at(bi("X*Y-1"), u, u ** -1) is True
+        assert vanishes_at(bi("X-Y"), u, v) is False
+        assert vanishes_at(bi("X+Y+1"), v, u) is False
+
+    def test_coefficient_images_kept_per_instance(self):
+        tau0 = _CERT_POINTS[0]
+        A = BiPoly({(1, 0): RatFunc.one() / rat(f"t-{tau0}"), (0, 1): 2,
+                    (0, 0): rat("t")})
+        images = A.cert_images()
+        assert A.cert_images() is images
+        # the first point is a pole of a coefficient
+        assert images[0] is None
+        for tau, row in zip(_CERT_POINTS[1:], images[1:]):
+            assert row == [(i, j, _image(c, tau, _CERT_PRIME))
+                           for (i, j), c in A.coeffs.items()]
+        # outside ==, hash and pickling
+        fresh = BiPoly(dict(A.coeffs))
+        assert fresh._cert_images is None
+        assert fresh == A and hash(fresh) == hash(A)
+        thawed = pickle.loads(pickle.dumps(A))
+        assert thawed == A and thawed._cert_images is None
 
 
 class TestPolyHeight:

@@ -38,6 +38,7 @@ from ffvojta.field_core import (
     ord_at,
     poly_gcd,
     proj_height,
+    render_poly,
     yun_squarefree,
 )
 from ffvojta.sunits import PlaceSet
@@ -50,6 +51,7 @@ from conftest import (
     oracle_poly_mul,
     oracle_proj_height,
     oracle_ratfunc_op,
+    oracle_render_poly,
     rand_poly,
     rand_ratfunc,
     rat,
@@ -88,6 +90,36 @@ class TestPoly:
         assert (Poly((0, 0)).nums, Poly((0, 0)).den) == ((), 1)
         assert (Poly((Fraction(1, 2), Fraction(-2, 3), 0)).nums,
                 Poly((Fraction(1, 2), Fraction(-2, 3), 0)).den) == ((3, -4), 6)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(_SEEDS)
+    @example(seed=0)
+    def test_render_matches_the_oracle(self, seed):
+        # coefficients over 1, 2, 3 and 6 with interior zeros and either
+        # sign in front, up to degrees past the table of powers of t
+        rng = random.Random(seed)
+        degree = rng.choice((0, 1, 2, 3, 7, 20, 50, 64, 65, 90))
+
+        def coeff():
+            return Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 6)))
+
+        coeffs = [coeff() if rng.random() < 0.6 else 0 for _ in range(degree)]
+        lead = coeff() or Fraction(-1)
+        p = Poly(coeffs + [lead])
+        for var in ("t", "X"):
+            assert render_poly(p, var) == oracle_render_poly(p, var)
+
+    def test_render_edges(self):
+        cases = [Poly(), Poly((0, 1)), Poly((0, -1)), Poly((Fraction(-1, 2),)),
+                 Poly((Fraction(1, 6), 0, Fraction(-2, 3), Fraction(1, 2))),
+                 Poly.monomial(64, -1), Poly.monomial(65, Fraction(3, 2)),
+                 Poly((1,) * 70)]
+        for p in cases:
+            for var in ("t", "X", "Y"):
+                assert render_poly(p, var) == oracle_render_poly(p, var)
+        assert render_poly(Poly.monomial(65, Fraction(-3, 2)), "t") == (
+            "-3/2*t^65")
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)

@@ -189,6 +189,25 @@ class TestUnitImage:
         assert unit_image(u, _CERT_POINTS[0], _CERT_PRIME) is None
 
 
+class TestUnitHeight:
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(ODD_PLACE_SETS)), st.integers(0, 2 ** 32),
+           st.integers(1, 12))
+    def test_matches_the_height_of_the_expansion(self, which, seed, max_exp):
+        S = (S011, *ODD_PLACE_SETS)[which]
+        u = unit_over(S, random.Random(seed), max_exp)
+        assert u.height == height(as_ratfunc(u))
+
+    def test_examples(self):
+        S = ODD_PLACE_SETS[1]
+        q = Place.finite(Poly((1, 0, 1)))
+        assert SUnit.make(Fraction(-3, 2), {}, S).height == 0
+        # (t^2 + 1)^3 / t and t^5 / (t^2 + 1)^2
+        assert SUnit.make(1, {q: 3, P0: -1}, S).height == 6
+        assert SUnit.make(2, {q: -2, P0: 5}, S).height == 5
+
+
 class TestLogDerivative:
     def test_spec_examples(self):
         w = choose_omega(S01.places)

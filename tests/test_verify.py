@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from ffvojta.unitsum import check_bm, random_vanishing_sum
 from ffvojta.verify import (
     NotIrreducibleAttested,
     RunConfig,
+    _ledger,
     audit_steps,
     build_context,
     build_report,
@@ -202,6 +204,40 @@ class TestBranchPins:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestThreshold:
+    """classify compares the height with theta1 * max(1, chi(S)) on
+    integers; the comparison is strict."""
+
+    S0M1 = PlaceSet.of(0, 1, -1, "inf")  # chi = 2
+
+    def _kind(self, S, theta1):
+        # t^3 and t / (t - 1): height 3, independent
+        u = SUnit.make(1, {P0: 3}, S)
+        v = SUnit.make(1, {P0: 1, P1: -1}, S)
+        return classify(parse_bipoly("X+Y+1"), S, u, v, theta1, 0,
+                        Fraction(1, 2))
+
+    def test_boundary(self):
+        # an integral threshold equal to the height is not above it
+        assert self._kind(S011, Fraction(3)).kind != "below_threshold"
+        assert self._kind(self.S0M1, Fraction(3, 2)).kind != "below_threshold"
+        assert self._kind(S011, 3).kind != "below_threshold"
+        # a fractional threshold T keeps h = floor(T) below it
+        for S, theta1 in ((S011, Fraction(10, 3)),
+                          (self.S0M1, Fraction(7, 4))):
+            c = self._kind(S, theta1)
+            assert c.kind == "below_threshold" and c.height == 3
+
+    def test_matches_the_fraction_comparison(self):
+        # chi = 1, 2 and 3
+        for S in (S011, self.S0M1, PlaceSet.of(0, 1, Q2, "inf")):
+            chi = max(1, S.geometric_size - 2)
+            for k in range(0, 60):
+                theta1 = Fraction(k, 6)
+                below = self._kind(S, theta1).kind == "below_threshold"
+                assert below == (3 < theta1 * chi), (S, theta1)
+
+
 class TestReports:
     def test_empty_outcomes_shape(self, tmp_path):
         cfg = RunConfig(poly="X+Y+1", places=("0", "inf"), count=0)
@@ -211,6 +247,17 @@ class TestReports:
         path = tmp_path / "empty.json"
         emit_report(report, str(path))
         assert load_report(str(path)) == report
+
+    def test_ledger_built_once_per_factor_list(self):
+        cfg = RunConfig(poly="X*Y-t", places=("0", "inf"), epsilon="1/3",
+                        count=0)
+        ledger = build_context(cfg).ledger
+        assert _ledger(cfg.factor_list(), cfg.epsilon) is ledger
+        assert build_report(cfg, [])["constants"] == ledger.to_json()
+        # places, seed and count do not enter the ledger
+        other = dataclasses.replace(cfg, places=("0", "1", "inf"), seed=3,
+                                    count=4)
+        assert build_context(other).ledger is ledger
 
     def test_kind_strings(self):
         outcomes = verify_trichotomy(BASE)
