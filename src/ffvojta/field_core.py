@@ -366,16 +366,9 @@ class Poly:
 _ZERO, _ONE = Poly(), Poly((1,))
 
 
-# "t^i" for the exponents rendered polynomials usually reach; a longer
-# table for another variable or a higher degree is built on the call
+# "", "t", "t^2", ... for the degrees rendered polynomials usually reach;
+# another variable or a higher degree builds its own table on the call
 _T_POWERS = ("", "t") + tuple([f"t^{i}" for i in range(2, 65)])
-
-
-def _powers(var: str, top: int) -> tuple[str, ...]:
-    """The strings "", var, var^2, ..., var^top (at least)."""
-    if var == "t" and top < len(_T_POWERS):
-        return _T_POWERS
-    return ("", var) + tuple([f"{var}^{i}" for i in range(2, top + 1)])
 
 
 def render_poly(p: Poly, var: str = "t") -> str:
@@ -389,7 +382,10 @@ def render_poly(p: Poly, var: str = "t") -> str:
         return "0"
     den = p.den
     top = len(nums) - 1
-    powers = _powers(var, top)
+    if var == "t" and top < len(_T_POWERS):
+        powers = _T_POWERS
+    else:
+        powers = ("", var) + tuple([f"{var}^{i}" for i in range(2, top + 1)])
     parts = []
     for i in range(top, -1, -1):
         n = nums[i]

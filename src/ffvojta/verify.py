@@ -116,7 +116,7 @@ def build_context(cfg: RunConfig) -> _Context:
     if cfg.max_exponent < 1:
         raise ValueError("max_exponent must be at least 1")
     A = parse_bipoly(cfg.poly)
-    factors = [parse_bipoly(expr) for expr, _ in cfg.factor_list()]
+    factors, ledger = _factor_ledger(cfg.factor_list(), cfg.epsilon)
     product = BiPoly.const(1)
     for f in factors:
         product = product * f
@@ -124,20 +124,19 @@ def build_context(cfg: RunConfig) -> _Context:
         raise ValueError("the factor list does not multiply back to the polynomial")
     S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
     eps = Fraction(cfg.epsilon)
-    ledger = _ledger(cfg.factor_list(), cfg.epsilon)
-    return _Context(A=A, factors=factors, S=S, eps=eps, ledger=ledger, cfg=cfg)
+    return _Context(A=A, factors=list(factors), S=S, eps=eps, ledger=ledger,
+                    cfg=cfg)
 
 
 @lru_cache(maxsize=64)
-def _ledger(factors: tuple[tuple[str, bool], ...], epsilon: str) -> ThetaLedger:
-    """The constant ledger of a config's factor list and epsilon, built once
-    per process for `build_context` and `build_report`.  A call that raises
-    is not cached."""
-    shapes = []
-    for expr, _ in factors:
-        f = parse_bipoly(expr)
-        shapes.append((f.deg_x, f.deg_y, poly_height(f)))
-    return theta_ledger(shapes, Fraction(epsilon))
+def _factor_ledger(factor_list: tuple[tuple[str, bool], ...],
+                   epsilon: str) -> tuple[tuple[BiPoly, ...], ThetaLedger]:
+    """A config's factors, parsed, and the constant ledger built from them
+    and epsilon: found once per process, for `build_context` and
+    `build_report`.  A call that raises is not cached."""
+    factors = tuple(parse_bipoly(expr) for expr, _ in factor_list)
+    shapes = [(f.deg_x, f.deg_y, poly_height(f)) for f in factors]
+    return factors, theta_ledger(shapes, Fraction(epsilon))
 
 
 def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
@@ -309,7 +308,7 @@ OUTCOME_KINDS = ("below_threshold", "relation", "bound_holds",
 
 def build_report(cfg: RunConfig, outcomes: list[dict]) -> dict:
     counted = [o for o in outcomes if o["kind"] != "degenerate_on_z"]
-    ledger = _ledger(cfg.factor_list(), cfg.epsilon)
+    _, ledger = _factor_ledger(cfg.factor_list(), cfg.epsilon)
     summary = {"pairs": len(outcomes), "counted": len(counted)}
     for kind in OUTCOME_KINDS:
         summary[kind] = sum(1 for o in outcomes if o["kind"] == kind)

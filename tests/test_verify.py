@@ -19,7 +19,7 @@ from ffvojta.unitsum import check_bm, random_vanishing_sum
 from ffvojta.verify import (
     NotIrreducibleAttested,
     RunConfig,
-    _ledger,
+    _factor_ledger,
     audit_steps,
     build_context,
     build_report,
@@ -252,7 +252,7 @@ class TestReports:
         cfg = RunConfig(poly="X*Y-t", places=("0", "inf"), epsilon="1/3",
                         count=0)
         ledger = build_context(cfg).ledger
-        assert _ledger(cfg.factor_list(), cfg.epsilon) is ledger
+        assert _factor_ledger(cfg.factor_list(), cfg.epsilon)[1] is ledger
         assert build_report(cfg, [])["constants"] == ledger.to_json()
         # places, seed and count do not enter the ledger
         other = dataclasses.replace(cfg, places=("0", "1", "inf"), seed=3,
