@@ -94,7 +94,6 @@ class TestPoly:
     @settings(max_examples=200, deadline=None, database=None,
               derandomize=True)
     @given(_SEEDS)
-    @example(seed=0)
     def test_render_matches_the_oracle(self, seed):
         # coefficients over 1, 2, 3 and 6 with interior zeros and either
         # sign in front, up to degrees past the table of powers of t
