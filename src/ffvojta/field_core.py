@@ -366,28 +366,17 @@ class Poly:
 _ZERO, _ONE = Poly(), Poly((1,))
 
 
-# "", "t", "t^2", ... for the degrees rendered polynomials usually reach;
-# another variable or a higher degree builds its own table on the call
-_T_POWERS = ("", "t") + tuple([f"t^{i}" for i in range(2, 65)])
-
-
 def render_poly(p: Poly, var: str = "t") -> str:
     """Render a polynomial in the expression grammar (re-parseable).
 
     One pass from the highest term: each sign becomes the separator before
-    its term, each coefficient n / den is reduced only when den != 1, and
-    the powers of var come from one table."""
+    its term, and each coefficient n / den is reduced only when den != 1."""
     nums = p.nums
     if not nums:
         return "0"
     den = p.den
-    top = len(nums) - 1
-    if var == "t" and top < len(_T_POWERS):
-        powers = _T_POWERS
-    else:
-        powers = ("", var) + tuple([f"{var}^{i}" for i in range(2, top + 1)])
     parts = []
-    for i in range(top, -1, -1):
+    for i in range(len(nums) - 1, -1, -1):
         n = nums[i]
         if not n:
             continue
@@ -396,19 +385,15 @@ def render_poly(p: Poly, var: str = "t") -> str:
             n = -n
         else:
             parts.append(" + ")
+        mag = n
         if den != 1:
             g = gcd(n, den)
-            if g != den:
-                mag = f"{n // g}/{den // g}"
-                parts.append(f"{mag}*{powers[i]}" if i else mag)
-                continue
-            n //= g
+            mag = n // g if g == den else f"{n // g}/{den // g}"
         if not i:
-            parts.append(str(n))
-        elif n == 1:
-            parts.append(powers[i])
+            parts.append(str(mag))
         else:
-            parts.append(f"{n}*{powers[i]}")
+            power = var if i == 1 else f"{var}^{i}"
+            parts.append(power if mag == 1 else f"{mag}*{power}")
     # the leading term carries its sign without the separator's spaces
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

@@ -116,7 +116,7 @@ def build_context(cfg: RunConfig) -> _Context:
     if cfg.max_exponent < 1:
         raise ValueError("max_exponent must be at least 1")
     A = parse_bipoly(cfg.poly)
-    factors, ledger = _factor_ledger(cfg.factor_list(), cfg.epsilon)
+    factors = [parse_bipoly(expr) for expr, _ in cfg.factor_list()]
     product = BiPoly.const(1)
     for f in factors:
         product = product * f
@@ -124,19 +124,14 @@ def build_context(cfg: RunConfig) -> _Context:
         raise ValueError("the factor list does not multiply back to the polynomial")
     S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
     eps = Fraction(cfg.epsilon)
-    return _Context(A=A, factors=list(factors), S=S, eps=eps, ledger=ledger,
-                    cfg=cfg)
+    ledger = _ledger(factors, eps)
+    return _Context(A=A, factors=factors, S=S, eps=eps, ledger=ledger, cfg=cfg)
 
 
-@lru_cache(maxsize=64)
-def _factor_ledger(factor_list: tuple[tuple[str, bool], ...],
-                   epsilon: str) -> tuple[tuple[BiPoly, ...], ThetaLedger]:
-    """A config's factors, parsed, and the constant ledger built from them
-    and epsilon: found once per process, for `build_context` and
-    `build_report`.  A call that raises is not cached."""
-    factors = tuple(parse_bipoly(expr) for expr, _ in factor_list)
+def _ledger(factors: list[BiPoly], eps: Fraction) -> ThetaLedger:
+    """The constant ledger of the parsed factors of a config and its epsilon."""
     shapes = [(f.deg_x, f.deg_y, poly_height(f)) for f in factors]
-    return factors, theta_ledger(shapes, Fraction(epsilon))
+    return theta_ledger(shapes, eps)
 
 
 def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
@@ -307,8 +302,14 @@ OUTCOME_KINDS = ("below_threshold", "relation", "bound_holds",
 
 
 def build_report(cfg: RunConfig, outcomes: list[dict]) -> dict:
+    """The report of a run of cfg with these outcomes.
+
+    cfg is trusted to be one that `build_context` accepted, as the cfg of a
+    run is: only its factors and epsilon are parsed again, for the ledger,
+    and its counts, places and factor product are not checked."""
     counted = [o for o in outcomes if o["kind"] != "degenerate_on_z"]
-    _, ledger = _factor_ledger(cfg.factor_list(), cfg.epsilon)
+    factors = [parse_bipoly(expr) for expr, _ in cfg.factor_list()]
+    ledger = _ledger(factors, Fraction(cfg.epsilon))
     summary = {"pairs": len(outcomes), "counted": len(counted)}
     for kind in OUTCOME_KINDS:
         summary[kind] = sum(1 for o in outcomes if o["kind"] == kind)

@@ -96,7 +96,7 @@ class TestPoly:
     @given(_SEEDS)
     def test_render_matches_the_oracle(self, seed):
         # coefficients over 1, 2, 3 and 6 with interior zeros and either
-        # sign in front, up to degrees past the table of powers of t
+        # sign in front, up to degree 90
         rng = random.Random(seed)
         degree = rng.choice((0, 1, 2, 3, 7, 20, 50, 64, 65, 90))
 

@@ -12,14 +12,19 @@ import pytest
 import ffvojta
 from ffvojta.cli import main as cli_main
 from conftest import ODD_PLACE_SETS
+from ffvojta.constants import InvalidInput
 from ffvojta.field_core import Place, Poly
-from ffvojta.parser import parse_bipoly, parse_place, render_ratfunc_expr
+from ffvojta.parser import (
+    ParseError,
+    parse_bipoly,
+    parse_place,
+    render_ratfunc_expr,
+)
 from ffvojta.sunits import PlaceSet, SUnit
 from ffvojta.unitsum import check_bm, random_vanishing_sum
 from ffvojta.verify import (
     NotIrreducibleAttested,
     RunConfig,
-    _factor_ledger,
     audit_steps,
     build_context,
     build_report,
@@ -248,16 +253,35 @@ class TestReports:
         emit_report(report, str(path))
         assert load_report(str(path)) == report
 
-    def test_ledger_built_once_per_factor_list(self):
+    def test_report_ledger_is_the_context_ledger(self):
         cfg = RunConfig(poly="X*Y-t", places=("0", "inf"), epsilon="1/3",
                         count=0)
-        ledger = build_context(cfg).ledger
-        assert _factor_ledger(cfg.factor_list(), cfg.epsilon)[1] is ledger
-        assert build_report(cfg, [])["constants"] == ledger.to_json()
-        # places, seed and count do not enter the ledger
-        other = dataclasses.replace(cfg, places=("0", "1", "inf"), seed=3,
-                                    count=4)
-        assert build_context(other).ledger is ledger
+        for c in (cfg, dataclasses.replace(
+                BASE, poly="(X+Y+1)*(X-Y)",
+                factors=(("X+Y+1", True), ("X-Y", False)))):
+            assert build_report(c, [])["constants"] == (
+                build_context(c).ledger.to_json())
+
+    def test_config_errors_reported_in_order(self):
+        # counts, then the factor product, then the places, then epsilon
+        bad_factor = (("X+Y+2", True),)
+        cases = [
+            (dict(count=-1, max_exponent=0, factors=bad_factor,
+                  places=("zz",), epsilon="bad"),
+             ValueError, "count must be nonnegative"),
+            (dict(max_exponent=0, factors=bad_factor, places=("zz",),
+                  epsilon="bad"),
+             ValueError, "max_exponent must be at least 1"),
+            (dict(factors=bad_factor, places=("zz",), epsilon="bad"),
+             ValueError, "does not multiply back"),
+            (dict(places=("zz",), epsilon="bad"),
+             ParseError, "unexpected character"),
+            (dict(epsilon="bad"), ValueError, "Invalid literal"),
+            (dict(epsilon="-1"), InvalidInput, "eps must be positive"),
+        ]
+        for changes, kind, message in cases:
+            with pytest.raises(kind, match=message):
+                build_context(dataclasses.replace(BASE, **changes))
 
     def test_kind_strings(self):
         outcomes = verify_trichotomy(BASE)
