@@ -8,18 +8,15 @@ height/relation/zero-count trichotomy over seeded batches.
 """
 
 from .field_core import (
-    Divisor,
     OmegaForm,
     Place,
     Poly,
     RatFunc,
     choose_omega,
-    deriv_omega,
     divisor_of,
     height,
     ord_at,
     proj_height,
-    yun_squarefree,
 )
 from .sunits import (
     DependenceResult,
@@ -29,7 +26,6 @@ from .sunits import (
     enlarge_for_coefficients,
     euler_char,
     generate,
-    log_derivative,
     mult_dependence,
     sunit_from_ratfunc,
 )
@@ -38,7 +34,6 @@ from .bipoly import (
     b_polynomial,
     check_dependence_transfer,
     evaluate,
-    has_repeated_factors,
     poly_height,
     rational_roots,
     resultant_x,

@@ -262,11 +262,6 @@ class BiPoly(SparsePoly):
     def is_constant(self) -> bool:
         return all(ij == (0, 0) for ij in self.coeffs)
 
-    @property
-    def total_degree(self) -> int:
-        """deg_X + deg_Y, the degree convention used throughout."""
-        return self.deg_x + self.deg_y
-
     def coeff(self, i: int, j: int) -> RatFunc:
         return self.coeffs.get((i, j), RatFunc.zero())
 
@@ -686,21 +681,6 @@ def _lex_normalised(A: BiPoly) -> BiPoly:
     if A.is_zero:
         return A
     return A.scale(RatFunc.one() / A.coeffs[max(A.coeffs)])
-
-
-def has_repeated_factors(A: BiPoly) -> bool:
-    """True iff A has a repeated factor over the fraction field Q(t).
-
-    A squared factor involving X divides gcd(A, dA/dX) with positive
-    X-degree, and one free of X does so for Y.  A factor free of X divides
-    dA/dX whether or not it is repeated, so only the positive degree in the
-    differentiated variable counts.
-    """
-    if A.is_constant:
-        raise ConstantPolynomial("repeated factors need a nonconstant input")
-    if A.deg_x > 0 and bipoly_gcd(A, A.partial_x()).deg_x > 0:
-        return True
-    return A.deg_y > 0 and bipoly_gcd(A, A.partial_y()).deg_y > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1132,12 +1112,15 @@ def check_dependence_transfer(
 
 def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
                                         trials: int = 5) -> bool:
-    """Probabilistic support for an irreducibility attestation.
+    """A certificate of an irreducibility attestation over Q(t).
 
-    Specializes t at `trials` rational points and factors the resulting
-    bivariate polynomial over Q; one specialization that stays irreducible
-    with the full bidegree certifies irreducibility over Q(t).  Returns
-    False when every specialization splits (the attestation is suspect).
+    Specializes t at `trials` seeded rational points and factors the
+    resulting bivariate polynomial over Q.  Where the bidegree is kept, a
+    nontrivial factorisation of A over Q(t) specializes to a nontrivial one
+    of A(tau), so one specialization that stays irreducible with the full
+    bidegree proves A irreducible over Q(t): True is a certificate.  False
+    proves nothing: every point tried split, lost a degree or met a pole,
+    and an irreducible A can do that at every point tried.
     """
     import random
 

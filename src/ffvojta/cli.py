@@ -152,7 +152,7 @@ def _run_bm(args) -> int:
 
     for f in terms:
         if not f.is_constant:
-            places |= divisor_of(f).support()
+            places.update(divisor_of(f))
     S = PlaceSet(frozenset(places))
     try:
         vs = VanishingSum.build(terms, S)

@@ -26,7 +26,6 @@ from .field_core import (
     height,
     poly_gcd,
     proj_height,
-    yun_squarefree,
 )
 from .sunits import DependenceResult, PlaceSet, euler_char
 
@@ -90,20 +89,19 @@ def _check_s_integer(f: RatFunc, S: PlaceSet) -> None:
 def trunc_count(f: RatFunc, S: PlaceSet) -> CountReport:
     """Sum over places outside S of max(0, ord - 1), geometrically weighted.
 
-    Strips the S-supported part of the numerator and applies a squarefree
-    decomposition; only repeated factors are ever split into places.
+    Strips the S-supported part of the numerator and factors the rest:
+    each irreducible factor q of multiplicity m >= 2 is a place that
+    contributes (m - 1) * deg q.
     """
     if f.is_zero:
         raise ZeroFunction("cannot count zeros of the zero function")
     stripped = strip_set_factors(f.num, S)
     total = 0
     per: list[tuple[Place, int]] = []
-    if stripped.degree > 0:
-        for g, m in yun_squarefree(stripped):
-            if m >= 2:
-                total += (m - 1) * g.degree
-                for q, _ in factor_poly(g):
-                    per.append((Place._trusted(q), m - 1))
+    for q, m in factor_poly(stripped):
+        if m >= 2:
+            total += (m - 1) * q.degree
+            per.append((Place._trusted(q), m - 1))
     if not S.has_infinity:
         inf_ord = f.den.degree - f.num.degree
         if inf_ord >= 2:

@@ -562,24 +562,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
-def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition p = c * prod f_i^{m_i}, by sympy's Yun
-    algorithm over ZZ.
-
-    The f_i are monic, squarefree, pairwise coprime, and the multiplicities
-    are strictly increasing.  Constants decompose to the empty list.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    if p.degree == 0:
-        return []
-    from sympy import ZZ
-    from sympy.polys.sqfreetools import dup_sqf_list
-
-    _, parts = dup_sqf_list(list(p.nums[::-1]), ZZ)
-    return [(Poly(f[::-1]).monic(), m) for f, m in parts]
-
-
 # --- irreducible factorization ---------------------------------------------
 #
 # A primitive integer polynomial f whose image mod a prime p not dividing
@@ -1153,7 +1135,7 @@ def _image(f: RatFunc, tau: int, p: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Places and divisors
+# Places
 # ---------------------------------------------------------------------------
 
 @total_ordering
@@ -1261,64 +1243,6 @@ class Place:
         return f"Place({str(self)!r})"
 
 
-class Divisor:
-    """Formal Z-combination of places; zero coefficients are dropped."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data=None):
-        clean = {}
-        if data:
-            for place, c in (data.items() if isinstance(data, dict) else data):
-                c = int(c)
-                if c:
-                    clean[place] = clean.get(place, 0) + c
-                    if clean[place] == 0:
-                        del clean[place]
-        object.__setattr__(self, "_data", dict(clean))
-
-    def __reduce__(self):
-        return (Divisor, (tuple(self._data.items()),))
-
-    def coeff(self, place: Place) -> int:
-        return self._data.get(place, 0)
-
-    def support(self) -> set[Place]:
-        return set(self._data)
-
-    def items(self):
-        return sorted(self._data.items(), key=lambda kv: kv[0].sort_key())
-
-    def degree(self) -> int:
-        return sum(c * p.geom_degree for p, c in self._data.items())
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Divisor) and self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._data.items()))
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        out = dict(self._data)
-        for p, c in other._data.items():
-            out[p] = out.get(p, 0) + c
-        return Divisor(out)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor({p: -c for p, c in self._data.items()})
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
-
-    def __str__(self) -> str:
-        if not self._data:
-            return "0"
-        return " + ".join(f"{c}*[{p}]" for p, c in self.items())
-
-
 # ---------------------------------------------------------------------------
 # Orders, heights, divisors of functions
 # ---------------------------------------------------------------------------
@@ -1363,6 +1287,20 @@ def _low_zeros(a) -> int:
     return n
 
 
+def _divided(a, b, cap: int):
+    """The nonzero integer list a divided by the primitive b as often as it
+    goes, at most cap times, with the number of times it went.  The place t
+    goes out as one slice of a's zero low coefficients."""
+    if b == _T_NUMS:
+        k = min(cap, _low_zeros(a))
+        return a[k:], k
+    k = 0
+    while k < cap and (quot := _exact_quotient(a, b)) is not None:
+        a = quot
+        k += 1
+    return a, k
+
+
 def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     """p divided by each nonconstant monic q of `qs`, in turn, as often as
     it goes, with the number of times each went.
@@ -1370,9 +1308,8 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     p is A / L (its nums and den) and stays in Z[t]: each q is P / L_q in
     the same way, and P is primitive (a prime dividing every coefficient of
     P would divide its leading coefficient L_q, and gcd(L_q, *P) = 1), so
-    dividing by q^m is dividing A by P^m over Z (`_exact_quotient`) and
-    lifting by L_q^m.  The place t goes out as one slice of A's zero low
-    coefficients.
+    dividing by q^m is dividing A by P^m over Z (`_divided`) and lifting by
+    L_q^m.
     """
     counts = [0] * len(qs)
     if p.is_zero:
@@ -1380,15 +1317,9 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     a, lift = p.nums, p.den
     scale = 1
     for k, q in enumerate(qs):
-        b, lq = q.nums, q.den
-        if b == _T_NUMS:
-            counts[k] = _low_zeros(a)
-            a = a[counts[k]:]
-            continue
-        while (quot := _exact_quotient(a, b)) is not None:
-            a = quot
-            counts[k] += 1
-        scale *= lq ** counts[k]
+        # each division shortens a, so the cap len(a) never binds
+        a, counts[k] = _divided(a, q.nums, len(a))
+        scale *= q.den ** counts[k]
     return (_scaled(a, scale, lift) if any(counts) else p), counts
 
 
@@ -1401,30 +1332,21 @@ def _known_quotient(a, lift: int, den) -> tuple[RatFunc, list[int], list[int]]:
 
     Only a factor of the denominator can cancel, so no gcd is needed: each
     q is divided out of a, on integers as in `_divide_out`, until it no
-    longer goes or m times (the place t as one slice of zero low
-    coefficients, at most m long).  What is left of a q that stopped short
-    is coprime to what is left of a, and the distinct q are coprime to each
-    other, so the pair is normal by theorem.  The denominator is one
+    longer goes or m times (`_divided`).  What is left of a q that stopped
+    short is coprime to what is left of a, and the distinct q are coprime
+    to each other, so the pair is normal by theorem.  The denominator is one
     integer product of the primitive P's that remain, and its leading
     coefficient is the product of their lifts: it comes out monic.
     """
     scale = down_lift = 1
     down, counts = [], []
     for q, m in den:
-        b, lq = q.nums, q.den
-        if b == _T_NUMS:
-            k = min(m, _low_zeros(a))
-            a = a[k:]
-        else:
-            k = 0
-            while k < m and (quot := _exact_quotient(a, b)) is not None:
-                a = quot
-                k += 1
-            scale *= lq ** k
+        a, k = _divided(a, q.nums, m)
+        scale *= q.den ** k
         counts.append(k)
         if k < m:
-            down.append((b, m - k))
-            down_lift *= lq ** (m - k)
+            down.append((q.nums, m - k))
+            down_lift *= q.den ** (m - k)
     return (RatFunc._trusted(_scaled(a, scale, lift),
                              _den_product(tuple(down), down_lift)),
             a, counts)
@@ -1493,20 +1415,18 @@ def proj_height(fs) -> int:
     return max(len(n) for n in ints.values()) - 1 - g.degree
 
 
-def divisor_of(f: RatFunc) -> Divisor:
-    """Principal divisor of a nonzero rational function (degree zero)."""
+def divisor_of(f: RatFunc) -> dict[Place, int]:
+    """Principal divisor of a nonzero rational function: its nonzero order
+    at each place, of degree zero."""
     if f.is_zero:
         raise ZeroFunction("the zero function has no divisor")
-    data: dict[Place, int] = {}
-    for q, m in factor_poly(f.num):
-        data[Place._trusted(q)] = m
+    div = {Place._trusted(q): m for q, m in factor_poly(f.num)}
     for q, m in factor_poly(f.den):
-        data[Place._trusted(q)] = data.get(Place._trusted(q), 0) - m
+        div[Place._trusted(q)] = -m
     inf_ord = f.den.degree - f.num.degree
     if inf_ord:
-        data[Place.infinity()] = inf_ord
-    div = Divisor(data)
-    assert div.degree() == 0
+        div[Place.infinity()] = inf_ord
+    assert sum(c * p.geom_degree for p, c in div.items()) == 0
     return div
 
 
@@ -1569,8 +1489,3 @@ def choose_omega(places) -> OmegaForm:
             "need total geometric degree >= 2 with a representable polar pair")
     key, den, polar = min(candidates, key=lambda c: c[0])
     return OmegaForm(polar, den.monic())
-
-
-def deriv_omega(f: RatFunc, w: OmegaForm) -> RatFunc:
-    """Derivative of f against the form: the unique f' with d(f) = f' * w."""
-    return f.derivative_t() * RatFunc(w.denominator)

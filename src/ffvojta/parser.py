@@ -218,23 +218,6 @@ def parse_place(src: str) -> Place:
     return Place.finite(f.num)
 
 
-def render_bipoly(A: BiPoly) -> str:
-    """Render a BiPoly in the expression grammar (re-parseable)."""
-    if A.is_zero:
-        return "0"
-    parts = []
-    for (i, j), c in sorted(A.coeffs.items(), reverse=True):
-        factors = []
-        if not (c == RatFunc.one() and (i or j)):
-            factors.append(render_ratfunc_expr(c))
-        if i:
-            factors.append("X" + (f"^{i}" if i > 1 else ""))
-        if j:
-            factors.append("Y" + (f"^{j}" if j > 1 else ""))
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
 def render_ratfunc_expr(f: RatFunc) -> str:
     """Render a RatFunc in the expression grammar (re-parseable)."""
     if f.den == Poly.one():

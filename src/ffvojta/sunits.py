@@ -16,14 +16,12 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .field_core import (
-    OmegaForm,
     Place,
     Poly,
     RatFunc,
     ZeroFunction,
     _horner,
     _kronecker_product,
-    _over_known_den,
     _scaled,
     divisor_of,
 )
@@ -232,33 +230,15 @@ def sunit_from_ratfunc(f: RatFunc, S: PlaceSet) -> SUnit:
     """Validate that f is an S-unit and recover its exponent form."""
     if f.is_zero:
         raise ZeroFunction("zero is not an S-unit")
-    exps: dict[Place, int] = {}
-    for p, c in divisor_of(f).items():
-        if p.is_infinity:
-            continue
+    exps = divisor_of(f)
+    exps.pop(Place.infinity(), None)
+    for p in sorted(exps, key=Place.sort_key):
         if p not in S:
             raise InvalidSUnit(f"divisor of {f} meets {p}, outside S")
-        exps[p] = c
     if not S.has_infinity and f.den.degree != f.num.degree:
         raise InvalidSUnit("nonzero order at infinity but infinity not in S")
     lead = Fraction(f.num.lc, f.den.lc)
     return SUnit.make(lead, exps, S)
-
-
-def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:
-    """The function d(u)/u measured against the form w.
-
-    For u = c * prod P^e this is q * sum e P'/P with q the form's
-    denominator, so it is N / D with D the product of the places P of u
-    (`_log_derivative_num`).  Only a P can cancel, at most once, and it
-    does exactly when P divides q; `field_core._over_known_den` takes the
-    pair to its normal form without a gcd.  With the form's poles inside S
-    it has only simple poles and height at most the Euler characteristic
-    of the complement of S.
-    """
-    places = [p.poly for p, _ in u.exponents]
-    return _over_known_den(_log_derivative_num(u, w.denominator, places),
-                           [(r, 1) for r in places])
 
 
 def _log_derivative_num(u: SUnit, q: Poly, places) -> Poly:
@@ -398,20 +378,5 @@ def enlarge_for_coefficients(S: PlaceSet, fs) -> PlaceSet:
             raise ZeroFunction("cannot enlarge by the zero function")
         if f.is_constant:
             continue
-        places.update(divisor_of(f).support())
+        places.update(divisor_of(f))
     return PlaceSet(frozenset(places))
-
-
-def sunit_to_json(u: SUnit) -> dict:
-    return {
-        "constant": str(u.constant),
-        "exponents": {str(p): e for p, e in u.exponents},
-    }
-
-
-def sunit_from_json(data: dict, S: PlaceSet) -> SUnit:
-    from .parser import parse_place
-
-    constant = Fraction(data["constant"])
-    exps = {parse_place(k): int(v) for k, v in data.get("exponents", {}).items()}
-    return SUnit.make(constant, exps, S)

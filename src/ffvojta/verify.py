@@ -116,12 +116,15 @@ def build_context(cfg: RunConfig) -> _Context:
     if cfg.max_exponent < 1:
         raise ValueError("max_exponent must be at least 1")
     A = parse_bipoly(cfg.poly)
-    factors = [parse_bipoly(expr) for expr, _ in cfg.factor_list()]
-    product = BiPoly.const(1)
-    for f in factors:
-        product = product * f
-    if product != A:
-        raise ValueError("the factor list does not multiply back to the polynomial")
+    factors = [A]
+    if cfg.factors:
+        factors = [parse_bipoly(expr) for expr, _ in cfg.factors]
+        product = BiPoly.const(1)
+        for f in factors:
+            product = product * f
+        if product != A:
+            raise ValueError(
+                "the factor list does not multiply back to the polynomial")
     S = PlaceSet(frozenset(parse_place(p) for p in cfg.places))
     eps = Fraction(cfg.epsilon)
     ledger = _ledger(factors, eps)
@@ -330,11 +333,6 @@ def emit_report(report: dict, path: str) -> None:
         fh.write("\n")
 
 
-def load_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Stepwise audit of one pair (split case)
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def load_report(path: str) -> dict:
 def _support_places(f: RatFunc) -> set:
     if f.is_zero or f.is_constant:
         return set()
-    return divisor_of(f).support()
+    return set(divisor_of(f))
 
 
 def _companion_places(S_a: PlaceSet, B: BiPoly, u: SUnit,

@@ -14,7 +14,9 @@ rational-root method over Q[t] with synthetic division, factorisations
 over Q by sympy's Zassenhaus over ZZ, cleared
 denominators by a `poly_lcm` chain, and the irreducibility audit by
 building each specialisation as a sympy expression coefficient by
-coefficient.
+coefficient.  Two are the library's own former code, kept as oracles:
+`deriv_omega`, the derivation against a two-pole form, and
+`log_derivative`, the harness of `sunits._log_derivative_num`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from math import gcd
 
 import sympy
 
-from ffvojta.field_core import Poly, RatFunc
-from ffvojta.sunits import PlaceSet
+from ffvojta.field_core import OmegaForm, Poly, RatFunc, _over_known_den
+from ffvojta.sunits import PlaceSet, SUnit, _log_derivative_num
 
 
 def rat(expr: str) -> RatFunc:
@@ -98,20 +100,27 @@ def oracle_factor(p: Poly) -> list[tuple[Poly, int]]:
     return [(Poly(f[::-1]).monic(), m) for f, m in factors]
 
 
-def oracle_trunc_count(f: RatFunc, S: PlaceSet) -> int:
-    """Brute-force truncated count from the full factorization."""
+def oracle_trunc_per_place(f: RatFunc, S: PlaceSet) -> dict:
+    """Brute-force ord - 1 at each place outside S where f has a multiple
+    zero, from the full factorization: a finite place keyed by the coeffs
+    of its monic polynomial, infinity by None."""
     s_finite = {p.poly.coeffs for p in S.finite_places()}
-    total = 0
+    per = {}
     for fac, m in sympy_factor_multiplicities(f.num):
-        if fac.coeffs in s_finite:
-            continue
-        if m >= 2:
-            total += (m - 1) * fac.degree
+        if fac.coeffs not in s_finite and m >= 2:
+            per[fac.coeffs] = m - 1
     if not S.has_infinity:
         inf_ord = f.den.degree - f.num.degree
         if inf_ord >= 2:
-            total += inf_ord - 1
-    return total
+            per[None] = inf_ord - 1
+    return per
+
+
+def oracle_trunc_count(f: RatFunc, S: PlaceSet) -> int:
+    """Brute-force truncated count: each place's ord - 1, weighted by its
+    degree."""
+    return sum(c * (1 if key is None else len(key) - 1)
+               for key, c in oracle_trunc_per_place(f, S).items())
 
 
 def oracle_min_ord_sum(f: RatFunc, g: RatFunc, S: PlaceSet) -> int:
@@ -385,6 +394,27 @@ def oracle_as_ratfunc(u) -> RatFunc:
     return RatFunc(num, den)
 
 
+def deriv_omega(f: RatFunc, w: OmegaForm) -> RatFunc:
+    """Derivative of f against the form: the unique f' with d(f) = f' * w."""
+    return f.derivative_t() * RatFunc(w.denominator)
+
+
+def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:
+    """The function d(u)/u measured against the form w.
+
+    For u = c * prod P^e this is q * sum e P'/P with q the form's
+    denominator, so it is N / D with D the product of the places P of u
+    (`_log_derivative_num`).  Only a P can cancel, at most once, and it
+    does exactly when P divides q; `field_core._over_known_den` takes the
+    pair to its normal form without a gcd.  With the form's poles inside S
+    it has only simple poles and height at most the Euler characteristic
+    of the complement of S.
+    """
+    places = [p.poly for p, _ in u.exponents]
+    return _over_known_den(_log_derivative_num(u, w.denominator, places),
+                           [(r, 1) for r in places])
+
+
 def oracle_render_poly(p: Poly, var: str = "t") -> str:
     """A polynomial in the expression grammar, term by term from the
     highest: each coefficient reduced to n/d and formatted with its own
@@ -447,7 +477,7 @@ def oracle_proj_height(fs) -> int:
     places = set()
     for f in fs:
         if not f.is_zero and not f.is_constant:
-            places |= divisor_of(f).support()
+            places.update(divisor_of(f))
     total = 0
     for p in places:
         orders = [ord_at(f, p) for f in fs if not f.is_zero]

@@ -23,7 +23,6 @@ from ffvojta.field_core import (
     Poly,
     RatFunc,
     choose_omega,
-    deriv_omega,
     height,
     poly_gcd,
 )
@@ -33,12 +32,18 @@ from ffvojta.sunits import (
     as_ratfunc,
     euler_char,
     generate,
-    log_derivative,
     mult_dependence,
 )
 from ffvojta.unitsum import VanishingSum, check_bm, random_vanishing_sum
 from ffvojta.verify import RunConfig, build_report, verify_trichotomy
-from conftest import oracle_trunc_count, rand_ratfunc, rat, unit_over
+from conftest import (
+    deriv_omega,
+    log_derivative,
+    oracle_trunc_count,
+    rand_ratfunc,
+    rat,
+    unit_over,
+)
 
 
 P0 = Place.rational(0)

@@ -25,7 +25,6 @@ from ffvojta.bipoly import (
     bipoly_gcd,
     check_dependence_transfer,
     evaluate,
-    has_repeated_factors,
     poly_height,
     rational_roots,
     resultant_x,
@@ -43,7 +42,6 @@ from ffvojta.field_core import (
     ZeroPolynomial,
     _image,
     choose_omega,
-    deriv_omega,
     clear_denominators,
     from_cleared,
 )
@@ -58,6 +56,7 @@ from ffvojta.verify import RunConfig, build_context, pair_for_index
 from conftest import (
     ODD_PLACE_SETS,
     bi,
+    deriv_omega,
     oracle_irreducibility_audit,
     oracle_rational_roots,
     oracle_resultant,
@@ -545,7 +544,7 @@ class TestResultants:
         B = BiPoly({other: RatFunc(Poly.monomial(3)) * c})
         res = (resultant_x if main == "x" else resultant_y)(A, B)
         assert res.coeffs == oracle_resultant(A, B, main).coeffs
-        assert res.total_degree == 6
+        assert res.deg_x + res.deg_y == 6
         assert res.coeffs[max(res.coeffs)] == RatFunc(Poly.monomial(9)) * c ** 3
 
     def test_sylvester_work_cap_raises_at_once(self):
@@ -563,23 +562,6 @@ class TestResultants:
 
 
 class TestRepeatedFactors:
-    def test_examples(self):
-        assert has_repeated_factors(bi("(X+Y)^2"))
-        assert not has_repeated_factors(bi("X*Y-t"))
-        assert has_repeated_factors(bi("X^2*Y"))
-
-    def test_constant_rejected(self):
-        with pytest.raises(ConstantPolynomial):
-            has_repeated_factors(BiPoly.const(rat("t")))
-
-    def test_squarefree_products(self):
-        assert not has_repeated_factors(bi("(X+Y)*(X-Y)*(X+2*Y+1)"))
-        # a factor free of the differentiated variable is not repeated
-        assert not has_repeated_factors(bi("(Y-1)*(X+Y)"))
-        assert not has_repeated_factors(bi("(X-t)*(X+Y)"))
-        assert not has_repeated_factors(bi("(Y-1)*(X+1)"))
-        assert has_repeated_factors(bi("(X+t*Y)^2*(X-Y)"))
-
     def test_gcd_basics(self):
         g = bipoly_gcd(bi("(X+Y)*(X-Y)"), bi("(X+Y)*(X+1)"))
         assert not g.is_constant
@@ -1013,6 +995,10 @@ class TestIrreducibilityAudit:
     def test_rejects_products(self):
         assert not specialization_irreducibility_audit(
             bi("(X+Y+1)*(X-Y+t)"))
+
+    def test_constant_rejected(self):
+        with pytest.raises(ConstantPolynomial):
+            specialization_irreducibility_audit(BiPoly.const(rat("t")))
 
     def test_agrees_with_oracle(self):
         # products, near-products and single factors; about a third of the

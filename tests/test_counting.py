@@ -30,6 +30,7 @@ from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, euler_char, mult_depende
 from conftest import (
     oracle_min_ord_sum,
     oracle_trunc_count,
+    oracle_trunc_per_place,
     oracle_vanishing_subsum,
     rat,
     unit_over,
@@ -80,6 +81,9 @@ class TestTruncCount:
 
     def test_oracle_equivalence(self):
         rng = random.Random(17)
+        # repeated factors of degree >= 2 first, then random products
+        funcs = [rat("(t^2+1)^2*(t-3)^3"),
+                 rat("t^2*(t^2+t+1)^3*(t^3-2)^2*(t-5)/(t-1)^4")]
         for _ in range(120):
             f = Poly.const(Fraction(rng.randint(1, 3)))
             for _ in range(rng.randint(1, 3)):
@@ -87,9 +91,12 @@ class TestTruncCount:
                             + [1])
                 f = f * base ** rng.randint(1, 4)
             u = as_ratfunc(unit_over(S011, rng, 3))
-            func = RatFunc(f) * u
-            assert trunc_count(func, S011).total == \
-                oracle_trunc_count(func, S011)
+            funcs.append(RatFunc(f) * u)
+        for func in funcs:
+            r = trunc_count(func, S011)
+            assert r.total == oracle_trunc_count(func, S011)
+            assert {p.poly.coeffs: c for p, c in r.per_place} == \
+                oracle_trunc_per_place(func, S011)
 
 
 class TestMinOrdSum:

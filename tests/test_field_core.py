@@ -31,7 +31,6 @@ from ffvojta.field_core import (
     _scaled,
     choose_omega,
     clear_denominators,
-    deriv_omega,
     divisor_of,
     factor_poly,
     height,
@@ -39,10 +38,10 @@ from ffvojta.field_core import (
     poly_gcd,
     proj_height,
     render_poly,
-    yun_squarefree,
 )
 from ffvojta.sunits import PlaceSet
 from conftest import (
+    deriv_omega,
     from_sympy,
     oracle_clear_denominators,
     oracle_divide_out,
@@ -252,27 +251,6 @@ class TestPoly:
             epoly = sympy.Poly(expected, SYMPY_T, domain="QQ").monic()
             coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
             assert poly_gcd(a, b) == Poly(coeffs)
-
-    def test_yun_against_sympy_sqf(self):
-        from conftest import to_sympy
-
-        rng = random.Random(15)
-        for _ in range(60):
-            p = Poly.one()
-            for _ in range(rng.randint(1, 3)):
-                p = p * rand_poly(rng, 2) ** rng.randint(1, 3)
-            if p.degree < 1:
-                continue
-            mine = {}
-            for q, m in yun_squarefree(p):
-                mine[m] = mine.get(m, Poly.one()) * q
-            _, sympy_parts = to_sympy(p).sqf_list()
-            theirs = {}
-            for fac, m in sympy_parts:
-                coeffs = [Fraction(c.p, c.q)
-                          for c in reversed(fac.all_coeffs())]
-                theirs[m] = theirs.get(m, Poly.one()) * Poly(coeffs).monic()
-            assert mine == theirs
 
 
 _BIG = 10 ** 30
@@ -706,38 +684,6 @@ class TestHenrici:
                 assert h.is_zero or poly_gcd(h.num, h.den) == ONE
 
 
-class TestYun:
-    def test_spec_examples(self):
-        p = T ** 2 * (T - ONE) ** 3
-        assert yun_squarefree(p) == [(T.monic(), 2), ((T - ONE), 3)]
-        sq = T * T - ONE
-        assert yun_squarefree(sq) == [(sq, 1)]
-        assert yun_squarefree((T - Poly.const(2)) ** 4) == [(T - Poly.const(2), 4)]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            yun_squarefree(Poly.zero())
-
-    def test_reconstruction_exact(self):
-        rng = random.Random(21)
-        for _ in range(150):
-            parts = [rand_poly(rng, 2) for _ in range(rng.randint(1, 3))]
-            mults = [rng.randint(1, 4) for _ in parts]
-            p = Poly.const(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-            for q, m in zip(parts, mults):
-                p = p * q ** m
-            if p.degree == 0:
-                continue
-            product = Poly.const(p.lc)
-            last_mult = 0
-            for q, m in yun_squarefree(p):
-                assert m > last_mult
-                last_mult = m
-                assert poly_gcd(q, q.derivative()).degree == 0
-                product = product * q ** m
-            assert product == p
-
-
 class TestOrdHeight:
     def test_ord_examples(self):
         f = rat("t^2/(t-1)")
@@ -783,7 +729,7 @@ class TestOrdHeight:
             g = rand_ratfunc(rng, 3)
             if f.is_zero or g.is_zero:
                 continue
-            support = divisor_of(f).support() | divisor_of(g).support()
+            support = set(divisor_of(f)) | set(divisor_of(g))
             for p in support:
                 assert ord_at(f * g, p) == ord_at(f, p) + ord_at(g, p)
 
@@ -821,17 +767,12 @@ class TestProjHeight:
 
 class TestDivisor:
     def test_spec_examples(self):
-        d = divisor_of(RatFunc.t())
-        assert d.coeff(Place.rational(0)) == 1
-        assert d.coeff(Place.infinity()) == -1
-        assert len(d) == 2
-
-        d2 = divisor_of(rat("(t^2+1)/t"))
-        assert d2.coeff(Place.finite(Poly((1, 0, 1)))) == 1
-        assert d2.coeff(Place.rational(0)) == -1
-        assert d2.coeff(Place.infinity()) == -1
-
-        assert len(divisor_of(RatFunc.const(7))) == 0
+        assert divisor_of(RatFunc.t()) == {Place.rational(0): 1,
+                                           Place.infinity(): -1}
+        assert divisor_of(rat("(t^2+1)/t")) == {
+            Place.finite(Poly((1, 0, 1))): 1, Place.rational(0): -1,
+            Place.infinity(): -1}
+        assert divisor_of(RatFunc.const(7)) == {}
 
     def test_degree_zero(self):
         rng = random.Random(51)
@@ -839,7 +780,9 @@ class TestDivisor:
             f = rand_ratfunc(rng, 5)
             if f.is_zero:
                 continue
-            assert divisor_of(f).degree() == 0
+            d = divisor_of(f)
+            assert 0 not in d.values()
+            assert sum(c * p.geom_degree for p, c in d.items()) == 0
 
     def test_zero_function_rejected(self):
         with pytest.raises(ZeroFunction):

@@ -11,7 +11,6 @@ from ffvojta.parser import (
     parse_bipoly,
     parse_place,
     parse_ratfunc,
-    render_bipoly,
     render_ratfunc_expr,
 )
 
@@ -143,5 +142,5 @@ class TestRoundTrip:
                 A = parse_bipoly(src)
             except (ParseError, DivisionByZeroPoly):
                 continue
-            assert parse_bipoly(render_bipoly(A)) == A
+            assert parse_bipoly(str(A)) == A
             done += 1

@@ -108,7 +108,7 @@ class TestVanishingSum:
         for seed in range(8):
             vs = random_vanishing_sum(S, 3 + seed % 3, 4, seed)
             assert vs.place_set.places == \
-                S.places | divisor_of(vs.terms[-1]).support()
+                S.places | divisor_of(vs.terms[-1]).keys()
 
     @pytest.mark.parametrize("n", [1, 2, 21])
     def test_term_count_rejected_before_a_draw(self, n):
@@ -178,7 +178,7 @@ class TestCheckBM:
             h = f + g
             if h.is_zero:
                 continue
-            support = divisor_of(h).support() if not h.is_constant else set()
+            support = divisor_of(h).keys()
             S = PlaceSet(frozenset(S011.places | support))
             terms = [f, g, -h]
             try:
