@@ -22,8 +22,11 @@ t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
 root rebuilt by Pade reconstruction; exact division in Z[t][Z] keeps it,
 and an image with no rational root proves there is none.  Only when no
 tau decides is the polynomial factored over Z[Z, t] by sympy (Wang's
-algorithm).  Bivariate gcds and the specialisation audit go to sympy over
-Z[X, Y, t], and a result comes back through `field_core.from_cleared`.
+algorithm).  Bivariate gcds go to sympy over Z[X, Y, t], and a result comes
+back through `field_core.from_cleared`.  The specialisation audit certifies
+A(tau) irreducible over Q by Kronecker's substitution Y -> X^N + c and the
+univariate factoriser, and factors A(tau) in sympy only where that
+declines.
 Gcds, root finding and resultants first check a size cap and raise
 InputTooLarge past it.
 
@@ -57,10 +60,12 @@ from .field_core import (
     _image,
     _den_product,
     _divmod_mod,
+    _factor_squarefree,
     _known_quotient,
     _kronecker_product,
     _over_known_den,
     _pack,
+    _primitive,
     _signed_digits,
     _trim,
     clear_denominators,
@@ -1110,17 +1115,76 @@ def check_dependence_transfer(
 # Irreducibility attestation audit
 # ---------------------------------------------------------------------------
 
+def _specialised(ints: Mapping[tuple[int, int], list[int]],
+                 tau: Fraction) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients of the cleared polynomial `ints` (lists in
+    t, lowest degree first) at t = tau = a / b, all times b^D for D the
+    highest degree in t: each is sum n_k a^k b^(D - k), on integers."""
+    a, b = tau.numerator, tau.denominator
+    top = max(len(ns) for ns in ints.values())
+    out = {}
+    for key, ns in ints.items():
+        acc, bk = 0, 1
+        for c in reversed(ns):
+            acc = acc * a + c * bk
+            bk *= b
+        if acc:
+            out[key] = acc * b ** (top - len(ns))
+    return out
+
+
+def _kronecker_irreducible(spec: Mapping[tuple[int, int], int],
+                           deg_x: int) -> bool:
+    """True when the integer coefficients `spec` of a polynomial in X and
+    Y of X-degree `deg_x` certify it irreducible over Q; False proves
+    nothing.
+
+    Y -> X^N + c with N = deg_x + 1 sends the monomials X^i Y^j to
+    polynomials of distinct degrees i + N j, so it maps a nonconstant
+    polynomial to a nonconstant one, and a factorisation into nonconstant
+    factors to another.  So f(X) = spec(X, X^N + c) irreducible (one factor
+    from `_factor_squarefree`) proves spec irreducible; c runs over 1, 2,
+    3."""
+    n = deg_x + 1
+    deg_y = max(j for _, j in spec)
+    rows = [[0] * n for _ in range(deg_y + 1)]
+    for (i, j), x in spec.items():
+        rows[j][i] = x
+    for c in (1, 2, 3):
+        # Horner in Y: f = (...(P_J (X^N + c) + P_(J-1)) (X^N + c) ...) + P_0
+        f = list(rows[-1])
+        for row in reversed(rows[:-1]):
+            f = [0] * n + f
+            for k, x in enumerate(f[n:]):
+                f[k] += c * x
+            for k, x in enumerate(row):
+                f[k] += x
+        f = _primitive(_trim(f))
+        if len(f) == 2:
+            return True
+        factors = _factor_squarefree(f)
+        if factors is not None and len(factors) == 1:
+            return True
+    return False
+
+
 def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
                                         trials: int = 5) -> bool:
     """A certificate of an irreducibility attestation over Q(t).
 
-    Specializes t at `trials` seeded rational points and factors the
-    resulting bivariate polynomial over Q.  Where the bidegree is kept, a
-    nontrivial factorisation of A over Q(t) specializes to a nontrivial one
-    of A(tau), so one specialization that stays irreducible with the full
-    bidegree proves A irreducible over Q(t): True is a certificate.  False
-    proves nothing: every point tried split, lost a degree or met a pole,
-    and an irreducible A can do that at every point tried.
+    Specializes t at `trials` seeded rational points and decides whether
+    the resulting bivariate polynomial is irreducible over Q.  Where the
+    bidegree is kept, a nontrivial factorisation of A over Q(t)
+    specializes to a nontrivial one of A(tau), so one specialization that
+    stays irreducible with the full bidegree proves A irreducible over
+    Q(t): True is a certificate.  False proves nothing: every point tried
+    split, lost a degree or met a pole, and an irreducible A can do that
+    at every point tried.
+
+    A(tau) is read off A's cleared integer form, and Kronecker's
+    substitution (`_kronecker_irreducible`) certifies it irreducible in
+    house; only where that declines does sympy factor A(tau) over Q, so
+    the answer at each point is sympy's.
     """
     import random
 
@@ -1129,16 +1193,20 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     rng = random.Random(f"irred-audit:{seed}")
     # A(tau) is d(tau)^-1 times the cleared polynomial at tau; d(tau) = 0
     # exactly when a coefficient of A has a pole at tau
-    X, Y, _, T = _gens()
-    p, d = _cleared(A.coeffs, (X, Y, T))
+    ints, d = A.cleared()
     for _ in range(trials):
         tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
         if d.eval(tau) == 0:
             continue
-        poly = p.eval(T, tau)
-        if poly.degree(X) != A.deg_x or poly.degree(Y) != A.deg_y:
+        spec = _specialised(ints, tau)
+        # every coefficient of A can vanish at tau, and A(tau) with them
+        if (max((i for i, _ in spec), default=-1) != A.deg_x
+                or max((j for _, j in spec), default=-1) != A.deg_y):
             continue
-        _, factors = poly.factor_list()
+        if _kronecker_irreducible(spec, A.deg_x):
+            return True
+        X, Y, _, T = _gens()
+        _, factors = _to_sympy(ints, (X, Y, T)).eval(T, tau).factor_list()
         if len(factors) == 1 and factors[0][1] == 1:
             return True
     return False

@@ -401,12 +401,12 @@ def render_poly(p: Poly, var: str = "t") -> str:
 
 # --- the bridge to sympy over ZZ ------------------------------------------
 #
-# Poly does ring arithmetic only.  Every other algorithm on polynomials over
-# Q or Q(t), except the integer Sylvester determinants behind the bivariate
-# resultants, the lifted rational roots and the factoriser of squarefree
-# polynomials below, runs in sympy over ZZ: a Poly hands over its `nums`,
-# which are already cleared, a coefficient map is cleared by
-# `clear_denominators`, and a bivariate result comes back through
+# Poly does ring arithmetic only.  The gcds and factorisations in Q[t] below,
+# the integer Sylvester determinants behind the bivariate resultants, the
+# lifted rational roots and the irreducibility certificate run on integers in
+# house; what they decline, and the bivariate gcd, runs in sympy over ZZ: a
+# Poly hands over its `nums`, which are already cleared, a coefficient map is
+# cleared by `clear_denominators`, and a bivariate result comes back through
 # `from_cleared`.  sympy is imported on first use, inside the functions that
 # call it, so a run that never needs it never loads it.
 
@@ -529,12 +529,49 @@ def _mod_gcd_is_one(a: list[int], b: list[int]) -> bool:
     return False
 
 
+def _primitive(f) -> list[int]:
+    """The nonzero integer list f divided by its content, with the sign
+    that makes the leading coefficient positive."""
+    c = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    return list(f) if c == 1 else [x // c for x in f]
+
+
+def _exact_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """The gcd in Z[t], with a positive leading coefficient, of the
+    primitive a (degree >= 1) and the nonzero b; None when the lift below
+    fails.
+
+    The gcd g_P of the images mod the least Mersenne prime P above the
+    factoriser's bound 2 |lc a| 2^n ||a||_2 is lifted as lc(a) * g_P in
+    symmetric residues and made primitive.  The true gcd g divides a, so
+    lc(a) / lc(g) * g has coefficients below P / 2 (Mignotte); P does not
+    divide lc(a), so g mod P keeps its degree and divides g_P.  A lift
+    that divides both a and b is a common divisor of degree at least
+    deg g, so it is the gcd; when deg g_P > deg g the lift cannot divide
+    both, and the exact divisions say so."""
+    lc = a[-1]
+    bound = 2 * abs(lc) * (isqrt(sum(c * c for c in a)) + 1) << len(a) - 1
+    mod = next((m for m in (2 ** e - 1 for e in _MERSENNE_EXPONENTS)
+                if m > bound), None)
+    if mod is None:
+        return None
+    g = _gcd_mod([c % mod for c in a], _trim([c % mod for c in b]), mod)
+    half = mod // 2
+    g = [c * lc % mod for c in g]
+    g = _primitive([c - mod if c > half else c for c in g])
+    if _exact_quotient(a, g) is None or _exact_quotient(b, g) is None:
+        return None
+    return g
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd in Q[t].
 
     A modular pre-check certifies the (common) coprime case without exact
-    big-integer arithmetic; otherwise sympy's heuristic gcd over ZZ
-    decides.
+    big-integer arithmetic; otherwise the gcd of the primitive parts is
+    lifted from one big prime and checked by exact division
+    (`_exact_gcd`).  Only when that lift fails does sympy's heuristic gcd
+    over ZZ decide.
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -549,6 +586,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     # each operand's nums on its own: a constant factor moves no gcd
     if _mod_gcd_is_one(a.nums, b.nums):
         return Poly.one()
+    g = _exact_gcd(_primitive(a.nums), _primitive(b.nums))
+    if g is not None:
+        return _scaled(g, 1, g[-1])
     from sympy import ZZ
     from sympy.polys.euclidtools import dup_gcd
 
@@ -581,9 +621,12 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 #   factors times lc f, is read off exactly in symmetric residues, and each
 #   candidate is kept only if it divides exactly in Z[t].
 #
+# An input that no small prime certifies squarefree has its repeated factors
+# split off by gcd(f, f'), lifted from the same big prime (`_exact_gcd`), and
+# the squarefree part is factored as above.
+#
 # Nothing rests on probability: the bounds below only send work to sympy's
-# Zassenhaus (`dup_factor_list`), as does every input that no small prime
-# certifies squarefree.
+# Zassenhaus (`dup_factor_list`), as does every input whose gcd lift fails.
 
 # the small primes of the degree analysis, and how many usable ones it takes
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -648,7 +691,22 @@ class _ModRing:
         return self._reduced(packed, len(a) + len(b) - 1)
 
     def pow(self, a: list[int], e: int) -> list[int]:
-        return power(a, e, [1], self.mul)
+        """a^e; for e = 2^k - 1 (x^P and the (P - 1) / 2 powers of a
+        Mersenne prime P) by the addition chain of a^(2^m - 1): k - 1
+        squarings and about 2 log2(k) products, where square-and-multiply
+        takes 2 (k - 1)."""
+        if not e or e & (e + 1):
+            return power(a, e, [1], self.mul)
+        # acc = a^(2^m - 1), m running through the leading bits of k
+        acc, m = a, 1
+        for bit in bin(e.bit_length())[3:]:
+            sq = acc
+            for _ in range(m):
+                sq = self.mul(sq, sq)
+            acc, m = self.mul(sq, acc), 2 * m
+            if bit == "1":
+                acc, m = self.mul(self.mul(acc, acc), a), m + 1
+        return acc
 
     def frobenius_base(self) -> list[int]:
         """The rows x^(ip) mod f, i < n, packed: the p-th power map is
@@ -831,6 +889,26 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     return None
 
 
+def _repeated_split(f: list[int]) -> list[tuple[list[int], int]] | None:
+    """The irreducible factors in Z[t], with multiplicities, of the
+    primitive f (degree >= 2, positive leading coefficient) that has a
+    repeated factor, or None when a step declines.
+
+    g = gcd(f, f') (`_exact_gcd`) holds every repeated factor, so f / g is
+    the squarefree product of the distinct irreducible factors of f; it is
+    factored by `_factor_squarefree`, and each factor's multiplicity is the
+    number of times it divides f.  A constant g means f is squarefree, and
+    `_factor_squarefree` has declined it already."""
+    g = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    if g is None or len(g) == 1:
+        return None
+    s = _exact_quotient(f, g)
+    factors = [s] if len(s) == 2 else _factor_squarefree(s)
+    if factors is None:
+        return None
+    return [(q, _divided(f, q, len(f))[1]) for q in factors]
+
+
 @lru_cache(maxsize=8192)
 def _factor_cached(prim: tuple[int, ...]) -> tuple:
     """The monic irreducible factors, with multiplicities, of the primitive
@@ -839,14 +917,21 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
     coefficients from the top.
 
     A degree-1 input is its own factor; an input certified squarefree by a
-    small prime is factored in house (`_factor_squarefree`); anything else,
-    or an input a bound sends back, goes to sympy's `dup_factor_list`."""
+    small prime is factored in house (`_factor_squarefree`), and so is one
+    with repeated factors whose split succeeds (`_repeated_split`);
+    anything else, or an input a bound sends back, goes to sympy's
+    `dup_factor_list`."""
     if len(prim) == 2:
         return ((_scaled(prim, 1, prim[-1]), 1),)
-    factors = _factor_squarefree(list(prim))
+    f = list(prim)
+    factors = _factor_squarefree(f)
     if factors is not None:
-        factors.sort(key=lambda g: (len(g), g[::-1]))
-        return tuple((_scaled(g, 1, g[-1]), 1) for g in factors)
+        factors = [(g, 1) for g in factors]
+    else:
+        factors = _repeated_split(f)
+    if factors is not None:
+        factors.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
+        return tuple((_scaled(g, 1, g[-1]), m) for g, m in factors)
     from sympy import ZZ
     from sympy.polys.factortools import dup_factor_list
 
@@ -859,9 +944,8 @@ def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
     sympy's order (`_factor_cached`).
 
     The cache is keyed on the primitive part of p's nums with a positive
-    leading coefficient, so p and every c * p share one entry.  An input
-    that a small prime certifies squarefree is factored in house, without
-    sympy."""
+    leading coefficient, so p and every c * p share one entry.  Only an
+    input that a bound or a failed lift sends back loads sympy."""
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:
@@ -1075,13 +1159,6 @@ class RatFunc:
                 raise ZeroDivisionError("negative power of zero")
             base, n = RatFunc.one() / self, -n
         return RatFunc._trusted(base.num ** n, base.den ** n)
-
-    def derivative_t(self) -> "RatFunc":
-        """Derivative with respect to t."""
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def eval(self, x) -> Fraction:
         d = self.den.eval(x)

@@ -88,10 +88,6 @@ class BiForm(SparsePoly):
     def monomial(e0=0, e1=0, e2=0, f0=0, f1=0, c=1) -> "BiForm":
         return BiForm({(e0, e1, e2, f0, f1): c})
 
-    @property
-    def bidegree(self) -> BiDegree:
-        return BiDegree(self.xdeg, self.ydeg)
-
     def partial_x(self, k: int) -> "BiForm":
         """Partial derivative with respect to x_k (k in 0..2)."""
         return self._partial(k)

@@ -219,8 +219,11 @@ def unit_image(u: SUnit, tau: int, p: int) -> int | None:
         x, lift = _horner(q.nums, tau, p), q.den
         if e < 0:
             x, lift, e = lift, x, -e
-        num = num * pow(x, e, p) % p
-        den = den * pow(lift, e, p) % p
+        # a place's lift is usually 1, whose power needs no pow
+        if x != 1:
+            num = num * pow(x, e, p) % p
+        if lift != 1:
+            den = den * pow(lift, e, p) % p
     if not den % p:
         return None
     return num * pow(den, -1, p) % p

@@ -395,8 +395,12 @@ def oracle_as_ratfunc(u) -> RatFunc:
 
 
 def deriv_omega(f: RatFunc, w: OmegaForm) -> RatFunc:
-    """Derivative of f against the form: the unique f' with d(f) = f' * w."""
-    return f.derivative_t() * RatFunc(w.denominator)
+    """Derivative of f against the form: the unique f' with d(f) = f' * w,
+    the t-derivative (num' den - num den') / den^2 times the form's
+    denominator."""
+    num, den = f.num, f.den
+    return (RatFunc(num.derivative() * den - num * den.derivative(), den * den)
+            * RatFunc(w.denominator))
 
 
 def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:

@@ -19,7 +19,9 @@ from ffvojta.bipoly import (
     _IMAGE_PRIMES,
     _LIFT_POINTS,
     _image_roots,
+    _kronecker_irreducible,
     _lifted_roots,
+    _specialised,
     _value,
     b_polynomial,
     bipoly_gcd,
@@ -992,6 +994,14 @@ class TestIrreducibilityAudit:
         assert specialization_irreducibility_audit(
             bi("X^2*Y+X*Y^2-t*(X+Y)+1"))
 
+    def test_point_where_every_coefficient_vanishes(self):
+        # A(tau) = 0 at the first point drawn for seed 0, which is skipped
+        draws = random.Random("irred-audit:0")
+        tau = Fraction(draws.randint(2, 50), draws.randint(1, 7))
+        A = bi("X+Y+1").scale(RatFunc(Poly((-tau, 1))))
+        assert specialization_irreducibility_audit(A)
+        assert oracle_irreducibility_audit(A)
+
     def test_rejects_products(self):
         assert not specialization_irreducibility_audit(
             bi("(X+Y+1)*(X-Y+t)"))
@@ -999,6 +1009,48 @@ class TestIrreducibilityAudit:
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):
             specialization_irreducibility_audit(BiPoly.const(rat("t")))
+
+    @staticmethod
+    def kronecker_verdicts(expr: str) -> list[bool]:
+        """The Kronecker certificate's verdict at each point the audit
+        draws for seeds 0 to 9 where A keeps its bidegree."""
+        A = bi(expr)
+        ints, _ = A.cleared()
+        out = []
+        for seed in range(10):
+            draws = random.Random(f"irred-audit:{seed}")
+            for _ in range(5):
+                tau = Fraction(draws.randint(2, 50), draws.randint(1, 7))
+                spec = _specialised(ints, tau)
+                if (max(i for i, _ in spec) == A.deg_x
+                        and max(j for _, j in spec) == A.deg_y):
+                    out.append(_kronecker_irreducible(spec, A.deg_x))
+        return out
+
+    @pytest.mark.parametrize("expr", [
+        "X+Y+1", "X*Y-t", "X^2*Y+X*Y^2-t*(X+Y)+1", "X^3+Y^3+t"])
+    def test_kronecker_certifies_irreducibles(self, expr):
+        # the certificate alone decides every point drawn, without sympy
+        verdicts = self.kronecker_verdicts(expr)
+        assert verdicts and all(verdicts)
+
+    @pytest.mark.parametrize("expr", [
+        "(X+Y+1)*(X-Y+t)", "(X*Y-t)*(X+t*Y+1)", "(X^2+Y)^2",
+        "(X^2-t*Y^2)*(X+Y+1)"])
+    def test_kronecker_never_certifies_a_product(self, expr):
+        verdicts = self.kronecker_verdicts(expr)
+        assert verdicts and not any(verdicts)
+
+    def test_specialised_matches_evaluation(self):
+        # each coefficient of A at tau, times one common nonzero factor
+        A = bi("X^2*Y/(t+1)+X*Y^2-t^2*(X+Y)/3+1")
+        ints, _ = A.cleared()
+        for tau in (Fraction(2), Fraction(-5, 3), Fraction(7, 2)):
+            spec = _specialised(ints, tau)
+            scale = spec[(0, 0)] / A.coeff(0, 0).eval(tau)
+            assert scale
+            assert spec == {key: c.eval(tau) * scale
+                            for key, c in A.coeffs.items() if c.eval(tau)}
 
     def test_agrees_with_oracle(self):
         # products, near-products and single factors; about a third of the

@@ -22,12 +22,16 @@ from ffvojta.field_core import (
     ZeroPolynomial,
     _CERT_POINTS,
     _CERT_PRIME,
+    _MERSENNE_EXPONENTS,
+    _ModRing,
     _den_product,
+    _exact_gcd,
     _factor_cached,
     _factor_squarefree,
     _image,
     _multiplicity,
     _over_known_den,
+    _repeated_split,
     _scaled,
     choose_omega,
     clear_denominators,
@@ -36,6 +40,7 @@ from ffvojta.field_core import (
     height,
     ord_at,
     poly_gcd,
+    power,
     proj_height,
     render_poly,
 )
@@ -251,6 +256,44 @@ class TestPoly:
             epoly = sympy.Poly(expected, SYMPY_T, domain="QQ").monic()
             coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
             assert poly_gcd(a, b) == Poly(coeffs)
+
+    def test_exact_gcd_against_sympy_oracle(self):
+        # planted common factors, half of them on the fallback inputs above,
+        # whose leading coefficients every certificate prime divides: the
+        # lift from one big prime decides each of them
+        import sympy
+        from conftest import SYMPY_T, to_sympy
+        from ffvojta.field_core import _GCD_PRIMES
+
+        all_primes = 1
+        for p in _GCD_PRIMES:
+            all_primes *= p
+        rng = random.Random(17)
+        for k in range(120):
+            shared = rand_poly(rng, 3)
+            if k % 2:
+                a = rand_poly(rng, 3) + Poly.monomial(4, all_primes)
+                b = rand_poly(rng, 3) + Poly.monomial(5, -all_primes)
+            else:
+                a, b = rand_poly(rng, 4), rand_poly(rng, 2)
+            a, b = a * shared, b * shared ** rng.randint(1, 2)
+            if a.degree < 1 or b.is_zero:
+                continue
+            g = _exact_gcd(_primitive(a), _primitive(b))
+            expected = sympy.gcd(to_sympy(a).as_expr(), to_sympy(b).as_expr())
+            epoly = sympy.Poly(expected, SYMPY_T, domain="QQ").monic()
+            coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
+            assert g is not None and g[-1] > 0 and gcd(*g) == 1
+            assert Poly(g).monic() == Poly(coeffs)
+
+    def test_exact_gcd_declines_past_the_largest_prime(self):
+        # a coefficient past the largest Mersenne prime leaves no prime
+        # above the bound; sympy's gcd decides
+        big = 2 ** (_MERSENNE_EXPONENTS[-1] + 1) + 1
+        a = Poly((big, 1)) * Poly((1, 1))
+        b = Poly((2, 1)) * Poly((1, 1))
+        assert _exact_gcd(_primitive(a), _primitive(b)) is None
+        assert poly_gcd(a, b) == Poly((1, 1))
 
 
 _BIG = 10 ** 30
@@ -944,10 +987,11 @@ class TestFactoriser:
     @staticmethod
     def check(p: Poly) -> bool:
         """Asserts the factorisation and its order; True when the in-house
-        factoriser decided it."""
+        factoriser or the repeated-factor split decided it."""
         _factor_cached.cache_clear()
         assert factor_poly(p) == oracle_factor(p)
-        return p.degree < 2 or _factor_squarefree(_primitive(p)) is not None
+        return (p.degree < 2 or _factor_squarefree(_primitive(p)) is not None
+                or _repeated_split(_primitive(p)) is not None)
 
     def test_random_products(self):
         rng = random.Random(2021)
@@ -1000,12 +1044,29 @@ class TestFactoriser:
         assert decided == (n not in (15, 24))
         self.check(Poly((1,) + (0,) * (n - 1) + (1,)))
 
-    def test_repeated_factor_declines_to_sympy(self):
-        p = Poly((-1, 1)) ** 2 * Poly((2, 1)) * Poly((1, 0, 1))
-        assert _factor_squarefree(_primitive(p)) is None
-        _factor_cached.cache_clear()
-        assert factor_poly(p) == oracle_factor(p)
-        assert [m for _, m in factor_poly(p)] == [1, 2, 1]
+    @pytest.mark.parametrize("p, multiplicities", [
+        (Poly((0, 0, 1)), [2]),
+        (Poly((-1, 1)) ** 3 * Poly((1, 0, 1)) ** 2, [3, 2]),
+        (Poly((1, 2)) ** 2 * Poly((-3, 1)).scale(4), [1, 2]),
+        (Poly((-1, 1)) ** 2 * Poly((2, 1)) * Poly((1, 0, 1)), [1, 2, 1]),
+    ], ids=["t^2", "(t-1)^3(t^2+1)^2", "4(2t+1)^2(t-3)", "(t-1)^2(t+2)(t^2+1)"])
+    def test_repeated_factor_split_in_house(self, p, multiplicities):
+        # no small prime certifies these squarefree; gcd(f, f') splits off
+        # the repeated factors without sympy
+        prim = _primitive(p)
+        assert _factor_squarefree(prim) is None
+        assert _repeated_split(prim) is not None
+        assert self.check(p)
+        assert [m for _, m in factor_poly(p)] == multiplicities
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 7, 15, 31, 100, 2 ** 31 - 1,
+                                   2 ** 60 - 1, 2 ** 61 - 1, 2 ** 89 - 2])
+    def test_mod_ring_pow_against_power(self, e):
+        # 2^k - 1 takes the addition chain, the rest square-and-multiply
+        p = 2 ** 61 - 1
+        ring = _ModRing([3, 1, 4, 1, 5, 9, 1], p)
+        a = [2, 7, 1, 8]
+        assert ring.pow(a, e) == power(a, e, [1], ring.mul)
 
     def test_content_and_sign(self):
         p = Poly((Fraction(-6, 5), Fraction(3, 5), 0, Fraction(-12, 5)))

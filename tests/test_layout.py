@@ -5,12 +5,14 @@ library code outside its own definition (`__init__.py`'s re-exports do not
 count), or named in `perfbench/tracing.py`, whose wrappers break a traced
 run when a name they wrap is missing.  The exceptions are the checkers an
 open ROADMAP item will wire into a CLI mode and two of the paper's
-constants.
+constants.  Likewise every public method of a library class has its name
+read by library code outside the method itself, or by the tracing code.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,24 +29,38 @@ ALLOWED = {
 }
 
 
-def _names(tree: ast.AST) -> set[str]:
-    """The names a tree reads, and the attributes."""
-    out = set()
+def _names(tree: ast.AST) -> Counter[str]:
+    """The names a tree reads, and the attributes, each with the number of
+    times it reads them."""
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
     return out
+
+
+def _library() -> list[tuple[str, ast.Module]]:
+    """(module name, parsed tree) of each library module but `__init__`."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(LIBRARY.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def _traced() -> set[str]:
+    """The names and strings of `perfbench/tracing.py`."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    return set(_names(tree)) | {
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def _unreached() -> list[str]:
     """`module.name` of each top-level function and class of the library
     (not `__init__`) that no other top-level statement of it names."""
-    statements = [(path.stem, stmt)
-                  for path in sorted(LIBRARY.glob("*.py"))
-                  if path.name != "__init__.py"
-                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    statements = [(mod, stmt) for mod, tree in _library()
+                  for stmt in tree.body]
     named = [_names(stmt) for _, stmt in statements]
     out = []
     for i, (mod, stmt) in enumerate(statements):
@@ -56,11 +72,22 @@ def _unreached() -> list[str]:
     return out
 
 
+def _unread_methods() -> list[str]:
+    """`module.Class.name` of each public method of a library class whose
+    name no library code reads outside the method's own body."""
+    reads, methods = Counter(), []
+    for mod, tree in _library():
+        reads += _names(tree)
+        methods += [(f"{mod}.{cls.name}.{fn.name}", fn)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")]
+    return [name for name, fn in methods
+            if reads[fn.name] == _names(fn)[fn.name]]
+
+
 def test_every_definition_is_reached():
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    traced = _names(tree) | {
-        node.value for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    traced = _traced()
     assert [name for name in _unreached()
             if name.split(".")[1] not in ALLOWED
             and name.split(".")[1] not in traced] == []
@@ -69,3 +96,9 @@ def test_every_definition_is_reached():
 def test_allowed_names_are_defined_and_unreached():
     # a name that a mode comes to reach, or that goes, leaves the list
     assert set(ALLOWED) <= {name.split(".")[1] for name in _unreached()}
+
+
+def test_every_public_method_is_read():
+    traced = _traced()
+    assert [name for name in _unread_methods()
+            if name.rsplit(".", 1)[1] not in traced] == []

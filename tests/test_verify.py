@@ -751,3 +751,36 @@ class TestCLI:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_audit_run_leaves_sympy_unloaded(self, tmp_path):
+        # the attestation's Kronecker certificate, the repeated-factor split
+        # of t^2 and the lifted gcds decide everything in house: the 144
+        # pairs of the cubic audit at max_exponent 2, seed 7, and two split
+        # audits from the CLI
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+        audits = [["X+Y+1", "t^2/(t-1)", "2*(t-1)^3/t"],
+                  ["X*Y-t", "t^3", "(t-1)^2/t^5"]]
+        code = ("import json, sys\n"
+                "from ffvojta.cli import main\n"
+                "from ffvojta.verify import (RunConfig, audit_steps,\n"
+                "                            build_context, pair_for_index)\n"
+                f"cfg = RunConfig(poly={CUBIC!r}, places=('0', '1', 'inf'),\n"
+                "                epsilon='1/2', max_exponent=2, seed=7,\n"
+                "                mode='audit')\n"
+                "ctx = build_context(cfg)\n"
+                "for i in range(144):\n"
+                "    rep = audit_steps(cfg, *pair_for_index(ctx, i))\n"
+                "    assert rep['outcome'] == 'not_split', i\n"
+                f"for k, (poly, u, v) in enumerate({audits!r}):\n"
+                f"    out = {str(tmp_path)!r} + f'/audit{{k}}.json'\n"
+                "    assert main(['--mode', 'audit', '--poly', poly,\n"
+                "                 '--u', u, '--v', v, '--out', out]) == 0\n"
+                "    with open(out, encoding='utf-8') as fh:\n"
+                "        assert json.load(fh)['outcome'] == "
+                "'split_audit_complete'\n"
+                "print('sympy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
