@@ -53,6 +53,7 @@ from .field_core import (
     _CERT_PRIME,
     _MERSENNE_EXPONENTS,
     OmegaForm,
+    Place,
     Poly,
     RatFunc,
     ZeroPolynomial,
@@ -72,6 +73,7 @@ from .field_core import (
     factor_poly,
     from_cleared,
     height,
+    ord_at,
     power,
 )
 from .sunits import SUnit, _log_derivative_num, as_ratfunc, unit_image
@@ -199,11 +201,13 @@ class BiPoly(SparsePoly):
     """Sparse bivariate polynomial over Q(t); no zero coefficients stored.
 
     `cleared` keeps the cleared form of the coefficients once it is found,
-    and `cert_images` their images at the certificate points, per
-    instance; neither takes part in `==`, `hash` or pickling.
+    `cert_images` their images at the certificate points and
+    `coeff_orders` their orders at each place asked for, per instance;
+    none of them takes part in `==`, `hash` or pickling.
     """
 
-    __slots__ = ("deg_x", "deg_y", "_cleared_form", "_cert_images")
+    __slots__ = ("deg_x", "deg_y", "_cleared_form", "_cert_images",
+                 "_orders")
 
     _arity = 2
 
@@ -217,6 +221,7 @@ class BiPoly(SparsePoly):
         self.deg_y = max((j for _, j in self.coeffs), default=0)
         self._cleared_form = None
         self._cert_images = None
+        self._orders = None
 
     def cleared(self) -> tuple[dict, Poly]:
         """`field_core.clear_denominators(self.coeffs)`: the coefficients
@@ -242,6 +247,18 @@ class BiPoly(SparsePoly):
                            else images)
             self._cert_images = tuple(out)
         return self._cert_images
+
+    def coeff_orders(self, place: Place) -> tuple[tuple[int, int, int], ...]:
+        """The coefficients' orders at `place` as (i, j, ord) triples.
+        Found on the first call for each place and kept."""
+        orders = self._orders
+        if orders is None:
+            orders = self._orders = {}
+        out = orders.get(place)
+        if out is None:
+            out = orders[place] = tuple((i, j, ord_at(c, place))
+                                        for (i, j), c in self.coeffs.items())
+        return out
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -318,13 +335,19 @@ def vanishes_at(A: BiPoly, u: SUnit | RatFunc, v: SUnit | RatFunc) -> bool:
     """True iff A(u, v) = 0, exactly, for u and v each an S-unit or a
     rational function.
 
-    Evaluating t at tau and reducing mod p is a ring homomorphism on the
-    elements of Q(t) whose denominators stay nonzero there, so a nonzero
-    image of A(u, v) at one point certifies A(u, v) != 0.  An S-unit's
-    image comes from its exponents (`sunits.unit_image`) and A's
-    coefficients' from `BiPoly.cert_images`.  When no point certifies, the
-    exact value decides, on the units expanded.
+    For two S-units the orders decide first (`_orders_certify`): a term of
+    A(u, v) that alone has the least order at some place makes the sum
+    nonzero there.  Then evaluating t at tau and reducing mod p, a ring
+    homomorphism on the elements of Q(t) whose denominators stay nonzero
+    there: a nonzero image of A(u, v) at one point certifies
+    A(u, v) != 0.  An S-unit's image comes from its exponents
+    (`sunits.unit_image`) and A's coefficients' from `BiPoly.cert_images`.
+    When neither certifies, the exact value decides, on the units
+    expanded.
     """
+    if (isinstance(u, SUnit) and isinstance(v, SUnit)
+            and _orders_certify(A, u, v)):
+        return False
     p = _CERT_PRIME
     for tau, coeffs in zip(_CERT_POINTS, A.cert_images()):
         if coeffs is None:
@@ -341,6 +364,32 @@ def vanishes_at(A: BiPoly, u: SUnit | RatFunc, v: SUnit | RatFunc) -> bool:
         if acc % p:
             return False
     return evaluate(A, _expanded(u), _expanded(v)).is_zero
+
+
+_INFINITY = Place.infinity()
+
+
+def _orders_certify(A: BiPoly, u: SUnit, v: SUnit) -> bool:
+    """True when A(u, v) != 0 is certified by orders: at some place, one
+    term c_ij u^i v^j alone has the least order ord_P(c_ij) + i ord_P(u) +
+    j ord_P(v), so by the strict triangle inequality the sum has that
+    order and is not zero.  The places tried are those of u's and v's
+    exponents, then infinity; False proves nothing."""
+    orders = {p: (e, 0) for p, e in u.exponents}
+    for p, e in v.exponents:
+        orders[p] = (orders.get(p, (0, 0))[0], e)
+    orders[_INFINITY] = (u.inf_order, v.inf_order)
+    for place, (a, b) in orders.items():
+        least, alone = None, False
+        for i, j, o in A.coeff_orders(place):
+            w = o + i * a + j * b
+            if least is None or w < least:
+                least, alone = w, True
+            elif w == least:
+                alone = False
+        if alone:
+            return True
+    return False
 
 
 def _value_image(f: SUnit | RatFunc, tau: int, p: int) -> int | None:

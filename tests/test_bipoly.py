@@ -17,6 +17,7 @@ from ffvojta.bipoly import (
     InputTooLarge,
     PreconditionViolated,
     _IMAGE_PRIMES,
+    _orders_certify,
     _LIFT_POINTS,
     _image_roots,
     _kronecker_irreducible,
@@ -161,17 +162,26 @@ class TestVanishesAt:
         v = unit_over(S, rng, rng.randint(1, 8))
         U, V = as_ratfunc(u), as_ratfunc(v)
         B = rand_bipoly(rng)
-        cases = [(B, u, v), (B, u, V), (B, U, v),
-                 (bi("X-Y"), u, u), (bi("X-Y"), u, v),
-                 (bi("X*Y-1"), u, u ** -1), (bi("X*Y-1"), u, v),
+        # u and 2u, or u and -u: every place ties the two terms' orders,
+        # so the modular images and the exact value decide these
+        twice = u * SUnit.make(2, {}, S)
+        minus = u * SUnit.make(-1, {}, S)
+        ties = [(bi("X-Y"), u, u), (bi("X-Y"), u, twice),
+                (bi("X+Y"), u, minus), (bi("X*Y-1"), u, u ** -1)]
+        for A, a, b in ties:
+            assert not _orders_certify(A, a, b)
+        cases = [(B, u, v), (B, u, V), (B, U, v), (bi("X-Y"), u, v),
+                 (bi("X*Y-1"), u, v),
                  ((BiPoly.x() - BiPoly.const(U)) * B, u, v),
-                 (B * (BiPoly.y() - BiPoly.const(V)), u, v)]
+                 (B * (BiPoly.y() - BiPoly.const(V)), u, v), *ties]
         for A, a, b in cases:
             want = evaluate(A, as_ratfunc(a) if isinstance(a, SUnit) else a,
                             as_ratfunc(b) if isinstance(b, SUnit) else b)
             assert vanishes_at(A, a, b) == want.is_zero
         assert vanishes_at(bi("X-Y"), u, u) and vanishes_at(bi("X*Y-1"), u,
                                                              u ** -1)
+        assert vanishes_at(bi("X+Y"), u, minus)
+        assert not vanishes_at(bi("X-Y"), u, twice)
 
     def test_unit_without_an_image(self):
         # the constant 1/p has no image mod p at any point, so the exact
@@ -184,6 +194,60 @@ class TestVanishesAt:
         assert vanishes_at(bi("X*Y-1"), u, u ** -1) is True
         assert vanishes_at(bi("X-Y"), u, v) is False
         assert vanishes_at(bi("X+Y+1"), v, u) is False
+        # u = t/p and w = 2t/p tie at 0 and at infinity, so the orders
+        # decline, no image exists, and the exact value decides
+        u = SUnit.make(Fraction(1, _CERT_PRIME), {P0: 1}, S011)
+        w = SUnit.make(Fraction(2, _CERT_PRIME), {P0: 1}, S011)
+        assert unit_image(w, _CERT_POINTS[0], _CERT_PRIME) is None
+        for A, b in ((bi("X-Y"), w), (bi("X-Y"), u), (bi("2*X-Y"), w)):
+            assert not _orders_certify(A, u, b)
+        assert vanishes_at(bi("X-Y"), u, w) is False
+        assert vanishes_at(bi("2*X-Y"), u, w) is True
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(ODD_PLACE_SETS)), st.integers(0, 2 ** 32))
+    def test_orders_certify_only_nonzero_values(self, which, seed):
+        # whenever one term alone has the least order somewhere, the exact
+        # value is nonzero; planted zeros are never certified
+        S = (S011, *ODD_PLACE_SETS)[which]
+        rng = random.Random(seed)
+        u = unit_over(S, rng, rng.randint(1, 8))
+        v = unit_over(S, rng, rng.randint(1, 8))
+        U, V = as_ratfunc(u), as_ratfunc(v)
+        B = rand_bipoly(rng)
+        planted = [(BiPoly.x() - BiPoly.const(U)) * B,
+                   B * (BiPoly.y() - BiPoly.const(V)),
+                   BiPoly.x() * BiPoly.const(V) - BiPoly.y() * BiPoly.const(U)]
+        for A in planted:
+            assert not _orders_certify(A, u, v)
+        for A in (B, bi("X+Y+1"), bi("X*Y-t"), bi("X^2*Y+X*Y^2-t*(X+Y)+1"),
+                  B * bi("X-Y+t")):
+            if _orders_certify(A, u, v):
+                assert not evaluate(A, U, V).is_zero
+
+    def test_orders_decide_the_verify_cubic_pool(self):
+        # the benchmark's verify_cubic pool: 480 pairs over {0, 1, inf} at
+        # max_exponent 25, seed 7; no pair reaches a modular image
+        cfg = RunConfig(poly="X^2*Y+X*Y^2-t*(X+Y)+1",
+                        places=("0", "1", "inf"), epsilon="1/2",
+                        max_exponent=25, seed=7)
+        ctx = build_context(cfg)
+        assert all(_orders_certify(ctx.A, *pair_for_index(ctx, i))
+                   for i in range(480))
+
+    def test_coefficient_orders_kept_per_instance(self):
+        A = BiPoly({(1, 0): rat("t^2/(t-1)"), (0, 1): 2, (0, 0): rat("1/t")})
+        inf = Place.infinity()
+        assert A.coeff_orders(P0) == ((1, 0, 2), (0, 1, 0), (0, 0, -1))
+        assert A.coeff_orders(P1) == ((1, 0, -1), (0, 1, 0), (0, 0, 0))
+        assert A.coeff_orders(inf) == ((1, 0, -1), (0, 1, 0), (0, 0, 1))
+        assert A.coeff_orders(P0) is A.coeff_orders(P0)
+        fresh = BiPoly(dict(A.coeffs))
+        assert fresh._orders is None
+        assert fresh == A and hash(fresh) == hash(A)
+        thawed = pickle.loads(pickle.dumps(A))
+        assert thawed == A and thawed._orders is None
 
     def test_coefficient_images_kept_per_instance(self):
         tau0 = _CERT_POINTS[0]
