@@ -1289,6 +1289,21 @@ class Place:
     def geom_degree(self) -> int:
         return 1 if self.poly is None else self.poly.degree
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass's hash, found once per place: every exponent-map
+        # lookup hashes its places
+        return hash((self.poly,))
+
+    def __reduce__(self):
+        # rebuilt from its polynomial, so no cached value travels in a
+        # pickle: hash(None), the place at infinity's, differs between
+        # processes on CPython 3.11
+        return (Place, (self.poly,))
+
     def sort_key(self):
         return self._sort_key
 

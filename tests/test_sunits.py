@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +74,34 @@ class TestPlaceSet:
                                            key=lambda p: p.sort_key())
         assert S.sorted_places()[:len(S.finite_places())] == \
             list(S.finite_places())
+
+    def test_pickle_round_trip_keeps_lookups(self):
+        # a place's hash is found once and kept, but never pickled: the
+        # place at infinity hashes None, whose hash differs between
+        # processes on CPython 3.11, so the set must be rebuilt on fresh
+        # hashes wherever it is loaded
+        S = PlaceSet.of(0, Fraction(1, 2), Poly((1, 0, 1)), "inf")
+        fresh = [Place.rational(0), Place.rational(Fraction(1, 2)),
+                 Place.finite(Poly((1, 0, 1))), Place.infinity()]
+        assert all(p in S for p in fresh)
+        data = pickle.dumps(S)
+        back = pickle.loads(data)
+        assert back == S and all(p in back for p in fresh)
+        assert back.sorted_places() == S.sorted_places()
+        code = ("import pickle, sys\n"
+                "from fractions import Fraction\n"
+                "from ffvojta.field_core import Place, Poly\n"
+                "S = pickle.loads(sys.stdin.buffer.read())\n"
+                "fresh = [Place.rational(0), Place.rational(Fraction(1, 2)),\n"
+                "         Place.finite(Poly((1, 0, 1))), Place.infinity()]\n"
+                "print(all(p in S for p in fresh), S.has_infinity)\n")
+        src = os.path.dirname(os.path.dirname(
+            sys.modules[PlaceSet.__module__].__file__))
+        proc = subprocess.run([sys.executable, "-c", code], input=data,
+                              capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [b"True", b"True"]
 
     def test_sorted_places_is_a_fresh_list(self):
         first = S011.sorted_places()
