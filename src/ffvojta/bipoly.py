@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import gcd as int_gcd, isqrt, perm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm, perm
 from operator import add
 
 from .field_core import (
@@ -60,11 +60,11 @@ from .field_core import (
     _exact_quotient,
     _image,
     _den_product,
+    _divided,
     _divmod_mod,
     _factor_squarefree,
     _known_quotient,
     _kronecker_product,
-    _over_known_den,
     _pack,
     _primitive,
     _signed_digits,
@@ -422,7 +422,10 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
         [a b (i N_u + j N_v) + (a'b - ab') q D] / (b^2 D),
 
     and only a place of D or a factor of b can cancel:
-    `field_core._over_known_den` takes it to its normal form without a gcd.
+    `field_core._known_quotient` takes it to its normal form without a gcd.
+    The counts it divides out give each coefficient's denominator as a
+    product of known factors, so B's cleared form is filled in from them
+    (`_known_cleared`), and the resultants do not clear B again.
     """
     q = w.denominator
     # the places of D, each with its multiplicity 1 there
@@ -433,17 +436,48 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
     for r in places:
         qd = qd * r
     out: dict[tuple[int, int], RatFunc] = {}
+    # each coefficient's denominator, {monic irreducible: multiplicity},
+    # and the highest multiplicity of each factor: the lcm of them all
+    downs: dict[tuple[int, int], dict[Poly, int]] = {}
+    lcm: dict[Poly, int] = {}
     for (i, j), lam in A.coeffs.items():
         a, b = lam.num, lam.den
         top = (a * b * (n_u.scale(i) + n_v.scale(j))
                + (a.derivative() * b - a * b.derivative()) * qd)
+        if top.is_zero:
+            continue
         den = dict(places)
         for f, m in factor_poly(b):
             den[f] = den.get(f, 0) + 2 * m
-        c = _over_known_den(top, den.items())
-        if not c.is_zero:
-            out[(i, j)] = c
-    return BiPoly(out)
+        den = tuple(den.items())
+        out[(i, j)], _, counts = _known_quotient(top.nums, top.den, den)
+        downs[(i, j)] = down = {f: m - k for (f, m), k in zip(den, counts)
+                                if k < m}
+        for f, m in down.items():
+            lcm[f] = max(lcm.get(f, 0), m)
+    # c * L = c.num * prod f^(lcm - down) over the factors f = F / l, so
+    # the column is c.num's integers times prod F^(lcm - down), and the
+    # scale is 1 / (c.num's den * prod l^(lcm - down))
+    cols = {}
+    for key, c in out.items():
+        down = downs[key]
+        extra = [(f, m - down.get(f, 0)) for f, m in lcm.items()
+                 if m > down.get(f, 0)]
+        lift = c.num.den
+        for f, x in extra:
+            lift *= f.den ** x
+        col = (_kronecker_product([(c.num.nums, 1),
+                                   *((f.nums, x) for f, x in extra)])
+               if extra else c.num.nums)
+        cols[key] = col, Fraction(1, lift)
+    lcm_lift = 1
+    for f, m in lcm.items():
+        lcm_lift *= f.den ** m
+    B = BiPoly(out)
+    B._cleared_form = _known_cleared(
+        cols, _den_product(tuple((f.nums, m) for f, m in lcm.items()),
+                           lcm_lift))
+    return B
 
 
 def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
@@ -613,49 +647,56 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
         if ts:
             key = (0, e) if main == "x" else (e, 0)
             coeffs[key], a, counts = _known_quotient(ts, lc, den)
-            parts[key] = a, counts
-    F = BiPoly(coeffs)
-    F._cleared_form = _known_cleared(parts, den, lc)
-    return F
-
-
-def _known_cleared(parts: dict, den: tuple, lift: int) -> tuple[dict, Poly]:
-    """`clear_denominators` of the values c = ts / (lift * prod q^m), one
-    for each key of `parts`, read off what `_known_quotient(ts, lift, den)`
-    returned besides c: the quotient a = ts / prod P^k in Z[t] and the
-    counts k, for the pairs (q, m) of `den`, q = P / l with P primitive.
-
-    No lcm is searched for.  c's reduced denominator is prod q^(m - k),
-    and the q are distinct monic irreducibles, so the monic lcm of them all
-    is L = prod q^(m - j), j the least k of q over the keys.  Then
-
-        c * L = a * prod P^(k - j) * prod l^j / lift = Q * p / r,
-
-    p / r in lowest terms, and with g = gcd(r, content of every Q) the
-    least positive integer s that clears every s * c * L is r / g.  The
-    cleared integers are Q * p / g and d = s * L, which is the pair
-    `clear_denominators` returns, int for int.
-    """
-    least = [min(ks[i] for _, ks in parts.values()) for i in range(len(den))]
-    top = lcm_lift = 1
-    lcm_parts = []
+            parts[key] = ts, a, counts
+    # the monic lcm L of the denominators is prod q^(m - j), j the least
+    # count of q over the coefficients, and c * L = ts / (lc * prod q^j) =
+    # (ts / prod P^j) * prod l^j / lc for q = P / l: the quotient at j,
+    # which is a itself wherever every count is least, and ts wherever
+    # every j is 0
+    least = [min(ks[i] for _, _, ks in parts.values())
+             for i in range(len(den))]
+    scale, lcm_lift, lcm_parts = Fraction(1, lc), 1, []
     for (q, m), j in zip(den, least):
-        top *= q.den ** j
+        scale *= q.den ** j
         if j < m:
             lcm_parts.append((q.nums, m - j))
             lcm_lift *= q.den ** (m - j)
-    cols, content = {}, 0
-    for key, (a, ks) in parts.items():
-        extra = [(q.nums, k - j)
-                 for (q, _), k, j in zip(den, ks, least) if k > j]
-        cols[key] = col = (_kronecker_product([(a, 1), *extra]) if extra
-                           else a)
-        content = int_gcd(content, *col)
-    h = int_gcd(top, lift)
-    top, bottom = top // h, lift // h
-    g = int_gcd(bottom, content)
-    ints = {key: [top * (c // g) for c in col] for key, col in cols.items()}
-    return ints, _den_product(tuple(lcm_parts), lcm_lift).scale(bottom // g)
+    cols = {}
+    for key, (ts, a, counts) in parts.items():
+        if counts != least:
+            a = ts
+            for (q, _), j in zip(den, least):
+                if j:
+                    a = _divided(a, q.nums, j)[0]
+        cols[key] = a, scale
+    F = BiPoly(coeffs)
+    F._cleared_form = _known_cleared(
+        cols, _den_product(tuple(lcm_parts), lcm_lift))
+    return F
+
+
+def _known_cleared(cols: dict, lcm: Poly) -> tuple[dict, Poly]:
+    """`clear_denominators` of values c whose denominators have the known
+    monic lcm L, read off their products c * L = r * Q, given as `cols`:
+    key -> (Q, r) for a list Q of ints and a Fraction r.
+
+    No lcm is searched for.  With r in lowest terms, the least positive
+    integer s that clears every s * r * Q is the lcm over the keys of r's
+    denominator over its gcd with the content of Q.  The cleared integers
+    are s * r * Q and d = s * L, the pair `clear_denominators` returns,
+    int for int.
+    """
+    s = 1
+    for col, r in cols.values():
+        q = r.denominator
+        if q != 1:
+            s = int_lcm(s, q // int_gcd(q, *col))
+    ints = {}
+    for key, (col, r) in cols.items():
+        f = s * r
+        n, q = f.numerator, f.denominator
+        ints[key] = [n * (c // q) for c in col]
+    return ints, lcm.scale(s)
 
 
 def _degrees(ints: dict) -> tuple[int, int]:

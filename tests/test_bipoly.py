@@ -279,6 +279,20 @@ class TestPolyHeight:
             poly_height(BiPoly.zero())
 
 
+def _check_b_cleared(B: BiPoly) -> None:
+    """B came from `b_polynomial` with its cleared form filled in from its
+    known denominators: that form is `clear_denominators(B.coeffs)` int
+    for int, and a fresh BiPoly with the same coefficients has none until
+    it is asked for one."""
+    filled = B._cleared_form
+    assert filled is not None
+    ints, d = clear_denominators(B.coeffs)
+    assert filled[0] == ints and filled[1] == d
+    assert list(filled[0]) == list(ints)
+    assert all(type(ts) is list for ts in filled[0].values())
+    assert BiPoly(B.coeffs)._cleared_form is None
+
+
 class TestBPolynomial:
     def test_linear_example(self):
         w = choose_omega(S01.places)
@@ -309,7 +323,25 @@ class TestBPolynomial:
             B = b_polynomial(A, u, v, w)
             U, V = as_ratfunc(u), as_ratfunc(v)
             assert deriv_omega(evaluate(A, U, V), w) == evaluate(B, U, V)
+            _check_b_cleared(B)
 
+    def test_filled_cleared_form_on_the_audit_pool(self):
+        # the benchmark's audit_cubic pool: 144 pairs of the cubic over
+        # {0, 1, inf} at max_exponent 2, seed 7
+        from ffvojta.verify import _audit_setting
+
+        cfg = RunConfig(poly="X^2*Y+X*Y^2-t*(X+Y)+1",
+                        places=("0", "1", "inf"), epsilon="1/2",
+                        max_exponent=2, seed=7, mode="audit")
+        ctx = build_context(cfg)
+        A, _, _, w = _audit_setting(cfg.poly, tuple(cfg.places), cfg.seed)
+        for index in range(144):
+            _check_b_cleared(b_polynomial(A, *pair_for_index(ctx, index), w))
+        # every coefficient of A over one denominator that the units' own
+        # places cancel in part
+        A = A.scale(rat("1/(t*(t-1)^2*(2*t+1))"))
+        for index in range(0, 144, 9):
+            _check_b_cleared(b_polynomial(A, *pair_for_index(ctx, index), w))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.sampled_from(ODD_PLACE_SETS), st.integers(0, 2 ** 32))
@@ -328,6 +360,7 @@ class TestBPolynomial:
         B = b_polynomial(A, u, v, w)
         U, V = as_ratfunc(u), as_ratfunc(v)
         assert deriv_omega(evaluate(A, U, V), w) == evaluate(B, U, V)
+        _check_b_cleared(B)
         theta_u = deriv_omega(U, w) / U
         theta_v = deriv_omega(V, w) / V
         for (i, j), lam in A.coeffs.items():
