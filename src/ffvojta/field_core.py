@@ -846,11 +846,32 @@ def _recombined(f: list[int], mods: list[list[int]], mod: int,
     return found + [f]
 
 
+def _quadratic_factors(f: list[int]) -> list[list[int]] | None:
+    """The irreducible factors in Z[t] of the primitive quadratic f = c +
+    b t + a t^2 (a > 0), or None when f is a constant times a square.
+
+    The discriminant D = b^2 - 4ac decides: f has a rational root exactly
+    when D is a square s^2, and then its roots are (-b -+ s) / 2a, so its
+    factors are the primitive parts of 2a t + b +- s; D = 0 is a double
+    root."""
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return [f]
+    if not s:
+        return None
+    return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+
+
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     """The irreducible factors in Z[t] of the primitive f (lowest degree
     first, degree >= 2, positive leading coefficient), or None when no
-    small prime certifies it squarefree or a bound is reached."""
+    small prime certifies it squarefree or a bound is reached.  A
+    quadratic is decided by its discriminant (`_quadratic_factors`)."""
     n = len(f) - 1
+    if n == 2:
+        return _quadratic_factors(f)
     irreducible = 1 | 1 << n
     degrees, usable = (1 << n + 1) - 1, 0
     for p in _SMALL_PRIMES:

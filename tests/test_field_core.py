@@ -31,6 +31,7 @@ from ffvojta.field_core import (
     _image,
     _multiplicity,
     _over_known_den,
+    _quadratic_factors,
     _repeated_split,
     _scaled,
     choose_omega,
@@ -1035,6 +1036,41 @@ class TestFactoriser:
         assert self.check(p)
         assert factor_poly(p) == [(p, 1)]
         assert self.check(p * Poly((-2, 0, 1)))
+
+    def test_quadratics_by_discriminant(self):
+        # a quadratic is decided by whether its discriminant is a square,
+        # without a prime: random reducible, irreducible and repeated ones
+        # factor as sympy factors them, in sympy's order
+        rng = random.Random(26)
+        small = list(range(-9, 10))
+        kinds = {"reducible": 0, "irreducible": 0, "repeated": 0}
+        for k in range(240):
+            a, c = rng.choice((1, 2, 3, -1, -4, 6)), rng.choice((1, 2, -3, 5))
+            b, d = rng.choice(small), rng.choice(small)
+            if k % 3 == 0:
+                p = Poly((b, a)) * Poly((d, c))
+            elif k % 3 == 1:
+                p = (Poly((b, a)) ** 2).scale(rng.choice((1, -2, 3)))
+            else:
+                p = Poly((rng.choice(small), b, a))
+            assert self.check(p)
+            f = _primitive(p)
+            found = _quadratic_factors(f)
+            if found is None:
+                kind = "repeated"
+                assert [m for _, m in factor_poly(p)] == [2]
+            else:
+                kind = "reducible" if len(found) == 2 else "irreducible"
+                assert [len(g) for g in found] == ([2, 2] if len(found) == 2
+                                                   else [3])
+                assert _factor_squarefree(f) == found
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 30
+        # t^2 + t - 6 splits mod every small prime, so the degree analysis
+        # alone would send it to the big prime
+        assert _factor_squarefree([-6, 1, 1]) == [[-2, 1], [3, 1]]
+        assert factor_poly(Poly((-6, 1, 1))) == [(Poly((-2, 1)), 1),
+                                                 (Poly((3, 1)), 1)]
 
     @pytest.mark.parametrize("n", [2, 6, 8, 12, 15, 16, 24])
     def test_cyclotomics(self, n):
