@@ -14,10 +14,13 @@ denominators (`field_core.clear_denominators`) at most once and keeps that
 form (`BiPoly.cleared`).  A resultant packs each Sylvester entry of its
 cleared inputs into one integer by Kronecker substitution and takes one
 fraction-free Bareiss determinant, whose signed digits are the
-coefficients; it fills in its own cleared form from them.  Rational roots
-specialise the cleared polynomial at a
+coefficients; it fills in its own cleared form from them, and the
+companion `b_polynomial` fills in its own from its known denominators.
+Rational roots specialise the cleared polynomial at a
 small t = tau, find the rational roots of that image p-adically (roots mod
-a small prime, Hensel lifting, rational reconstruction) and lift each one
+a small prime, Hensel lifting, rational reconstruction; an image whose
+repeated roots leave every prime undecided is decided on its squarefree
+part) and lift each one
 t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
 root rebuilt by Pade reconstruction; exact division in Z[t][Z] keeps it,
 and an image with no rational root proves there is none.  Only when no
@@ -31,11 +34,16 @@ Gcds, root finding and resultants first check a size cap and raise
 InputTooLarge past it.
 
 The zero test `vanishes_at` takes u and v each as an S-unit or a rational
-function and certifies A(u, v) != 0 by one image mod p: an S-unit's image
-comes from its exponents (`sunits.unit_image`), a rational function's from
-`field_core._image`, and A's coefficients' images at the certificate
-points are found once per instance (`BiPoly.cert_images`).  Only when no
-image certifies are the units expanded and A(u, v) evaluated exactly.
+function.  For two S-units it first certifies A(u, v) != 0 by orders: at
+a place of their exponents or at infinity, a term c_ij u^i v^j whose order
+ord(c_ij) + i ord(u) + j ord(v) is alone the least makes the sum nonzero
+(the strict triangle inequality), with A's coefficients' orders found once
+per instance and place (`BiPoly.coeff_orders`).  Otherwise one image mod p
+certifies it: an S-unit's image comes from its exponents
+(`sunits.unit_image`), a rational function's from `field_core._image`, and
+A's coefficients' images at the certificate points are found once per
+instance (`BiPoly.cert_images`).  Only when neither certifies are the
+units expanded and A(u, v) evaluated exactly.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from .field_core import (
     _den_product,
     _divided,
     _divmod_mod,
+    _exact_gcd,
     _factor_squarefree,
     _known_quotient,
     _kronecker_product,
@@ -805,7 +814,8 @@ def _value(f, x: int) -> int:
 def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
     """The rational roots of g in Z[x] (lowest degree first, g(0) and
     lc(g) nonzero) with their multiplicities, or None when no prime of
-    _IMAGE_PRIMES decides them.
+    _IMAGE_PRIMES decides them and neither does g's squarefree part
+    (`_squarefree_roots`).
 
     A root u/v in lowest terms has u | g(0) and v | lc(g).  For a prime p
     that does not divide lc(g) it reduces to a root x of g mod p, and if x
@@ -857,7 +867,28 @@ def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
                 break
         else:
             return found
-    return None
+    return _squarefree_roots(g)
+
+
+def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
+    """The rational roots of g with their multiplicities, read off the
+    squarefree part s = g / gcd(g, g'), or None when g is squarefree or a
+    step declines.
+
+    s has the roots of g, each simple, so `_image_roots` decides them on
+    the first prime it can use; each root's multiplicity in g is the
+    number of times it divides g exactly.  This is how an image whose
+    repeated roots left every prime undecided, such as a cube, is
+    decided."""
+    f = _primitive(g)
+    h = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    if h is None or len(h) == 1:
+        return None
+    roots = _image_roots(_exact_quotient(f, h))
+    if roots is None:
+        return None
+    return {r: _divided(g, [-r.numerator, r.denominator], len(g))[1]
+            for r in roots}
 
 
 def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:
@@ -1093,8 +1124,9 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     resultant brings filled in) and its roots are found by specialising t at a
     small tau, finding the rational roots of that image p-adically and
     lifting each t-adically (`_lifted_roots`); an image with no rational
-    root proves there is none.  Only when no tau decides is G factored
-    over Z[Z, t] by sympy (`_factored_roots`).  Roots are sorted by their
+    root proves there is none, and an image whose repeated roots leave
+    every prime undecided is decided on its squarefree part.  Only when no
+    tau decides is G factored over Z[Z, t] by sympy (`_factored_roots`).  Roots are sorted by their
     numerator and denominator coefficients, so zero roots come first.  The
     flag is True exactly when the roots account for the full degree of F.
     """

@@ -1003,7 +1003,7 @@ class RatFunc:
     facts used are those of the UFD Q[t]: a factor of a product of coprime
     parts splits into factors of the parts, and powers of coprime
     polynomials stay coprime.  Where the irreducible factors of a
-    denominator are known in advance, `_over_known_den` reaches the normal
+    denominator are known in advance, `_known_quotient` reaches the normal
     form with no gcd at all.
     """
 
@@ -1463,14 +1463,6 @@ def _known_quotient(a, lift: int, den) -> tuple[RatFunc, list[int], list[int]]:
     return (RatFunc._trusted(_scaled(a, scale, lift),
                              _den_product(tuple(down), down_lift)),
             a, counts)
-
-
-def _over_known_den(num: Poly, den) -> RatFunc:
-    """num / prod q^m over the pairs (q, m) of `den`, in normal form, by
-    `_known_quotient`: each q monic irreducible, no two equal, m >= 1."""
-    if num.is_zero:
-        return RatFunc.zero()
-    return _known_quotient(num.nums, num.den, den)[0]
 
 
 @lru_cache(maxsize=1024)

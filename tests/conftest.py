@@ -28,7 +28,7 @@ from math import gcd
 
 import sympy
 
-from ffvojta.field_core import OmegaForm, Poly, RatFunc, _over_known_den
+from ffvojta.field_core import OmegaForm, Poly, RatFunc, _known_quotient
 from ffvojta.sunits import PlaceSet, SUnit, _log_derivative_num
 
 
@@ -403,19 +403,28 @@ def deriv_omega(f: RatFunc, w: OmegaForm) -> RatFunc:
             * RatFunc(w.denominator))
 
 
+def over_known_den(num: Poly, den) -> RatFunc:
+    """num / prod q^m over the pairs (q, m) of `den`, in normal form, by
+    `field_core._known_quotient`: each q monic irreducible, no two equal,
+    m >= 1."""
+    if num.is_zero:
+        return RatFunc.zero()
+    return _known_quotient(num.nums, num.den, den)[0]
+
+
 def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:
     """The function d(u)/u measured against the form w.
 
     For u = c * prod P^e this is q * sum e P'/P with q the form's
     denominator, so it is N / D with D the product of the places P of u
     (`_log_derivative_num`).  Only a P can cancel, at most once, and it
-    does exactly when P divides q; `field_core._over_known_den` takes the
+    does exactly when P divides q; `over_known_den` takes the
     pair to its normal form without a gcd.  With the form's poles inside S
     it has only simple poles and height at most the Euler characteristic
     of the complement of S.
     """
     places = [p.poly for p, _ in u.exponents]
-    return _over_known_den(_log_derivative_num(u, w.denominator, places),
+    return over_known_den(_log_derivative_num(u, w.denominator, places),
                            [(r, 1) for r in places])
 
 

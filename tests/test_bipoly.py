@@ -18,6 +18,7 @@ from ffvojta.bipoly import (
     PreconditionViolated,
     _IMAGE_PRIMES,
     _orders_certify,
+    _squarefree_roots,
     _LIFT_POINTS,
     _image_roots,
     _kronecker_irreducible,
@@ -907,6 +908,40 @@ class TestRationalRoots:
         assert _image_roots(image) == {}
         assert _lifted_roots(_cleared_ints(F)) == {}
         assert rational_roots(F) == oracle_rational_roots(F) == ([], False)
+
+    @pytest.mark.parametrize("k", [19, 32])
+    def test_repeated_image_roots_from_the_squarefree_part(self, k):
+        # (9 Z^3 + k)^3: the image of the X^3+Y^3+t audit's resultant at
+        # tau = 2 for k = 19.  Each of the first three primes sees a root of
+        # multiplicity 3 whose lift (a root of the second derivative) is no
+        # root, so no prime decides; the squarefree part 9 Z^3 + k has no
+        # rational root, and with (3 Z - 2)^2 beside it, 2/3 twice
+        cube = Poly((k, 0, 0, 9)) ** 3
+        for extra, want in ((Poly.one(), {}),
+                            (Poly((-2, 3)) ** 2, {Fraction(2, 3): 2}),
+                            (Poly((-2, 3)) ** 2 * Poly((1, 1)) ** 3,
+                             {Fraction(2, 3): 2, Fraction(-1): 3})):
+            g = list((cube * extra).nums)
+            assert _squarefree_roots(g) == want
+            assert _image_roots(g) == want
+        # a squarefree image gives the squarefree part nothing to add
+        assert _squarefree_roots(list(Poly((k, 0, 0, 9)).nums)) is None
+
+    def test_repeated_nonlinear_factors_agree_with_oracle(self):
+        # planted roots beside a repeated factor with no rational root:
+        # (Z^3 + 13 t - 7)^3 and (Z^2 - t)^2
+        rng = random.Random(57)
+        cubic = _z(rat("13*t-7"), 0, 0, 9)
+        quadratic = _z(-rat("t"), 0, 1)
+        for k in range(12):
+            F = cubic ** 3 if k % 2 else quadratic ** 2 * cubic
+            planted = []
+            for _ in range(k % 3):
+                r, m = rand_ratfunc(rng, 1), rng.randint(1, 2)
+                F = F * _linear(r) ** m
+                planted += [r] * m
+            assert rational_roots(F) == oracle_rational_roots(F) == (
+                sorted(planted, key=_key), False)
 
     def test_vanishing_leading_coefficient_skipped(self):
         # ((t - 2) Z + 1)(Z^2 - t): at the first tau the leading coefficient

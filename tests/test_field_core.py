@@ -30,7 +30,6 @@ from ffvojta.field_core import (
     _factor_squarefree,
     _image,
     _multiplicity,
-    _over_known_den,
     _quadratic_factors,
     _repeated_split,
     _scaled,
@@ -57,6 +56,7 @@ from conftest import (
     oracle_proj_height,
     oracle_ratfunc_op,
     oracle_render_poly,
+    over_known_den,
     rand_poly,
     rand_ratfunc,
     rat,
@@ -418,9 +418,10 @@ class TestIntegerKernels:
 
 
 class TestOverKnownDen:
-    """`_over_known_den` against the normalising constructor: num over a
-    product of places, some of them planted in num too, among them the
-    degree-2 places t^2 + 1 and t^2 + t + 1/3."""
+    """`_known_quotient` (through `conftest.over_known_den`) against the
+    normalising constructor: num over a product of places, some of them
+    planted in num too, among them the degree-2 places t^2 + 1 and
+    t^2 + t + 1/3."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(_POLYS,
@@ -434,7 +435,7 @@ class TestOverKnownDen:
             num = num * place.poly ** e
             den = den * place.poly ** m
         factors = [(place.poly, m) for place, m in zip(_PLACES, mults) if m]
-        got = _over_known_den(num, factors)
+        got = over_known_den(num, factors)
         want = RatFunc(num, den)
         assert (got.num.coeffs, got.den.coeffs) == (
             want.num.coeffs, want.den.coeffs)
@@ -442,13 +443,13 @@ class TestOverKnownDen:
     def test_examples(self):
         t, t1 = Poly.t(), Place.rational(1).poly
         # t^2 (t - 1) / (t^3 (t - 1)^2): each factor goes out as far as it can
-        f = _over_known_den(t ** 2 * t1, [(t, 3), (t1, 2)])
+        f = over_known_den(t ** 2 * t1, [(t, 3), (t1, 2)])
         assert f == RatFunc(ONE, t * t1)
         # a multiplicity caps the division: t^3 / t is t^2
-        assert _over_known_den(t ** 3, [(t, 1)]) == RatFunc(t ** 2)
-        assert _over_known_den(Poly.const(Fraction(3, 2)), []) == \
+        assert over_known_den(t ** 3, [(t, 1)]) == RatFunc(t ** 2)
+        assert over_known_den(Poly.const(Fraction(3, 2)), []) == \
             RatFunc.const(Fraction(3, 2))
-        zero = _over_known_den(Poly(), [(t, 2)])
+        zero = over_known_den(Poly(), [(t, 2)])
         assert zero.is_zero and zero.den == ONE
 
     def test_denominator_products_cached(self):
@@ -469,7 +470,7 @@ class TestOverKnownDen:
             want = RatFunc(num, den)
             for call in range(2):
                 hits = _den_product.cache_info().hits
-                got = _over_known_den(num, factors)
+                got = over_known_den(num, factors)
                 assert (got.num, got.den) == (want.num, want.den)
                 if call:
                     assert _den_product.cache_info().hits == hits + 1

@@ -752,6 +752,30 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_cubed_resultant_audit_leaves_sympy_unloaded(self):
+        # pair 57 of X^3+Y^3+t over {0, 1, inf} at max_exponent 2, seed 7:
+        # its resultant is t^3 (9 Z^3 + 13 t - 7)^3, whose image at every
+        # tau is a cube, so only the squarefree part of the image decides
+        # the roots; the report is byte-identical to sympy's factorisation's
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+        code = ("import hashlib, json, sys\n"
+                "from ffvojta.verify import (RunConfig, audit_steps,\n"
+                "                            build_context, pair_for_index)\n"
+                "cfg = RunConfig(poly='X^3+Y^3+t', places=('0', '1', 'inf'),\n"
+                "                epsilon='1/2', max_exponent=2, seed=7,\n"
+                "                mode='audit')\n"
+                "rep = audit_steps(cfg, *pair_for_index(build_context(cfg), 57))\n"
+                "print(hashlib.sha256(json.dumps(rep, indent=2).encode())"
+                ".hexdigest())\n"
+                "print('sympy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "90b71de2a93ed10ba5a55730582615a7b794126f18fa8093477dd9c0210c7783",
+            "False"]
+
     def test_audit_run_leaves_sympy_unloaded(self, tmp_path):
         # the attestation's Kronecker certificate, the repeated-factor split
         # of t^2 and the lifted gcds decide everything in house: the 144
