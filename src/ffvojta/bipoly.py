@@ -387,18 +387,24 @@ def _orders_certify(A: BiPoly, u: SUnit, v: SUnit) -> bool:
     orders = {p: (e, 0) for p, e in u.exponents}
     for p, e in v.exponents:
         orders[p] = (orders.get(p, (0, 0))[0], e)
-    orders[_INFINITY] = (u.inf_order, v.inf_order)
     for place, (a, b) in orders.items():
-        least, alone = None, False
-        for i, j, o in A.coeff_orders(place):
-            w = o + i * a + j * b
-            if least is None or w < least:
-                least, alone = w, True
-            elif w == least:
-                alone = False
-        if alone:
+        if _least_alone(A.coeff_orders(place), a, b):
             return True
-    return False
+    # the orders at infinity are sums over the exponents: found only here
+    return _least_alone(A.coeff_orders(_INFINITY), u.inf_order, v.inf_order)
+
+
+def _least_alone(orders, a: int, b: int) -> bool:
+    """True when exactly one of the (i, j, o) of `orders` has the least
+    o + i a + j b."""
+    least, alone = None, False
+    for i, j, o in orders:
+        w = o + i * a + j * b
+        if least is None or w < least:
+            least, alone = w, True
+        elif w == least:
+            alone = False
+    return alone
 
 
 def _value_image(f: SUnit | RatFunc, tau: int, p: int) -> int | None:
@@ -1126,9 +1132,10 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     lifting each t-adically (`_lifted_roots`); an image with no rational
     root proves there is none, and an image whose repeated roots leave
     every prime undecided is decided on its squarefree part.  Only when no
-    tau decides is G factored over Z[Z, t] by sympy (`_factored_roots`).  Roots are sorted by their
-    numerator and denominator coefficients, so zero roots come first.  The
-    flag is True exactly when the roots account for the full degree of F.
+    tau decides is G factored over Z[Z, t] by sympy (`_factored_roots`).
+    Roots are sorted by their numerator and denominator coefficients, so
+    zero roots come first.  The flag is True exactly when the roots account
+    for the full degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")

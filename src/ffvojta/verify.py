@@ -218,9 +218,12 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     most theta2 is a relation; otherwise the truncated zero count is
     compared with eps times the height (bound_holds or violation).
 
-    The zero test and the height read the units' exponents, and the
-    threshold is compared on integers; the units are expanded for the
-    record, and the count evaluates A on the expansions.
+    The zero test and the height read the units' exponents: A(u, v) != 0
+    is certified first by a term of strictly least order at a place of
+    the units or at infinity, then by an image mod p, and only then by the
+    exact value (`bipoly.vanishes_at`).  The threshold is compared on
+    integers; the units are expanded for the record, and the count
+    evaluates A on the expansions.
     """
     degenerate = vanishes_at(A, u, v)
     U, V = as_ratfunc(u), as_ratfunc(v)
