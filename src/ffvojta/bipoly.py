@@ -451,9 +451,8 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
     for r in places:
         qd = qd * r
     out: dict[tuple[int, int], RatFunc] = {}
-    # each coefficient's denominator, {monic irreducible: multiplicity},
-    # and the highest multiplicity of each factor: the lcm of them all
-    downs: dict[tuple[int, int], dict[Poly, int]] = {}
+    # the lcm of the coefficients' denominators, {factor: multiplicity}:
+    # each is prod f^(m - k) over the counts k that went out
     lcm: dict[Poly, int] = {}
     for (i, j), lam in A.coeffs.items():
         a, b = lam.num, lam.den
@@ -466,32 +465,25 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
             den[f] = den.get(f, 0) + 2 * m
         den = tuple(den.items())
         out[(i, j)], _, counts = _known_quotient(top.nums, top.den, den)
-        downs[(i, j)] = down = {f: m - k for (f, m), k in zip(den, counts)
-                                if k < m}
-        for f, m in down.items():
-            lcm[f] = max(lcm.get(f, 0), m)
-    # c * L = c.num * prod f^(lcm - down) over the factors f = F / l, so
-    # the column is c.num's integers times prod F^(lcm - down), and the
-    # scale is 1 / (c.num's den * prod l^(lcm - down))
+        for (f, m), k in zip(den, counts):
+            if lcm.get(f, 0) < m - k:
+                lcm[f] = m - k
+    lift = 1
+    for f, m in lcm.items():
+        lift *= f.den ** m
+    L = _den_product(tuple((f.nums, m) for f, m in lcm.items()), lift)
+    # c * L = c.num * (L / c.den), and L / c.den is the integer quotient of
+    # their nums times c.den's den over L's
     cols = {}
     for key, c in out.items():
-        down = downs[key]
-        extra = [(f, m - down.get(f, 0)) for f, m in lcm.items()
-                 if m > down.get(f, 0)]
-        lift = c.num.den
-        for f, x in extra:
-            lift *= f.den ** x
-        col = (_kronecker_product([(c.num.nums, 1),
-                                   *((f.nums, x) for f, x in extra)])
-               if extra else c.num.nums)
-        cols[key] = col, Fraction(1, lift)
-    lcm_lift = 1
-    for f, m in lcm.items():
-        lcm_lift *= f.den ** m
+        num, den = c.num, c.den
+        col = num.nums
+        if den != L:
+            col = _kronecker_product(
+                [(col, 1), (_exact_quotient(L.nums, den.nums), 1)])
+        cols[key] = col, den.den, num.den * L.den
     B = BiPoly(out)
-    B._cleared_form = _known_cleared(
-        cols, _den_product(tuple((f.nums, m) for f, m in lcm.items()),
-                           lcm_lift))
+    B._cleared_form = _known_cleared(cols, L)
     return B
 
 
@@ -670,9 +662,9 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
     # every j is 0
     least = [min(ks[i] for _, _, ks in parts.values())
              for i in range(len(den))]
-    scale, lcm_lift, lcm_parts = Fraction(1, lc), 1, []
+    top, lcm_lift, lcm_parts = 1, 1, []
     for (q, m), j in zip(den, least):
-        scale *= q.den ** j
+        top *= q.den ** j
         if j < m:
             lcm_parts.append((q.nums, m - j))
             lcm_lift *= q.den ** (m - j)
@@ -683,7 +675,7 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
             for (q, _), j in zip(den, least):
                 if j:
                     a = _divided(a, q.nums, j)[0]
-        cols[key] = a, scale
+        cols[key] = a, top, lc
     F = BiPoly(coeffs)
     F._cleared_form = _known_cleared(
         cols, _den_product(tuple(lcm_parts), lcm_lift))
@@ -692,25 +684,27 @@ def _resultant(A: BiPoly, B: BiPoly, main: str, m: int, n: int) -> BiPoly:
 
 def _known_cleared(cols: dict, lcm: Poly) -> tuple[dict, Poly]:
     """`clear_denominators` of values c whose denominators have the known
-    monic lcm L, read off their products c * L = r * Q, given as `cols`:
-    key -> (Q, r) for a list Q of ints and a Fraction r.
+    monic lcm L, read off their products c * L = Q * n / d, given as
+    `cols`: key -> (Q, n, d) for a list Q of ints and ints n, d > 0.
 
-    No lcm is searched for.  With r in lowest terms, the least positive
-    integer s that clears every s * r * Q is the lcm over the keys of r's
-    denominator over its gcd with the content of Q.  The cleared integers
-    are s * r * Q and d = s * L, the pair `clear_denominators` returns,
-    int for int.
+    No lcm is searched for.  With n / d in lowest terms, the least
+    positive integer s that clears every s * Q * n / d is the lcm over the
+    keys of d over its gcd with the content of Q.  The cleared integers
+    are s * Q * n / d and d = s * L, the pair `clear_denominators`
+    returns, int for int.
     """
-    s = 1
-    for col, r in cols.values():
-        q = r.denominator
-        if q != 1:
-            s = int_lcm(s, q // int_gcd(q, *col))
-    ints = {}
-    for key, (col, r) in cols.items():
-        f = s * r
-        n, q = f.numerator, f.denominator
-        ints[key] = [n * (c // q) for c in col]
+    s, parts = 1, {}
+    for key, (col, n, d) in cols.items():
+        g = int_gcd(n, d)
+        n, d = n // g, d // g
+        # d = need * h with h | every c of Q: s * c * n / d is an integer
+        # exactly when need | s
+        h = int_gcd(d, *col) if d != 1 else 1
+        need = d // h
+        s = int_lcm(s, need)
+        parts[key] = col, n, need, h
+    ints = {key: [s // need * n * (c // h) for c in col]
+            for key, (col, n, need, h) in parts.items()}
     return ints, lcm.scale(s)
 
 
