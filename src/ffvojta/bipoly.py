@@ -23,15 +23,15 @@ repeated roots leave every prime undecided is decided on its squarefree
 part) and lift each one
 t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
 root rebuilt by Pade reconstruction; exact division in Z[t][Z] keeps it,
-and an image with no rational root proves there is none.  Only when no
-tau decides is the polynomial factored over Z[Z, t] by sympy (Wang's
-algorithm).  Bivariate gcds go to sympy over Z[X, Y, t], and a result comes
-back through `field_core.from_cleared`.  The specialisation audit certifies
-A(tau) irreducible over Q by Kronecker's substitution Y -> X^N + c and the
-univariate factoriser, and factors A(tau) in sympy only where that
-declines.
-Gcds, root finding and resultants first check a size cap and raise
-InputTooLarge past it.
+and an image with no rational root proves there is none.  The points tau
+tried are bounded by the degrees, so that some point keeps the roots
+apart.  Coprimality over Q(t) is read off the two resultants, and the
+specialisation audit certifies A(tau) irreducible over Q by Kronecker's
+substitution Y -> X^N + c and the univariate factoriser, a point where
+that declines counting as one that split.  Gcds, root finding and
+resultants first check a size cap, and every bound raises InputTooLarge
+past it.  `bipoly_gcd`, which no library code calls, is the one function
+that imports sympy.
 
 The zero test `vanishes_at` takes u and v each as an S-unit or a rational
 function.  For two S-units it first certifies A(u, v) != 0 by orders: at
@@ -51,7 +51,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as int_gcd, isqrt, lcm as int_lcm, perm
 from operator import add
@@ -60,6 +59,7 @@ from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
     _MERSENNE_EXPONENTS,
+    InputTooLarge,
     OmegaForm,
     Place,
     Poly,
@@ -80,7 +80,6 @@ from .field_core import (
     _trim,
     clear_denominators,
     factor_poly,
-    from_cleared,
     height,
     ord_at,
     power,
@@ -99,11 +98,6 @@ class BothZero(ValueError):
 class DegenerateDegree(ValueError):
     """Raised when a resultant is requested in a variable that the first
     polynomial does not involve but the second does."""
-
-
-class InputTooLarge(ValueError):
-    """Raised when a polynomial is past the size cap for gcds, factorisation
-    and resultants (CLEARED_SIZE_CAP)."""
 
 
 class PreconditionViolated(ValueError):
@@ -500,19 +494,11 @@ def torus_derivative(A: BiPoly, r: int, s: int) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants by Sylvester determinants over Z; gcd through sympy
+# Resultants by Sylvester determinants over Z; the bivariate gcd
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gens() -> tuple:
-    """The sympy generators X, Y, Z and t.  sympy is imported here, on
-    first use, so a run that never leaves Q(t) arithmetic never loads it."""
-    import sympy
-
-    return sympy.symbols("X Y Z t")
-
 # Cap on the size of a polynomial over Z[t] whose rational roots are
-# sought, whose gcd sympy takes, or that a resultant produces: its degree z
+# sought, whose gcd is taken, or that a resultant produces: its degree z
 # in the main variable (for a gcd, the larger of its X- and Y-degrees)
 # times its degree in t.  The work grows faster than linearly in either
 # degree alone, so each counts as at least an eighth of the other (and 1):
@@ -528,25 +514,6 @@ CLEARED_SIZE_CAP = 512
 # determinant at the cap takes about a second.  The audits' resultants
 # stay below 2e11.
 SYLVESTER_WORK_CAP = 10 ** 13
-
-
-def _cleared(coeffs: Mapping[tuple[int, ...], RatFunc],
-             gens: tuple) -> tuple[sympy.Poly, Poly]:
-    """The sum of c * gens[:-1]^e over the items e -> c of `coeffs`, times
-    the d of `clear_denominators`, as a sympy.Poly over ZZ in gens (t
-    last); returned together with d."""
-    ints, d = clear_denominators(coeffs)
-    return _to_sympy(ints, gens), d
-
-
-def _to_sympy(ints: Mapping[tuple[int, ...], list[int]],
-              gens: tuple) -> sympy.Poly:
-    """Integer lists in t, keyed by exponents in gens[:-1], as one
-    sympy.Poly over ZZ in gens (t last)."""
-    import sympy
-
-    terms = {(*e, k): a for e, ns in ints.items() for k, a in enumerate(ns) if a}
-    return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ)
 
 
 def _check_size(z: int, t: int) -> None:
@@ -765,34 +732,45 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
     """gcd over Q(t), scaled so its lex-largest coefficient is 1; a zero
     input gives the other input so scaled, and gcd(0, 0) is 0.
 
-    By Gauss's lemma this is the gcd of the cleared polynomials in
-    Z[X, Y, t] with its content in t divided out.  Each cleared input is
-    checked against the size cap first.
-    """
+    By Gauss's lemma this is the gcd of the cleared polynomials
+    (`BiPoly.cleared`) in Z[X, Y, t] with its content in t divided out,
+    which sympy takes.  Each cleared input is checked against the size cap
+    first.  No library code calls it, and it is the one function that
+    imports sympy; it stays while `perfbench/tracing.py` wraps it by
+    name."""
     if A.is_zero or B.is_zero:
-        return _lex_normalised(B if A.is_zero else A)
-    X, Y, _, T = _gens()
-    pa, _ = _cleared(A.coeffs, (X, Y, T))
-    pb, _ = _cleared(B.coeffs, (X, Y, T))
-    for p in (pa, pb):
-        dx, dy, dt = p.degree_list()
-        _check_size(max(dx, dy), dt)
-    return _lex_normalised(BiPoly(from_cleared(pa.gcd(pb), Poly.one())))
+        g = B if A.is_zero else A
+    else:
+        cleared = [P.cleared()[0] for P in (A, B)]
+        for P, ints in zip((A, B), cleared):
+            _check_size(max(P.deg_x, P.deg_y),
+                        max(len(ts) for ts in ints.values()) - 1)
+        import sympy
 
-
-def _lex_normalised(A: BiPoly) -> BiPoly:
-    """A scaled so that its lex-largest coefficient is 1; 0 stays 0."""
-    if A.is_zero:
-        return A
-    return A.scale(RatFunc.one() / A.coeffs[max(A.coeffs)])
+        gens = sympy.symbols("X Y t")
+        pa, pb = (sympy.Poly.from_dict(
+            {(i, j, k): c for (i, j), ts in ints.items()
+             for k, c in enumerate(ts) if c}, *gens, domain=sympy.ZZ)
+            for ints in cleared)
+        groups: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j, k), c in pa.gcd(pb).terms():
+            groups.setdefault((i, j), {})[k] = int(c)
+        g = BiPoly({ij: RatFunc(Poly([ts.get(k, 0)
+                                      for k in range(max(ts) + 1)]))
+                    for ij, ts in groups.items()})
+    if g.is_zero:
+        return g
+    return g.scale(RatFunc.one() / g.coeffs[max(g.coeffs)])
 
 
 # ---------------------------------------------------------------------------
 # Rational roots of a polynomial in one variable
 # ---------------------------------------------------------------------------
 
-# The points t = tau at which `rational_roots` specialises, in this order:
-# small, so that the images have small coefficients.
+# The first points t = tau at which `rational_roots` specialises, in this
+# order: small, so that the images have small coefficients.  They are all
+# tried whatever the degrees, and `_lifted_roots` goes on past them up to a
+# bound taken from the degrees.
 _LIFT_POINTS = tuple(range(2, 10))
 
 # The primes for the rational roots of an image in Z[x] of degree n: the
@@ -1048,10 +1026,9 @@ def _lifted_root(shifted: list[list[int]], r0: Fraction, m: int, tau: int,
     return [c // content for c in a], [c // content for c in b]
 
 
-def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int] | None:
+def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     """The roots in Q(t) with their multiplicities of G = sum cols[i] Z^i
-    in Z[t][Z] (integer lists in t, lowest first; G(0) nonzero), or None
-    when no point of _LIFT_POINTS decides them.
+    in Z[t][Z] (integer lists in t, lowest first; G(0) nonzero).
 
     A root -b/a with a*Z + b primitive divides G (Gauss's lemma), so a |
     lc_Z(G) and b | G(0).  At a tau where neither vanishes, a(tau) != 0 and
@@ -1066,7 +1043,15 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int] | None:
     2^deg(a) ||lc_Z(G)||_2 and those of b' at most
     |lc_t| 2^deg(b) ||G(0)||_2, lc_t the leading coefficient of lc_Z(G),
     so the lift runs modulo the least Mersenne prime above twice the
-    larger; past 2^4423 - 1 it is None.
+    larger.
+
+    The points tau run through _LIFT_POINTS and on, up to (2n + 1) d + 2
+    for G of Z-degree n and t-degree d.  lc_Z(G) and G(0) vanish at no more
+    than 2d points, and two distinct roots meet only where the
+    discriminant of G's squarefree part vanishes, at no more than
+    (2n - 1) d points, so some point of the range keeps the roots apart.
+    InputTooLarge is raised when no point of the range decides, or when
+    the lift needs a prime past 2^4423 - 1.
     """
     if len(cols) == 1:
         return {}
@@ -1077,8 +1062,12 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int] | None:
     mod = next((2 ** e - 1 for e in _MERSENNE_EXPONENTS
                 if 2 ** e - 1 > bound), None)
     if mod is None:
-        return None
-    for tau in _LIFT_POINTS:
+        raise InputTooLarge(
+            "lifting the rational roots needs a prime past "
+            f"2^{_MERSENNE_EXPONENTS[-1]} - 1")
+    d = max(len(ts) for ts in cols) - 1
+    last = max(_LIFT_POINTS[-1], (2 * len(cols) - 1) * d + 2)
+    for tau in range(_LIFT_POINTS[0], last + 1):
         image = [_value(ts, tau) for ts in cols]
         if not image[0] or not image[-1]:
             continue
@@ -1097,21 +1086,9 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int] | None:
             found[RatFunc(Poly([-c for c in b]), Poly(a))] = m
         else:
             return found
-    return None
-
-
-def _factored_roots(ints: dict) -> dict[RatFunc, int]:
-    """The roots in Q(t) with their multiplicities of the polynomial with
-    the coefficients `ints`, read off the factors a*Z + b of one sympy
-    factorisation over Z[Z, t] (Wang's algorithm)."""
-    _, _, Z, T = _gens()
-    zero = RatFunc.zero()
-    found: dict[RatFunc, int] = {}
-    for fac, m in _to_sympy(ints, (Z, T)).factor_list()[1]:
-        if fac.degree(Z) == 1:
-            lin = from_cleared(fac, Poly.one())
-            found[-lin.get((0,), zero) / lin[(1,)]] = m
-    return found
+    raise InputTooLarge(
+        f"no point t = {_LIFT_POINTS[0]}, ..., {last} decides the rational "
+        "roots")
 
 
 def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
@@ -1125,8 +1102,8 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     small tau, finding the rational roots of that image p-adically and
     lifting each t-adically (`_lifted_roots`); an image with no rational
     root proves there is none, and an image whose repeated roots leave
-    every prime undecided is decided on its squarefree part.  Only when no
-    tau decides is G factored over Z[Z, t] by sympy (`_factored_roots`).
+    every prime undecided is decided on its squarefree part.  The points
+    tau are bounded, and InputTooLarge is raised past the bound.
     Roots are sorted by their numerator and denominator coefficients, so
     zero roots come first.  The flag is True exactly when the roots account
     for the full degree of F.
@@ -1138,11 +1115,9 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     axis = 1 if F.deg_y else 0
     by_degree = {ij[axis]: ts for ij, ts in F.cleared()[0].items()}
     k, degree = min(by_degree), max(by_degree)
-    ints = {(i - k,): by_degree.get(i, []) for i in range(k, degree + 1)}
-    _check_size(degree, max(len(ts) for ts in ints.values()) - 1)
-    found = _lifted_roots(list(ints.values()))
-    if found is None:
-        found = _factored_roots(ints)
+    cols = [by_degree.get(i, []) for i in range(k, degree + 1)]
+    _check_size(degree, max(len(ts) for ts in cols) - 1)
+    found = _lifted_roots(cols)
     roots = [RatFunc.zero()] * k
     roots += [r for r in sorted(found, key=lambda r: (r.num.coeffs, r.den.coeffs))
               for _ in range(found[r])]
@@ -1226,11 +1201,13 @@ def check_dependence_transfer(
     elif len(offsets) == 1:
         branch = "proportional"
     else:
+        # twist's support lies inside A's, so a shared factor involving Y
+        # makes the Y-resultant vanish and one involving X the X-resultant:
+        # A and twist are coprime exactly when both are nonzero
         twist = torus_derivative(A, r, s)
-        if bipoly_gcd(A, twist).is_constant:
-            branch = "bezout"
-        else:
+        if resultant_y(A, twist).is_zero or resultant_x(A, twist).is_zero:
             raise PreconditionViolated("A irreducible")
+        branch = "bezout"
     return DependenceOutcome("gamma", gamma=gamma, branch=branch)
 
 
@@ -1305,9 +1282,8 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     at every point tried.
 
     A(tau) is read off A's cleared integer form, and Kronecker's
-    substitution (`_kronecker_irreducible`) certifies it irreducible in
-    house; only where that declines does sympy factor A(tau) over Q, so
-    the answer at each point is sympy's.
+    substitution (`_kronecker_irreducible`) certifies it irreducible; a
+    point where it declines counts as one that split.
     """
     import random
 
@@ -1327,9 +1303,5 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
                 or max((j for _, j in spec), default=-1) != A.deg_y):
             continue
         if _kronecker_irreducible(spec, A.deg_x):
-            return True
-        X, Y, _, T = _gens()
-        _, factors = _to_sympy(ints, (X, Y, T)).eval(T, tau).factor_list()
-        if len(factors) == 1 and factors[0][1] == 1:
             return True
     return False

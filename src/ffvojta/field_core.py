@@ -44,6 +44,12 @@ class PlaceDegreeTooLarge(ValueError):
     """Raised when a place polynomial exceeds the supported degree."""
 
 
+class InputTooLarge(ValueError):
+    """Raised when an input is past a bound on the work that deciding it
+    may take: a size cap on gcds, roots and resultants, the factoriser's
+    subset budget, or the points tried for rational roots."""
+
+
 # Finite places are validated by trial factorization; this is the cap on the
 # degree we are willing to certify.
 PLACE_DEGREE_CAP = 8
@@ -399,78 +405,36 @@ def render_poly(p: Poly, var: str = "t") -> str:
     return "".join(parts)
 
 
-# --- the bridge to sympy over ZZ ------------------------------------------
+# --- cleared forms ----------------------------------------------------------
 #
 # Poly does ring arithmetic only.  The gcds and factorisations in Q[t] below,
 # the integer Sylvester determinants behind the bivariate resultants, the
-# lifted rational roots and the irreducibility certificate run on integers in
-# house; what they decline, and the bivariate gcd, runs in sympy over ZZ: a
-# Poly hands over its `nums`, which are already cleared, a coefficient map is
-# cleared by `clear_denominators`, and a bivariate result comes back through
-# `from_cleared`.  sympy is imported on first use, inside the functions that
-# call it, so a run that never needs it never loads it.
+# lifted rational roots and the irreducibility certificate all run on
+# integers in house: a Poly hands over its `nums`, which are already
+# cleared, and a coefficient map is cleared by `clear_denominators`.
 
 def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
     """The values of `coeffs` (RatFunc or Poly), all multiplied by one d, as
     integer coefficient lists, lowest degree first; returned as
     {key: list of ints} together with d.
 
-    d is the monic lcm of the denominators times the least positive integer
-    that clears the rational coefficients left.  A denominator is monic, so
-    its nums are primitive, and by Gauss's lemma one exact division over Z
-    (`_exact_quotient`) tells whether it divides the lcm so far, and another
-    whether the lcm so far divides it; `poly_lcm` runs only when neither
-    does.  The distinct denominators are taken by falling degree, so in a
-    nested chain the first is the lcm and the quotients by it are the
-    cofactors.
-    """
+    d is the monic lcm of the denominators, a `poly_lcm` fold over the
+    distinct ones, times the least positive integer that clears the
+    rational coefficients left; each value is multiplied by its cofactor
+    d / q, q its denominator.  Both factors of d are unique, so the form
+    is."""
     one = Poly.one()
     pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
              for c in coeffs.values()]
-    # the distinct denominators, each mapped below to its cofactor den / q
-    # (None for den itself)
-    cofactors = dict.fromkeys(q for _, q in pairs)
     den = one
-    quotients: dict[Poly, list[int]] = {}
-    for q in sorted((q for q in cofactors if not q.is_constant),
-                    key=lambda q: -q.degree):
-        quo = _exact_quotient(den.nums, q.nums)
-        if quo is not None:
-            quotients[q] = quo
-            continue
-        # the lcm grows, and the quotients by the old one are stale
-        quotients.clear()
-        if _exact_quotient(q.nums, den.nums) is not None:
-            den = q
-        else:
+    for q in dict.fromkeys(q for _, q in pairs):
+        if not q.is_constant:
             den = poly_lcm(den, q)
-    for q in cofactors:
-        if q == den:
-            cofactors[q] = None
-        elif q.is_constant:
-            cofactors[q] = den
-        elif q in quotients:
-            # den.nums = q.nums * quo, so den / q = quo * q.den / den.den
-            cofactors[q] = _scaled(quotients[q], q.den, den.den)
-        else:
-            cofactors[q] = den // q
-    nums = [n if cofactors[q] is None else n * cofactors[q]
-            for n, q in pairs]
+    nums = [n if q == den else n * (den // q) for n, q in pairs]
     scale = lcm(*(n.den for n in nums))
     ints = {k: [c * (scale // n.den) for c in n.nums]
             for k, n in zip(coeffs, nums)}
     return ints, den.scale(scale)
-
-
-def from_cleared(p: sympy.Poly, d: Poly) -> dict[tuple[int, ...], RatFunc]:
-    """The inverse of `clear_denominators` for a sympy.Poly over ZZ whose
-    last generator is t: its terms grouped by their exponents in the other
-    generators, each group divided by d as one RatFunc."""
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for monom, c in p.terms():
-        groups.setdefault(monom[:-1], {})[monom[-1]] = int(c)
-    return {key: RatFunc(Poly([ts.get(k, 0) for k in range(max(ts) + 1)]), d)
-            for key, ts in groups.items()}
 
 
 # --- polynomials over Z/p ---------------------------------------------------
@@ -570,8 +534,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     A modular pre-check certifies the (common) coprime case without exact
     big-integer arithmetic; otherwise the gcd of the primitive parts is
     lifted from one big prime and checked by exact division
-    (`_exact_gcd`).  Only when that lift fails does sympy's heuristic gcd
-    over ZZ decide.
+    (`_exact_gcd`).  Only when that lift fails does Euclid's algorithm on
+    the Polys decide.
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -589,11 +553,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     g = _exact_gcd(_primitive(a.nums), _primitive(b.nums))
     if g is not None:
         return _scaled(g, 1, g[-1])
-    from sympy import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-
-    return Poly(dup_gcd(list(a.nums[::-1]), list(b.nums[::-1]),
-                        ZZ)[::-1]).monic()
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -623,10 +585,13 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 #
 # An input that no small prime certifies squarefree has its repeated factors
 # split off by gcd(f, f'), lifted from the same big prime (`_exact_gcd`), and
-# the squarefree part is factored as above.
+# the squarefree part is factored as above; one that no small prime can
+# analyse but the first big prime certifies squarefree is factored there
+# without a degree analysis.
 #
-# Nothing rests on probability: the bounds below only send work to sympy's
-# Zassenhaus (`dup_factor_list`), as does every input whose gcd lift fails.
+# Nothing rests on probability, and the work is bounded: recombination
+# tries at most _SUBSET_BUDGET subsets, smallest first, and an input past
+# that budget or past the largest Mersenne prime raises InputTooLarge.
 
 # the small primes of the degree analysis, and how many usable ones it takes
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -634,9 +599,12 @@ _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 _DEGREE_PRIMES = 8
 # the points a = x + c tried for one equal-degree split
 _SPLIT_TRIES = 32
-# the most modular factors recombined (at most C(12, 6) = 924 subsets of
-# one size)
-_MAX_MODULAR_FACTORS = 12
+# the most subsets of modular factors that recombination enumerates: every
+# subset of at most 8 of 17 factors, which proves irreducible a polynomial
+# with 17 modular factors that the degree analysis leaves open.  t^42 - 1,
+# with 42 linear factors mod 2^61 - 1, runs past it in about 4 s (2-vCPU
+# VM, CPython 3.11)
+_SUBSET_BUDGET = 2 ** 16
 
 
 def _unpacked(x: int, k: int, n: int, p: int) -> list[int]:
@@ -816,16 +784,21 @@ def _subset_sums(degrees) -> int:
 
 
 def _recombined(f: list[int], mods: list[list[int]], mod: int,
-                degrees: int) -> list[list[int]]:
+                degrees: int) -> list[list[int]] | None:
     """The irreducible factors of the primitive f in Z[t] (positive leading
     coefficient), from its monic irreducible factors `mods` modulo a prime
     `mod` above twice the factor bound: subsets of growing size, those
     whose degree lies in the mask `degrees`, each tried by exact
-    division.  A factor found from the fewest modular factors has no
-    proper factor, since that would have been found first."""
+    division; None once more than _SUBSET_BUDGET subsets are enumerated.
+    A factor found from the fewest modular factors has no proper factor,
+    since that would have been found first."""
     found, left, s, half = [], list(range(len(mods))), 1, mod // 2
+    budget = _SUBSET_BUDGET
     while 2 * s <= len(left):
         for subset in itertools.combinations(left, s):
+            budget -= 1
+            if budget < 0:
+                return None
             if not degrees >> sum(len(mods[i]) - 1 for i in subset) & 1:
                 continue
             g = [f[-1]]
@@ -867,8 +840,12 @@ def _quadratic_factors(f: list[int]) -> list[list[int]] | None:
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     """The irreducible factors in Z[t] of the primitive f (lowest degree
     first, degree >= 2, positive leading coefficient), or None when no
-    small prime certifies it squarefree or a bound is reached.  A
-    quadratic is decided by its discriminant (`_quadratic_factors`)."""
+    prime tried shows f squarefree or a bound is reached.  A quadratic is
+    decided by its discriminant (`_quadratic_factors`); otherwise the
+    degree analysis runs on the small primes that certify f squarefree.
+    When there is none, f is most likely not squarefree: the degree
+    analysis is skipped, only the first big prime is tried, and otherwise
+    `_repeated_split` decides exactly."""
     n = len(f) - 1
     if n == 2:
         return _quadratic_factors(f)
@@ -887,26 +864,22 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
             return [f]
         if usable == _DEGREE_PRIMES:
             break
-    if not usable:
-        return None
     bound = 2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n
     for e in _MERSENNE_EXPONENTS:
         mod = 2 ** e - 1
         if mod <= bound:
             continue
         image = _monic_image(f, mod)
-        if not _squarefree_mod(image, mod):
-            continue
-        parts = _ddf(image, mod)
-        if sum((len(g) - 1) // d for g, d in parts) > _MAX_MODULAR_FACTORS:
+        if _squarefree_mod(image, mod):
+            mods = []
+            for g, d in _ddf(image, mod):
+                split = _edf(g, d, mod)
+                if split is None:
+                    return None
+                mods += split
+            return _recombined(f, mods, mod, degrees)
+        if not usable:
             return None
-        mods = []
-        for g, d in parts:
-            split = _edf(g, d, mod)
-            if split is None:
-                return None
-            mods += split
-        return _recombined(f, mods, mod, degrees)
     return None
 
 
@@ -934,14 +907,13 @@ def _repeated_split(f: list[int]) -> list[tuple[list[int], int]] | None:
 def _factor_cached(prim: tuple[int, ...]) -> tuple:
     """The monic irreducible factors, with multiplicities, of the primitive
     integer polynomial `prim` (lowest degree first, positive leading
-    coefficient), in sympy's order: by degree, multiplicity, then integer
+    coefficient), ordered by degree, multiplicity, then integer
     coefficients from the top.
 
-    A degree-1 input is its own factor; an input certified squarefree by a
-    small prime is factored in house (`_factor_squarefree`), and so is one
-    with repeated factors whose split succeeds (`_repeated_split`);
-    anything else, or an input a bound sends back, goes to sympy's
-    `dup_factor_list`."""
+    A degree-1 input is its own factor; a squarefree input is factored by
+    `_factor_squarefree`, and one with repeated factors by
+    `_repeated_split`.  An input that both decline is past the
+    factoriser's bounds, and raises InputTooLarge."""
     if len(prim) == 2:
         return ((_scaled(prim, 1, prim[-1]), 1),)
     f = list(prim)
@@ -950,23 +922,22 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
         factors = [(g, 1) for g in factors]
     else:
         factors = _repeated_split(f)
-    if factors is not None:
-        factors.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
-        return tuple((_scaled(g, 1, g[-1]), m) for g, m in factors)
-    from sympy import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
-    _, factors = dup_factor_list(list(prim[::-1]), ZZ)
-    return tuple((Poly(f[::-1]).monic(), m) for f, m in factors)
+    if factors is None:
+        raise InputTooLarge(
+            f"factoring a polynomial of degree {len(f) - 1} is past the "
+            f"factoriser's bounds: {_SUBSET_BUDGET} subsets of its modular "
+            f"factors, the prime 2^{_MERSENNE_EXPONENTS[-1]} - 1 and "
+            f"{_SPLIT_TRIES} split tries")
+    factors.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
+    return tuple((_scaled(g, 1, g[-1]), m) for g, m in factors)
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors of p over Q, with multiplicities, in
-    sympy's order (`_factor_cached`).
+    """Monic irreducible factors of p over Q, with multiplicities, ordered
+    by degree, multiplicity, then coefficients (`_factor_cached`).
 
     The cache is keyed on the primitive part of p's nums with a positive
-    leading coefficient, so p and every c * p share one entry.  Only an
-    input that a bound or a failed lift sends back loads sympy."""
+    leading coefficient, so p and every c * p share one entry."""
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:

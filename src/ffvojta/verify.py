@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .bipoly import (
     BiPoly,
-    DegenerateDegree,
     b_polynomial,
     evaluate,
     poly_height,
@@ -164,23 +163,22 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
     The candidates are the values c * alpha^r beta^s at rational common
     zeros (alpha, beta) with alpha beta != 0; membership means gamma is a
     constant multiple of one of them.  Only decidable when the resultant
-    roots all lie in the field ("checked" reports this).
+    roots all lie in the field ("checked" reports this).  When the twist
+    is zero or A's support lies on one (r, s) line, there are no common
+    zeros to compare gamma with, and nothing is checked.
     """
-    twist = torus_derivative(A, r, s)
-    if twist.is_zero:
-        # every monomial of A sits on the (r, s)-ray: gamma is pinned by
-        # the coefficients alone
-        return {"checked": True, "member": True, "candidates": 0}
+    unchecked = {"checked": False, "member": None, "candidates": 0}
     offsets = {s * i - r * j for (i, j) in A.coeffs}
     if len(offsets) == 1:
-        return {"checked": True, "member": True, "candidates": 0}
-    try:
-        F = resultant_y(A, twist)
-        G = resultant_x(A, twist)
-    except DegenerateDegree:
-        return {"checked": False, "member": None, "candidates": 0}
+        # the twist is zero, or a constant multiple of A
+        return unchecked
+    # twist's support lies inside A's, so neither resultant meets a
+    # variable that A lacks and twist involves
+    twist = torus_derivative(A, r, s)
+    F = resultant_y(A, twist)
+    G = resultant_x(A, twist)
     if F.is_zero or G.is_zero:
-        return {"checked": False, "member": None, "candidates": 0}
+        return unchecked
     roots_f, complete_f = rational_roots(F)
     roots_g, complete_g = rational_roots(G)
     zeros = _common_zeros(A, twist, roots_f, roots_g)

@@ -47,7 +47,6 @@ from ffvojta.field_core import (
     _image,
     choose_omega,
     clear_denominators,
-    from_cleared,
 )
 from ffvojta.sunits import (
     PlaceSet,
@@ -717,30 +716,6 @@ class TestRepeatedFactors:
             assert time.perf_counter() - start < 1
 
 
-class TestClearing:
-    def test_round_trip(self):
-        # denominators built from a few shared factors, so that their lcm
-        # is smaller than their product
-        from ffvojta.bipoly import _cleared, _gens
-
-        rng = random.Random(43)
-        shared = [rat("t"), rat("t-1"), rat("t^2+3"), rat("2*t+5")]
-        for _ in range(60):
-            coeffs = {}
-            for i, j in itertools.product(range(3), range(3)):
-                if rng.random() < 0.4:
-                    continue
-                c = rand_ratfunc(rng, 2)
-                for q in rng.sample(shared, rng.randint(0, 3)):
-                    c = c / q ** rng.randint(1, 2)
-                coeffs[(i, j)] = c
-            coeffs = {ij: c for ij, c in coeffs.items() if not c.is_zero}
-            X, Y, _, T = _gens()
-            p, d = _cleared(coeffs, (X, Y, T))
-            assert all(c.is_integer for c in p.coeffs())
-            assert from_cleared(p, d) == coeffs
-
-
 def _linear(r: RatFunc) -> BiPoly:
     return _z(-r, 1)
 
@@ -897,8 +872,7 @@ class TestRationalRoots:
     def test_root_mod_every_prime(self):
         # (Z^2 - 2)(Z^2 - 3)(Z^2 - 6) has a root mod every prime, since one
         # of 2, 3, 6 is a square there, but none in Q(t): every image prime
-        # sees roots, the p-adic lifts prove none is rational, and the
-        # factorisation is never reached
+        # sees roots, and the p-adic lifts prove none is rational
         F = _z(1)
         for c in (2, 3, 6):
             F = F * _z(-c, 0, 1)
@@ -989,24 +963,31 @@ class TestRationalRoots:
         assert complete is not quadratic
         assert rational_roots(_swap(F)) == (roots, complete)
 
-    def test_roots_agreeing_at_every_point_fall_back(self):
+    def test_roots_agreeing_at_every_lift_point(self):
         # R2 - R1 vanishes at every tau of _LIFT_POINTS, so each image has
         # the double root R1(tau), whose lift (a root of dG/dZ) is no root
-        # of G; no tau decides, and the factorisation finds both
+        # of G; the search goes on past them, and tau = 10 decides
         r1 = rat("t+1")
         gap = RatFunc.one()
         for tau in _LIFT_POINTS:
             gap = gap * RatFunc(Poly([-tau, 1]))
         r2 = r1 + gap
         F = _linear(r1) * _linear(r2)
-        assert _lifted_roots(_cleared_ints(F)) is None
+        assert _lifted_roots(_cleared_ints(F)) == {r1: 1, r2: 1}
         assert rational_roots(F) == oracle_rational_roots(F) == (
             sorted([r1, r2], key=_key), True)
         assert rational_roots(_swap(F)) == rational_roots(F)
 
+    def test_lift_past_the_largest_prime_raises(self):
+        # a leading coefficient near 2^4500 puts Mignotte's bound past
+        # every Mersenne prime of the lift
+        F = _z(1, rat(f"{2 ** 4500}*t+1"))
+        with pytest.raises(InputTooLarge, match="2\\^4423 - 1"):
+            rational_roots(F)
+
     def test_complete_past_old_cap(self):
         # extreme coefficients of t-degree above 12: the oracle gives up,
-        # one factorisation still finds every root
+        # the lift still finds every root
         rng = random.Random(77)
         for _ in range(5):
             planted = [rand_ratfunc(rng, 1)
@@ -1021,7 +1002,7 @@ class TestRationalRoots:
             assert oracle_rational_roots(F)[1] is False
 
     def test_size_cap_raises_at_once(self):
-        # the size check comes before the factorisation, which on these
+        # the size check comes before the roots are sought, which on these
         # would take far longer: t^2 * Z^n + t + 1 with n = CLEARED_SIZE_CAP;
         # free of t, Z-degree 72, counted as 72 * 9; Z-degree 2 with
         # t-degree 260, counted as 32 * 260 (each degree counts as at least
@@ -1083,6 +1064,20 @@ class TestDependenceTransfer:
         assert out.branch == "bezout"
         assert out.gamma == RatFunc.one()
         assert as_ratfunc(u) ** 1 * as_ratfunc(v) ** -2 == out.gamma
+
+    def test_shared_factor_with_twist_is_not_irreducible(self):
+        # A = (XY - 2)(X + Y + 1) at (alpha, beta) = (t + 1, 2/(t + 1)),
+        # on XY = 2, with u v = 2: its twist along (1, 1) is
+        # (X - Y)(XY - 2), so both resultants vanish
+        S = PlaceSet.of(0, "inf")
+        u = SUnit.make(1, {P0: 1}, S)
+        v = SUnit.make(2, {P0: -1}, S)
+        alpha = rat("t+1")
+        with pytest.raises(PreconditionViolated) as err:
+            check_dependence_transfer(
+                bi("(X*Y-2)*(X+Y+1)"), u, v, alpha, RatFunc.const(2) / alpha,
+                1, 1, Fraction(1), choose_omega(S.places))
+        assert err.value.identity == "A irreducible"
 
     def test_precondition_failures(self):
         w = choose_omega(S01.places)

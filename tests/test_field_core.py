@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from ffvojta.counting import strip_set_factors
 from ffvojta.field_core import (
     AllZero,
+    InputTooLarge,
     NotIrreducible,
     OmegaForm,
     Place,
@@ -31,6 +32,7 @@ from ffvojta.field_core import (
     _image,
     _multiplicity,
     _quadratic_factors,
+    _recombined,
     _repeated_split,
     _scaled,
     choose_omega,
@@ -234,8 +236,9 @@ class TestPoly:
 
     def test_gcd_fallback_against_sympy_oracle(self):
         # leading coefficients divisible by every certificate prime make
-        # the modular certificate decline, so sympy's gcd decides; the
-        # planted common factor carries a large integer content
+        # the modular certificate decline, so the lift from one big prime
+        # decides; the planted common factor carries a large integer
+        # content
         import sympy
         from conftest import SYMPY_T, to_sympy
         from ffvojta.field_core import (_GCD_PRIMES, _mod_gcd_is_one,
@@ -289,7 +292,7 @@ class TestPoly:
 
     def test_exact_gcd_declines_past_the_largest_prime(self):
         # a coefficient past the largest Mersenne prime leaves no prime
-        # above the bound; sympy's gcd decides
+        # above the bound; Euclid's algorithm on the Polys decides
         big = 2 ** (_MERSENNE_EXPONENTS[-1] + 1) + 1
         a = Poly((big, 1)) * Poly((1, 1))
         b = Poly((2, 1)) * Poly((1, 1))
@@ -496,10 +499,9 @@ class TestClearDenominators:
     """`clear_denominators` against the `poly_lcm` chain of conftest on
     denominators that are products of powers of the places above, the
     degree-2 places among them: (ints, d) must be the same, int for int.
-    The audits meet only nested chains, so the examples pin a nested one
-    in rising degree, a disjoint one, an overlapping one in which the lcm
-    grows past a quotient already taken, and equal denominators built
-    apart beside a `Poly` and a constant."""
+    The examples pin a nested chain in rising degree, a disjoint one, an
+    overlapping one, and equal denominators built apart beside a `Poly`
+    and a constant."""
 
     @settings(max_examples=80, deadline=None, database=None,
               derandomize=True)
@@ -1006,8 +1008,8 @@ class TestFactoriser:
                              + [rng.choice((1, 2, 3, -1, -4))])
             decided += self.check(p)
             total += 1
-        # the big-prime bounds send at most a few products back to sympy
-        assert decided >= total - 6
+        # recombination stays within its subset budget on every product
+        assert decided == total
 
     def test_reducible_pool_remainders(self):
         # pool ops 1 and 26 of the unit-sum workload: the balancing term's
@@ -1075,11 +1077,33 @@ class TestFactoriser:
 
     @pytest.mark.parametrize("n", [2, 6, 8, 12, 15, 16, 24])
     def test_cyclotomics(self, n):
-        # t^15 - 1 and t^24 - 1 have more linear factors mod the big prime
-        # than recombination takes, and go to sympy; both ways agree
-        decided = self.check(Poly((-1,) + (0,) * (n - 1) + (1,)))
-        assert decided == (n not in (15, 24))
-        self.check(Poly((1,) + (0,) * (n - 1) + (1,)))
+        # t^15 - 1 and t^24 - 1 split into 15 and 24 linear factors mod the
+        # big prime; recombination, smallest subsets first, finds their
+        # factors within its budget (484 and 49 subsets)
+        assert self.check(Poly((-1,) + (0,) * (n - 1) + (1,)))
+        assert self.check(Poly((1,) + (0,) * (n - 1) + (1,)))
+
+    @pytest.mark.parametrize("k", [17, 18])
+    def test_subset_budget(self, k):
+        # a degree mask that admits no proper factor rejects every subset,
+        # so recombination enumerates them all: the 2^16 - 1 subsets of at
+        # most 8 of 17 factors fit the budget, those of 18 factors do not
+        mod = 2 ** 61 - 1
+        f = [1]
+        for j in range(1, k + 1):
+            f = [a - j * b for a, b in zip([0] + f, f + [0])]
+        mods = [[-j % mod, 1] for j in range(1, k + 1)]
+        found = _recombined(f, mods, mod, 1 | 1 << k)
+        assert found == ([f] if k == 17 else None)
+
+    def test_past_the_largest_prime_raises(self):
+        # no Mersenne prime lies above the factor bound, and no small prime
+        # proves the cubic irreducible
+        big = 2 ** (_MERSENNE_EXPONENTS[-1] + 1) + 1
+        p = Poly((-big, 1)) * Poly((-1, 1)) * Poly((-2, 1))
+        with pytest.raises(InputTooLarge,
+                           match=f"2\\^{_MERSENNE_EXPONENTS[-1]} - 1"):
+            factor_poly(p)
 
     @pytest.mark.parametrize("p, multiplicities", [
         (Poly((0, 0, 1)), [2]),

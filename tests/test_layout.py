@@ -7,6 +7,9 @@ run when a name they wrap is missing.  The exceptions are the checkers an
 open ROADMAP item will wire into a CLI mode and two of the paper's
 constants.  Likewise every public method of a library class has its name
 read by library code outside the method itself, or by the tracing code.
+
+sympy stays out of the library's decisions: only `bipoly.bipoly_gcd`,
+which the tracing code wraps and no library code calls, imports it.
 """
 
 from __future__ import annotations
@@ -102,3 +105,42 @@ def test_every_public_method_is_read():
     traced = _traced()
     assert [name for name in _unread_methods()
             if name.rsplit(".", 1)[1] not in traced] == []
+
+
+def _outside_gcd() -> list[tuple[str, ast.AST]]:
+    """(module name, node) of every node of the library outside
+    `bipoly.bipoly_gcd`."""
+    out = []
+    for mod, tree in _library():
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if (mod == "bipoly" and isinstance(node, ast.FunctionDef)
+                    and node.name == "bipoly_gcd"):
+                continue
+            out.append((mod, node))
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_sympy_imported_only_by_bipoly_gcd():
+    imports = [f"{mod}:{node.lineno}" for mod, node in _outside_gcd()
+               if (isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == "sympy"
+                           for a in node.names))
+               or (isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "sympy")]
+    assert imports == []
+    gcd = [node for mod, tree in _library() if mod == "bipoly"
+           for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name == "bipoly_gcd"]
+    assert len(gcd) == 1 and any(isinstance(node, ast.Import)
+                                 for node in ast.walk(gcd[0]))
+
+
+def test_no_library_code_calls_bipoly_gcd():
+    assert [f"{mod}:{node.lineno}" for mod, node in _outside_gcd()
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "bipoly_gcd" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None))] == []

@@ -107,10 +107,11 @@ class TestPairOutcomes:
         from ffvojta.field_core import RatFunc
         from ffvojta.verify import gamma_candidate_membership
 
-        # ray case: gamma is pinned by the coefficients alone
+        # ray case: the twist is zero, there is no common zero to compare
+        # gamma with, and nothing is checked
         ray = gamma_candidate_membership(parse_bipoly("X*Y-1"), 1, 1,
                                          RatFunc.one())
-        assert ray == {"checked": True, "member": True, "candidates": 0}
+        assert ray == {"checked": False, "member": None, "candidates": 0}
 
         # coprime twist: one rational common zero (1, -2); any constant
         # gamma is a constant multiple of alpha^r beta^s
@@ -120,6 +121,22 @@ class TestPairOutcomes:
         bad = gamma_candidate_membership(parse_bipoly("X+Y+1"), 1, -2,
                                          RatFunc.t())
         assert bad["member"] is False
+
+    @pytest.mark.parametrize("index, gamma", [(64, "(1/4)"),
+                                              (282, "(-1/2)")])
+    def test_relation_on_one_line_checks_nothing(self, index, gamma):
+        # X*Y - t lies on one (1, 1) line, so u v = gamma pins no common
+        # zero of A and its twist: the record says it checked nothing
+        cfg = RunConfig(poly="X*Y-t", places=("0", "1", "inf"),
+                        max_exponent=6, seed=3)
+        ctx = build_context(cfg)
+        u, v = pair_for_index(ctx, index)
+        c = classify(ctx.A, ctx.S, u, v, 0, 1, Fraction(1, 2))
+        out = outcome_json(ctx.A, index, c)
+        assert (out["kind"], out["r"], out["s"], out["gamma"]) == (
+            "relation", 1, 1, gamma)
+        assert out["gamma_candidates"] == {"checked": False, "member": None,
+                                           "candidates": 0}
 
     def test_bound_outcome_with_forced_threshold(self):
         S01 = PlaceSet.of(0, "inf")
@@ -168,9 +185,10 @@ class TestBranchPins:
         (7, "X-Y", "S011", (1, {"0": 1, "1": 2}),
          ("-1/3", {"0": -1, "1": -2}), 1, "relation",
          "3af0c6aa4df32af515b1177e45c929e883b52c5474d6e58f212d1d7dde069c3e"),
+        # A(u, v) = 2 lies on one (1, 1) line: gamma_candidates checks nothing
         (8, "X*Y-1", "S0Q", (1, {"q": 1, "0": -2}), (3, {"q": -1, "0": 2}),
          1, "relation",
-         "8a244a77a39ad4c83c86133d0f676ef713de5aded379c8db89df559d218fd207"),
+         "b81a8bced0f88c27ede689b64d01de767a25759e676b32508fb8a230db772e96"),
         (9, "X+Y+1", "S0Q", (1, {"q": 1}), (2, {}), 1, "relation",
          "97d0ed8126f80a0da18c1269e3a0ead5217b4ccb244a503148ebe94cee67252a"),
         # lhs = rhs = 1: (t + 1)^2
@@ -327,6 +345,84 @@ class TestReports:
 
 CUBIC = "X^2*Y+X*Y^2-t*(X+Y)+1"
 
+# Inputs each of which once sent a decision to sympy, decided in turn; after
+# each, the script prints its name and whether sympy is loaded by then.
+FORMER_FALLBACKS = """
+import sys
+from fractions import Fraction
+from ffvojta.bipoly import (BiPoly, PreconditionViolated,
+                            check_dependence_transfer, rational_roots,
+                            specialization_irreducibility_audit)
+from ffvojta.field_core import (Place, Poly, RatFunc, choose_omega,
+                                factor_poly, poly_gcd)
+from ffvojta.parser import parse_bipoly, parse_ratfunc
+from ffvojta.sunits import PlaceSet, SUnit
+from ffvojta.verify import RunConfig, build_context, classify, pair_for_index
+
+def done(name):
+    print(name, 'sympy' in sys.modules)
+
+# pair 47: a stripped numerator of degree 18, 6 factors over Q and 18
+# linear factors mod 2^61 - 1
+ctx = build_context(RunConfig(poly='X-Y', places=('0', 't^2+1', 'inf'),
+                              max_exponent=6, seed=3))
+c = classify(ctx.A, ctx.S, *pair_for_index(ctx, 47), 0, 1, Fraction(1, 2))
+assert (c.kind, c.lhs) == ('bound_holds', 0)
+done('pair-47')
+
+# a coefficient past the largest Mersenne prime
+big = 2 ** 4424 + 1
+assert poly_gcd(Poly((big, 1)) * Poly((1, 1)),
+                Poly((2, 1)) * Poly((1, 1))) == Poly((1, 1))
+done('gcd-past-the-primes')
+
+prod = Poly.one()
+for k in range(1, 17):
+    prod = prod * Poly((-k, 1))
+assert [q.degree for q, _ in factor_poly(prod)] == [1] * 16
+for n, degrees in ((15, [1, 2, 4, 8]), (24, [1, 1, 2, 2, 2, 4, 4, 8])):
+    p = Poly((-1,) + (0,) * (n - 1) + (1,))
+    assert [q.degree for q, _ in factor_poly(p)] == degrees
+done('factor-products-and-cyclotomics')
+
+# two roots that agree at t = 2, ..., 9
+r1 = parse_ratfunc('t+1')
+r2 = r1 + parse_ratfunc('(t-2)*(t-3)*(t-4)*(t-5)*(t-6)*(t-7)*(t-8)*(t-9)')
+F = BiPoly({(0, 2): 1, (0, 1): -(r1 + r2), (0, 0): r1 * r2})
+assert rational_roots(F) == ([r1, r2], True)
+done('roots-agreeing-at-the-lift-points')
+
+for expr, irreducible in (('X+Y+1', True), ('X*Y-t', True),
+                          ('X^2*Y+X*Y^2-t*(X+Y)+1', True),
+                          ('X^3+Y^3+t', True),
+                          ('X^4+Y^4+t*X^2*Y+X+Y+t', True),
+                          ('X^2+Y^2', True), ('X^2-t*Y^2', True),
+                          ('X^2-Y^2', False), ('(X+Y+1)*(X-Y+t)', False)):
+    A = parse_bipoly(expr)
+    assert specialization_irreducibility_audit(A) is irreducible, expr
+done('irreducibility-audit')
+
+S = PlaceSet.of(0, 'inf')
+P0 = Place.rational(0)
+w = choose_omega(S.places)
+out = check_dependence_transfer(
+    parse_bipoly('X+Y+1'), SUnit.make(1, {P0: 2}, S),
+    SUnit.make(1, {P0: 1}, S), RatFunc.one(), RatFunc.const(-2), 1, -2,
+    Fraction(4), w)
+assert out.branch == 'bezout'
+alpha = parse_ratfunc('t+1')
+try:
+    check_dependence_transfer(
+        parse_bipoly('(X*Y-2)*(X+Y+1)'), SUnit.make(1, {P0: 1}, S),
+        SUnit.make(2, {P0: -1}, S), alpha, RatFunc.const(2) / alpha, 1, 1,
+        Fraction(1), w)
+except PreconditionViolated as err:
+    assert err.identity == 'A irreducible'
+else:
+    raise AssertionError('the shared factor went unnoticed')
+done('dependence-transfer')
+"""
+
 
 class TestAudit:
     @pytest.mark.parametrize("poly, places, indices", [
@@ -459,7 +555,7 @@ class TestAudit:
             "c4162117170b9547f8e12df0cefeda68dca45022ff7da50f39a90b956de0effd")
 
     @pytest.mark.parametrize("index, outcome_digest", [
-        # the Y-resultant's roots need sympy's factorisation; only 0 is one
+        # the only rational root of the Y-resultant is 0
         (0, "e784820b6bca714943f267536a76082ff35fb8351cb13a3f9e632945df76a18b"),
         # the costliest pair of the 144
         (10, "7a80e5f9f3e928e29b61ecfb2e2cf85811858010273c908d8daa3c5fe753f091"),
@@ -808,3 +904,17 @@ class TestCLI:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_former_fallbacks_leave_sympy_unloaded(self):
+        # every gcd, factorisation, root set, irreducibility certificate
+        # and coprimality test is decided in house
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+        proc = subprocess.run([sys.executable, "-c", FORMER_FALLBACKS],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "pair-47", "False", "gcd-past-the-primes", "False",
+            "factor-products-and-cyclotomics", "False",
+            "roots-agreeing-at-the-lift-points", "False",
+            "irreducibility-audit", "False", "dependence-transfer", "False"]
