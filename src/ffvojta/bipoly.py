@@ -70,12 +70,12 @@ from .field_core import (
     _den_product,
     _divided,
     _divmod_mod,
-    _exact_gcd,
     _factor_squarefree,
     _known_quotient,
     _kronecker_product,
     _pack,
     _primitive,
+    _repeated_split,
     _signed_digits,
     _trim,
     clear_denominators,
@@ -849,24 +849,22 @@ def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
 
 
 def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
-    """The rational roots of g with their multiplicities, read off the
-    squarefree part s = g / gcd(g, g'), or None when g is squarefree or a
-    step declines.
+    """The rational roots of g with their multiplicities, read off its
+    squarefree part (`field_core._repeated_split`), or None when g is
+    squarefree or a step declines.
 
-    s has the roots of g, each simple, so `_image_roots` decides them on
-    the first prime it can use; each root's multiplicity in g is the
-    number of times it divides g exactly.  This is how an image whose
+    The squarefree part has the roots of g, each simple, so `_image_roots`
+    decides them on the first prime it can use.  This is how an image whose
     repeated roots left every prime undecided, such as a cube, is
     decided."""
-    f = _primitive(g)
-    h = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
-    if h is None or len(h) == 1:
-        return None
-    roots = _image_roots(_exact_quotient(f, h))
-    if roots is None:
-        return None
-    return {r: _divided(g, [-r.numerator, r.denominator], len(g))[1]
-            for r in roots}
+    def linear_factors(s):
+        roots = _image_roots(s)
+        return None if roots is None else [[-r.numerator, r.denominator]
+                                           for r in roots]
+
+    split = _repeated_split(_primitive(g), linear_factors)
+    return None if split is None else {Fraction(-q[0], q[1]): m
+                                       for q, m in split}
 
 
 def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:

@@ -839,16 +839,16 @@ def _quadratic_factors(f: list[int]) -> list[list[int]] | None:
 
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     """The irreducible factors in Z[t] of the primitive f (lowest degree
-    first, degree >= 2, positive leading coefficient), or None when no
-    prime tried shows f squarefree or a bound is reached.  A quadratic is
-    decided by its discriminant (`_quadratic_factors`); otherwise the
-    degree analysis runs on the small primes that certify f squarefree.
-    When there is none, f is most likely not squarefree: the degree
-    analysis is skipped, only the first big prime is tried, and otherwise
-    `_repeated_split` decides exactly."""
+    first, degree >= 1, positive leading coefficient), or None when no
+    prime tried shows f squarefree or a bound is reached.  A linear f is
+    its own factor and a quadratic is decided by its discriminant
+    (`_quadratic_factors`); otherwise the degree analysis runs on the small
+    primes that certify f squarefree.  When there is none, f is most likely
+    not squarefree: the degree analysis is skipped, only the first big prime
+    is tried, and otherwise `_repeated_split` decides exactly."""
     n = len(f) - 1
-    if n == 2:
-        return _quadratic_factors(f)
+    if n <= 2:
+        return [f] if n == 1 else _quadratic_factors(f)
     irreducible = 1 | 1 << n
     degrees, usable = (1 << n + 1) - 1, 0
     for p in _SMALL_PRIMES:
@@ -883,21 +883,21 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     return None
 
 
-def _repeated_split(f: list[int]) -> list[tuple[list[int], int]] | None:
-    """The irreducible factors in Z[t], with multiplicities, of the
-    primitive f (degree >= 2, positive leading coefficient) that has a
-    repeated factor, or None when a step declines.
+def _repeated_split(f: list[int], split=_factor_squarefree
+                    ) -> list[tuple[list[int], int]] | None:
+    """`split` (by default `_factor_squarefree`) on the squarefree part s of
+    the primitive f (degree >= 2, positive leading coefficient), each of the
+    primitive factors it returns paired with the number of times it divides
+    f; None when f is squarefree or a step declines.
 
-    g = gcd(f, f') (`_exact_gcd`) holds every repeated factor, so f / g is
-    the squarefree product of the distinct irreducible factors of f; it is
-    factored by `_factor_squarefree`, and each factor's multiplicity is the
-    number of times it divides f.  A constant g means f is squarefree, and
-    `_factor_squarefree` has declined it already."""
+    g = gcd(f, f') (`_exact_gcd`) holds every repeated factor, so s = f / g
+    is the squarefree product of the distinct irreducible factors of f.  A
+    constant g means f is squarefree, and `_factor_squarefree` has declined
+    it already."""
     g = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
     if g is None or len(g) == 1:
         return None
-    s = _exact_quotient(f, g)
-    factors = [s] if len(s) == 2 else _factor_squarefree(s)
+    factors = split(_exact_quotient(f, g))
     if factors is None:
         return None
     return [(q, _divided(f, q, len(f))[1]) for q in factors]
@@ -910,12 +910,9 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
     coefficient), ordered by degree, multiplicity, then integer
     coefficients from the top.
 
-    A degree-1 input is its own factor; a squarefree input is factored by
-    `_factor_squarefree`, and one with repeated factors by
-    `_repeated_split`.  An input that both decline is past the
-    factoriser's bounds, and raises InputTooLarge."""
-    if len(prim) == 2:
-        return ((_scaled(prim, 1, prim[-1]), 1),)
+    A squarefree input is factored by `_factor_squarefree`, and one with
+    repeated factors by `_repeated_split`.  An input that both decline is
+    past the factoriser's bounds, and raises InputTooLarge."""
     f = list(prim)
     factors = _factor_squarefree(f)
     if factors is not None:

@@ -393,23 +393,123 @@ def _audit_setting(expr: str, places: tuple[str, ...],
     return A, S, S_a, choose_omega(S_a.places)
 
 
+def _s_prime_step(S: PlaceSet, S_a: PlaceSet, S_prime: PlaceSet) -> dict:
+    """The sizes of S, S_a and S' (`_companion_places`)."""
+    chi_term = max(1, euler_char(S))
+    return {
+        "base_size": S.geometric_size,
+        "coefficient_enlarged_size": S_a.geometric_size,
+        "size": S_prime.geometric_size,
+        # reported, never asserted: the stated cardinality bound for the
+        # enlarged set does not visibly include the base size
+        "stated_bound": chi_term,
+        "stated_bound_holds": S_prime.geometric_size <= chi_term,
+    }
+
+
+def _step1(A: BiPoly, F: BiPoly, U: RatFunc, V: RatFunc) -> dict:
+    """Step 1, read off F = Res_Y(A, B): A and B are coprime, or the pair
+    satisfies a short relation read off A's two least monomials.
+
+    A is irreducible over Q(t) and involves both variables
+    (`_audit_setting`), and B's support lies inside A's, so F vanishes
+    exactly when B = c * A for some c in Q(t), or B = 0.  Otherwise A and
+    B are coprime, and G = Res_X(A, B) is nonzero too."""
+    if not F.is_zero:
+        return {"coprime": True}
+    (i, j), (hh, kk) = sorted(A.coeffs)[:2]
+    r, s = i - hh, j - kk
+    if r < 0 or (r == 0 and s < 0):
+        r, s, (i, j), (hh, kk) = -r, -s, (hh, kk), (i, j)
+    gamma = U ** r * V ** s
+    mu = gamma / (A.coeff(hh, kk) / A.coeff(i, j))
+    return {"coprime": False,
+            "relation": {"r": r, "s": s, "gamma": render_ratfunc_expr(gamma),
+                         "mu_constant": mu.is_constant}}
+
+
+def _step2(A: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet) -> dict:
+    """Step 2: the resultants' degree and height bounds."""
+    c4 = 2 * A.deg_x * A.deg_y
+    scale = 3 * max(1, euler_char(S_prime)) + poly_height(A)
+    bound_f, bound_g = 2 * A.deg_y * scale, 2 * A.deg_x * scale
+    hf, hg = poly_height(F), poly_height(G)
+    return {
+        "deg_f": F.deg_x, "deg_g": G.deg_y, "deg_bound": c4,
+        "h_f": hf, "h_g": hg,
+        "h_bound_f": bound_f, "h_bound_g": bound_g,
+        "holds": (F.deg_x <= c4 and G.deg_y <= c4
+                  and hf <= bound_f and hg <= bound_g),
+    }
+
+
+def _step3(roots_f: list[RatFunc], roots_g: list[RatFunc], complete_f: bool,
+           complete_g: bool) -> dict:
+    """Step 3: the resultants' rational roots; the split case requires
+    every root to lie in Q(t)."""
+    return {"roots_f": [render_ratfunc_expr(r) for r in roots_f],
+            "roots_g": [render_ratfunc_expr(r) for r in roots_g],
+            "complete_f": complete_f, "complete_g": complete_g}
+
+
+def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
+           roots_f: list[RatFunc], roots_g: list[RatFunc], U: RatFunc,
+           V: RatFunc) -> dict:
+    """Step 4: the common-zero set Z and the place set V, then the
+    pointwise inequality at every zero of A(U, V) outside V.
+
+    A and B are evaluated once at each pair of distinct roots: Z is the
+    pairs of nonzero roots where both values vanish, in the order of
+    `_common_zeros`, and V is S' with the zeros and poles of the nonzero
+    values and of F's and G's end coefficients."""
+    zset, places = [], set(S_prime.places)
+    for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
+              G.coeff(0, 0), G.coeff(0, G.deg_y)):
+        places |= _support_places(c)
+    for alpha in dict.fromkeys(roots_f):
+        for beta in dict.fromkeys(roots_g):
+            a_ab, b_ab = evaluate(A, alpha, beta), evaluate(B, alpha, beta)
+            places |= _support_places(a_ab) | _support_places(b_ab)
+            if (a_ab.is_zero and b_ab.is_zero
+                    and not (alpha.is_zero or beta.is_zero)):
+                zset.append((alpha, beta))
+    V_set = PlaceSet(frozenset(places))
+    a_val, b_val = evaluate(A, U, V), evaluate(B, U, V)
+    checks, holds = [], True
+    if not a_val.is_zero and not b_val.is_zero:
+        outside = strip_set_factors(a_val.num, V_set)
+        zero_places = [Place._trusted(q) for q, _ in factor_poly(outside)]
+        if not V_set.has_infinity and a_val.den.degree > a_val.num.degree:
+            zero_places.append(Place.infinity())
+        for p in zero_places:
+            lhs = min(ord_at(a_val, p), ord_at(b_val, p))
+            rhs = sum(
+                min(ord_at(U - alpha, p) if U != alpha else 10 ** 9,
+                    ord_at(V - beta, p) if V != beta else 10 ** 9)
+                for alpha, beta in zset)
+            ok = lhs <= rhs
+            holds = holds and ok
+            checks.append({"place": str(p), "lhs": lhs, "rhs": rhs, "holds": ok})
+    return {"v_geometric_size": V_set.geometric_size, "z_pairs": len(zset),
+            "checks": checks, "holds": holds}
+
+
 def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     """Audit the resultant construction for a single attested-irreducible
     polynomial at one unit pair, in the split case.
 
-    Builds the derivative companion B and the two resultants, checks the
-    degree and height bounds, extracts rational roots, and when both
-    resultants split over Q(t) verifies the pointwise common-zero
-    inequality outside the assembled place set V.  Reports are labeled
-    split-case only.
+    A driver over the step functions, each of which returns its section of
+    the report: S' (`_s_prime_step`); step 1, whether A and its derivative
+    companion B are coprime, read off F = Res_Y(A, B); step 2, the degree
+    and height bounds of F and G = Res_X(A, B); step 3, their rational
+    roots; and, when both split over Q(t), step 4, the pointwise
+    common-zero inequality outside the assembled place set V.  Reports are
+    labeled split-case only.
 
     Each polynomial is cleared of denominators once: A once per config
     (it is the one instance `_audit_setting` keeps), B once for both
     resultants, and each resultant arrives with its cleared form, which
-    `rational_roots` reads.  S' is S_a with the zeros of the numerators of
-    B's coefficients (and infinity when one of them has a zero or pole
-    there), since every finite pole of such a coefficient is a place of
-    b^2 * D and so already in S_a (`_companion_places` gives the proof).
+    `rational_roots` reads.
     """
     exprs = cfg.factor_list()
     if len(exprs) != 1:
@@ -418,131 +518,24 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     if not attested:
         raise NotIrreducibleAttested(f"factor {expr!r} is not attested irreducible")
     A, S, S_a, w = _audit_setting(expr, tuple(cfg.places), cfg.seed)
-    U_f, V_f = as_ratfunc(u), as_ratfunc(v)
-    report: dict = {"mode": "audit", "split_case_only": True,
-                    "poly": expr,
-                    "u": render_ratfunc_expr(U_f),
-                    "v": render_ratfunc_expr(V_f)}
-
+    U, V = as_ratfunc(u), as_ratfunc(v)
+    report: dict = {"mode": "audit", "split_case_only": True, "poly": expr,
+                    "u": render_ratfunc_expr(U), "v": render_ratfunc_expr(V)}
     B = b_polynomial(A, u, v, w)
     S_prime = _companion_places(S_a, B, u, v)
-    chi_term = max(1, euler_char(S))
-    s2_value = S_prime.geometric_size
-    report["s_prime"] = {
-        "base_size": S.geometric_size,
-        "coefficient_enlarged_size": S_a.geometric_size,
-        "size": s2_value,
-        # reported, never asserted: the stated cardinality bound for the
-        # enlarged set does not visibly include the base size
-        "stated_bound": chi_term,
-        "stated_bound_holds": s2_value <= chi_term,
-    }
-
-    # Step 1: either A and B are coprime or the pair already satisfies a
-    # short relation read off two monomials.
-    step1: dict = {}
-    proportional = False
-    if B.is_zero:
-        proportional = True
-    elif all(ij in A.coeffs for ij in B.coeffs):
-        base_ij = next(iter(sorted(A.coeffs)))
-        a_ratio = B.coeff(*base_ij) / A.coeff(*base_ij)
-        proportional = all(B.coeff(i, j) == A.coeff(i, j) * a_ratio
-                           for (i, j) in A.coeffs)
-    if proportional:
-        monos = sorted(A.coeffs)
-        (i, j), (hh, kk) = monos[0], monos[1]
-        r, s = i - hh, j - kk
-        if r < 0 or (r == 0 and s < 0):
-            r, s, (i, j), (hh, kk) = -r, -s, (hh, kk), (i, j)
-        gamma = U_f ** r * V_f ** s
-        lam_ratio = A.coeff(hh, kk) / A.coeff(i, j)
-        mu = gamma / lam_ratio
-        step1 = {
-            "coprime": False,
-            "relation": {"r": r, "s": s,
-                         "gamma": render_ratfunc_expr(gamma),
-                         "mu_constant": mu.is_constant},
-        }
-        report["step1"] = step1
-        return report
-    # B's support lies inside A's and A involves both variables, so a
-    # shared factor involving Y makes F vanish and one involving X makes G
-    # vanish: A and B are coprime exactly when both resultants are nonzero.
+    report["s_prime"] = _s_prime_step(S, S_a, S_prime)
     F = resultant_y(A, B)
+    report["step1"] = _step1(A, F, U, V)
+    if F.is_zero:
+        return report
     G = resultant_x(A, B)
-    coprime = not (F.is_zero or G.is_zero)
-    report["step1"] = {"coprime": coprime}
-    if not coprime:
-        raise NotIrreducibleAttested(
-            "A shares a nonconstant factor with its companion but is not "
-            "proportional to it; the attestation is suspect")
-
-    # Step 2: the resultants' degree and height bounds.
-    c4 = 2 * A.deg_x * A.deg_y
-    h_a = poly_height(A)
-    chi_sp = max(1, euler_char(S_prime))
-    bound_f = 2 * A.deg_y * (3 * chi_sp + h_a)
-    bound_g = 2 * A.deg_x * (3 * chi_sp + h_a)
-    hf = poly_height(F)
-    hg = poly_height(G)
-    report["step2"] = {
-        "deg_f": F.deg_x, "deg_g": G.deg_y, "deg_bound": c4,
-        "h_f": hf, "h_g": hg,
-        "h_bound_f": bound_f, "h_bound_g": bound_g,
-        "holds": (F.deg_x <= c4 and G.deg_y <= c4
-                  and hf <= bound_f and hg <= bound_g),
-    }
-
-    # Step 3: the split case requires every root to lie in Q(t).
+    report["step2"] = _step2(A, F, G, S_prime)
     roots_f, complete_f = rational_roots(F)
     roots_g, complete_g = rational_roots(G)
-    report["step3"] = {
-        "roots_f": [render_ratfunc_expr(r) for r in roots_f],
-        "roots_g": [render_ratfunc_expr(r) for r in roots_g],
-        "complete_f": complete_f, "complete_g": complete_g,
-    }
+    report["step3"] = _step3(roots_f, roots_g, complete_f, complete_g)
     if not (complete_f and complete_g):
         report["outcome"] = "not_split"
         return report
-
-    # Step 4: assemble the common-zero set and the place set V, then check
-    # the pointwise inequality at every zero of A(u, v) outside V.
-    zset = _common_zeros(A, B, roots_f, roots_g)
-    places = set(S_prime.places)
-    for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
-              G.coeff(0, 0), G.coeff(0, G.deg_y)):
-        places |= _support_places(c)
-    for alpha in dict.fromkeys(roots_f):
-        for beta in dict.fromkeys(roots_g):
-            for val in (evaluate(A, alpha, beta), evaluate(B, alpha, beta)):
-                if not val.is_zero:
-                    places |= _support_places(val)
-    V = PlaceSet(frozenset(places))
-
-    a_val = evaluate(A, U_f, V_f)
-    b_val = evaluate(B, U_f, V_f)
-    checks = []
-    holds = True
-    if not a_val.is_zero and not b_val.is_zero:
-        outside = strip_set_factors(a_val.num, V)
-        zero_places = [Place._trusted(q) for q, _ in factor_poly(outside)]
-        if not V.has_infinity and a_val.den.degree > a_val.num.degree:
-            zero_places.append(Place.infinity())
-        for p in zero_places:
-            lhs = min(ord_at(a_val, p), ord_at(b_val, p))
-            rhs = sum(
-                min(ord_at(U_f - alpha, p) if U_f != alpha else 10 ** 9,
-                    ord_at(V_f - beta, p) if V_f != beta else 10 ** 9)
-                for alpha, beta in zset)
-            ok = lhs <= rhs
-            holds = holds and ok
-            checks.append({"place": str(p), "lhs": lhs, "rhs": rhs, "holds": ok})
-    report["step4"] = {
-        "v_geometric_size": V.geometric_size,
-        "z_pairs": len(zset),
-        "checks": checks,
-        "holds": holds,
-    }
+    report["step4"] = _step4(A, B, F, G, S_prime, roots_f, roots_g, U, V)
     report["outcome"] = "split_audit_complete"
     return report

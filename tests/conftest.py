@@ -11,8 +11,9 @@ every subset over sympy polynomials, multiplicative dependence by every
 2x2 minor of the exponent vectors, resultants (BiPolys in the variable
 left) by sympy's subresultant PRS over Z[X, Y, t], rational roots by the
 rational-root method over Q[t] with synthetic division, factorisations
-over Q by sympy's Zassenhaus over ZZ, cleared
-denominators by a `poly_lcm` chain, and the irreducibility audit by
+over Q by sympy's Zassenhaus over ZZ, cleared denominators by sympy's
+lcm and `clear_denoms`, audit step 1 by the coefficient-ratio scan it
+replaced, and the irreducibility audit by
 building each specialisation as a sympy expression coefficient by
 coefficient.  Two are the library's own former code, kept as oracles:
 `deriv_omega`, the derivation against a two-pole form, and
@@ -360,25 +361,39 @@ def oracle_divide_out(p: Poly, q: Poly) -> tuple[Poly, int]:
 
 
 def oracle_clear_denominators(coeffs) -> tuple[dict, Poly]:
-    """`field_core.clear_denominators` by a `poly_lcm` chain, one link per
-    distinct nonconstant denominator in first-occurrence order, and each
-    cofactor by a `Poly` division."""
-    from math import lcm
-
-    from ffvojta.field_core import poly_lcm
-
-    one = Poly.one()
-    pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, one)
+    """`field_core.clear_denominators` by sympy: the lcm of the
+    denominators over QQ (monic), each value times its cofactor as one
+    sympy Poly in t and a key variable K, and the integer scale by
+    `clear_denoms`, as `oracle_resultant` clears its inputs."""
+    K = sympy.Symbol("K")
+    pairs = [(c.num, c.den) if isinstance(c, RatFunc) else (c, Poly.one())
              for c in coeffs.values()]
-    den = one
-    for q in dict.fromkeys(q for _, q in pairs):
-        if not q.is_constant:
-            den = poly_lcm(den, q)
-    nums = [n if q == den else n * (den // q) for n, q in pairs]
-    scale = lcm(*(n.den for n in nums))
-    ints = {k: [c * (scale // n.den) for c in n.nums]
-            for k, n in zip(coeffs, nums)}
-    return ints, den.scale(scale)
+    d = reduce(lambda p, q: p.lcm(q), (to_sympy(q) for _, q in pairs),
+               to_sympy(Poly.one()))
+    expr = sum((to_sympy(n) * d.exquo(to_sympy(q))).as_expr() * K ** k
+               for k, (n, q) in enumerate(pairs))
+    scale, cleared = sympy.Poly(expr, SYMPY_T, K, domain="QQ").clear_denoms(
+        convert=True)
+    terms = cleared.as_dict()
+    ints = {}
+    for k, key in enumerate(coeffs):
+        deg = max((e for e, kk in terms if kk == k), default=-1)
+        ints[key] = [int(terms.get((e, k), 0)) for e in range(deg + 1)]
+    return ints, from_sympy(d * int(scale))
+
+
+def oracle_proportional(A, B) -> bool:
+    """Whether B = c * A for some c in Q(t), or B = 0, by a scan of the
+    coefficient ratios: B's support lies inside A's, and every coefficient
+    of B is A's times the ratio at A's least monomial.  This is the test
+    that audit step 1 ran before it read coprimality off Res_Y(A, B)."""
+    if B.is_zero:
+        return True
+    if not all(ij in A.coeffs for ij in B.coeffs):
+        return False
+    base = min(A.coeffs)
+    ratio = B.coeff(*base) / A.coeff(*base)
+    return all(B.coeff(i, j) == A.coeff(i, j) * ratio for (i, j) in A.coeffs)
 
 
 def oracle_as_ratfunc(u) -> RatFunc:

@@ -496,9 +496,10 @@ def _exps(*pairs) -> tuple:
 
 
 class TestClearDenominators:
-    """`clear_denominators` against the `poly_lcm` chain of conftest on
-    denominators that are products of powers of the places above, the
-    degree-2 places among them: (ints, d) must be the same, int for int.
+    """`clear_denominators` against sympy's lcm and `clear_denoms`
+    (`conftest.oracle_clear_denominators`) on denominators that are
+    products of powers of the places above, the degree-2 places among
+    them: (ints, d) must be the same, int for int.
     The examples pin a nested chain in rising degree, a disjoint one, an
     overlapping one, and equal denominators built apart beside a `Poly`
     and a constant."""

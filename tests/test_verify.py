@@ -11,7 +11,7 @@ import pytest
 
 import ffvojta
 from ffvojta.cli import main as cli_main
-from conftest import ODD_PLACE_SETS
+from conftest import ODD_PLACE_SETS, oracle_proportional
 from ffvojta.constants import InvalidInput
 from ffvojta.field_core import Place, Poly
 from ffvojta.parser import (
@@ -522,6 +522,55 @@ class TestAudit:
         rel = rep["step1"]["relation"]
         assert (rel["r"], rel["s"]) == (1, 1)
         assert rel["mu_constant"]
+
+    @pytest.mark.parametrize("poly", ["X*Y-t", "X+Y+1"])
+    @pytest.mark.parametrize("places", [("0", "1", "inf"),
+                                        ("0", "2", "-1", "inf")])
+    def test_step1_matches_the_ratio_scan(self, poly, places):
+        # step 1 reads coprimality off F = Res_Y(A, B); the scan of B's
+        # coefficient ratios to A's decides the same on seeded pairs, the
+        # relation pairs of X*Y-t among them
+        from ffvojta.bipoly import b_polynomial
+        from ffvojta.verify import _audit_setting
+
+        cfg = RunConfig(poly=poly, places=places, max_exponent=1, seed=3,
+                        mode="audit")
+        ctx = build_context(cfg)
+        A, _, _, w = _audit_setting(poly, places, 3)
+        relations = 0
+        for index in range(40):
+            u, v = pair_for_index(ctx, index)
+            proportional = oracle_proportional(A, b_polynomial(A, u, v, w))
+            assert audit_steps(cfg, u, v)["step1"]["coprime"] is (
+                not proportional)
+            relations += proportional
+        assert relations == (2 if poly == "X*Y-t" else 0)
+
+    @pytest.mark.parametrize("places", [("0", "1", "inf"),
+                                        ("0", "2", "-1", "inf")])
+    def test_step4_zero_set_is_the_common_zeros(self, places):
+        # step 4 reads the common zeros off one evaluation of A and B at
+        # each root pair; `_common_zeros` decides them by `vanishes_at`
+        from ffvojta.bipoly import (b_polynomial, rational_roots, resultant_x,
+                                    resultant_y)
+        from ffvojta.verify import _audit_setting, _common_zeros
+
+        cfg = RunConfig(poly="X+Y+1", places=places, max_exponent=1, seed=3,
+                        mode="audit")
+        ctx = build_context(cfg)
+        A, _, _, w = _audit_setting("X+Y+1", places, 3)
+        found = 0
+        for index in range(40):
+            u, v = pair_for_index(ctx, index)
+            rep = audit_steps(cfg, u, v)
+            assert rep["outcome"] == "split_audit_complete"
+            B = b_polynomial(A, u, v, w)
+            roots_f, _ = rational_roots(resultant_y(A, B))
+            roots_g, _ = rational_roots(resultant_x(A, B))
+            zeros = _common_zeros(A, B, roots_f, roots_g)
+            assert rep["step4"]["z_pairs"] == len(zeros)
+            found += len(zeros)
+        assert found > 0
 
     def test_not_split(self):
         # the Y-resultant is -X^2 + 2t, whose roots leave the field
