@@ -1258,8 +1258,6 @@ def _kronecker_irreducible(spec: Mapping[tuple[int, int], int],
             for k, x in enumerate(row):
                 f[k] += x
         f = _primitive(_trim(f))
-        if len(f) == 2:
-            return True
         factors = _factor_squarefree(f)
         if factors is not None and len(factors) == 1:
             return True

@@ -145,14 +145,21 @@ def pair_for_index(ctx: _Context, index: int) -> tuple[SUnit, SUnit]:
 
 
 def _common_zeros(A: BiPoly, B: BiPoly, roots_f: list[RatFunc],
-                  roots_g: list[RatFunc]) -> list[tuple[RatFunc, RatFunc]]:
-    """The pairs (alpha, beta) of nonzero roots, alpha of F and beta of G,
-    at which A and B both vanish, without repeats: alpha and beta each in
-    the order of their first occurrence in roots_f and roots_g."""
-    return [(alpha, beta) for alpha in dict.fromkeys(roots_f)
-            for beta in dict.fromkeys(roots_g)
-            if not (alpha.is_zero or beta.is_zero)
-            and vanishes_at(A, alpha, beta) and vanishes_at(B, alpha, beta)]
+                  roots_g: list[RatFunc]
+                  ) -> tuple[list[tuple[RatFunc, RatFunc]], list[RatFunc]]:
+    """A and B evaluated once at each pair (alpha, beta) of distinct roots,
+    alpha of F and beta of G, each in the order of its first occurrence in
+    roots_f and roots_g.  Returns the common zeros, the pairs with
+    alpha beta != 0 at which both values vanish, and the nonzero values."""
+    zeros, values = [], []
+    for alpha in dict.fromkeys(roots_f):
+        for beta in dict.fromkeys(roots_g):
+            a_ab, b_ab = evaluate(A, alpha, beta), evaluate(B, alpha, beta)
+            values += [val for val in (a_ab, b_ab) if not val.is_zero]
+            if (a_ab.is_zero and b_ab.is_zero
+                    and not (alpha.is_zero or beta.is_zero)):
+                zeros.append((alpha, beta))
+    return zeros, values
 
 
 def gamma_candidate_membership(A: BiPoly, r: int, s: int,
@@ -181,7 +188,7 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
         return unchecked
     roots_f, complete_f = rational_roots(F)
     roots_g, complete_g = rational_roots(G)
-    zeros = _common_zeros(A, twist, roots_f, roots_g)
+    zeros, _ = _common_zeros(A, twist, roots_f, roots_g)
     member = any((gamma / (alpha ** r * beta ** s)).is_constant
                  for alpha, beta in zeros)
     return {"checked": complete_f and complete_g, "member": member,
@@ -458,21 +465,14 @@ def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
     """Step 4: the common-zero set Z and the place set V, then the
     pointwise inequality at every zero of A(U, V) outside V.
 
-    A and B are evaluated once at each pair of distinct roots: Z is the
-    pairs of nonzero roots where both values vanish, in the order of
-    `_common_zeros`, and V is S' with the zeros and poles of the nonzero
-    values and of F's and G's end coefficients."""
-    zset, places = [], set(S_prime.places)
+    Z and the nonzero values of A and B at the root pairs come from one
+    evaluation (`_common_zeros`); V is S' with the zeros and poles of
+    those values and of F's and G's end coefficients."""
+    zset, values = _common_zeros(A, B, roots_f, roots_g)
+    places = set(S_prime.places)
     for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
-              G.coeff(0, 0), G.coeff(0, G.deg_y)):
+              G.coeff(0, 0), G.coeff(0, G.deg_y), *values):
         places |= _support_places(c)
-    for alpha in dict.fromkeys(roots_f):
-        for beta in dict.fromkeys(roots_g):
-            a_ab, b_ab = evaluate(A, alpha, beta), evaluate(B, alpha, beta)
-            places |= _support_places(a_ab) | _support_places(b_ab)
-            if (a_ab.is_zero and b_ab.is_zero
-                    and not (alpha.is_zero or beta.is_zero)):
-                zset.append((alpha, beta))
     V_set = PlaceSet(frozenset(places))
     a_val, b_val = evaluate(A, U, V), evaluate(B, U, V)
     checks, holds = [], True

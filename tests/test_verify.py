@@ -480,10 +480,12 @@ class TestAudit:
         t, one, two = RatFunc.t(), RatFunc.one(), RatFunc.const(2)
         A = parse_bipoly("(X-1)*(X-t)")
         B = parse_bipoly("(Y-2)*(Y+t)")
-        zeros = _common_zeros(A, B, [t, RatFunc.zero(), one, t, one],
-                              [-t, two, -t, two])
+        zeros, values = _common_zeros(A, B, [t, RatFunc.zero(), one, t, one],
+                                      [-t, two, -t, two])
         assert zeros == [(t, -t), (t, two), (one, -t), (one, two)]
-        zeros = _common_zeros(A, B, [one, t], [two, -t, two])
+        # the zero root's pairs: A(0, beta) = t, B(0, beta) = 0
+        assert values == [t, t]
+        zeros, _ = _common_zeros(A, B, [one, t], [two, -t, two])
         assert zeros == [(one, two), (one, -t), (t, two), (t, -t)]
 
     def test_resultant_bounds_example(self):
@@ -546,14 +548,39 @@ class TestAudit:
             relations += proportional
         assert relations == (2 if poly == "X*Y-t" else 0)
 
+    def test_step1_relation_at_max_exponent_6(self):
+        # a relation pair pays Res_Y(A, B) before step 1 reads it; at
+        # max_exponent 6 it is as small as the coprime pairs' and the
+        # ratio scan still agrees
+        from ffvojta.bipoly import b_polynomial
+        from ffvojta.verify import _audit_setting
+
+        places = ("0", "1", "inf")
+        cfg = RunConfig(poly="X*Y-t", places=places, max_exponent=6, seed=3,
+                        mode="audit")
+        ctx = build_context(cfg)
+        A, _, _, w = _audit_setting("X*Y-t", places, 3)
+        relations = []
+        for index in range(60):
+            u, v = pair_for_index(ctx, index)
+            proportional = oracle_proportional(A, b_polynomial(A, u, v, w))
+            rep = audit_steps(cfg, u, v)
+            assert rep["step1"]["coprime"] is (not proportional)
+            if proportional:
+                relations.append(index)
+                assert list(rep) == ["mode", "split_case_only", "poly", "u",
+                                     "v", "s_prime", "step1"]
+        assert relations == [55]
+
     @pytest.mark.parametrize("places", [("0", "1", "inf"),
                                         ("0", "2", "-1", "inf")])
-    def test_step4_zero_set_is_the_common_zeros(self, places):
-        # step 4 reads the common zeros off one evaluation of A and B at
-        # each root pair; `_common_zeros` decides them by `vanishes_at`
+    def test_step4_zero_set_against_vanishes_at(self, places):
+        # step 4 reads the common zeros off one exact evaluation of A and B
+        # at each root pair; `vanishes_at`, which certifies a nonzero value
+        # by modular images first, decides the same set
         from ffvojta.bipoly import (b_polynomial, rational_roots, resultant_x,
-                                    resultant_y)
-        from ffvojta.verify import _audit_setting, _common_zeros
+                                    resultant_y, vanishes_at)
+        from ffvojta.verify import _audit_setting
 
         cfg = RunConfig(poly="X+Y+1", places=places, max_exponent=1, seed=3,
                         mode="audit")
@@ -567,7 +594,10 @@ class TestAudit:
             B = b_polynomial(A, u, v, w)
             roots_f, _ = rational_roots(resultant_y(A, B))
             roots_g, _ = rational_roots(resultant_x(A, B))
-            zeros = _common_zeros(A, B, roots_f, roots_g)
+            zeros = {(alpha, beta) for alpha in roots_f for beta in roots_g
+                     if not (alpha.is_zero or beta.is_zero)
+                     and vanishes_at(A, alpha, beta)
+                     and vanishes_at(B, alpha, beta)}
             assert rep["step4"]["z_pairs"] == len(zeros)
             found += len(zeros)
         assert found > 0
