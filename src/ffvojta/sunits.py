@@ -183,7 +183,9 @@ def as_ratfunc(u: SUnit) -> RatFunc:
     c * prod P^e / L^e.  The products of the P's with e > 0 and with e < 0
     are one integer product each (`field_core._kronecker_product`), and
     each is put over its denominator, from c and the L's, by one
-    `field_core._scaled`.
+    `field_core._scaled`.  In that kernel the place t is a shift, and a
+    side with one other place reads P^e from its cache of place powers:
+    a place set has few places and exponents, so these repeat across units.
     """
     ups, downs = [], []
     lift_up = lift_down = 1

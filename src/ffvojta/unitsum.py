@@ -162,7 +162,8 @@ def _known_den_sum(units, exps, S: PlaceSet) -> tuple[RatFunc, list[int]]:
     has the denominator prod P^m_P, m_P = max(0, -min_k e_kP).  Each place
     is stored as integers N_P over L_P (its `nums` and `den`), so over that
     denominator term k is c_k prod N_P^(e_kP + m_P) / L_P^(e_kP + m_P): one
-    `_kronecker_product` each.  The numerators add over one common integer
+    `_kronecker_product` each, whose cache of place powers serves a term
+    with one place other than t.  The numerators add over one common integer
     denominator, and `_known_quotient` divides out whatever cancels, k_P
     times, so no gcd runs and the pole at P has order m_P - k_P.
     """

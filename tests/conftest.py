@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the code paths they check: order sums
 and truncated counts are recomputed from a full sympy factorization,
 projective heights from the per-place definition, rendered polynomials
-term by term, S-unit expansions by repeated `Poly` multiplication over Q,
+term by term, S-unit expansions by the Fraction schoolbook,
 `Poly` products and divisions by the Fraction schoolbook, the other `Poly` operations by sympy over QQ
 (`to_sympy` and `from_sympy`), `RatFunc` arithmetic by the unreduced
 pair fed to the normalising constructor, vanishing subsums by summing
@@ -397,15 +397,17 @@ def oracle_proportional(A, B) -> bool:
 
 
 def oracle_as_ratfunc(u) -> RatFunc:
-    """An S-unit expanded by `Poly` products over Q: the constant times
-    each place polynomial raised by square-and-multiply."""
-    num = Poly.const(u.constant)
-    den = Poly.one()
+    """An S-unit expanded by the Fraction schoolbook (`oracle_poly_mul`):
+    the constant times each place polynomial, multiplied in |e| times above
+    or below the line, then put in normal form by `RatFunc`.  No `Poly`
+    product runs, so the integer kernel is not checked against itself."""
+    num, den = Poly.const(u.constant), Poly.one()
     for p, e in u.exponents:
-        if e > 0:
-            num = num * p.poly ** e
-        else:
-            den = den * p.poly ** (-e)
+        for _ in range(abs(e)):
+            if e > 0:
+                num = oracle_poly_mul(num, p.poly)
+            else:
+                den = oracle_poly_mul(den, p.poly)
     return RatFunc(num, den)
 
 

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,12 +24,15 @@ from ffvojta.field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
     _MERSENNE_EXPONENTS,
+    _POWER_CACHE_BITS,
     _ModRing,
+    _cached_power,
     _den_product,
     _exact_gcd,
     _factor_cached,
     _factor_squarefree,
     _image,
+    _kronecker_product,
     _multiplicity,
     _quadratic_factors,
     _recombined,
@@ -418,6 +421,100 @@ class TestIntegerKernels:
         assert strip_set_factors(Poly(), _S_PLACES).is_zero
         with pytest.raises(ZeroPolynomial):
             _multiplicity(Poly(), T)
+
+
+def _convolution(factors) -> list[int]:
+    """prod f**e by the schoolbook, one factor at a time, over ints."""
+    out = [1]
+    for f, e in factors:
+        for _ in range(e):
+            nxt = [0] * (len(out) + len(f) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(f):
+                    nxt[i + j] += x * y
+            out = nxt
+    return out
+
+
+# the kernel's inputs: t^j, which it shifts; monomials with another
+# coefficient (3t^2, -t), which it packs; constants; anything else, zero low
+# and top coefficients allowed, the top one nonzero in most draws
+_MONOMIALS = st.builds(lambda j, c: (0,) * j + (c,), st.integers(0, 6),
+                       st.sampled_from((1, 1, 1, -1, 3, -2)))
+_KRONECKER_FACTORS = st.tuples(
+    st.one_of(_MONOMIALS, st.lists(st.integers(-9, 9), min_size=1,
+                                   max_size=6).filter(any).map(tuple)),
+    st.integers(0, 6))
+
+
+@st.composite
+def _factor_lists(draw):
+    """A factor list with repeated factors, each f a list or a tuple, the
+    list itself a list or a tuple."""
+    factors = draw(st.lists(_KRONECKER_FACTORS, max_size=5))
+    if factors and draw(st.booleans()):
+        factors.append(draw(st.sampled_from(factors)))
+    factors = [(list(f) if draw(st.booleans()) else f, e)
+               for f, e in factors]
+    return factors if draw(st.booleans()) else tuple(factors)
+
+
+class TestKroneckerProduct:
+    """`_kronecker_product` against the schoolbook convolution: the shift
+    for t^j, a copy for one factor with e = 1, the cached power for one
+    factor with e >= 2, the packed product for everything else."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(_factor_lists())
+    @example(())
+    @example([((0, 0, 1), 3)])
+    @example([((0, 3), 2), ([0, -1], 1)])
+    @example([((5,), 0), ((-1, 1), 0)])
+    @example([([2, -1, 4], 1)])
+    @example([((-1, 1), 5), ((-1, 1), 5), ((0, 1), 2)])
+    def test_matches_convolution(self, factors):
+        expected = _convolution(factors)
+        assert _kronecker_product(factors) == expected
+        # a second call, from the cache where a power went in
+        assert _kronecker_product(factors) == expected
+
+    def test_one_factor_power_goes_through_the_cache(self):
+        _cached_power.cache_clear()
+        for _ in range(3):
+            assert (_kronecker_product([((-7, 0, 1), 4), ((0, 1), 2)])
+                    == _convolution([((-7, 0, 1), 4), ((0, 1), 2)]))
+        info = _cached_power.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        # e = 1 and two or more factors never reach it
+        _kronecker_product([((-7, 0, 1), 1)])
+        _kronecker_product([((-7, 0, 1), 2), ((1, 1), 2)])
+        assert _cached_power.cache_info() == info
+
+    @pytest.mark.parametrize("factors", [
+        [((-1, 1), 25)], [((-1, 1), 25), ((0, 1), 3)], [([4, 0, 3], 1)],
+        [((0, 0, 1), 4)], [],
+    ])
+    def test_returned_list_is_the_callers(self, factors):
+        expected = _convolution(factors)
+        given = [(list(f), e) for f, e in factors]
+        out = _kronecker_product(factors)
+        out[0] += 99
+        out.append(5)
+        assert _kronecker_product(factors) == expected
+        assert [(list(f), e) for f, e in factors] == given
+
+    def test_power_past_the_cap(self):
+        # (t - 1)^200: 201 coefficients charged 202 + 320 bits each, far
+        # past the cap; (t - 1)^25, 26 * 347 = 9,022 bits, fits
+        assert 201 * (202 + 320) > _POWER_CACHE_BITS >= 26 * (27 + 320)
+        _cached_power.cache_clear()
+        for _ in range(2):
+            assert _kronecker_product([((-1, 1), 200)]) == [
+                comb(200, i) * (-1) ** (200 - i) for i in range(201)]
+        assert _cached_power.cache_info().currsize == 0
+        _kronecker_product([((-1, 1), 25)])
+        assert _cached_power.cache_info().currsize == 1
 
 
 class TestOverKnownDen:

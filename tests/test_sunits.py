@@ -154,7 +154,7 @@ def _parts(f: RatFunc) -> tuple:
 
 class TestExpansion:
     """`as_ratfunc` (one Kronecker-packed integer product above and below
-    the line) against the `Poly` product over Q in `oracle_as_ratfunc`."""
+    the line) against the Fraction schoolbook in `oracle_as_ratfunc`."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.one_of(st.sampled_from(CONSTANT_POOL),
