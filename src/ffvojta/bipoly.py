@@ -17,13 +17,13 @@ fraction-free Bareiss determinant, whose signed digits are the
 coefficients; it fills in its own cleared form from them, and the
 companion `b_polynomial` fills in its own from its known denominators.
 Rational roots specialise the cleared polynomial at a
-small t = tau, find the rational roots of that image p-adically (roots mod
-a small prime, Hensel lifting, rational reconstruction; an image whose
-repeated roots leave every prime undecided is decided on its squarefree
-part) and lift each one
-t-adically, modulo a Mersenne prime above Mignotte's factor bound, to a
-root rebuilt by Pade reconstruction; exact division in Z[t][Z] keeps it,
-and an image with no rational root proves there is none.  The points tau
+small t = tau, find the rational roots of that image p-adically (the roots
+mod the first small prime where they are all simple, Hensel-lifted and
+read through the leading coefficient; an image with a repeated root is
+decided on its squarefree part) and lift each one t-adically, modulo a
+Mersenne prime above Mignotte's factor bound, to a root rebuilt by Pade
+reconstruction; exact division in Z[t][Z] keeps it, and an image with no
+rational root proves there is none.  The points tau
 tried are bounded by the degrees, so that some point keeps the roots
 apart.  Coprimality over Q(t) is read off the two resultants, and the
 specialisation audit certifies A(tau) irreducible over Q by Kronecker's
@@ -59,6 +59,7 @@ from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
     _MERSENNE_EXPONENTS,
+    _SMALL_PRIMES,
     InputTooLarge,
     OmegaForm,
     Place,
@@ -66,6 +67,7 @@ from .field_core import (
     RatFunc,
     ZeroPolynomial,
     _exact_quotient,
+    _horner,
     _image,
     _den_product,
     _divided,
@@ -75,13 +77,13 @@ from .field_core import (
     _kronecker_product,
     _pack,
     _primitive,
-    _repeated_split,
     _signed_digits,
     _trim,
     clear_denominators,
     factor_poly,
     height,
     ord_at,
+    poly_gcd,
     power,
 )
 from .sunits import SUnit, _log_derivative_num, as_ratfunc, unit_image
@@ -773,14 +775,6 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
 # bound taken from the degrees.
 _LIFT_POINTS = tuple(range(2, 10))
 
-# The primes for the rational roots of an image in Z[x] of degree n: the
-# first three above n that do not divide its leading coefficient.  Above
-# n, a root mod p of multiplicity mu is a simple root of the (mu-1)-th
-# derivative; five are above 64, the largest degree CLEARED_SIZE_CAP lets
-# through.
-_IMAGE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-                 71, 73, 79, 83)
-
 def _value(f, x: int) -> int:
     """f(x) for a sequence f of ints, lowest degree first."""
     acc = 0
@@ -791,80 +785,65 @@ def _value(f, x: int) -> int:
 
 def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
     """The rational roots of g in Z[x] (lowest degree first, g(0) and
-    lc(g) nonzero) with their multiplicities, or None when no prime of
-    _IMAGE_PRIMES decides them and neither does g's squarefree part
-    (`_squarefree_roots`).
+    lc(g) nonzero) with their multiplicities, or None when neither a prime
+    of _SMALL_PRIMES nor g's squarefree part (`_squarefree_roots`) decides
+    them.
 
-    A root u/v in lowest terms has u | g(0) and v | lc(g).  For a prime p
-    that does not divide lc(g) it reduces to a root x of g mod p, and if x
-    has multiplicity mu there, mu roots of g over the p-adic numbers, with
-    multiplicity, reduce to x.  x is a simple root of the (mu-1)-th
-    derivative h mod p, so Newton's iteration lifts it to the one p-adic
-    root of h above x, to a precision q = p^(2^i) above 2 |g(0) lc(g)|,
-    where rational reconstruction finds u/v if it is that root (von zur
-    Gathen and Gerhard, Modern Computer Algebra, 5.10), and exact division
-    confirms it.  A root confirmed with multiplicity mu accounts for
-    everything above x, and for mu = 1 the lift is the only root above x,
-    so no confirmed root means no rational root there.  Anything else
-    leaves the prime undecided.
+    The prime is the first p >= len(g) of _SMALL_PRIMES that does not
+    divide lc(g) and at which every root of g mod p is simple.  A rational
+    root of multiplicity >= 2 stays multiple mod every such p, so there
+    each rational root of g is simple, and reduces to a simple root x mod
+    p, which Newton's iteration lifts to the one p-adic root above x, to a
+    precision q = p^(2^i) above 2 |g(0) lc(g)|.  A root u/v in lowest terms
+    has u | g(0) and v | lc(g) (Gauss's lemma), so lc(g) u/v is an integer
+    below q/2 in absolute value: lc(g) times the lift, read in symmetric
+    residues, over lc(g) is the root if the lift is rational, and exact
+    division decides whether it is: the rule `field_core._exact_gcd` and
+    the factoriser's recombination read their lifts by.  When no prime
+    qualifies, g has most likely a repeated factor, and its squarefree
+    part decides.
     """
-    bound = 2 * abs(g[0] * g[-1])
-    primes = [p for p in _IMAGE_PRIMES if p >= len(g) and g[-1] % p]
-    for p in primes[:3]:
+    lc = g[-1]
+    for p in _SMALL_PRIMES:
+        if p < len(g) or not lc % p:
+            continue
         gp = [c % p for c in g]
-        values = [0] * p
-        for c in reversed(gp):
-            values = [(v * x + c) % p for x, v in enumerate(values)]
+        der = [i * c % p for i, c in enumerate(gp)][1:]
+        roots = [x for x in range(p) if not _horner(gp, x, p)]
+        if any(not _horner(der, x, p) for x in roots):
+            continue
+        bound = 2 * abs(g[0] * lc)
         found: dict[Fraction, int] = {}
-        for x in (x for x, v in enumerate(values) if not v):
-            mu, rest = 0, gp
-            while True:
-                # synthetic division by (Z - x) mod p: the quotient, top
-                # down, then the remainder
-                acc, quo = 0, []
-                for c in reversed(rest):
-                    acc = (acc * x + c) % p
-                    quo.append(acc)
-                if acc:
-                    break
-                rest, mu = quo[-2::-1], mu + 1
-            h = [perm(i, mu - 1) * c for i, c in enumerate(g)][mu - 1:]
-            root = _reconstructed(*_padic_root(h, x, p, bound),
-                                  abs(g[0]), abs(g[-1]))
-            m, rest = 0, g
-            linear = None if root is None else [-root.numerator,
-                                                root.denominator]
-            while linear and m < mu:
-                rest = _exact_quotient(rest, linear)
-                if rest is None:
-                    break
-                m += 1
-            if m == mu:
-                found[root] = mu
-            elif mu > 1:
-                break
-        else:
-            return found
+        for x in roots:
+            y, q = _padic_root(g, x, p, bound)
+            w = y * lc % q
+            root = Fraction(w - q if w > q // 2 else w, lc)
+            if _exact_quotient(g, [-root.numerator,
+                                   root.denominator]) is not None:
+                found[root] = 1
+        return found
     return _squarefree_roots(g)
 
 
 def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
     """The rational roots of g with their multiplicities, read off its
-    squarefree part (`field_core._repeated_split`), or None when g is
-    squarefree or a step declines.
+    squarefree part, or None when g is squarefree or `_image_roots`
+    declines that part.
 
-    The squarefree part has the roots of g, each simple, so `_image_roots`
-    decides them on the first prime it can use.  This is how an image whose
-    repeated roots left every prime undecided, such as a cube, is
+    h = gcd(g, g') holds every repeated factor, so g / h has the roots of
+    g, each simple, and `_image_roots` decides them on the first prime
+    where their images stay apart; each root's multiplicity in g is the
+    number of times its linear factor divides g.  This is how an image
+    whose repeated roots leave every prime undecided, such as a cube, is
     decided."""
-    def linear_factors(s):
-        roots = _image_roots(s)
-        return None if roots is None else [[-r.numerator, r.denominator]
-                                           for r in roots]
-
-    split = _repeated_split(_primitive(g), linear_factors)
-    return None if split is None else {Fraction(-q[0], q[1]): m
-                                       for q, m in split}
+    h = poly_gcd(Poly(g), Poly([i * c for i, c in enumerate(g)][1:]))
+    if h.is_constant:
+        return None
+    roots = _image_roots(_exact_quotient(g, _primitive(h.nums)))
+    if roots is None:
+        return None
+    return {r: _divided(g, [-r.numerator, r.denominator], len(g))[1]
+            for r in roots}
 
 
 def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:
@@ -879,19 +858,6 @@ def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:
             acc = (acc * x + c) % q
         x = (x - acc * pow(der, -1, q)) % q
     return x, q
-
-
-def _reconstructed(x: int, q: int, n: int, d: int) -> Fraction | None:
-    """The fraction u/v with |u| <= n and 0 < v <= d congruent to x mod q,
-    unique when 2nd < q, by the half-extended Euclidean algorithm; None
-    when there is none."""
-    r0, r1, s0, s1 = q, x, 0, 1
-    while r1 > n:
-        k = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
-    if not s1 or abs(s1) > d:
-        return None
-    return Fraction(r1, s1)
 
 
 def _series_mul(a: list[int], b: list[int], n: int, mod: int) -> list[int]:
@@ -1264,11 +1230,14 @@ def _kronecker_irreducible(spec: Mapping[tuple[int, int], int],
     return False
 
 
-def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
-                                        trials: int = 5) -> bool:
+# the seeded points t = tau at which the irreducibility audit specialises
+_AUDIT_TRIALS = 5
+
+
+def specialization_irreducibility_audit(A: BiPoly, seed: int = 0) -> bool:
     """A certificate of an irreducibility attestation over Q(t).
 
-    Specializes t at `trials` seeded rational points and decides whether
+    Specializes t at _AUDIT_TRIALS seeded rational points and decides whether
     the resulting bivariate polynomial is irreducible over Q.  Where the
     bidegree is kept, a nontrivial factorisation of A over Q(t)
     specializes to a nontrivial one of A(tau), so one specialization that
@@ -1289,7 +1258,7 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0,
     # A(tau) is d(tau)^-1 times the cleared polynomial at tau; d(tau) = 0
     # exactly when a coefficient of A has a pole at tau
     ints, d = A.cleared()
-    for _ in range(trials):
+    for _ in range(_AUDIT_TRIALS):
         tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
         if d.eval(tau) == 0:
             continue

@@ -428,7 +428,7 @@ class Poly:
 _ZERO, _ONE = Poly(), Poly((1,))
 
 
-def render_poly(p: Poly, var: str = "t") -> str:
+def render_poly(p: Poly) -> str:
     """Render a polynomial in the expression grammar (re-parseable).
 
     One pass from the highest term: each sign becomes the separator before
@@ -454,7 +454,7 @@ def render_poly(p: Poly, var: str = "t") -> str:
         if not i:
             parts.append(str(mag))
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "t" if i == 1 else f"t^{i}"
             parts.append(power if mag == 1 else f"{mag}*{power}")
     # the leading term carries its sign without the separator's spaces
     parts[0] = "-" if parts[0] == " - " else ""
@@ -939,12 +939,11 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     return None
 
 
-def _repeated_split(f: list[int], split=_factor_squarefree
-                    ) -> list[tuple[list[int], int]] | None:
-    """`split` (by default `_factor_squarefree`) on the squarefree part s of
-    the primitive f (degree >= 2, positive leading coefficient), each of the
-    primitive factors it returns paired with the number of times it divides
-    f; None when f is squarefree or a step declines.
+def _repeated_split(f: list[int]) -> list[tuple[list[int], int]] | None:
+    """The irreducible factors of the primitive f (degree >= 2, positive
+    leading coefficient), each paired with the number of times it divides
+    f, from `_factor_squarefree` on f's squarefree part s; None when f is
+    squarefree or a step declines.
 
     g = gcd(f, f') (`_exact_gcd`) holds every repeated factor, so s = f / g
     is the squarefree product of the distinct irreducible factors of f.  A
@@ -953,7 +952,7 @@ def _repeated_split(f: list[int], split=_factor_squarefree
     g = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
     if g is None or len(g) == 1:
         return None
-    factors = split(_exact_quotient(f, g))
+    factors = _factor_squarefree(_exact_quotient(f, g))
     if factors is None:
         return None
     return [(q, _divided(f, q, len(f))[1]) for q in factors]
@@ -995,13 +994,7 @@ def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    nums = p.nums
-    c = gcd(*nums)
-    if nums[-1] < 0:
-        c = -c
-    if c != 1:
-        nums = tuple([a // c for a in nums])
-    return list(_factor_cached(nums))
+    return list(_factor_cached(tuple(_primitive(p.nums))))
 
 
 def is_irreducible(p: Poly) -> bool:

@@ -29,6 +29,7 @@ from math import gcd
 
 import sympy
 
+from ffvojta.bipoly import _AUDIT_TRIALS
 from ffvojta.field_core import OmegaForm, Poly, RatFunc, _known_quotient
 from ffvojta.sunits import PlaceSet, SUnit, _log_derivative_num
 
@@ -298,13 +299,13 @@ def oracle_rational_roots(F) -> tuple[list[RatFunc], bool]:
     return roots, len(coeffs) == 1
 
 
-def oracle_irreducibility_audit(A, seed: int = 0, trials: int = 5) -> bool:
+def oracle_irreducibility_audit(A, seed: int = 0) -> bool:
     """The specialisation audit with the same draws, each specialisation
     built term by term over QQ; a tau at which a coefficient has a pole is
     skipped."""
     rng = random.Random(f"irred-audit:{seed}")
     X, Y = sympy.symbols("X Y")
-    for _ in range(trials):
+    for _ in range(_AUDIT_TRIALS):
         tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
         try:
             expr = sympy.Integer(0)
@@ -445,10 +446,10 @@ def log_derivative(u: SUnit, w: OmegaForm) -> RatFunc:
                            [(r, 1) for r in places])
 
 
-def oracle_render_poly(p: Poly, var: str = "t") -> str:
+def oracle_render_poly(p: Poly) -> str:
     """A polynomial in the expression grammar, term by term from the
     highest: each coefficient reduced to n/d and formatted with its own
-    sign, head and power of var."""
+    sign, head and power of t."""
     if p.is_zero:
         return "0"
     parts = []
@@ -469,7 +470,7 @@ def oracle_render_poly(p: Poly, var: str = "t") -> str:
             body = mag
         else:
             head = "" if n == 1 and d == 1 else f"{mag}*"
-            body = f"{head}{var}" + (f"^{i}" if i > 1 else "")
+            body = f"{head}t" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:

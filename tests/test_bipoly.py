@@ -16,7 +16,6 @@ from ffvojta.bipoly import (
     DegenerateDegree,
     InputTooLarge,
     PreconditionViolated,
-    _IMAGE_PRIMES,
     _orders_certify,
     _squarefree_roots,
     _LIFT_POINTS,
@@ -40,6 +39,7 @@ from ffvojta.bipoly import (
 from ffvojta.field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
+    _SMALL_PRIMES,
     Place,
     Poly,
     RatFunc,
@@ -878,7 +878,7 @@ class TestRationalRoots:
             F = F * _z(-c, 0, 1)
         image = [_value(ts, 0) for ts in _cleared_ints(F)]
         assert all(any(not _value(image, x) % p for x in range(p))
-                   for p in _IMAGE_PRIMES)
+                   for p in _SMALL_PRIMES if p >= len(image))
         assert _image_roots(image) == {}
         assert _lifted_roots(_cleared_ints(F)) == {}
         assert rational_roots(F) == oracle_rational_roots(F) == ([], False)
@@ -886,10 +886,10 @@ class TestRationalRoots:
     @pytest.mark.parametrize("k", [19, 32])
     def test_repeated_image_roots_from_the_squarefree_part(self, k):
         # (9 Z^3 + k)^3: the image of the X^3+Y^3+t audit's resultant at
-        # tau = 2 for k = 19.  Each of the first three primes sees a root of
-        # multiplicity 3 whose lift (a root of the second derivative) is no
-        # root, so no prime decides; the squarefree part 9 Z^3 + k has no
-        # rational root, and with (3 Z - 2)^2 beside it, 2/3 twice
+        # tau = 2 for k = 19.  Every root mod p is a triple one, and beside
+        # (3 Z - 2)^2 the root 2/3 is double mod every prime, so no prime
+        # decides those; the squarefree part 9 Z^3 + k has no rational
+        # root, and with (3 Z - 2)^2 beside it, 2/3 twice
         cube = Poly((k, 0, 0, 9)) ** 3
         for extra, want in ((Poly.one(), {}),
                             (Poly((-2, 3)) ** 2, {Fraction(2, 3): 2}),
@@ -900,6 +900,34 @@ class TestRationalRoots:
             assert _image_roots(g) == want
         # a squarefree image gives the squarefree part nothing to add
         assert _squarefree_roots(list(Poly((k, 0, 0, 9)).nums)) is None
+
+    def test_repeated_root_multiple_at_small_primes(self):
+        # (x - 3)^2 (x^2 + 2^100 + 1)(7 x + 5): 3 is a triple root mod 11
+        # and mod 13, and 0 a double root mod 17, so no prime has only
+        # simple roots; the squarefree part decides
+        g = list((Poly((-3, 1)) ** 2 * Poly((2 ** 100 + 1, 0, 1))
+                  * Poly((5, 7))).nums)
+        assert _image_roots(g) == {Fraction(3): 2, Fraction(-5, 7): 1}
+
+    @given(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40),
+                              st.integers(1, 2 ** 40), st.integers(1, 3)),
+                    max_size=4),
+           st.integers(1, 2 ** 40), st.integers(1, 2))
+    @example([(1, 1, 1), (12, 1, 1)], 1, 1)
+    @example([(1, 1, 2), (12, 1, 1), (-5, 7, 3)], 3, 2)
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    def test_planted_image_roots(self, roots, c, e):
+        # planted nonzero roots u/v with multiplicities times (x^2 + c)^e,
+        # which has no rational root; 1 and 12 meet mod 11
+        g = Poly((c, 0, 1)) ** e
+        planted: dict[Fraction, int] = {}
+        for u, v, m in roots:
+            if u:
+                r = Fraction(u, v)
+                planted[r] = planted.get(r, 0) + m
+                g = g * Poly((-r.numerator, r.denominator)) ** m
+        assert _image_roots(list(g.nums)) == planted
 
     def test_repeated_nonlinear_factors_agree_with_oracle(self):
         # planted roots beside a repeated factor with no rational root:
