@@ -85,7 +85,7 @@ def _kronecker_product(factors) -> list[int]:
     of the result and is never packed.  When one factor (f, e) remains, e =
     1 is a copy of f, and a power f^e with e >= 2 is read from
     `_cached_power`.  Only place powers reach that cache, from
-    `sunits.as_ratfunc`, `unitsum._known_den_sum` and `_den_product`: every
+    `sunits._sides`, `unitsum._known_den_sum` and `_den_product`: every
     other caller multiplies two or more factors with e = 1.  The units of
     one place set share their place powers P^e, so its entries repeat
     across pairs.  Anything else is packed by `_packed_product`.
@@ -429,33 +429,51 @@ _ZERO, _ONE = Poly(), Poly((1,))
 
 
 def render_poly(p: Poly) -> str:
-    """Render a polynomial in the expression grammar (re-parseable).
+    """Render a polynomial in the expression grammar (re-parseable)."""
+    return _render_scaled(p.nums, 1, p.den, 0)
+
+
+# "t^k" and "*t^k" by k, for `_render_scaled`, which grows them to each
+# degree it meets, so that a label is formatted once
+_T_POWERS, _TIMES_T_POWERS = ["", "t"], ["", "*t"]
+
+
+def _render_scaled(nums, a: int, b: int, shift: int) -> str:
+    """Render t^shift * nums * a / b in the expression grammar, for ints
+    nums (lowest degree first, no trailing zero), a != 0 and b >= 1.
 
     One pass from the highest term: each sign becomes the separator before
-    its term, and each coefficient n / den is reduced only when den != 1."""
-    nums = p.nums
+    its term, and each coefficient nums[i] * a / b is reduced on its own,
+    only when b != 1.  A reduced fraction does not depend on how its value
+    was stored, so a Poly renders the same from its own (nums, 1, den) as
+    from any integer scaling of it, such as an S-unit's side
+    (`sunits.render_unit`)."""
     if not nums:
         return "0"
-    den = p.den
+    for k in range(len(_T_POWERS), len(nums) + shift):
+        _T_POWERS.append(f"t^{k}")
+        _TIMES_T_POWERS.append(f"*t^{k}")
     parts = []
     for i in range(len(nums) - 1, -1, -1):
         n = nums[i]
         if not n:
             continue
+        n *= a
         if n < 0:
             parts.append(" - ")
             n = -n
         else:
             parts.append(" + ")
         mag = n
-        if den != 1:
-            g = gcd(n, den)
-            mag = n // g if g == den else f"{n // g}/{den // g}"
-        if not i:
+        if b != 1:
+            g = gcd(n, b)
+            mag = n // g if g == b else f"{n // g}/{b // g}"
+        k = i + shift
+        if not k:
             parts.append(str(mag))
         else:
-            power = "t" if i == 1 else f"t^{i}"
-            parts.append(power if mag == 1 else f"{mag}*{power}")
+            parts.append(_T_POWERS[k] if mag == 1
+                         else f"{mag}{_TIMES_T_POWERS[k]}")
     # the leading term carries its sign without the separator's spaces
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

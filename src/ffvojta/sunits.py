@@ -20,8 +20,10 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _T_NUMS,
     _horner,
     _kronecker_product,
+    _render_scaled,
     _scaled,
     divisor_of,
 )
@@ -175,35 +177,64 @@ class SUnit:
         return " * ".join(parts)
 
 
-def as_ratfunc(u: SUnit) -> RatFunc:
-    """Exact expansion of an S-unit into a rational function.
+def _sides(u: SUnit) -> tuple[tuple[list[int], int, int], ...]:
+    """The two sides of u = c * prod P^e as integer products: for the
+    places with e > 0 and then for those with e < 0, (ints, shift, lift)
+    with prod P^|e| = t^shift * ints / lift.
 
     Every place polynomial is stored as P / L (its `nums` and `den`: L the
-    least integer that clears it, so a monic P is primitive), and u is
-    c * prod P^e / L^e.  The products of the P's with e > 0 and with e < 0
-    are one integer product each (`field_core._kronecker_product`), and
-    each is put over its denominator, from c and the L's, by one
-    `field_core._scaled`.  In that kernel the place t is a shift, and a
-    side with one other place reads P^e from its cache of place powers:
-    a place set has few places and exponents, so these repeat across units.
+    least integer that clears it, so a monic P is primitive).  The place t
+    is the shift; the other P's of a side are one integer product
+    (`field_core._kronecker_product`), which reads a single P^e from its
+    cache of place powers: a place set has few places and exponents, so
+    these repeat across units.  lift is the product of the L^|e|.
     """
     ups, downs = [], []
+    up_shift = down_shift = 0
     lift_up = lift_down = 1
     for p, e in u.exponents:
         ints, lift = p.poly.nums, p.poly.den
-        if e > 0:
+        if ints == _T_NUMS:
+            if e > 0:
+                up_shift = e
+            else:
+                down_shift = -e
+        elif e > 0:
             ups.append((ints, e))
             lift_up *= lift ** e
         else:
             downs.append((ints, -e))
             lift_down *= lift ** -e
+    return ((_kronecker_product(ups), up_shift, lift_up),
+            (_kronecker_product(downs), down_shift, lift_down))
+
+
+def as_ratfunc(u: SUnit) -> RatFunc:
+    """Exact expansion of an S-unit into a rational function.
+
+    Each side of u (`_sides`) is put over its denominator, from c and its
+    lift, by one `field_core._scaled`."""
+    (up, up_shift, lift_up), (down, down_shift, lift_down) = _sides(u)
     c = u.constant
-    num = _scaled(_kronecker_product(ups), c.numerator,
-                  c.denominator * lift_up)
+    num = _scaled([0] * up_shift + up, c.numerator, c.denominator * lift_up)
     # the leading coefficient of prod P^-e is lift_down: den comes out monic
-    den = _scaled(_kronecker_product(downs), 1, lift_down)
+    den = _scaled([0] * down_shift + down, 1, lift_down)
     # distinct monic places are coprime, so the pair is already normal
     return RatFunc._trusted(num, den)
+
+
+def render_unit(u: SUnit) -> str:
+    """`parser.render_ratfunc_expr(as_ratfunc(u))`, without the expansion:
+    each side of u (`_sides`) is rendered over its integer scale, c / lift
+    on top and 1 / lift below (`field_core._render_scaled`), and the place
+    t as the shift.  The denominator is 1 exactly when no exponent is
+    negative."""
+    (up, up_shift, lift_up), (down, down_shift, lift_down) = _sides(u)
+    c = u.constant
+    num = _render_scaled(up, c.numerator, c.denominator * lift_up, up_shift)
+    if not down_shift and len(down) == 1:
+        return f"({num})"
+    return f"({num})/({_render_scaled(down, 1, lift_down, down_shift)})"
 
 
 def unit_image(u: SUnit, tau: int, p: int) -> int | None:

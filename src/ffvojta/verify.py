@@ -49,6 +49,7 @@ from .sunits import (
     enlarge_for_coefficients,
     euler_char,
     mult_dependence,
+    render_unit,
 )
 
 REPORT_SCHEMA = "ffvojta-report/1"
@@ -199,13 +200,15 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
 class Classification:
     """Where one unit pair landed in the trichotomy.
 
-    U and V are the expanded units.  `height` is None only on the zero
-    locus, `dependence` is set once the relation step ran, and `lhs`/`rhs`
-    (truncated count, eps times height) only for bound_holds and violation.
+    u and v are the units as generated, never expanded here: a record is
+    rendered from their exponents (`sunits.render_unit`).  `height` is None
+    only on the zero locus, `dependence` is set once the relation step
+    ran, and `lhs`/`rhs` (truncated count, eps times height) only for
+    bound_holds and violation.
     """
 
-    U: RatFunc
-    V: RatFunc
+    u: SUnit
+    v: SUnit
     kind: str
     height: int | None
     dependence: DependenceResult | None
@@ -218,7 +221,7 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     """Place the pair (u, v) in the trichotomy for A over S.
 
     The steps run in this order and stop at the first that decides:
-    A(U, V) = 0 is degenerate_on_z; a height below theta1 * max(1, chi(S))
+    A(u, v) = 0 is degenerate_on_z; a height below theta1 * max(1, chi(S))
     is below_threshold; a multiplicative relation with both exponents at
     most theta2 is a relation; otherwise the truncated zero count is
     compared with eps times the height (bound_holds or violation).
@@ -227,30 +230,27 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     is certified first by a term of strictly least order at a place of
     the units or at infinity, then by an image mod p, and only then by the
     exact value (`bipoly.vanishes_at`).  The threshold is compared on
-    integers; the units are expanded for the record, and the count
-    evaluates A on the expansions.
+    integers.  Only the count expands the units, to evaluate A on them.
     """
-    degenerate = vanishes_at(A, u, v)
-    U, V = as_ratfunc(u), as_ratfunc(v)
-    if degenerate:
-        return Classification(U, V, "degenerate_on_z", None, None, None, None)
+    if vanishes_at(A, u, v):
+        return Classification(u, v, "degenerate_on_z", None, None, None, None)
     h = max(u.height, v.height)
     if h * theta1.denominator < theta1.numerator * max(1, euler_char(S)):
-        return Classification(U, V, "below_threshold", h, None, None, None)
+        return Classification(u, v, "below_threshold", h, None, None, None)
     dep = mult_dependence(u, v)
     if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
-        return Classification(U, V, "relation", h, dep, None, None)
-    lhs = trunc_count(evaluate(A, U, V), S).total
+        return Classification(u, v, "relation", h, dep, None, None)
+    lhs = trunc_count(evaluate(A, as_ratfunc(u), as_ratfunc(v)), S).total
     rhs = eps * h
     kind = "bound_holds" if lhs <= rhs else "violation"
-    return Classification(U, V, kind, h, dep, lhs, rhs)
+    return Classification(u, v, kind, h, dep, lhs, rhs)
 
 
 def outcome_json(A: BiPoly, index: int, c: Classification) -> dict:
     """The verify outcome of pair `index`, keys in report order."""
     out: dict = {"pair_index": index,
-                 "u": render_ratfunc_expr(c.U),
-                 "v": render_ratfunc_expr(c.V)}
+                 "u": render_unit(c.u),
+                 "v": render_unit(c.v)}
     if c.height is not None:
         out["height"] = c.height
     if c.lhs is not None:
@@ -414,7 +414,7 @@ def _s_prime_step(S: PlaceSet, S_a: PlaceSet, S_prime: PlaceSet) -> dict:
     }
 
 
-def _step1(A: BiPoly, F: BiPoly, U: RatFunc, V: RatFunc) -> dict:
+def _step1(A: BiPoly, F: BiPoly, u: SUnit, v: SUnit) -> dict:
     """Step 1, read off F = Res_Y(A, B): A and B are coprime, or the pair
     satisfies a short relation read off A's two least monomials.
 
@@ -428,7 +428,7 @@ def _step1(A: BiPoly, F: BiPoly, U: RatFunc, V: RatFunc) -> dict:
     r, s = i - hh, j - kk
     if r < 0 or (r == 0 and s < 0):
         r, s, (i, j), (hh, kk) = -r, -s, (hh, kk), (i, j)
-    gamma = U ** r * V ** s
+    gamma = as_ratfunc(u) ** r * as_ratfunc(v) ** s
     mu = gamma / (A.coeff(hh, kk) / A.coeff(i, j))
     return {"coprime": False,
             "relation": {"r": r, "s": s, "gamma": render_ratfunc_expr(gamma),
@@ -460,8 +460,8 @@ def _step3(roots_f: list[RatFunc], roots_g: list[RatFunc], complete_f: bool,
 
 
 def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
-           roots_f: list[RatFunc], roots_g: list[RatFunc], U: RatFunc,
-           V: RatFunc) -> dict:
+           roots_f: list[RatFunc], roots_g: list[RatFunc], u: SUnit,
+           v: SUnit) -> dict:
     """Step 4: the common-zero set Z and the place set V, then the
     pointwise inequality at every zero of A(U, V) outside V.
 
@@ -474,6 +474,7 @@ def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
               G.coeff(0, 0), G.coeff(0, G.deg_y), *values):
         places |= _support_places(c)
     V_set = PlaceSet(frozenset(places))
+    U, V = as_ratfunc(u), as_ratfunc(v)
     a_val, b_val = evaluate(A, U, V), evaluate(B, U, V)
     checks, holds = [], True
     if not a_val.is_zero and not b_val.is_zero:
@@ -518,14 +519,13 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     if not attested:
         raise NotIrreducibleAttested(f"factor {expr!r} is not attested irreducible")
     A, S, S_a, w = _audit_setting(expr, tuple(cfg.places), cfg.seed)
-    U, V = as_ratfunc(u), as_ratfunc(v)
     report: dict = {"mode": "audit", "split_case_only": True, "poly": expr,
-                    "u": render_ratfunc_expr(U), "v": render_ratfunc_expr(V)}
+                    "u": render_unit(u), "v": render_unit(v)}
     B = b_polynomial(A, u, v, w)
     S_prime = _companion_places(S_a, B, u, v)
     report["s_prime"] = _s_prime_step(S, S_a, S_prime)
     F = resultant_y(A, B)
-    report["step1"] = _step1(A, F, U, V)
+    report["step1"] = _step1(A, F, u, v)
     if F.is_zero:
         return report
     G = resultant_x(A, B)
@@ -536,6 +536,6 @@ def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:
     if not (complete_f and complete_g):
         report["outcome"] = "not_split"
         return report
-    report["step4"] = _step4(A, B, F, G, S_prime, roots_f, roots_g, U, V)
+    report["step4"] = _step4(A, B, F, G, S_prime, roots_f, roots_g, u, v)
     report["outcome"] = "split_audit_complete"
     return report

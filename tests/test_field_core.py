@@ -36,6 +36,7 @@ from ffvojta.field_core import (
     _multiplicity,
     _quadratic_factors,
     _recombined,
+    _render_scaled,
     _repeated_split,
     _scaled,
     choose_omega,
@@ -127,6 +128,32 @@ class TestPoly:
             assert render_poly(p) == oracle_render_poly(p)
         assert render_poly(Poly.monomial(65, Fraction(-3, 2))) == (
             "-3/2*t^65")
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(_SEEDS)
+    def test_scaled_render_matches_the_oracle(self, seed):
+        # t^shift * nums * a / b: a and b share factors, a takes either
+        # sign, nums has interior zeros, and the degree passes 64
+        rng = random.Random(seed)
+        degree = rng.choice((0, 1, 2, 3, 7, 20, 65))
+        nums = [rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                for _ in range(degree)]
+        nums.append(rng.choice((-6, -1, 1, 2, 3)))
+        a = rng.choice((1, -1, 2, -2, 3, -6, 35, -70))
+        b = rng.choice((1, 2, 3, 6, 12, 35, 210))
+        shift = rng.choice((0, 1, 2, 5, 64))
+        p = Poly([0] * shift + [Fraction(n * a, b) for n in nums])
+        assert _render_scaled(nums, a, b, shift) == oracle_render_poly(p)
+
+    def test_scaled_render_edges(self):
+        assert _render_scaled((), 1, 1, 0) == "0"
+        assert _render_scaled((1,), 1, 1, 1) == "t"
+        assert _render_scaled((1,), -1, 1, 2) == "-t^2"
+        # 2/4 and 6/4 reduce each on their own; the zero between is skipped
+        assert _render_scaled((2, 0, 6), 1, 4, 0) == "3/2*t^2 + 1/2"
+        assert _render_scaled((3, -1), -2, 6, 1) == "1/3*t^2 - t"
+        assert _render_scaled((-5, 0, 0, 7), 3, 7, 3) == "3*t^6 - 15/7*t^3"
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)

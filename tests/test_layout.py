@@ -24,9 +24,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 # name -> the ROADMAP item that wires or keeps it
 ALLOWED = {
-    "check_cz_gcd_bound": "item 5, stage 3: the gcd lemma per common zero",
-    "check_dependence_transfer": "item 5, stage 3: dependence transfer",
-    "check_zannier_bound": "item 3: Zannier's bound beside BM in bm mode",
+    "check_cz_gcd_bound": "item 4, stage 3: the gcd lemma per common zero",
+    "check_dependence_transfer": "item 4, stage 3: dependence transfer",
+    "check_zannier_bound": "item 5: Zannier's bound beside BM in bm mode",
     "section_height_constant": "item 7: a paper constant no mode prints yet",
     "section_pullback_degree": "item 7: a paper constant no mode prints yet",
 }

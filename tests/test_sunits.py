@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffvojta.field_core import (
     _CERT_POINTS,
@@ -31,9 +31,11 @@ from ffvojta.sunits import (
     euler_char,
     generate,
     mult_dependence,
+    render_unit,
     sunit_from_ratfunc,
     unit_image,
 )
+from ffvojta.parser import render_ratfunc_expr
 from conftest import (
     ODD_PLACE_SETS,
     deriv_omega,
@@ -180,6 +182,67 @@ class TestExpansion:
         S = PlaceSet.of(root, "inf")
         u = SUnit.make(3, {Place.rational(root): e}, S)
         assert _parts(as_ratfunc(u)) == _parts(oracle_as_ratfunc(u))
+
+
+# t among the places or not, t - 1/2 (its nums 2t - 1, lift 2), quadratic
+# places, and two sets without infinity, where the exponents must balance
+_RENDER_SETS = (
+    PlaceSet.of(0, 1, "inf"),
+    PlaceSet.of(0, 2, -1, "inf"),
+    PlaceSet.of(0, Fraction(1, 2), Poly((1, 0, 1)), "inf"),
+    PlaceSet.of(Poly((-2, 0, 1)), Poly((2, 0, 1)), "inf"),
+    PlaceSet.of(Fraction(-3, 7), 5),
+    PlaceSet.of(0),
+)
+
+
+class TestRenderUnit:
+    """`render_unit` renders each side of a unit from its integer product;
+    the expansion `as_ratfunc` renders its normal form.  The bytes agree."""
+
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, len(_RENDER_SETS) - 1),
+           st.lists(st.integers(-150, 150), min_size=3, max_size=3))
+    @example(0, [0, 0, 0])  # the constant unit
+    @example(5, [0, 0, 0])  # the only units over {0}
+    @example(2, [-150, -7, -3])  # only negative exponents
+    @example(1, [-1, -40, -150])
+    @example(0, [150, 0, 0])  # only t, above and below
+    @example(0, [-150, 0, 0])
+    @example(4, [-150, 0, 0])  # lifts 7 above, 1 below
+    # the lift 2^5 of (t - 1/2)^5 shares a factor with c = 2, -2, 1/2, ...
+    @example(2, [1, 5, -2])
+    def test_matches_the_expansion(self, which, exponents):
+        S = _RENDER_SETS[which]
+        finite = S.finite_places()
+        exps = dict(zip(finite, exponents))
+        if not S.has_infinity:
+            # every finite place of these sets has degree 1: the last one
+            # balances the others
+            last = finite[-1]
+            exps[last] = -sum(e for p, e in exps.items() if p != last)
+        for constant in CONSTANT_POOL:
+            u = SUnit.make(constant, exps, S)
+            got, want = render_unit(u), render_ratfunc_expr(as_ratfunc(u))
+            # a flag, not the comparison: pytest's diff of two one-line
+            # strings of thousands of characters is quadratic, and every
+            # step of shrinking a failure would pay it
+            same = got == want
+            assert same, (got, want)
+
+    def test_examples(self):
+        S = _RENDER_SETS[2]
+        half = Place.rational(Fraction(1, 2))
+        q = Place.finite(Poly((1, 0, 1)))
+        assert render_unit(SUnit.make(-1, {}, S)) == "(-1)"
+        assert render_unit(SUnit.make(1, {P0: -2}, S)) == "(1)/(t^2)"
+        # -(t - 1/2) t^3 / (t^2 + 1): the lift 2 of t - 1/2 reduces
+        # against the constant coefficient alone
+        assert render_unit(SUnit.make(-1, {half: 1, P0: 3, q: -1}, S)) == (
+            "(-t^4 + 1/2*t^3)/(t^2 + 1)")
+        assert render_unit(SUnit.make(Fraction(3, 2), {half: -1}, S)) == (
+            "(3/2)/(t - 1/2)")
 
 
 class TestUnitImage:
