@@ -84,11 +84,12 @@ def _kronecker_product(factors) -> list[int]:
     A factor t^j (j zeros, then a 1; the place t is `_T_NUMS`) is a shift
     of the result and is never packed.  When one factor (f, e) remains, e =
     1 is a copy of f, and a power f^e with e >= 2 is read from
-    `_cached_power`.  Only place powers reach that cache, from
-    `sunits._sides`, `unitsum._known_den_sum` and `_den_product`: every
-    other caller multiplies two or more factors with e = 1.  The units of
-    one place set share their place powers P^e, so its entries repeat
-    across pairs.  Anything else is packed by `_packed_product`.
+    `_cached_power`.  Only place powers reach that cache, from the sides
+    of an S-unit (`sunits.as_ratfunc`, `sunits._cached_terms`),
+    `unitsum._known_den_sum` and `_den_product`: every other caller
+    multiplies two or more factors with e = 1.  The units of one place set
+    share their place powers P^e, so its entries repeat across pairs.
+    Anything else is packed by `_packed_product`.
     """
     shift, rest = 0, []
     for f, e in factors:
@@ -433,50 +434,71 @@ def render_poly(p: Poly) -> str:
     return _render_scaled(p.nums, 1, p.den, 0)
 
 
-# "t^k" and "*t^k" by k, for `_render_scaled`, which grows them to each
-# degree it meets, so that a label is formatted once
-_T_POWERS, _TIMES_T_POWERS = ["", "t"], ["", "*t"]
-
-
 def _render_scaled(nums, a: int, b: int, shift: int) -> str:
     """Render t^shift * nums * a / b in the expression grammar, for ints
-    nums (lowest degree first, no trailing zero), a != 0 and b >= 1.
+    nums (lowest degree first, no trailing zero), a != 0 and b >= 1: the
+    term stage `_scaled_terms` and then the join stage `_join_terms`.
 
-    One pass from the highest term: each sign becomes the separator before
-    its term, and each coefficient nums[i] * a / b is reduced on its own,
-    only when b != 1.  A reduced fraction does not depend on how its value
-    was stored, so a Poly renders the same from its own (nums, 1, den) as
-    from any integer scaling of it, such as an S-unit's side
-    (`sunits.render_unit`)."""
-    if not nums:
-        return "0"
-    for k in range(len(_T_POWERS), len(nums) + shift):
-        _T_POWERS.append(f"t^{k}")
-        _TIMES_T_POWERS.append(f"*t^{k}")
-    parts = []
+    A reduced fraction does not depend on how its value was stored, so a
+    Poly renders the same from its own (nums, 1, den) as from any integer
+    scaling of it, such as an S-unit's side (`sunits.render_unit`, which
+    keeps the term stage of a place power in a cache)."""
+    return _join_terms(_scaled_terms(nums, a, b), shift)
+
+
+# "t^k" and "*t^k" by k, for `_join_terms`, which grows them to each degree
+# it meets, so that a label is formatted once.  At k = 0 a magnitude of 1
+# is written "1" and any other magnitude stands alone.
+_T_POWERS, _TIMES_T_POWERS = ["1", "t"], ["", "*t"]
+
+
+def _scaled_terms(nums, a: int, b: int) -> list:
+    """The term stage of rendering nums * a / b: for each nonzero term,
+    highest degree first, (i, head, labels).
+
+    i is the term's degree; head is its sign and its magnitude nums[i] * a
+    / b, reduced on its own and only when b != 1; labels is the list whose
+    entry at the term's degree finishes it: `_TIMES_T_POWERS` after a
+    magnitude, `_T_POWERS` in place of a magnitude of 1.  Each sign is the
+    separator " + " or " - " before its term, and the leading term's is ""
+    or "-".  Nothing here depends on the degree the join stage labels a
+    term with."""
+    terms = []
     for i in range(len(nums) - 1, -1, -1):
         n = nums[i]
         if not n:
             continue
         n *= a
         if n < 0:
-            parts.append(" - ")
-            n = -n
+            sign, n = " - ", -n
         else:
-            parts.append(" + ")
-        mag = n
+            sign = " + "
         if b != 1:
             g = gcd(n, b)
-            mag = n // g if g == b else f"{n // g}/{b // g}"
-        k = i + shift
-        if not k:
-            parts.append(str(mag))
-        else:
-            parts.append(_T_POWERS[k] if mag == 1
-                         else f"{mag}{_TIMES_T_POWERS[k]}")
-    # the leading term carries its sign without the separator's spaces
-    parts[0] = "-" if parts[0] == " - " else ""
-    return "".join(parts)
+            if g != b:
+                terms.append((i, f"{sign}{n // g}/{b // g}", _TIMES_T_POWERS))
+                continue
+            n //= b
+        terms.append((i, sign, _T_POWERS) if n == 1
+                     else (i, f"{sign}{n}", _TIMES_T_POWERS))
+    if terms:
+        # the leading term carries its sign without the separator's spaces
+        i, head, labels = terms[0]
+        terms[0] = (i, "-" + head[3:] if head[1] == "-" else head[3:], labels)
+    return terms
+
+
+def _join_terms(terms, shift: int) -> str:
+    """The join stage: the terms of `_scaled_terms` times t^shift, each
+    finished by its label at its degree plus shift."""
+    if not terms:
+        return "0"
+    top = terms[0][0] + shift
+    if top >= len(_T_POWERS):
+        for k in range(len(_T_POWERS), top + 1):
+            _T_POWERS.append(f"t^{k}")
+            _TIMES_T_POWERS.append(f"*t^{k}")
+    return "".join([head + labels[i + shift] for i, head, labels in terms])
 
 
 # --- cleared forms ----------------------------------------------------------

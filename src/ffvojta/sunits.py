@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -23,8 +23,9 @@ from .field_core import (
     _T_NUMS,
     _horner,
     _kronecker_product,
-    _render_scaled,
+    _join_terms,
     _scaled,
+    _scaled_terms,
     divisor_of,
 )
 
@@ -177,17 +178,16 @@ class SUnit:
         return " * ".join(parts)
 
 
-def _sides(u: SUnit) -> tuple[tuple[list[int], int, int], ...]:
-    """The two sides of u = c * prod P^e as integer products: for the
-    places with e > 0 and then for those with e < 0, (ints, shift, lift)
-    with prod P^|e| = t^shift * ints / lift.
+def _sides(u: SUnit) -> tuple[tuple[list, int, int], ...]:
+    """The two sides of u = c * prod P^e: for the places with e > 0 and
+    then for those with e < 0, (factors, shift, lift) with prod P^|e| =
+    t^shift * prod f^k / lift over the pairs (f, k) of factors.
 
     Every place polynomial is stored as P / L (its `nums` and `den`: L the
     least integer that clears it, so a monic P is primitive).  The place t
-    is the shift; the other P's of a side are one integer product
-    (`field_core._kronecker_product`), which reads a single P^e from its
-    cache of place powers: a place set has few places and exponents, so
-    these repeat across units.  lift is the product of the L^|e|.
+    is the shift; each other place is the pair (its nums, |e|), and lift is
+    the product of the L^|e|.  A place set has few places and exponents,
+    so a side that is one place power repeats across units.
     """
     ups, downs = [], []
     up_shift = down_shift = 0
@@ -205,20 +205,22 @@ def _sides(u: SUnit) -> tuple[tuple[list[int], int, int], ...]:
         else:
             downs.append((ints, -e))
             lift_down *= lift ** -e
-    return ((_kronecker_product(ups), up_shift, lift_up),
-            (_kronecker_product(downs), down_shift, lift_down))
+    return (ups, up_shift, lift_up), (downs, down_shift, lift_down)
 
 
 def as_ratfunc(u: SUnit) -> RatFunc:
     """Exact expansion of an S-unit into a rational function.
 
-    Each side of u (`_sides`) is put over its denominator, from c and its
-    lift, by one `field_core._scaled`."""
-    (up, up_shift, lift_up), (down, down_shift, lift_down) = _sides(u)
+    Each side of u (`_sides`) is one integer product
+    (`field_core._kronecker_product`, whose cache serves the place powers),
+    put over its denominator, from c and its lift, by one
+    `field_core._scaled`."""
+    (ups, up_shift, lift_up), (downs, down_shift, lift_down) = _sides(u)
     c = u.constant
-    num = _scaled([0] * up_shift + up, c.numerator, c.denominator * lift_up)
+    num = _scaled([0] * up_shift + _kronecker_product(ups), c.numerator,
+                  c.denominator * lift_up)
     # the leading coefficient of prod P^-e is lift_down: den comes out monic
-    den = _scaled([0] * down_shift + down, 1, lift_down)
+    den = _scaled([0] * down_shift + _kronecker_product(downs), 1, lift_down)
     # distinct monic places are coprime, so the pair is already normal
     return RatFunc._trusted(num, den)
 
@@ -226,15 +228,69 @@ def as_ratfunc(u: SUnit) -> RatFunc:
 def render_unit(u: SUnit) -> str:
     """`parser.render_ratfunc_expr(as_ratfunc(u))`, without the expansion:
     each side of u (`_sides`) is rendered over its integer scale, c / lift
-    on top and 1 / lift below (`field_core._render_scaled`), and the place
-    t as the shift.  The denominator is 1 exactly when no exponent is
-    negative."""
-    (up, up_shift, lift_up), (down, down_shift, lift_down) = _sides(u)
+    on top and 1 / lift below, by the two stages of
+    `field_core._render_scaled`: its terms (`_side_terms`) and then their
+    labels, with the place t as the shift.  The denominator is 1 exactly
+    when no exponent is negative."""
+    (ups, up_shift, lift_up), (downs, down_shift, lift_down) = _sides(u)
     c = u.constant
-    num = _render_scaled(up, c.numerator, c.denominator * lift_up, up_shift)
-    if not down_shift and len(down) == 1:
+    num = _join_terms(_side_terms(ups, c.numerator, c.denominator * lift_up),
+                      up_shift)
+    if not (downs or down_shift):
         return f"({num})"
-    return f"({num})/({_render_scaled(down, 1, lift_down, down_shift)})"
+    den = _join_terms(_side_terms(downs, 1, lift_down), down_shift)
+    return f"({num})/({den})"
+
+
+_TERMS_CACHE_BYTES = 7 << 10
+_TERMS_CACHE_SIZE = 1024
+
+
+class _PastTheCap(Exception):
+    """Raised by `_cached_terms` with the terms of a side charged more than
+    `_TERMS_CACHE_BYTES`: lru_cache stores no entry for a call that
+    raises."""
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
+
+
+def _side_terms(factors: list, a: int, b: int):
+    """`field_core._scaled_terms` of prod f^k * a / b over the pairs (f, k)
+    of factors.  A side of at most one place power is read from
+    `_cached_terms`; any other side is multiplied out and its terms made
+    afresh, as is one that the cache turns away."""
+    if len(factors) > 1:
+        return _scaled_terms(_kronecker_product(factors), a, b)
+    try:
+        return _cached_terms(tuple(factors), a, b)
+    except _PastTheCap as past:
+        return past.terms
+
+
+@lru_cache(maxsize=_TERMS_CACHE_SIZE)
+def _cached_terms(factors: tuple, a: int, b: int) -> tuple:
+    """The terms of a side of at most one place power, for `_side_terms`.
+    The key holds no shift, so the units of one place set share their
+    entries whatever their power of t.
+
+    An entry is charged 512 bytes for its cache slot and the tuples of its
+    key and terms; 176 bytes for each term (its tuple and slot, its degree
+    and the header of its head string) plus a byte a character of its
+    head; and 40 bytes for each int of its key (the coefficients of f, a
+    and b) plus one for each 7 of its bits.  A side charged more than
+    `_TERMS_CACHE_BYTES` raises `_PastTheCap` and is not kept, so the
+    cache, at `_TERMS_CACHE_SIZE` entries, retains at most about 7.3 MB
+    whatever the units; 1,024 entries just under the cap measured 2.8-5.2
+    MB with tracemalloc.  (t - 1)^25 over a = b = 1 is charged 5,455 bytes
+    and 2 * (t - 1)^2 1,209."""
+    terms = tuple(_scaled_terms(_kronecker_product(factors), a, b))
+    charge = 512 + sum([176 + len(head) for _, head, _ in terms])
+    for x in (a, b, *(c for f, _ in factors for c in f)):
+        charge += 40 + x.bit_length() // 7
+    if charge > _TERMS_CACHE_BYTES:
+        raise _PastTheCap(terms)
+    return terms
 
 
 def unit_image(u: SUnit, tau: int, p: int) -> int | None:

@@ -133,8 +133,10 @@ def check_bm(vs: VanishingSum) -> BMCheck:
     """Evaluate the height bound for a validated vanishing sum.
 
     The left side is the projective height of the terms; the right side is
-    the geometrically weighted sum of gamma_n - gamma_{m_P} over the places
-    of S (the genus term vanishes on the projective line).  Every term is a
+    sum of deg P * (gamma_n - gamma_{m_P}) over the places P of S, and
+    nothing else.  No genus term is added: on the projective line 2g - 2 =
+    -2, so a term gamma_n * (2g - 2) would be negative, not zero, and
+    leaving it out can only make the right side larger.  Every term is a
     unit outside S, so both sides read the table of orders at the places
     of S that validation built (`VanishingSum.orders`): the height is
     -sum of deg P * min_i ord_P(w_i) there, and m_P counts the zero orders

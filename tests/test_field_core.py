@@ -32,6 +32,7 @@ from ffvojta.field_core import (
     _factor_cached,
     _factor_squarefree,
     _image,
+    _join_terms,
     _kronecker_product,
     _multiplicity,
     _quadratic_factors,
@@ -39,6 +40,7 @@ from ffvojta.field_core import (
     _render_scaled,
     _repeated_split,
     _scaled,
+    _scaled_terms,
     choose_omega,
     clear_denominators,
     divisor_of,
@@ -154,6 +156,16 @@ class TestPoly:
         assert _render_scaled((2, 0, 6), 1, 4, 0) == "3/2*t^2 + 1/2"
         assert _render_scaled((3, -1), -2, 6, 1) == "1/3*t^2 - t"
         assert _render_scaled((-5, 0, 0, 7), 3, 7, 3) == "3*t^6 - 15/7*t^3"
+
+    def test_terms_join_at_any_shift(self):
+        # the term stage never sees the shift, so one set of terms serves
+        # every power of t (the terms cache of `sunits.render_unit`)
+        for nums, a, b in [((1,), 1, 1), ((1, -1), -1, 1), ((2, 0, 6), 1, 4),
+                           ((3, -1), -2, 6), ((-5, 0, 0, 7), 3, 7)]:
+            terms = _scaled_terms(nums, a, b)
+            for shift in (0, 1, 2, 70):
+                p = Poly([0] * shift + [Fraction(n * a, b) for n in nums])
+                assert _join_terms(terms, shift) == oracle_render_poly(p)
 
     @settings(max_examples=60, deadline=None, database=None,
               derandomize=True)

@@ -25,6 +25,7 @@ from ffvojta.sunits import (
     InvalidSUnit,
     PlaceSet,
     SUnit,
+    _cached_terms,
     _unit_at_index,
     as_ratfunc,
     enlarge_for_coefficients,
@@ -243,6 +244,58 @@ class TestRenderUnit:
             "(-t^4 + 1/2*t^3)/(t^2 + 1)")
         assert render_unit(SUnit.make(Fraction(3, 2), {half: -1}, S)) == (
             "(3/2)/(t - 1/2)")
+
+
+class TestTermsCache:
+    """`render_unit` reads the terms of a side of at most one place power
+    from `_cached_terms`, keyed on that place power and the side's scale
+    and never on its power of t; other sides, and sides past the cap, are
+    rendered afresh (`TestRenderUnit` covers those)."""
+
+    def test_hits_come_from_place_powers(self):
+        # 2,000 pairs of library seed 11, each unit rendered once: a hit is
+        # a place power and a scale that an earlier unit shared
+        _cached_terms.cache_clear()
+        units = generate(S011, 25, 4000, 11)
+        keys = set()
+        for u in units:
+            # the places of S011 are monic over Z, so each lift is 1 and a
+            # side's scale is c above and 1 below
+            keys.add((tuple((p, e) for p, e in u.exponents
+                            if e > 0 and p != P0), u.constant))
+            keys.add((tuple((p, -e) for p, e in u.exponents
+                            if e < 0 and p != P0), 1))
+            got, want = render_unit(u), render_ratfunc_expr(as_ratfunc(u))
+            same = got == want
+            assert same, (got, want)
+        # 4,000 units share fewer than 400 keys, and every other lookup hits
+        info = _cached_terms.cache_info()
+        assert info.misses <= len(keys) < len(units) / 10
+        assert info.hits >= len(units)
+
+    def test_side_past_the_cap(self):
+        # (t - 1)^200: 201 terms charged at least 176 bytes each, far past
+        # the cap; (t - 1)^25 fits
+        _cached_terms.cache_clear()
+        u = SUnit.make(1, {P1: 200}, S011)
+        for _ in range(2):
+            assert render_unit(u) == render_ratfunc_expr(as_ratfunc(u))
+        assert _cached_terms.cache_info().currsize == 0
+        render_unit(SUnit.make(1, {P1: 25}, S011))
+        assert _cached_terms.cache_info().currsize == 1
+
+    def test_the_shift_is_not_in_the_key(self):
+        _cached_terms.cache_clear()
+        assert render_unit(SUnit.make(2, {P0: 3, P1: 2}, S011)) == (
+            "(2*t^5 - 4*t^4 + 2*t^3)")
+        assert render_unit(SUnit.make(2, {P1: 2}, S011)) == (
+            "(2*t^2 - 4*t + 2)")
+        assert render_unit(SUnit.make(-1, {P0: -1, P1: -2}, S011)) == (
+            "(-1)/(t^3 - 2*t^2 + t)")
+        info = _cached_terms.cache_info()
+        # 2 * (t - 1)^2 misses at t^3 and hits at t^0; the last unit's
+        # sides -1 and (t - 1)^2 over 1 are keys of their own
+        assert (info.misses, info.hits) == (3, 1)
 
 
 class TestUnitImage:
