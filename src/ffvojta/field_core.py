@@ -459,20 +459,22 @@ def _scaled_terms(nums, a: int, b: int) -> list:
     i is the term's degree; head is its sign and its magnitude nums[i] * a
     / b, reduced on its own and only when b != 1; labels is the list whose
     entry at the term's degree finishes it: `_TIMES_T_POWERS` after a
-    magnitude, `_T_POWERS` in place of a magnitude of 1.  Each sign is the
-    separator " + " or " - " before its term, and the leading term's is ""
-    or "-".  Nothing here depends on the degree the join stage labels a
-    term with."""
+    magnitude, `_T_POWERS` in place of a magnitude of 1.  The leading
+    term's sign is "" or "-", and each later sign the separator " + " or
+    " - " before its term.  Nothing here depends on the degree the join
+    stage labels a term with."""
     terms = []
+    plus, minus = "", "-"
     for i in range(len(nums) - 1, -1, -1):
         n = nums[i]
         if not n:
             continue
         n *= a
         if n < 0:
-            sign, n = " - ", -n
+            sign, n = minus, -n
         else:
-            sign = " + "
+            sign = plus
+        plus, minus = " + ", " - "
         if b != 1:
             g = gcd(n, b)
             if g != b:
@@ -481,10 +483,6 @@ def _scaled_terms(nums, a: int, b: int) -> list:
             n //= b
         terms.append((i, sign, _T_POWERS) if n == 1
                      else (i, f"{sign}{n}", _TIMES_T_POWERS))
-    if terms:
-        # the leading term carries its sign without the separator's spaces
-        i, head, labels = terms[0]
-        terms[0] = (i, "-" + head[3:] if head[1] == "-" else head[3:], labels)
     return terms
 
 
@@ -498,7 +496,10 @@ def _join_terms(terms, shift: int) -> str:
         for k in range(len(_T_POWERS), top + 1):
             _T_POWERS.append(f"t^{k}")
             _TIMES_T_POWERS.append(f"*t^{k}")
-    return "".join([head + labels[i + shift] for i, head, labels in terms])
+    parts = []
+    for i, head, labels in terms:
+        parts += head, labels[i + shift]
+    return "".join(parts)
 
 
 # --- cleared forms ----------------------------------------------------------

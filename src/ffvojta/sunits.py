@@ -187,7 +187,7 @@ def _sides(u: SUnit) -> tuple[tuple[list, int, int], ...]:
     least integer that clears it, so a monic P is primitive).  The place t
     is the shift; each other place is the pair (its nums, |e|), and lift is
     the product of the L^|e|.  A place set has few places and exponents,
-    so a side that is one place power repeats across units.
+    so its sides repeat across units.
     """
     ups, downs = [], []
     up_shift = down_shift = 0
@@ -257,11 +257,8 @@ class _PastTheCap(Exception):
 
 def _side_terms(factors: list, a: int, b: int):
     """`field_core._scaled_terms` of prod f^k * a / b over the pairs (f, k)
-    of factors.  A side of at most one place power is read from
-    `_cached_terms`; any other side is multiplied out and its terms made
-    afresh, as is one that the cache turns away."""
-    if len(factors) > 1:
-        return _scaled_terms(_kronecker_product(factors), a, b)
+    of factors, read from `_cached_terms`, or made afresh for a side that
+    the cache turns away."""
     try:
         return _cached_terms(tuple(factors), a, b)
     except _PastTheCap as past:
@@ -270,22 +267,24 @@ def _side_terms(factors: list, a: int, b: int):
 
 @lru_cache(maxsize=_TERMS_CACHE_SIZE)
 def _cached_terms(factors: tuple, a: int, b: int) -> tuple:
-    """The terms of a side of at most one place power, for `_side_terms`.
-    The key holds no shift, so the units of one place set share their
-    entries whatever their power of t.
+    """The terms of a side, for `_side_terms`.  The key holds no shift, so
+    the units of one place set share their entries whatever their power of
+    t.
 
     An entry is charged 512 bytes for its cache slot and the tuples of its
-    key and terms; 176 bytes for each term (its tuple and slot, its degree
-    and the header of its head string) plus a byte a character of its
-    head; and 40 bytes for each int of its key (the coefficients of f, a
-    and b) plus one for each 7 of its bits.  A side charged more than
-    `_TERMS_CACHE_BYTES` raises `_PastTheCap` and is not kept, so the
+    key and terms; 104 bytes for each pair (f, k) of its key (the pair, its
+    slot and the tuple f); 176 bytes for each term (its tuple and slot, its
+    degree and the header of its head string) plus a byte a character of
+    its head; and 40 bytes for each int of its key (the coefficients of
+    each f, a and b) plus one for each 7 of its bits.  A side charged more
+    than `_TERMS_CACHE_BYTES` raises `_PastTheCap` and is not kept, so the
     cache, at `_TERMS_CACHE_SIZE` entries, retains at most about 7.3 MB
     whatever the units; 1,024 entries just under the cap measured 2.8-5.2
-    MB with tracemalloc.  (t - 1)^25 over a = b = 1 is charged 5,455 bytes
-    and 2 * (t - 1)^2 1,209."""
+    MB with tracemalloc.  (t - 1)^25 over a = b = 1 is charged 5,559 bytes
+    and 2 * (t - 1)^2 1,313."""
     terms = tuple(_scaled_terms(_kronecker_product(factors), a, b))
-    charge = 512 + sum([176 + len(head) for _, head, _ in terms])
+    charge = 512 + 104 * len(factors)
+    charge += sum([176 + len(head) for _, head, _ in terms])
     for x in (a, b, *(c for f, _ in factors for c in f)):
         charge += 40 + x.bit_length() // 7
     if charge > _TERMS_CACHE_BYTES:

@@ -247,10 +247,9 @@ class TestRenderUnit:
 
 
 class TestTermsCache:
-    """`render_unit` reads the terms of a side of at most one place power
-    from `_cached_terms`, keyed on that place power and the side's scale
-    and never on its power of t; other sides, and sides past the cap, are
-    rendered afresh (`TestRenderUnit` covers those)."""
+    """`render_unit` reads the terms of each side from `_cached_terms`,
+    keyed on the side's place powers and its scale and never on its power
+    of t; a side past the cap is rendered afresh and not kept."""
 
     def test_hits_come_from_place_powers(self):
         # 2,000 pairs of library seed 11, each unit rendered once: a hit is
@@ -296,6 +295,24 @@ class TestTermsCache:
         # 2 * (t - 1)^2 misses at t^3 and hits at t^0; the last unit's
         # sides -1 and (t - 1)^2 over 1 are keys of their own
         assert (info.misses, info.hits) == (3, 1)
+
+    def test_sides_of_several_places(self):
+        # (t - 2)^2 (t + 1)^3 is one key, met again at t^1 and below the
+        # line; (t - 1/2)^2 (t - 2) keys on its lift 4 in the scale
+        _cached_terms.cache_clear()
+        P2, half = Place.rational(2), Place.rational(Fraction(1, 2))
+        S = PlaceSet(frozenset({P0, P2, PM1, half, INF}))
+        units = [SUnit.make(3, {P2: 2, PM1: 3}, S),
+                 SUnit.make(3, {P0: 1, P2: 2, PM1: 3}, S),
+                 SUnit.make(1, {P2: -2, PM1: -3}, S),
+                 SUnit.make(Fraction(-1, 3), {half: 2, P2: 1, P0: -4}, S)]
+        for u in units + units:
+            assert render_unit(u) == render_ratfunc_expr(as_ratfunc(u))
+        info = _cached_terms.cache_info()
+        # 6 lookups a pass: the first misses 3 * (t - 2)^2 (t + 1)^3, the
+        # empty side over 1, (t - 2)^2 (t + 1)^3 over 1 and the last
+        # numerator, and hits the second unit and the last denominator
+        assert (info.misses, info.hits) == (4, 8)
 
 
 class TestUnitImage:
