@@ -86,7 +86,14 @@ from .field_core import (
     poly_gcd,
     power,
 )
-from .sunits import SUnit, _log_derivative_num, as_ratfunc, unit_image
+from .sunits import (
+    SUnit,
+    _below,
+    _log_derivative_num,
+    _seeded_bits,
+    as_ratfunc,
+    unit_image,
+)
 
 
 class ConstantPolynomial(ValueError):
@@ -1250,16 +1257,17 @@ def specialization_irreducibility_audit(A: BiPoly, seed: int = 0) -> bool:
     substitution (`_kronecker_irreducible`) certifies it irreducible; a
     point where it declines counts as one that split.
     """
-    import random
-
     if A.is_constant:
         raise ConstantPolynomial("attestation needs a nonconstant polynomial")
-    rng = random.Random(f"irred-audit:{seed}")
+    bits = _seeded_bits(f"irred-audit:{seed}")
     # A(tau) is d(tau)^-1 times the cleared polynomial at tau; d(tau) = 0
     # exactly when a coefficient of A has a pole at tau
     ints, d = A.cleared()
     for _ in range(_AUDIT_TRIALS):
-        tau = Fraction(rng.randint(2, 50), rng.randint(1, 7))
+        # randint(2, 50) and then randint(1, 7) of random.py's
+        # Random(f"irred-audit:{seed}"), drawn as `sunits._unit_at_index`
+        # draws
+        tau = Fraction(2 + _below(bits, 49, 6), 1 + _below(bits, 7, 3))
         if d.eval(tau) == 0:
             continue
         spec = _specialised(ints, tau)

@@ -9,12 +9,16 @@ constants.  Likewise every public method of a library class has its name
 read by library code outside the method itself, or by the tracing code.
 
 sympy stays out of the library's decisions: only `bipoly.bipoly_gcd`,
-which the tracing code wraps and no library code calls, imports it.
+which the tracing code wraps and no library code calls, imports it.  And
+importing the library loads no hashlib, which would cost every CLI start
+milliseconds.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -144,3 +148,14 @@ def test_no_library_code_calls_bipoly_gcd():
             and "bipoly_gcd" in (getattr(node, "id", None),
                                  getattr(node, "attr", None),
                                  getattr(node, "name", None))] == []
+
+
+def test_import_loads_no_hashlib():
+    # the seeded draws take sha512 from CPython's lean built-in module
+    code = (f"import sys; sys.path.insert(0, {str(LIBRARY.parent)!r}); "
+            "before = set(sys.modules); import ffvojta; "
+            "print(ffvojta.__file__); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [str(LIBRARY / "__init__.py"), "[]"]

@@ -538,6 +538,36 @@ class TestGenerate:
             expected = SUnit.make(rng.choice(CONSTANT_POOL), exps, S)
             assert _unit_at_index(S, 3, 5, index) == expected
 
+    @pytest.mark.parametrize("S, max_exponent", [
+        (S, m)
+        for S in (S011, PlaceSet.of(Fraction(1, 2), -3, "inf",
+                                    Poly((1, 0, 1))))
+        for m in (1, 3, 4, 2 ** 40)
+    ] + [
+        (S, m)
+        for S in (PlaceSet.of(0, 1), PlaceSet.of(Poly((1, 0, 1)), 0, 5))
+        for m in (1, 3, 4)
+    ])
+    def test_stream_is_random_py_draws(self, S, max_exponent):
+        # widths 3, 7 = 2^3 - 1 and 9 just past it, and 2^41 + 1, whose
+        # draws span two 32-bit words; without infinity the balance
+        # redraws, with a place of degree 2 among the weights
+        for seed in (0, 7, -3, 10 ** 30):
+            for index in range(25):
+                rng = random.Random(f"sunit:{seed}:{index}")
+                while True:
+                    exps = [rng.randint(-max_exponent, max_exponent)
+                            for _ in S.finite_places()]
+                    if S.has_infinity or sum(
+                            e * p.geom_degree
+                            for p, e in zip(S.finite_places(), exps)) == 0:
+                        break
+                constant = rng.choice(CONSTANT_POOL)
+                u = _unit_at_index(S, max_exponent, seed, index)
+                assert u.constant == constant
+                assert u.exponents == tuple(
+                    (p, e) for p, e in zip(S.finite_places(), exps) if e)
+
 
 class TestEnlarge:
     def test_examples(self):
