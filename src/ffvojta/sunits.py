@@ -485,7 +485,7 @@ def _unit_at_index(S: PlaceSet, max_exponent: int, seed: int, index: int) -> SUn
     finite = S.finite_places()
     width = 2 * max_exponent + 1
     k = width.bit_length()
-    # the balance test, hoisted: no degrees when infinity is in S
+    # the weights of the balance test; none when infinity is in S
     degrees = None if S.has_infinity else [p.geom_degree for p in finite]
     while True:
         exps = [_below(bits, width, k) - max_exponent for _ in finite]
