@@ -58,7 +58,7 @@ from operator import add
 from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
-    _MERSENNE_EXPONENTS,
+    _LARGEST_LIFT_PRIME,
     _SMALL_PRIMES,
     InputTooLarge,
     OmegaForm,
@@ -73,17 +73,19 @@ from .field_core import (
     _divided,
     _divmod_mod,
     _factor_squarefree,
+    _lift_modulus,
     _known_quotient,
     _kronecker_product,
     _pack,
     _primitive,
     _signed_digits,
+    _squarefree_split,
+    _symmetric,
     _trim,
     clear_denominators,
     factor_poly,
     height,
     ord_at,
-    poly_gcd,
     power,
 )
 from .sunits import (
@@ -804,9 +806,9 @@ def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
     precision q = p^(2^i) above 2 |g(0) lc(g)|.  A root u/v in lowest terms
     has u | g(0) and v | lc(g) (Gauss's lemma), so lc(g) u/v is an integer
     below q/2 in absolute value: lc(g) times the lift, read in symmetric
-    residues, over lc(g) is the root if the lift is rational, and exact
-    division decides whether it is: the rule `field_core._exact_gcd` and
-    the factoriser's recombination read their lifts by.  When no prime
+    residues (`field_core._symmetric`, as `_exact_gcd` and the factoriser's
+    recombination read their lifts), over lc(g) is the root if the lift is
+    rational, and exact division decides whether it is.  When no prime
     qualifies, g has most likely a repeated factor, and its squarefree
     part decides.
     """
@@ -823,8 +825,7 @@ def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
         found: dict[Fraction, int] = {}
         for x in roots:
             y, q = _padic_root(g, x, p, bound)
-            w = y * lc % q
-            root = Fraction(w - q if w > q // 2 else w, lc)
+            root = Fraction(_symmetric([y * lc], q)[0], lc)
             if _exact_quotient(g, [-root.numerator,
                                    root.denominator]) is not None:
                 found[root] = 1
@@ -843,10 +844,10 @@ def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
     number of times its linear factor divides g.  This is how an image
     whose repeated roots leave every prime undecided, such as a cube, is
     decided."""
-    h = poly_gcd(Poly(g), Poly([i * c for i, c in enumerate(g)][1:]))
-    if h.is_constant:
+    h, squarefree = _squarefree_split(g)
+    if len(h) == 1:
         return None
-    roots = _image_roots(_exact_quotient(g, _primitive(h.nums)))
+    roots = _image_roots(squarefree)
     if roots is None:
         return None
     return {r: _divided(g, [-r.numerator, r.denominator], len(g))[1]
@@ -989,9 +990,7 @@ def _lifted_root(shifted: list[list[int]], r0: Fraction, m: int, tau: int,
     if len(q) - 1 > degrees[0] or not q[0]:
         return None
     scale = lc_t * pow(q[-1], -1, mod)
-    half = mod // 2
-    a, b = ([c - mod if c > half else c
-             for c in _shift([x * scale for x in f], -tau, mod)]
+    a, b = (_symmetric(_shift([x * scale for x in f], -tau, mod), mod)
             for f in (q, [-x for x in r]))
     content = int_gcd(*a, *b)
     return [c // content for c in a], [c // content for c in b]
@@ -1029,13 +1028,11 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     lc, g0 = cols[-1], cols[0]
     degrees = (len(lc) - 1, len(g0) - 1)
     norm = isqrt(max(sum(c * c for c in lc), sum(c * c for c in g0))) + 1
-    bound = 2 * abs(lc[-1]) * norm << max(degrees)
-    mod = next((2 ** e - 1 for e in _MERSENNE_EXPONENTS
-                if 2 ** e - 1 > bound), None)
+    mod = _lift_modulus(2 * abs(lc[-1]) * norm << max(degrees))
     if mod is None:
         raise InputTooLarge(
             "lifting the rational roots needs a prime past "
-            f"2^{_MERSENNE_EXPONENTS[-1]} - 1")
+            + _LARGEST_LIFT_PRIME)
     d = max(len(ts) for ts in cols) - 1
     last = max(_LIFT_POINTS[-1], (2 * len(cols) - 1) * d + 2)
     for tau in range(_LIFT_POINTS[0], last + 1):
@@ -1213,9 +1210,10 @@ def _kronecker_irreducible(spec: Mapping[tuple[int, int], int],
     Y -> X^N + c with N = deg_x + 1 sends the monomials X^i Y^j to
     polynomials of distinct degrees i + N j, so it maps a nonconstant
     polynomial to a nonconstant one, and a factorisation into nonconstant
-    factors to another.  So f(X) = spec(X, X^N + c) irreducible (one factor
-    from `_factor_squarefree`) proves spec irreducible; c runs over 1, 2,
-    3."""
+    factors to another.  So f(X) = spec(X, X^N + c) irreducible proves
+    spec irreducible; c runs over 1, 2, 3.  An f with a repeated factor is
+    declined at gcd(f, f') (`_squarefree_split`), and a squarefree one is
+    irreducible when `_factor_squarefree` finds one factor."""
     n = deg_x + 1
     deg_y = max(j for _, j in spec)
     rows = [[0] * n for _ in range(deg_y + 1)]
@@ -1231,6 +1229,8 @@ def _kronecker_irreducible(spec: Mapping[tuple[int, int], int],
             for k, x in enumerate(row):
                 f[k] += x
         f = _primitive(_trim(f))
+        if len(_squarefree_split(f)[0]) > 1:
+            continue
         factors = _factor_squarefree(f)
         if factors is not None and len(factors) == 1:
             return True

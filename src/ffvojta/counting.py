@@ -89,19 +89,20 @@ def _check_s_integer(f: RatFunc, S: PlaceSet) -> None:
 def trunc_count(f: RatFunc, S: PlaceSet) -> CountReport:
     """Sum over places outside S of max(0, ord - 1), geometrically weighted.
 
-    Strips the S-supported part of the numerator and factors the rest:
-    each irreducible factor q of multiplicity m >= 2 is a place that
-    contributes (m - 1) * deg q.
+    Strips the S-supported part N of the numerator.  Over Q, gcd(N, N') is
+    the product of q^(m - 1) over the irreducible factors q^m of N, so only
+    that gcd is factored, never N: each factor q^k of it is a place with
+    count k, contributing k * deg q.  When the gcd is 1, which `poly_gcd`
+    usually proves with one modular image, nothing is factored.
     """
     if f.is_zero:
         raise ZeroFunction("cannot count zeros of the zero function")
     stripped = strip_set_factors(f.num, S)
     total = 0
     per: list[tuple[Place, int]] = []
-    for q, m in factor_poly(stripped):
-        if m >= 2:
-            total += (m - 1) * q.degree
-            per.append((Place._trusted(q), m - 1))
+    for q, k in factor_poly(poly_gcd(stripped, stripped.derivative())):
+        total += k * q.degree
+        per.append((Place._trusted(q), k))
     if not S.has_infinity:
         inf_ord = f.den.degree - f.num.degree
         if inf_ord >= 2:

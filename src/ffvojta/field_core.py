@@ -542,9 +542,26 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
 
 # Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
 # prime by the Lucas-Lehmer test); a big-prime step runs modulo the least
-# one above twice its coefficient bound.
+# one above twice its coefficient bound (`_lift_modulus`).
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        4253, 4423)
+# the largest of them, as the InputTooLarge texts name it
+_LARGEST_LIFT_PRIME = f"2^{_MERSENNE_EXPONENTS[-1]} - 1"
+
+
+def _lift_modulus(bound: int) -> int | None:
+    """The least Mersenne prime of _MERSENNE_EXPONENTS above `bound`, or
+    None when `bound` is past the largest."""
+    return next((m for m in (2 ** e - 1 for e in _MERSENNE_EXPONENTS)
+                 if m > bound), None)
+
+
+def _symmetric(cs, mod: int) -> list[int]:
+    """The ints cs modulo the odd `mod`, each read in (-mod/2, mod/2): a
+    lift whose true coefficients lie below mod/2 in absolute value reads
+    back exactly."""
+    half = mod // 2
+    return [r - mod if (r := c % mod) > half else r for c in cs]
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -611,15 +628,12 @@ def _exact_gcd(a: list[int], b: list[int]) -> list[int] | None:
     deg g, so it is the gcd; when deg g_P > deg g the lift cannot divide
     both, and the exact divisions say so."""
     lc = a[-1]
-    bound = 2 * abs(lc) * (isqrt(sum(c * c for c in a)) + 1) << len(a) - 1
-    mod = next((m for m in (2 ** e - 1 for e in _MERSENNE_EXPONENTS)
-                if m > bound), None)
+    mod = _lift_modulus(
+        2 * abs(lc) * (isqrt(sum(c * c for c in a)) + 1) << len(a) - 1)
     if mod is None:
         return None
     g = _gcd_mod([c % mod for c in a], _trim([c % mod for c in b]), mod)
-    half = mod // 2
-    g = [c * lc % mod for c in g]
-    g = _primitive([c - mod if c > half else c for c in g])
+    g = _primitive(_symmetric([c * lc for c in g], mod))
     if _exact_quotient(a, g) is None or _exact_quotient(b, g) is None:
         return None
     return g
@@ -663,9 +677,13 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 # --- irreducible factorization ---------------------------------------------
 #
-# A primitive integer polynomial f whose image mod a prime p not dividing
-# its leading coefficient is squarefree is squarefree over Q (a repeated
-# factor would stay repeated mod p), and is factored here, exactly:
+# A primitive integer polynomial f has its repeated factors split off first,
+# one way: g = gcd(f, f') (`poly_gcd`'s certificate and lift) holds each
+# irreducible factor of f one time fewer than f does, so f / g is
+# squarefree, and each factor's multiplicity is one more than the number of
+# times it divides g.  The squarefree part is factored here, exactly, at
+# primes p not dividing its leading coefficient where its image stays
+# squarefree:
 #
 # - degree analysis (Musser, JACM 25, 1978): an integer factor of degree k
 #   reduces to a product of irreducible factors mod p whose degrees add up
@@ -674,17 +692,12 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 #   {0, n}, f is irreducible;
 # - otherwise Zassenhaus' recombination (J. Number Theory 1, 1969) with one
 #   big prime: f is split mod the least Mersenne prime P above
-#   2 |lc f| 2^n ||f||_2 (distinct degrees, then Cantor-Zassenhaus with
-#   a = x, x + 1, ...).  An integer factor g has coefficients at most
-#   2^deg g ||f||_2 (Mignotte), so lc(f/g) * g, the product of its modular
-#   factors times lc f, is read off exactly in symmetric residues, and each
-#   candidate is kept only if it divides exactly in Z[t].
-#
-# An input that no small prime certifies squarefree has its repeated factors
-# split off by gcd(f, f'), lifted from the same big prime (`_exact_gcd`), and
-# the squarefree part is factored as above; one that no small prime can
-# analyse but the first big prime certifies squarefree is factored there
-# without a degree analysis.
+#   2 |lc f| 2^n ||f||_2 at which it stays squarefree (distinct degrees,
+#   then Cantor-Zassenhaus with a = x, x + 1, ...).  An integer factor g has
+#   coefficients at most 2^deg g ||f||_2 (Mignotte), so lc(f/g) * g, the
+#   product of its modular factors times lc f, is read off exactly in
+#   symmetric residues, and each candidate is kept only if it divides
+#   exactly in Z[t].
 #
 # Nothing rests on probability, and the work is bounded: recombination
 # tries at most _SUBSET_BUDGET subsets, smallest first, and an input past
@@ -889,7 +902,7 @@ def _recombined(f: list[int], mods: list[list[int]], mod: int,
     division; None once more than _SUBSET_BUDGET subsets are enumerated.
     A factor found from the fewest modular factors has no proper factor,
     since that would have been found first."""
-    found, left, s, half = [], list(range(len(mods))), 1, mod // 2
+    found, left, s = [], list(range(len(mods))), 1
     budget = _SUBSET_BUDGET
     while 2 * s <= len(left):
         for subset in itertools.combinations(left, s):
@@ -902,7 +915,7 @@ def _recombined(f: list[int], mods: list[list[int]], mod: int,
             for i in subset:
                 g = [c % mod for c in _kronecker_product(((g, 1),
                                                           (mods[i], 1)))]
-            g = [c - mod if c > half else c for c in g]
+            g = _symmetric(g, mod)
             content = gcd(*g)
             g = [c // content for c in g]
             quo = _exact_quotient(f, g)
@@ -916,33 +929,30 @@ def _recombined(f: list[int], mods: list[list[int]], mod: int,
     return found + [f]
 
 
-def _quadratic_factors(f: list[int]) -> list[list[int]] | None:
-    """The irreducible factors in Z[t] of the primitive quadratic f = c +
-    b t + a t^2 (a > 0), or None when f is a constant times a square.
+def _quadratic_factors(f: list[int]) -> list[list[int]]:
+    """The irreducible factors in Z[t] of the primitive squarefree
+    quadratic f = c + b t + a t^2 (a > 0).
 
-    The discriminant D = b^2 - 4ac decides: f has a rational root exactly
-    when D is a square s^2, and then its roots are (-b -+ s) / 2a, so its
-    factors are the primitive parts of 2a t + b +- s; D = 0 is a double
-    root."""
+    The discriminant D = b^2 - 4ac, nonzero as f is squarefree, decides: f
+    has a rational root exactly when D is a square s^2, and then its roots
+    are (-b -+ s) / 2a, so its factors are the primitive parts of
+    2a t + b +- s."""
     c, b, a = f
     disc = b * b - 4 * a * c
     s = isqrt(disc) if disc >= 0 else -1
     if s * s != disc:
         return [f]
-    if not s:
-        return None
     return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
 
 
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
-    """The irreducible factors in Z[t] of the primitive f (lowest degree
-    first, degree >= 1, positive leading coefficient), or None when no
-    prime tried shows f squarefree or a bound is reached.  A linear f is
-    its own factor and a quadratic is decided by its discriminant
-    (`_quadratic_factors`); otherwise the degree analysis runs on the small
-    primes that certify f squarefree.  When there is none, f is most likely
-    not squarefree: the degree analysis is skipped, only the first big prime
-    is tried, and otherwise `_repeated_split` decides exactly."""
+    """The irreducible factors in Z[t] of the primitive squarefree f
+    (lowest degree first, degree >= 1, positive leading coefficient), or
+    None when a bound is reached.  A linear f is its own factor and a
+    quadratic is decided by its discriminant (`_quadratic_factors`);
+    otherwise the degree analysis runs on the small primes at which f stays
+    squarefree, and recombination on the first big prime at which it
+    does."""
     n = len(f) - 1
     if n <= 2:
         return [f] if n == 1 else _quadratic_factors(f)
@@ -961,11 +971,8 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
             return [f]
         if usable == _DEGREE_PRIMES:
             break
-    bound = 2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n
-    for e in _MERSENNE_EXPONENTS:
-        mod = 2 ** e - 1
-        if mod <= bound:
-            continue
+    mod = _lift_modulus(2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n)
+    while mod is not None:
         image = _monic_image(f, mod)
         if _squarefree_mod(image, mod):
             mods = []
@@ -975,28 +982,20 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
                     return None
                 mods += split
             return _recombined(f, mods, mod, degrees)
-        if not usable:
-            return None
+        mod = _lift_modulus(mod)
     return None
 
 
-def _repeated_split(f: list[int]) -> list[tuple[list[int], int]] | None:
-    """The irreducible factors of the primitive f (degree >= 2, positive
-    leading coefficient), each paired with the number of times it divides
-    f, from `_factor_squarefree` on f's squarefree part s; None when f is
-    squarefree or a step declines.
-
-    g = gcd(f, f') (`_exact_gcd`) holds every repeated factor, so s = f / g
-    is the squarefree product of the distinct irreducible factors of f.  A
-    constant g means f is squarefree, and `_factor_squarefree` has declined
-    it already."""
-    g = _exact_gcd(f, [i * c for i, c in enumerate(f)][1:])
-    if g is None or len(g) == 1:
-        return None
-    factors = _factor_squarefree(_exact_quotient(f, g))
-    if factors is None:
-        return None
-    return [(q, _divided(f, q, len(f))[1]) for q in factors]
+def _squarefree_split(f: list[int]) -> tuple[list[int], list[int]]:
+    """(g, f / g) for the integer list f of degree >= 1: g = gcd(f, f') in
+    Z[t], primitive with a positive leading coefficient (`poly_gcd`, whose
+    modular certificate usually proves g = 1 before any lift).  Over Q an
+    irreducible factor of f of multiplicity m divides g exactly m - 1
+    times, so f / g is the squarefree product of f's distinct irreducible
+    factors."""
+    g = _primitive(poly_gcd(_scaled(f, 1, 1), _scaled(
+        [i * c for i, c in enumerate(f)][1:], 1, 1)).nums)
+    return g, (f if len(g) == 1 else _exact_quotient(f, g))
 
 
 @lru_cache(maxsize=8192)
@@ -1006,23 +1005,22 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
     coefficient), ordered by degree, multiplicity, then integer
     coefficients from the top.
 
-    A squarefree input is factored by `_factor_squarefree`, and one with
-    repeated factors by `_repeated_split`.  An input that both decline is
-    past the factoriser's bounds, and raises InputTooLarge."""
+    g = gcd(f, f') is split off first (`_squarefree_split`), f / g is
+    factored by `_factor_squarefree`, and a factor's multiplicity is one
+    more than the times it divides g (`_divided`).  An input whose
+    squarefree part is declined raises InputTooLarge."""
     f = list(prim)
-    factors = _factor_squarefree(f)
-    if factors is not None:
-        factors = [(g, 1) for g in factors]
-    else:
-        factors = _repeated_split(f)
+    g, squarefree = _squarefree_split(f)
+    factors = _factor_squarefree(squarefree)
     if factors is None:
         raise InputTooLarge(
             f"factoring a polynomial of degree {len(f) - 1} is past the "
             f"factoriser's bounds: {_SUBSET_BUDGET} subsets of its modular "
-            f"factors, the prime 2^{_MERSENNE_EXPONENTS[-1]} - 1 and "
+            f"factors, the prime {_LARGEST_LIFT_PRIME} and "
             f"{_SPLIT_TRIES} split tries")
+    factors = [(q, 1 + _divided(g, q, len(g))[1]) for q in factors]
     factors.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
-    return tuple((_scaled(g, 1, g[-1]), m) for g, m in factors)
+    return tuple((_scaled(q, 1, q[-1]), m) for q, m in factors)
 
 
 def factor_poly(p: Poly) -> list[tuple[Poly, int]]:
@@ -1077,8 +1075,7 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            object.__setattr__(self, "num", Poly.zero())
-            object.__setattr__(self, "den", Poly.one())
+            self.num, self.den = Poly.zero(), Poly.one()
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
@@ -1088,8 +1085,7 @@ class RatFunc:
         if c != 1:
             num = num.scale(1 / c)
             den = den.scale(1 / c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num, self.den = num, den
 
     def __reduce__(self):
         return (RatFunc, (self.num, self.den))
@@ -1099,8 +1095,7 @@ class RatFunc:
         # For a coprime pair with a monic denominator; skips the normalising
         # gcd.  A zero numerator gets the denominator 1.
         f = object.__new__(RatFunc)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den if num.nums else Poly.one())
+        f.num, f.den = num, den if num.nums else Poly.one()
         return f
 
     @staticmethod

@@ -79,6 +79,14 @@ class TestTruncCount:
         assert r.to_json() == {"total": 3,
                                "per_place": {"3": 1, "t^2 + 1": 1}}
 
+    def test_only_the_repeated_part_is_factored(self):
+        # t^42 - 1 splits into 42 linear factors mod the factoriser's big
+        # prime, past its subset budget; gcd(N, N') = t - 3 is all that is
+        # factored
+        f = RatFunc(Poly((-1,) + (0,) * 41 + (1,)) * Poly((-3, 1)) ** 2)
+        r = trunc_count(f, PlaceSet.of("inf"))
+        assert r.to_json() == {"total": 1, "per_place": {"3": 1}}
+
     def test_oracle_equivalence(self):
         rng = random.Random(17)
         # repeated factors of degree >= 2 first, then random products

@@ -38,9 +38,9 @@ from ffvojta.field_core import (
     _quadratic_factors,
     _recombined,
     _render_scaled,
-    _repeated_split,
     _scaled,
     _scaled_terms,
+    _squarefree_split,
     choose_omega,
     clear_denominators,
     divisor_of,
@@ -1125,12 +1125,16 @@ class TestFactoriser:
 
     @staticmethod
     def check(p: Poly) -> bool:
-        """Asserts the factorisation and its order; True when the in-house
-        factoriser or the repeated-factor split decided it."""
+        """Asserts the factorisation, its multiplicities and its order; True
+        when the in-house factoriser decided it within its bounds, False
+        when it raised InputTooLarge."""
         _factor_cached.cache_clear()
-        assert factor_poly(p) == oracle_factor(p)
-        return (p.degree < 2 or _factor_squarefree(_primitive(p)) is not None
-                or _repeated_split(_primitive(p)) is not None)
+        try:
+            found = factor_poly(p)
+        except InputTooLarge:
+            return False
+        assert found == oracle_factor(p)
+        return True
 
     def test_random_products(self):
         rng = random.Random(2021)
@@ -1193,11 +1197,11 @@ class TestFactoriser:
                 p = Poly((rng.choice(small), b, a))
             assert self.check(p)
             f = _primitive(p)
-            found = _quadratic_factors(f)
-            if found is None:
+            if [m for _, m in factor_poly(p)] == [2]:
+                # the gcd splits a square off before the discriminant
                 kind = "repeated"
-                assert [m for _, m in factor_poly(p)] == [2]
             else:
+                found = _quadratic_factors(f)
                 kind = "reducible" if len(found) == 2 else "irreducible"
                 assert [len(g) for g in found] == ([2, 2] if len(found) == 2
                                                    else [3])
@@ -1247,13 +1251,17 @@ class TestFactoriser:
         (Poly((-1, 1)) ** 2 * Poly((2, 1)) * Poly((1, 0, 1)), [1, 2, 1]),
     ], ids=["t^2", "(t-1)^3(t^2+1)^2", "4(2t+1)^2(t-3)", "(t-1)^2(t+2)(t^2+1)"])
     def test_repeated_factor_split_in_house(self, p, multiplicities):
-        # no small prime certifies these squarefree; gcd(f, f') splits off
-        # the repeated factors without sympy
-        prim = _primitive(p)
-        assert _factor_squarefree(prim) is None
-        assert _repeated_split(prim) is not None
+        # gcd(f, f') holds each factor one time fewer than f, so the
+        # squarefree part f / g is all that is factored, without sympy
+        g, squarefree = _squarefree_split(_primitive(p))
+        factors = factor_poly(p)
+        repeated = distinct = Poly.one()
+        for q, m in factors:
+            repeated, distinct = repeated * q ** (m - 1), distinct * q
+        assert Poly(g).monic() == repeated
+        assert Poly(squarefree).monic() == distinct
         assert self.check(p)
-        assert [m for _, m in factor_poly(p)] == multiplicities
+        assert [m for _, m in factors] == multiplicities
 
     @pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 7, 15, 31, 100, 2 ** 31 - 1,
                                    2 ** 60 - 1, 2 ** 61 - 1, 2 ** 89 - 2])

@@ -11,7 +11,7 @@ read by library code outside the method itself, or by the tracing code.
 sympy stays out of the library's decisions: only `bipoly.bipoly_gcd`,
 which the tracing code wraps and no library code calls, imports it.  And
 importing the library loads no hashlib, which would cost every CLI start
-milliseconds.
+milliseconds.  Only `field_core` names the table of lift primes.
 """
 
 from __future__ import annotations
@@ -148,6 +148,14 @@ def test_no_library_code_calls_bipoly_gcd():
             and "bipoly_gcd" in (getattr(node, "id", None),
                                  getattr(node, "attr", None),
                                  getattr(node, "name", None))] == []
+
+
+def test_only_field_core_names_the_lift_primes():
+    # the least prime above a bound is chosen in one place
+    # (`field_core._lift_modulus`)
+    assert [path.name for path in sorted(LIBRARY.glob("*.py"))
+            if path.name != "field_core.py" and "_MERSENNE_EXPONENTS"
+            in path.read_text(encoding="utf-8")] == []
 
 
 def test_import_loads_no_hashlib():
