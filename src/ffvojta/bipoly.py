@@ -216,12 +216,13 @@ class BiPoly(SparsePoly):
 
     `cleared` keeps the cleared form of the coefficients once it is found,
     `cert_images` their images at the certificate points and
-    `coeff_orders` their orders at each place asked for, per instance;
-    none of them takes part in `==`, `hash` or pickling.
+    `coeff_orders` their orders at each place asked for and
+    `companion_terms` the terms of `b_polynomial` that depend on A alone,
+    per instance; none of them takes part in `==`, `hash` or pickling.
     """
 
     __slots__ = ("deg_x", "deg_y", "_cleared_form", "_cert_images",
-                 "_orders")
+                 "_orders", "_companion")
 
     _arity = 2
 
@@ -236,6 +237,7 @@ class BiPoly(SparsePoly):
         self._cleared_form = None
         self._cert_images = None
         self._orders = None
+        self._companion = None
 
     def cleared(self) -> tuple[dict, Poly]:
         """`field_core.clear_denominators(self.coeffs)`: the coefficients
@@ -273,6 +275,21 @@ class BiPoly(SparsePoly):
             out = orders[place] = tuple((i, j, ord_at(c, place))
                                         for (i, j), c in self.coeffs.items())
         return out
+
+    def companion_terms(self) -> tuple:
+        """For each coefficient lam = a/b, as ((i, j), a b, a'b - ab',
+        the (factor, 2 * multiplicity) pairs of b^2): the terms of
+        `b_polynomial` that do not depend on the pair or the form.  Found
+        on the first call and kept."""
+        if self._companion is None:
+            out = []
+            for key, lam in self.coeffs.items():
+                a, b = lam.num, lam.den
+                out.append((key, a * b,
+                            a.derivative() * b - a * b.derivative(),
+                            tuple((f, 2 * m) for f, m in factor_poly(b))))
+            self._companion = tuple(out)
+        return self._companion
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -441,8 +458,12 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
 
         [a b (i N_u + j N_v) + (a'b - ab') q D] / (b^2 D),
 
-    and only a place of D or a factor of b can cancel:
-    `field_core._known_quotient` takes it to its normal form without a gcd.
+    The terms that depend on A alone, a b, a'b - ab' and the factors of b^2,
+    are found once per instance (`BiPoly.companion_terms`); q enters only
+    through q D, so a pair pays for i N_u + j N_v, q D and at most two
+    products per coefficient.  Only a place of D or a factor of b can
+    cancel: `field_core._known_quotient` takes each coefficient to its
+    normal form without a gcd.
     The counts it divides out give each coefficient's denominator as a
     product of known factors, so B's cleared form is filled in from them
     (`_known_cleared`), and the resultants do not clear B again.
@@ -459,15 +480,15 @@ def b_polynomial(A: BiPoly, u: SUnit, v: SUnit, w: OmegaForm) -> BiPoly:
     # the lcm of the coefficients' denominators, {factor: multiplicity}:
     # each is prod f^(m - k) over the counts k that went out
     lcm: dict[Poly, int] = {}
-    for (i, j), lam in A.coeffs.items():
-        a, b = lam.num, lam.den
-        top = (a * b * (n_u.scale(i) + n_v.scale(j))
-               + (a.derivative() * b - a * b.derivative()) * qd)
+    for (i, j), ab, dab, b_sq in A.companion_terms():
+        top = ab * (n_u.scale(i) + n_v.scale(j))
+        if not dab.is_zero:
+            top = top + dab * qd
         if top.is_zero:
             continue
         den = dict(places)
-        for f, m in factor_poly(b):
-            den[f] = den.get(f, 0) + 2 * m
+        for f, m in b_sq:
+            den[f] = den.get(f, 0) + m
         den = tuple(den.items())
         out[(i, j)], _, counts = _known_quotient(top.nums, top.den, den)
         for (f, m), k in zip(den, counts):

@@ -1453,13 +1453,38 @@ def _low_zeros(a) -> int:
     return n
 
 
+def _linear_value(a, b0: int, b1: int) -> int:
+    """b1^n a(-b0/b1) for the integer list a of length n + 1: the sum of
+    a_i (-b0)^i b1^(n-i), zero exactly when b0 + b1 t divides a."""
+    if b0 == -1 and b1 == 1:
+        return sum(a)
+    value, power = 0, 1
+    for c in reversed(a):
+        value = value * -b0 + c * power
+        power *= b1
+    return value
+
+
 def _divided(a, b, cap: int):
     """The nonzero integer list a divided by the primitive b as often as it
-    goes, at most cap times, with the number of times it went.  The place t
-    goes out as one slice of a's zero low coefficients."""
-    if b == _T_NUMS:
-        k = min(cap, _low_zeros(a))
-        return a[k:], k
+    goes, at most cap times, with the number of times it went.
+
+    The place t goes out as one slice of a's zero low coefficients.  Any
+    other linear b = b0 + b1 t is first tested by its value
+    (`_linear_value`): a nonzero value proves that b does not divide a, so
+    no division runs, and only a zero value goes on to `_exact_quotient`.
+    A b of higher degree is tried by `_exact_quotient` until it no longer
+    goes."""
+    if len(b) == 2:
+        b0, b1 = b
+        if not b0 and b1 == 1:
+            k = min(cap, _low_zeros(a))
+            return a[k:], k
+        k = 0
+        while k < cap and not _linear_value(a, b0, b1):
+            a = _exact_quotient(a, b)
+            k += 1
+        return a, k
     k = 0
     while k < cap and (quot := _exact_quotient(a, b)) is not None:
         a = quot
@@ -1474,8 +1499,8 @@ def _divide_out(p: Poly, qs) -> tuple[Poly, list[int]]:
     p is A / L (its nums and den) and stays in Z[t]: each q is P / L_q in
     the same way, and P is primitive (a prime dividing every coefficient of
     P would divide its leading coefficient L_q, and gcd(L_q, *P) = 1), so
-    dividing by q^m is dividing A by P^m over Z (`_divided`) and lifting by
-    L_q^m.
+    dividing by q^m is dividing A by P^m over Z (`_divided`, which tests a
+    linear P by its value before it divides) and lifting by L_q^m.
     """
     counts = [0] * len(qs)
     if p.is_zero:
@@ -1498,11 +1523,13 @@ def _known_quotient(a, lift: int, den) -> tuple[RatFunc, list[int], list[int]]:
 
     Only a factor of the denominator can cancel, so no gcd is needed: each
     q is divided out of a, on integers as in `_divide_out`, until it no
-    longer goes or m times (`_divided`).  What is left of a q that stopped
-    short is coprime to what is left of a, and the distinct q are coprime
-    to each other, so the pair is normal by theorem.  The denominator is one
-    integer product of the primitive P's that remain, and its leading
-    coefficient is the product of their lifts: it comes out monic.
+    longer goes or m times (`_divided`); a linear q that does not divide
+    is told by its value, with no trial division.  What is left of a q
+    that stopped short is coprime to what is left of a, and the distinct q
+    are coprime to each other, so the pair is normal by theorem.  The
+    denominator is one integer product of the primitive P's that remain,
+    and its leading coefficient is the product of their lifts: it comes
+    out monic.
     """
     scale = down_lift = 1
     down, counts = [], []

@@ -40,6 +40,7 @@ from ffvojta.field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
     _SMALL_PRIMES,
+    OmegaForm,
     Place,
     Poly,
     RatFunc,
@@ -293,6 +294,21 @@ def _check_b_cleared(B: BiPoly) -> None:
     assert BiPoly(B.coeffs)._cleared_form is None
 
 
+def _check_b_reference(A: BiPoly, u: SUnit, v: SUnit, w) -> None:
+    """b_polynomial(A, u, v, w) is the companion built in RatFunc
+    arithmetic from its formula, lam * (i theta_u + j theta_v) + q lam' at
+    each (i, j), and its filled cleared form is the reference's too
+    (`_check_b_cleared`)."""
+    U, V = as_ratfunc(u), as_ratfunc(v)
+    theta_u = deriv_omega(U, w) / U
+    theta_v = deriv_omega(V, w) / V
+    B = b_polynomial(A, u, v, w)
+    assert B == BiPoly({(i, j): lam * (i * theta_u + j * theta_v)
+                        + deriv_omega(lam, w)
+                        for (i, j), lam in A.coeffs.items()})
+    _check_b_cleared(B)
+
+
 class TestBPolynomial:
     def test_linear_example(self):
         w = choose_omega(S01.places)
@@ -327,7 +343,8 @@ class TestBPolynomial:
 
     def test_filled_cleared_form_on_the_audit_pool(self):
         # the benchmark's audit_cubic pool: 144 pairs of the cubic over
-        # {0, 1, inf} at max_exponent 2, seed 7
+        # {0, 1, inf} at max_exponent 2, seed 7, all on the one A the audit
+        # builds, whose kept terms serve every pair
         from ffvojta.verify import _audit_setting
 
         cfg = RunConfig(poly="X^2*Y+X*Y^2-t*(X+Y)+1",
@@ -336,12 +353,65 @@ class TestBPolynomial:
         ctx = build_context(cfg)
         A, _, _, w = _audit_setting(cfg.poly, tuple(cfg.places), cfg.seed)
         for index in range(144):
-            _check_b_cleared(b_polynomial(A, *pair_for_index(ctx, index), w))
+            _check_b_reference(A, *pair_for_index(ctx, index), w)
         # every coefficient of A over one denominator that the units' own
         # places cancel in part
         A = A.scale(rat("1/(t*(t-1)^2*(2*t+1))"))
         for index in range(0, 144, 9):
-            _check_b_cleared(b_polynomial(A, *pair_for_index(ctx, index), w))
+            _check_b_reference(A, *pair_for_index(ctx, index), w)
+
+    @pytest.mark.parametrize("expr", [
+        "X*Y-1/(t-2)",
+        "(t/(t^2+1))*X^2*Y + Y^2/(t-1)^2 - (t+3)/(2*t+1)",
+    ])
+    def test_rational_coefficients_match_reference(self, expr):
+        rng = random.Random(61)
+        A = bi(expr)
+        for S in ODD_PLACE_SETS:
+            w = choose_omega(S.places)
+            for _ in range(4):
+                _check_b_reference(A, unit_over(S, rng, 3),
+                                   unit_over(S, rng, 3), w)
+
+    def test_equal_instances_keep_their_own_terms(self):
+        rng = random.Random(62)
+        w = choose_omega(S011.places)
+        u, v = unit_over(S011, rng, 3), unit_over(S011, rng, 3)
+        first, second = bi("X*Y-1/(t-2)"), bi("X*Y-1/(t-2)")
+        assert first == second and first is not second
+        _check_b_reference(first, u, v, w)
+        assert second._companion is None
+        _check_b_reference(second, u, v, w)
+        assert first._companion is not second._companion
+        # a new A made after an old one is collected may take its id, and
+        # must still get its own terms
+        for k in range(1, 8):
+            _check_b_reference(bi(f"X*Y-{k}/(t-2)+t*X"), u, v, w)
+
+    def test_two_forms_on_one_a(self):
+        rng = random.Random(63)
+        A = bi("(t/(t-1))*X^2*Y + X*Y^2 - t*(X+Y) + 1/t")
+        forms = (choose_omega(S011.places),
+                 OmegaForm((P1, Place.infinity()), P1.poly),
+                 OmegaForm((P0, P1), P0.poly * P1.poly))
+        assert len({w.denominator for w in forms}) == 3
+        for _ in range(5):
+            u, v = unit_over(S011, rng, 3), unit_over(S011, rng, 3)
+            for w in forms:
+                _check_b_reference(A, u, v, w)
+
+    def test_kept_terms_stay_out_of_eq_hash_and_pickling(self):
+        A = bi("X*Y-1/(t-2)+t*X")
+        u = SUnit.make(1, {P0: 1}, S01)
+        b_polynomial(A, u, u, choose_omega(S01.places))
+        assert A._companion is not None
+        assert A.companion_terms() is A._companion
+        fresh = BiPoly(dict(A.coeffs))
+        assert fresh._companion is None
+        assert fresh == A and hash(fresh) == hash(A)
+        assert pickle.dumps(A) == pickle.dumps(fresh)
+        thawed = pickle.loads(pickle.dumps(A))
+        assert thawed == A and thawed._companion is None
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.sampled_from(ODD_PLACE_SETS), st.integers(0, 2 ** 32))

@@ -28,11 +28,14 @@ from ffvojta.field_core import (
     _ModRing,
     _cached_power,
     _den_product,
+    _divided,
     _exact_gcd,
+    _exact_quotient,
     _factor_cached,
     _factor_squarefree,
     _image,
     _join_terms,
+    _known_quotient,
     _kronecker_product,
     _multiplicity,
     _quadratic_factors,
@@ -611,6 +614,66 @@ class TestOverKnownDen:
                 assert (got.num, got.den) == (want.num, want.den)
                 if call:
                     assert _den_product.cache_info().hits == hits + 1
+
+
+def _trial_divided(a, b, cap: int):
+    """a divided by b with `_exact_quotient` until it no longer goes, at
+    most cap times, with the number of times it went."""
+    k = 0
+    while k < cap and (quot := _exact_quotient(a, b)) is not None:
+        a, k = quot, k + 1
+    return a, k
+
+
+# the primitive nums of the linear places t - 1, t + 2, 2t - 1 and 3t + 2
+_LINEAR_NUMS = ((-1, 1), (2, 1), (-1, 2), (2, 3))
+# coefficients near 2^61 and small ones, zero among them
+_WIDE = st.one_of(
+    st.builds(lambda s, d: s * (2 ** 61 + d), st.sampled_from((1, -1)),
+              st.integers(-64, 64)),
+    st.integers(-3, 3))
+
+
+class TestDividedLinear:
+    """`_divided` tests a linear b by its value before dividing; that must
+    give what the plain repeated `_exact_quotient` loop gives, quotient and
+    count, at every cap."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(st.sampled_from(_LINEAR_NUMS), st.integers(0, 6),
+           st.integers(-2, 2),
+           st.lists(_WIDE, min_size=1, max_size=8).filter(lambda r: r[-1]))
+    @example((-1, 1), 6, 0, [2 ** 61 - 1])
+    @example((2, 3), 3, -1, [2 ** 61, 0, -(2 ** 61)])
+    def test_matches_trial_division(self, b, mult, shift, rest):
+        a = _convolution([(rest, 1), (b, mult)])
+        for cap in (max(0, mult + shift), len(a)):
+            got = _divided(a, b, cap)
+            want = _trial_divided(a, b, cap)
+            assert (list(got[0]), got[1]) == (list(want[0]), want[1])
+            assert got[1] >= min(cap, mult)
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 3),
+           st.integers(1, 3),
+           st.lists(_WIDE, min_size=1, max_size=5).filter(lambda r: r[-1]))
+    def test_known_quotient_over_two_linear_places(self, e1, e2, m1, m2,
+                                                   rest):
+        # (t - 1)^e1 (t + 2/3)^e2 planted in the numerator, over
+        # (t - 1)^m1 (t + 2/3)^m2
+        q1, q2 = Poly((-1, 1)), Poly((Fraction(2, 3), 1))
+        nums = _convolution([(rest, 1), (q1.nums, e1), (q2.nums, e2)])
+        den = ((q1, m1), (q2, m2))
+        got, quotient, counts = _known_quotient(nums, 1, den)
+        want = RatFunc(Poly(nums), q1 ** m1 * q2 ** m2)
+        assert (got.num, got.den) == (want.num, want.den)
+        left = nums
+        for (q, m), e, k in zip(den, (e1, e2), counts):
+            left, went = _trial_divided(left, q.nums, m)
+            assert k == went >= min(m, e)
+        assert list(quotient) == list(left)
 
 
 # a value for `clear_denominators`: a numerator with either None (a bare

@@ -11,7 +11,10 @@ read by library code outside the method itself, or by the tracing code.
 sympy stays out of the library's decisions: only `bipoly.bipoly_gcd`,
 which the tracing code wraps and no library code calls, imports it.  And
 importing the library loads no hashlib, which would cost every CLI start
-milliseconds.  Only `field_core` names the table of lift primes.
+milliseconds.  Only `field_core` names the table of lift primes.  No
+module calls `id()`: an id is reused once its object is collected, so a
+per-instance cache lives in a slot of the instance, never in a dict keyed
+on ids.
 """
 
 from __future__ import annotations
@@ -156,6 +159,14 @@ def test_only_field_core_names_the_lift_primes():
     assert [path.name for path in sorted(LIBRARY.glob("*.py"))
             if path.name != "field_core.py" and "_MERSENNE_EXPONENTS"
             in path.read_text(encoding="utf-8")] == []
+
+
+def test_no_module_calls_id():
+    assert [f"{path.name}:{node.lineno}"
+            for path in sorted(LIBRARY.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "id"] == []
 
 
 def test_import_loads_no_hashlib():
