@@ -173,9 +173,9 @@ def _quartic_section(index: int, c: Classification, threshold) -> dict:
                 "detail": "the section lies inside the zero locus"}
     out = {"pair_index": index, "kind": c.kind, "height": c.height,
            "threshold": str(threshold)}
-    if c.lhs is not None:
-        out["lhs"] = c.lhs
-        out["rhs"] = str(c.rhs)
+    if c.count is not None:
+        out["lhs"] = c.count.lhs
+        out["rhs"] = str(c.count.rhs)
     if c.kind == "relation":
         dep = c.dependence
         out.update({"r": dep.r, "s": dep.s, "gamma": str(dep.gamma)})

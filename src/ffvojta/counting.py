@@ -146,21 +146,28 @@ class BoundCheck:
 
     When the right side involves a cube root, `rhs_cubed` carries the exact
     cube and the comparison was lhs^3 <= rhs_cubed; otherwise `rhs` is the
-    exact rational right side.
+    exact right side.  `deficits`, when set, is the per-place table of a
+    right side that is a sum over places.
     """
 
-    lhs: Fraction
+    lhs: int
     holds: bool
-    branch: str
-    rhs: Fraction | None = None
-    rhs_cubed: Fraction | None = None
+    rhs: int | Fraction | None = None
+    rhs_cubed: int | None = None
+    deficits: tuple[tuple[Place, int], ...] | None = None
 
     def to_json(self) -> dict:
-        out = {"lhs": str(self.lhs), "branch": self.branch, "holds": self.holds}
+        """lhs, the right side (a Fraction as "p/q"), the deficits keyed
+        by place when set, then holds."""
+        out: dict = {"lhs": self.lhs}
         if self.rhs is not None:
-            out["rhs"] = str(self.rhs)
+            rhs = self.rhs
+            out["rhs"] = str(rhs) if isinstance(rhs, Fraction) else rhs
         if self.rhs_cubed is not None:
-            out["rhs_cubed"] = str(self.rhs_cubed)
+            out["rhs_cubed"] = self.rhs_cubed
+        if self.deficits is not None:
+            out["deficits"] = {str(p): d for p, d in self.deficits}
+        out["holds"] = self.holds
         return out
 
 
@@ -199,11 +206,9 @@ def check_cz_gcd_bound(u: RatFunc, alpha: RatFunc, v: RatFunc, beta: RatFunc,
     max_h = max(height(q1), height(q2))
     if dependence.dependent:
         rhs = Fraction(max_h, max(abs(dependence.r), abs(dependence.s)))
-        return BoundCheck(Fraction(lhs), lhs <= rhs, "dependent", rhs=rhs)
-    chi = euler_char(V)
-    rhs_cubed = Fraction(27 * 2 * max_h ** 2 * chi)
-    return BoundCheck(Fraction(lhs), Fraction(lhs) ** 3 <= rhs_cubed,
-                      "independent", rhs_cubed=rhs_cubed)
+        return BoundCheck(lhs, lhs <= rhs, rhs=rhs)
+    rhs_cubed = 27 * 2 * max_h ** 2 * euler_char(V)
+    return BoundCheck(lhs, lhs ** 3 <= rhs_cubed, rhs_cubed=rhs_cubed)
 
 
 MAX_SUBSUM_TERMS = 20
@@ -294,5 +299,5 @@ def check_zannier_bound(monomials: list[RatFunc], V: PlaceSet) -> BoundCheck:
     lhs = strip_set_factors(total.num, V).degree
     if not V.has_infinity:
         lhs += max(0, total.den.degree - total.num.degree)
-    rhs = Fraction(proj_height(monomials) - comb(M, 2) * euler_char(V))
-    return BoundCheck(Fraction(lhs), Fraction(lhs) >= rhs, "unit_sum", rhs=rhs)
+    rhs = proj_height(monomials) - comb(M, 2) * euler_char(V)
+    return BoundCheck(lhs, lhs >= rhs, rhs=rhs)

@@ -430,20 +430,14 @@ _ZERO, _ONE = Poly(), Poly((1,))
 
 
 def render_poly(p: Poly) -> str:
-    """Render a polynomial in the expression grammar (re-parseable)."""
-    return _render_scaled(p.nums, 1, p.den, 0)
-
-
-def _render_scaled(nums, a: int, b: int, shift: int) -> str:
-    """Render t^shift * nums * a / b in the expression grammar, for ints
-    nums (lowest degree first, no trailing zero), a != 0 and b >= 1: the
+    """Render a polynomial in the expression grammar (re-parseable): the
     term stage `_scaled_terms` and then the join stage `_join_terms`.
 
     A reduced fraction does not depend on how its value was stored, so a
     Poly renders the same from its own (nums, 1, den) as from any integer
     scaling of it, such as an S-unit's side (`sunits.render_unit`, which
     keeps the term stage of a place power in a cache)."""
-    return _join_terms(_scaled_terms(nums, a, b), shift)
+    return _join_terms(_scaled_terms(p.nums, 1, p.den), 0)
 
 
 # "t^k" and "*t^k" by k, for `_join_terms`, which grows them to each degree

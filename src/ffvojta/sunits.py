@@ -239,10 +239,10 @@ def as_ratfunc(u: SUnit) -> RatFunc:
 def render_unit(u: SUnit) -> str:
     """`parser.render_ratfunc_expr(as_ratfunc(u))`, without the expansion:
     each side of u (`_sides`) is rendered over its integer scale, c / lift
-    on top and 1 / lift below, by the two stages of
-    `field_core._render_scaled`: its terms (`_side_terms`) and then their
-    labels, with the place t as the shift.  The denominator is 1 exactly
-    when no exponent is negative."""
+    on top and 1 / lift below, by the two stages of `field_core.render_poly`:
+    its terms (`_side_terms`) and then their labels (`_join_terms`), with
+    the place t as the shift.  The denominator is 1 exactly when no
+    exponent is negative."""
     (ups, up_shift, lift_up), (downs, down_shift, lift_down) = _sides(u)
     c = u.constant
     num = _join_terms(_side_terms(ups, c.numerator, c.denominator * lift_up),

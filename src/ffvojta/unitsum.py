@@ -25,6 +25,7 @@ from .field_core import (
 )
 from .counting import (
     MAX_SUBSUM_TERMS,
+    BoundCheck,
     VanishingSubsum,
     _check_v_unit,
     find_vanishing_subsum,
@@ -111,25 +112,7 @@ class VanishingSum:
         return VanishingSum(terms, S, tuple(orders))
 
 
-@dataclass(frozen=True)
-class BMCheck:
-    """Both sides of the unit-sum height bound, with the deficit table."""
-
-    lhs: int
-    rhs: int
-    deficits: tuple[tuple[Place, int], ...]
-    holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deficits": {str(p): d for p, d in self.deficits},
-            "holds": self.holds,
-        }
-
-
-def check_bm(vs: VanishingSum) -> BMCheck:
+def check_bm(vs: VanishingSum) -> BoundCheck:
     """Evaluate the height bound for a validated vanishing sum.
 
     The left side is the projective height of the terms; the right side is
@@ -152,7 +135,7 @@ def check_bm(vs: VanishingSum) -> BMCheck:
         if d:
             deficits.append((p, d))
         rhs += p.geom_degree * d
-    return BMCheck(lhs, rhs, tuple(deficits), lhs <= rhs)
+    return BoundCheck(lhs, lhs <= rhs, rhs=rhs, deficits=tuple(deficits))
 
 
 def _known_den_sum(units, exps, S: PlaceSet) -> tuple[RatFunc, list[int]]:

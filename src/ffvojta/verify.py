@@ -29,12 +29,11 @@ from .bipoly import (
     vanishes_at,
 )
 from .constants import ThetaLedger, theta_ledger
-from .counting import strip_set_factors, trunc_count
+from .counting import BoundCheck, strip_set_factors, trunc_count
 from .field_core import (
     OmegaForm,
     RatFunc,
     choose_omega,
-    divisor_of,
     factor_poly,
     ord_at,
     Place,
@@ -203,8 +202,8 @@ class Classification:
     u and v are the units as generated, never expanded here: a record is
     rendered from their exponents (`sunits.render_unit`).  `height` is None
     only on the zero locus, `dependence` is set once the relation step
-    ran, and `lhs`/`rhs` (truncated count, eps times height) only for
-    bound_holds and violation.
+    ran, and `count` (the truncated count against eps times the height)
+    only for bound_holds and violation.
     """
 
     u: SUnit
@@ -212,8 +211,7 @@ class Classification:
     kind: str
     height: int | None
     dependence: DependenceResult | None
-    lhs: int | None
-    rhs: Fraction | None
+    count: BoundCheck | None
 
 
 def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
@@ -233,17 +231,18 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     integers.  Only the count expands the units, to evaluate A on them.
     """
     if vanishes_at(A, u, v):
-        return Classification(u, v, "degenerate_on_z", None, None, None, None)
+        return Classification(u, v, "degenerate_on_z", None, None, None)
     h = max(u.height, v.height)
     if h * theta1.denominator < theta1.numerator * max(1, euler_char(S)):
-        return Classification(u, v, "below_threshold", h, None, None, None)
+        return Classification(u, v, "below_threshold", h, None, None)
     dep = mult_dependence(u, v)
     if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
-        return Classification(u, v, "relation", h, dep, None, None)
+        return Classification(u, v, "relation", h, dep, None)
     lhs = trunc_count(evaluate(A, as_ratfunc(u), as_ratfunc(v)), S).total
     rhs = eps * h
-    kind = "bound_holds" if lhs <= rhs else "violation"
-    return Classification(u, v, kind, h, dep, lhs, rhs)
+    count = BoundCheck(lhs, lhs <= rhs, rhs=rhs)
+    kind = "bound_holds" if count.holds else "violation"
+    return Classification(u, v, kind, h, dep, count)
 
 
 def outcome_json(A: BiPoly, index: int, c: Classification) -> dict:
@@ -253,9 +252,9 @@ def outcome_json(A: BiPoly, index: int, c: Classification) -> dict:
                  "v": render_unit(c.v)}
     if c.height is not None:
         out["height"] = c.height
-    if c.lhs is not None:
-        out["lhs"] = c.lhs
-        out["rhs"] = str(c.rhs)
+    if c.count is not None:
+        out["lhs"] = c.count.lhs
+        out["rhs"] = str(c.count.rhs)
     out["kind"] = c.kind
     if c.kind == "relation":
         dep = c.dependence
@@ -344,12 +343,6 @@ def emit_report(report: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Stepwise audit of one pair (split case)
 # ---------------------------------------------------------------------------
-
-def _support_places(f: RatFunc) -> set:
-    if f.is_zero or f.is_constant:
-        return set()
-    return set(divisor_of(f))
-
 
 def _companion_places(S_a: PlaceSet, B: BiPoly, u: SUnit,
                       v: SUnit) -> PlaceSet:
@@ -467,16 +460,16 @@ def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
 
     Z and the nonzero values of A and B at the root pairs come from one
     evaluation (`_common_zeros`); V is S' with the zeros and poles of
-    those values and of F's and G's end coefficients."""
+    those values and of F's and G's nonzero end coefficients (F's constant
+    term is 0 when X divides F)."""
     zset, values = _common_zeros(A, B, roots_f, roots_g)
-    places = set(S_prime.places)
-    for c in (F.coeff(0, 0), F.coeff(F.deg_x, 0),
-              G.coeff(0, 0), G.coeff(0, G.deg_y), *values):
-        places |= _support_places(c)
-    V_set = PlaceSet(frozenset(places))
+    ends = (F.coeff(0, 0), F.coeff(F.deg_x, 0),
+            G.coeff(0, 0), G.coeff(0, G.deg_y))
+    V_set = enlarge_for_coefficients(
+        S_prime, [c for c in ends if not c.is_zero] + values)
     U, V = as_ratfunc(u), as_ratfunc(v)
     a_val, b_val = evaluate(A, U, V), evaluate(B, U, V)
-    checks, holds = [], True
+    checks = []
     if not a_val.is_zero and not b_val.is_zero:
         outside = strip_set_factors(a_val.num, V_set)
         zero_places = [Place._trusted(q) for q, _ in factor_poly(outside)]
@@ -488,11 +481,10 @@ def _step4(A: BiPoly, B: BiPoly, F: BiPoly, G: BiPoly, S_prime: PlaceSet,
                 min(ord_at(U - alpha, p) if U != alpha else 10 ** 9,
                     ord_at(V - beta, p) if V != beta else 10 ** 9)
                 for alpha, beta in zset)
-            ok = lhs <= rhs
-            holds = holds and ok
-            checks.append({"place": str(p), "lhs": lhs, "rhs": rhs, "holds": ok})
+            check = BoundCheck(lhs, lhs <= rhs, rhs=rhs)
+            checks.append({"place": str(p), **check.to_json()})
     return {"v_geometric_size": V_set.geometric_size, "z_pairs": len(zset),
-            "checks": checks, "holds": holds}
+            "checks": checks, "holds": all(row["holds"] for row in checks)}
 
 
 def audit_steps(cfg: RunConfig, u: SUnit, v: SUnit) -> dict:

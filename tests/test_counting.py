@@ -5,6 +5,7 @@ import pytest
 
 from ffvojta.counting import (
     MAX_SUBSUM_TERMS,
+    BoundCheck,
     ConstantQuotient,
     NotSInteger,
     NotUnit,
@@ -164,7 +165,7 @@ class TestCZGcdBound:
         assert not dep.dependent
         chk = check_cz_gcd_bound(RatFunc.t(), RatFunc.one(), rat("t-1"),
                                  RatFunc.one(), S011, dep)
-        assert chk.branch == "independent"
+        assert chk.rhs_cubed is not None
         assert chk.lhs == 0 and chk.holds
 
     def test_dependent_example(self):
@@ -172,7 +173,7 @@ class TestCZGcdBound:
         dep = mult_dependence(q, q)
         chk = check_cz_gcd_bound(RatFunc.t(), RatFunc.one(), RatFunc.t(),
                                  RatFunc.one(), S01, dep)
-        assert chk.branch == "dependent"
+        assert chk.rhs_cubed is None
         assert chk.lhs == 1 and chk.rhs == Fraction(1) and chk.holds
 
     def test_dependent_power_pair(self):
@@ -184,6 +185,20 @@ class TestCZGcdBound:
         chk = check_cz_gcd_bound(as_ratfunc(q1), RatFunc.one(),
                                  as_ratfunc(q2), RatFunc.one(), S01, dep)
         assert chk.lhs == 2 and chk.rhs == Fraction(2) and chk.holds
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_cube_comparison_at_equality(self, k):
+        # q1 = t^2, q2 = (t-1)^2 over {0, 1, inf}: rhs_cubed = 54 * 2^2 * 1
+        # = 6^3.  alpha = beta = (t-5)^k puts k common zeros at t = 5, and
+        # t^2 - 1 and (t-1)^2 - 1 share none outside V, so lhs = k.
+        q1 = SUnit.make(1, {P0: 2}, S011)
+        q2 = SUnit.make(1, {P1: 2}, S011)
+        alpha = rat(f"(t-5)^{k}")
+        chk = check_cz_gcd_bound(as_ratfunc(q1) * alpha, alpha,
+                                 as_ratfunc(q2) * alpha, alpha, S011,
+                                 mult_dependence(q1, q2))
+        assert (chk.lhs, chk.rhs, chk.rhs_cubed) == (k, None, 216)
+        assert chk.holds == (chk.lhs ** 3 <= chk.rhs_cubed) == (k <= 6)
 
     def test_constant_quotient_rejected(self):
         dep = mult_dependence(SUnit.make(1, {P0: 1}, S01),
@@ -210,6 +225,12 @@ class TestCZGcdBound:
             dep = mult_dependence(q1, q2)
             chk = check_cz_gcd_bound(u, alpha, v, beta, S011, dep)
             assert chk.holds
+
+
+class TestBoundCheck:
+    def test_fraction_side_written_as_text(self):
+        chk = BoundCheck(2, False, rhs=Fraction(3, 2))
+        assert chk.to_json() == {"lhs": 2, "rhs": "3/2", "holds": False}
 
 
 class TestZannierBound:

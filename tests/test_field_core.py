@@ -40,7 +40,6 @@ from ffvojta.field_core import (
     _multiplicity,
     _quadratic_factors,
     _recombined,
-    _render_scaled,
     _scaled,
     _scaled_terms,
     _squarefree_split,
@@ -149,16 +148,20 @@ class TestPoly:
         b = rng.choice((1, 2, 3, 6, 12, 35, 210))
         shift = rng.choice((0, 1, 2, 5, 64))
         p = Poly([0] * shift + [Fraction(n * a, b) for n in nums])
-        assert _render_scaled(nums, a, b, shift) == oracle_render_poly(p)
+        assert (_join_terms(_scaled_terms(nums, a, b), shift)
+                == oracle_render_poly(p))
 
     def test_scaled_render_edges(self):
-        assert _render_scaled((), 1, 1, 0) == "0"
-        assert _render_scaled((1,), 1, 1, 1) == "t"
-        assert _render_scaled((1,), -1, 1, 2) == "-t^2"
-        # 2/4 and 6/4 reduce each on their own; the zero between is skipped
-        assert _render_scaled((2, 0, 6), 1, 4, 0) == "3/2*t^2 + 1/2"
-        assert _render_scaled((3, -1), -2, 6, 1) == "1/3*t^2 - t"
-        assert _render_scaled((-5, 0, 0, 7), 3, 7, 3) == "3*t^6 - 15/7*t^3"
+        for nums, a, b, shift, text in [
+                ((), 1, 1, 0, "0"),
+                ((1,), 1, 1, 1, "t"),
+                ((1,), -1, 1, 2, "-t^2"),
+                # 2/4 and 6/4 reduce each on their own; the zero between
+                # is skipped
+                ((2, 0, 6), 1, 4, 0, "3/2*t^2 + 1/2"),
+                ((3, -1), -2, 6, 1, "1/3*t^2 - t"),
+                ((-5, 0, 0, 7), 3, 7, 3, "3*t^6 - 15/7*t^3")]:
+            assert _join_terms(_scaled_terms(nums, a, b), shift) == text
 
     def test_terms_join_at_any_shift(self):
         # the term stage never sees the shift, so one set of terms serves

@@ -14,7 +14,8 @@ importing the library loads no hashlib, which would cost every CLI start
 milliseconds.  Only `field_core` names the table of lift primes.  No
 module calls `id()`: an id is reused once its object is collected, so a
 per-instance cache lives in a slot of the instance, never in a dict keyed
-on ids.
+on ids.  An evaluated inequality is a `counting.BoundCheck`, whichever
+checker made it: no other class has both an `lhs` and a `holds` field.
 """
 
 from __future__ import annotations
@@ -167,6 +168,15 @@ def test_no_module_calls_id():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "id"] == []
+
+
+def test_one_bound_check_record():
+    records = [f"{mod}.{cls.name}" for mod, tree in _library()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and {"lhs", "holds"} <= {stmt.target.id for stmt in cls.body
+                                        if isinstance(stmt, ast.AnnAssign)
+                                        and isinstance(stmt.target, ast.Name)}]
+    assert records == ["counting.BoundCheck"]
 
 
 def test_import_loads_no_hashlib():

@@ -181,7 +181,7 @@ class TestPropRamCheck:
         assert rep.kind == "relation"
         assert (rep.dependence.r, rep.dependence.s) == (1, 1)
         assert rep.dependence.gamma == RatFunc.one()
-        assert rep.lhs is None
+        assert rep.count is None
 
     def test_bound_branch(self):
         u = SUnit.make(1, {P0: 2}, S011)
@@ -189,11 +189,11 @@ class TestPropRamCheck:
         rep = classify(bi("X+Y+1"), S011, u, v, 0, 0, Fraction(1, 2))
         # value (t-1)^2: the place 1 is inside S, so the count is zero
         assert rep.kind == "bound_holds"
-        assert rep.lhs == 0
+        assert rep.count.lhs == 0
 
         rep2 = classify(bi("X+Y+1"), S01, u, v, 0, 0, Fraction(1, 2))
         assert rep2.kind == "bound_holds"
-        assert rep2.lhs == 1 and rep2.rhs == Fraction(1)
+        assert rep2.count.lhs == 1 and rep2.count.rhs == Fraction(1)
 
     def test_inside_z_degenerate(self):
         u = SUnit.make(1, {P0: 1}, S01)

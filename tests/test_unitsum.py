@@ -142,6 +142,13 @@ class TestCheckBM:
         assert dict((str(p), d) for p, d in result.deficits) == \
             {"0": 1, "1": 1, "inf": 1}
 
+    def test_constant_sum_writes_empty_deficits(self):
+        # every term constant: no place has a deficit, and the table is
+        # still written
+        vs = VanishingSum.build([rat("1"), rat("1"), rat("-2")], S011)
+        assert check_bm(vs).to_json() == {"lhs": 0, "rhs": 0, "deficits": {},
+                                          "holds": True}
+
     def test_constant_scaling_invariance(self):
         base = [rat("t"), rat("1-t"), rat("-1")]
         vs = check_bm(VanishingSum.build(base, S011))

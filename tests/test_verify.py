@@ -367,7 +367,7 @@ def done(name):
 ctx = build_context(RunConfig(poly='X-Y', places=('0', 't^2+1', 'inf'),
                               max_exponent=6, seed=3))
 c = classify(ctx.A, ctx.S, *pair_for_index(ctx, 47), 0, 1, Fraction(1, 2))
-assert (c.kind, c.lhs) == ('bound_holds', 0)
+assert (c.kind, c.count.lhs) == ('bound_holds', 0)
 done('pair-47')
 
 # a coefficient past the largest Mersenne prime
@@ -510,7 +510,8 @@ class TestAudit:
         rep = audit_steps(cfg, u, v)
         assert rep["outcome"] == "split_audit_complete"
         assert rep["step4"]["z_pairs"] == 1
-        assert rep["step4"]["checks"], "expected a pointwise check at t = 1"
+        assert json.dumps(rep["step4"]["checks"]) == (
+            '[{"place": "1", "lhs": 1, "rhs": 1, "holds": true}]')
         assert rep["step4"]["holds"]
 
     def test_step1_relation_branch(self):
