@@ -56,7 +56,6 @@ from .constants import (
     ThetaLedger,
     irred_ledger,
     pair_ledger,
-    section_height_constant,
     theta_ledger,
 )
 from .unitsum import VanishingSum, bm_weight, check_bm
@@ -66,7 +65,6 @@ from .p2family import (
     jacobian_ramification,
     log_canonical_bidegree,
     quartic_family,
-    section_pullback_degree,
 )
 from .parser import parse_bipoly, parse_place, parse_ratfunc
 from .verify import (

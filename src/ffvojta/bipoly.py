@@ -73,6 +73,7 @@ from .field_core import (
     _divided,
     _divmod_mod,
     _factor_squarefree,
+    _homogeneous_value,
     _lift_modulus,
     _known_quotient,
     _kronecker_product,
@@ -805,14 +806,6 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
 # bound taken from the degrees.
 _LIFT_POINTS = tuple(range(2, 10))
 
-def _value(f, x: int) -> int:
-    """f(x) for a sequence f of ints, lowest degree first."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
     """The rational roots of g in Z[x] (lowest degree first, g(0) and
     lc(g) nonzero) with their multiplicities, or None when neither a prime
@@ -1057,7 +1050,7 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     d = max(len(ts) for ts in cols) - 1
     last = max(_LIFT_POINTS[-1], (2 * len(cols) - 1) * d + 2)
     for tau in range(_LIFT_POINTS[0], last + 1):
-        image = [_value(ts, tau) for ts in cols]
+        image = [_homogeneous_value(ts, tau, 1) for ts in cols]
         if not image[0] or not image[-1]:
             continue
         image_roots = _image_roots(image)
@@ -1213,10 +1206,7 @@ def _specialised(ints: Mapping[tuple[int, int], list[int]],
     top = max(len(ns) for ns in ints.values())
     out = {}
     for key, ns in ints.items():
-        acc, bk = 0, 1
-        for c in reversed(ns):
-            acc = acc * a + c * bk
-            bk *= b
+        acc = _homogeneous_value(ns, a, b)
         if acc:
             out[key] = acc * b ** (top - len(ns))
     return out

@@ -8,8 +8,9 @@ display, never for decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 
@@ -21,11 +22,15 @@ class EmptyFactorization(ValueError):
     """Raised when a threshold ledger is requested for no factors."""
 
 
-def cbrt_decimal(x: Fraction, digits: int = 18) -> str:
+# digits after the point in the rendering of a cube root
+CBRT_DIGITS = 18
+
+
+def cbrt_decimal(x: Fraction) -> str:
     """Decimal rendering of the cube root of a nonnegative rational."""
     if x < 0:
         raise InvalidInput("cube-root rendering expects a nonnegative value")
-    scaled = x.numerator * 10 ** (3 * digits) // x.denominator
+    scaled = x.numerator * 10 ** (3 * CBRT_DIGITS) // x.denominator
     # integer cube root by Newton iteration
     if scaled == 0:
         r = 0
@@ -38,12 +43,27 @@ def cbrt_decimal(x: Fraction, digits: int = 18) -> str:
             r = nr
         while r * r * r > scaled:
             r -= 1
-    s = str(r).rjust(digits + 1, "0")
-    return f"{s[:-digits]}.{s[-digits:]}"
+    s = str(r).rjust(CBRT_DIGITS + 1, "0")
+    return f"{s[:-CBRT_DIGITS]}.{s[-CBRT_DIGITS:]}"
+
+
+class _Ledger:
+    """The JSON writer of a constant ledger: every field in order, a
+    Fraction as its str, and the decimal rendering of a cube root under the
+    root's own name (c7_decimal as c7, d7_decimal as d7)."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Fraction):
+                value = str(value)
+            out[f.name.removesuffix("_decimal")] = value
+        return out
 
 
 @dataclass(frozen=True)
-class IrredLedger:
+class IrredLedger(_Ledger):
     """Constant ledger for a single irreducible factor of bidegree
     (deg_x, deg_y) and height h, at tolerance eps."""
 
@@ -64,18 +84,6 @@ class IrredLedger:
     c1: Fraction
     c2: Fraction
     step5_threshold: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "deg_x": self.deg_x, "deg_y": self.deg_y, "h": self.h,
-            "eps": str(self.eps),
-            "c3": str(self.c3), "c4": str(self.c4), "c5": str(self.c5),
-            "c6": str(self.c6), "c_v": str(self.c_v),
-            "c7_cubed": str(self.c7_cubed), "c7": self.c7_decimal,
-            "c8": str(self.c8), "c9": str(self.c9), "c10": str(self.c10),
-            "c1": str(self.c1), "c2": str(self.c2),
-            "step5_threshold": str(self.step5_threshold),
-        }
 
 
 def irred_ledger(deg_x: int, deg_y: int, h_a: int, eps) -> IrredLedger:
@@ -109,7 +117,7 @@ def irred_ledger(deg_x: int, deg_y: int, h_a: int, eps) -> IrredLedger:
 
 
 @dataclass(frozen=True)
-class PairLedger:
+class PairLedger(_Ledger):
     """Constant ledger for a coprime pair of factors of total degrees
     (deg1, deg2) and heights (h1, h2), at tolerance eps."""
 
@@ -128,16 +136,6 @@ class PairLedger:
     d8: Fraction
     d1: Fraction
     d2: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "deg1": self.deg1, "deg2": self.deg2,
-            "h1": self.h1, "h2": self.h2, "eps": str(self.eps),
-            "d3": str(self.d3), "d4": str(self.d4), "d5": str(self.d5),
-            "d6": str(self.d6), "d_v": str(self.d_v),
-            "d7_cubed": str(self.d7_cubed), "d7": self.d7_decimal,
-            "d8": str(self.d8), "d1": str(self.d1), "d2": str(self.d2),
-        }
 
 
 def pair_ledger(deg1: int, deg2: int, h1: int, h2: int, eps) -> PairLedger:
@@ -217,13 +215,9 @@ def theta_ledger(factors: list[tuple[int, int, int]], eps) -> ThetaLedger:
     eps_prime = eps / (2 * (deg_total + 1) ** 2)
     factor_ledgers = tuple(
         irred_ledger(dx, dy, h, eps_prime) for dx, dy, h in factors)
-    pair_items = []
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            dx1, dy1, h1 = factors[i]
-            dx2, dy2, h2 = factors[j]
-            pair_items.append(
-                ((i, j), pair_ledger(dx1 + dy1, dx2 + dy2, h1, h2, eps_prime)))
+    pair_items = [((i, j), pair_ledger(dx1 + dy1, dx2 + dy2, h1, h2, eps_prime))
+                  for (i, (dx1, dy1, h1)), (j, (dx2, dy2, h2))
+                  in combinations(enumerate(factors), 2)]
 
     theta1, theta1_source = max(
         [(led.c1, f"factor {i}") for i, led in enumerate(factor_ledgers)]
@@ -241,18 +235,3 @@ def theta_ledger(factors: list[tuple[int, int, int]], eps) -> ThetaLedger:
         eps=eps, eps_prime=eps_prime, deg_total=deg_total,
         factor_ledgers=factor_ledgers, pair_ledgers=tuple(pair_items),
     )
-
-
-def section_height_constant(m: int, deg_pi: int, n: int, h_mu: int,
-                            ram_constant) -> Fraction:
-    """Height threshold for sections out of the unit-sum argument:
-    max of 2 m deg_pi ((n-1)(n-2) + 2/deg_pi + H(mu)) and the ramification
-    threshold."""
-    if m < 1 or deg_pi < 1:
-        raise InvalidInput("m and deg_pi must be positive")
-    if n < 3:
-        raise InvalidInput("the unit sum needs at least three terms")
-    if h_mu < 0:
-        raise InvalidInput("the height term must be nonnegative")
-    value = 2 * m * deg_pi * ((n - 1) * (n - 2) + Fraction(2, deg_pi) + h_mu)
-    return max(Fraction(value), Fraction(ram_constant))

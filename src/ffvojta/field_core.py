@@ -329,17 +329,14 @@ class Poly:
 
     def eval(self, x) -> Fraction:
         """The value at a rational x = u / v: one integer Horner sum of the
-        nums[i] u^i v^(deg - i), over den * v^deg."""
+        nums[i] u^i v^(deg - i) (`_homogeneous_value`), over den * v^deg."""
         if not self.nums:
             return Fraction(0)
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
         u, v = x.numerator, x.denominator
-        acc, vk = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * u + c * vk
-            vk *= v
-        return Fraction(acc, self.den * (vk // v))
+        return Fraction(_homogeneous_value(self.nums, u, v),
+                        self.den * v ** (len(self.nums) - 1))
 
     @staticmethod
     def zero() -> "Poly":
@@ -1447,15 +1444,16 @@ def _low_zeros(a) -> int:
     return n
 
 
-def _linear_value(a, b0: int, b1: int) -> int:
-    """b1^n a(-b0/b1) for the integer list a of length n + 1: the sum of
-    a_i (-b0)^i b1^(n-i), zero exactly when b0 + b1 t divides a."""
-    if b0 == -1 and b1 == 1:
+def _homogeneous_value(a, u: int, v: int) -> int:
+    """v^n a(u/v) for the integer list a of length n + 1, lowest degree
+    first: the Horner sum of a_i u^i v^(n-i), exact, on integers.  At
+    u/v = -b0/b1 it is zero exactly when b0 + b1 t divides a."""
+    if u == 1 and v == 1:
         return sum(a)
     value, power = 0, 1
     for c in reversed(a):
-        value = value * -b0 + c * power
-        power *= b1
+        value = value * u + c * power
+        power *= v
     return value
 
 
@@ -1464,9 +1462,10 @@ def _divided(a, b, cap: int):
     goes, at most cap times, with the number of times it went.
 
     The place t goes out as one slice of a's zero low coefficients.  Any
-    other linear b = b0 + b1 t is first tested by its value
-    (`_linear_value`): a nonzero value proves that b does not divide a, so
-    no division runs, and only a zero value goes on to `_exact_quotient`.
+    other linear b = b0 + b1 t is first tested by its value at -b0/b1
+    (`_homogeneous_value`): a nonzero value proves that b does not divide
+    a, so no division runs, and only a zero value goes on to
+    `_exact_quotient`.
     A b of higher degree is tried by `_exact_quotient` until it no longer
     goes."""
     if len(b) == 2:
@@ -1475,7 +1474,7 @@ def _divided(a, b, cap: int):
             k = min(cap, _low_zeros(a))
             return a[k:], k
         k = 0
-        while k < cap and not _linear_value(a, b0, b1):
+        while k < cap and not _homogeneous_value(a, -b0, b1):
             a = _exact_quotient(a, b)
             k += 1
         return a, k
@@ -1640,31 +1639,20 @@ class OmegaForm:
 def choose_omega(places) -> OmegaForm:
     """Deterministically pick a two-simple-pole form with poles inside S.
 
-    Candidates are ranked by (degree of the denominator, polar places in
-    the canonical place order), so a (finite, infinity) pair with a
-    degree-one denominator wins over a pair of finite places.
+    The poles are the least finite place of degree 1 with infinity when
+    infinity is in S, else the two least finite places of degree 1, else
+    the least place of degree 2, least in the canonical place order.
     """
     place_list = sorted(set(places), key=lambda p: p.sort_key())
     finite1 = [p for p in place_list if not p.is_infinity and p.geom_degree == 1]
-    finite2 = [p for p in place_list if not p.is_infinity and p.geom_degree == 2]
-    has_inf = any(p.is_infinity for p in place_list)
-
-    candidates: list[tuple[tuple, Poly, tuple[Place, ...]]] = []
-    if has_inf:
-        for p in finite1:
-            polar = (p, Place.infinity())
-            candidates.append(
-                ((p.poly.degree, tuple(q.sort_key() for q in polar)), p.poly, polar))
-    for p, q in itertools.combinations(finite1, 2):
-        polar = (p, q)
-        candidates.append(
-            ((2, tuple(r.sort_key() for r in polar)), p.poly * q.poly, polar))
-    for p in finite2:
-        polar = (p,)
-        candidates.append(((2, (p.sort_key(),)), p.poly, polar))
-
-    if not candidates:
-        raise STooSmall(
-            "need total geometric degree >= 2 with a representable polar pair")
-    key, den, polar = min(candidates, key=lambda c: c[0])
-    return OmegaForm(polar, den.monic())
+    if finite1 and any(p.is_infinity for p in place_list):
+        return OmegaForm((finite1[0], Place.infinity()), finite1[0].poly)
+    if len(finite1) >= 2:
+        p, q = finite1[:2]
+        return OmegaForm((p, q), p.poly * q.poly)
+    for p in place_list:
+        # infinity has degree 1, so a place of degree 2 is finite
+        if p.geom_degree == 2:
+            return OmegaForm((p,), p.poly)
+    raise STooSmall(
+        "need total geometric degree >= 2 with a representable polar pair")

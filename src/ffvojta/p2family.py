@@ -14,45 +14,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, SparsePoly, evaluate
-from .counting import strip_set_factors
+from .bipoly import BiPoly, SparsePoly
 from .field_core import Place, Poly, RatFunc, factor_poly
-from .sunits import PlaceSet, SUnit, as_ratfunc
+from .sunits import PlaceSet
 
 
 class DegenerateMap(ValueError):
     """Raised when the Jacobian determinant of a map vanishes identically."""
 
 
-class SectionInsideZ(ValueError):
-    """Raised when a section lands inside the divisor being pulled back."""
-
-
 @dataclass(frozen=True)
 class BiDegree:
-    """Bidegree (a, b) in Pic(P^2 x P^1); addition is componentwise."""
+    """Bidegree (a, b) in Pic(P^2 x P^1)."""
 
     a: int
     b: int
-
-    def __add__(self, other: "BiDegree") -> "BiDegree":
-        return BiDegree(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "BiDegree") -> "BiDegree":
-        return BiDegree(self.a - other.a, self.b - other.b)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
 
 
-def log_canonical_bidegree(d: int, l: int, relative: bool = False) -> BiDegree:
-    """Bidegree of the log canonical class K + D for D of bidegree (d, l).
-
-    The absolute form is (d - 3, l - 2); the relative form drops the base
-    contribution and is (d - 3, l).
-    """
-    if relative:
-        return BiDegree(d - 3, l)
+def log_canonical_bidegree(d: int, l: int) -> BiDegree:
+    """Bidegree (d - 3, l - 2) of the log canonical class K + D for D of
+    bidegree (d, l)."""
     return BiDegree(d - 3, l - 2)
 
 
@@ -129,17 +113,6 @@ def jacobian_ramification(g1: BiForm, g2: BiForm, g3: BiForm) -> BiForm:
     return det
 
 
-def section_pullback_degree(A: BiPoly, u: SUnit, v: SUnit, S: PlaceSet) -> int:
-    """Geometric count of the zeros of A(u, v) outside S."""
-    w = evaluate(A, as_ratfunc(u), as_ratfunc(v))
-    if w.is_zero:
-        raise SectionInsideZ("the section lies inside the zero locus")
-    total = strip_set_factors(w.num, S).degree
-    if not S.has_infinity:
-        total += max(0, w.den.degree - w.num.degree)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # The reducible-quartic pencil fixture
 # ---------------------------------------------------------------------------
@@ -148,10 +121,6 @@ def section_pullback_degree(A: BiPoly, u: SUnit, v: SUnit, S: PlaceSet) -> int:
 class QuarticFamily:
     """The worked pencil: two lines and a conic moving over P^1."""
 
-    g1: BiForm          # (y0 x0)^2
-    g2: BiForm          # (y0 x1)^2
-    g3: BiForm          # the conic component
-    full_form: BiForm   # the (4, 4) divisor form
     jacobian: BiForm
     divisor_bidegree: BiDegree
     z_bidegree: BiDegree
@@ -222,10 +191,6 @@ def quartic_family() -> QuarticFamily:
     image = xy1 * xy1 - BiPoly({(1, 1): t4})
 
     return QuarticFamily(
-        g1=g1,
-        g2=g2,
-        g3=conic,
-        full_form=full_form,
         jacobian=jac,
         divisor_bidegree=BiDegree(4, 4),
         z_bidegree=log_canonical_bidegree(4, 4),

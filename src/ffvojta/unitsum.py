@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from . import field_core
 from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
@@ -22,6 +21,7 @@ from .field_core import (
     _known_quotient,
     _kronecker_product,
     _scaled,
+    factor_poly,
 )
 from .counting import (
     MAX_SUBSUM_TERMS,
@@ -222,8 +222,7 @@ def random_vanishing_sum(S: PlaceSet, n: int, max_exponent: int,
         last = -total
         rest, zeros = _divide_out(last.num, qs)
         orders = {p: z - k for p, z, k in zip(finite, zeros, poles)}
-        # through the module, so that a wrapper put on factor_poly sees it
-        for q, mult in field_core.factor_poly(rest):
+        for q, mult in factor_poly(rest):
             orders[Place._trusted(q)] = mult
         support = set(orders)
         if not S.has_infinity and last.num.degree != last.den.degree:

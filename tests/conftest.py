@@ -15,13 +15,16 @@ over Q by sympy's Zassenhaus over ZZ, cleared denominators by sympy's
 lcm and `clear_denoms`, audit step 1 by the coefficient-ratio scan it
 replaced, and the irreducibility audit by
 building each specialisation as a sympy expression coefficient by
-coefficient.  Two are the library's own former code, kept as oracles:
-`deriv_omega`, the derivation against a two-pole form, and
-`log_derivative`, the harness of `sunits._log_derivative_num`.
+coefficient.  Three are the library's own former code, kept as oracles:
+`deriv_omega`, the derivation against a two-pole form,
+`log_derivative`, the harness of `sunits._log_derivative_num`, and
+`oracle_choose_omega`, the ranking of candidate polar pairs that
+`field_core.choose_omega` replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -30,7 +33,8 @@ from math import gcd
 import sympy
 
 from ffvojta.bipoly import _AUDIT_TRIALS
-from ffvojta.field_core import OmegaForm, Poly, RatFunc, _known_quotient
+from ffvojta.field_core import (OmegaForm, Place, Poly, RatFunc, STooSmall,
+                                _known_quotient)
 from ffvojta.sunits import PlaceSet, SUnit, _log_derivative_num
 
 
@@ -419,6 +423,37 @@ def deriv_omega(f: RatFunc, w: OmegaForm) -> RatFunc:
     num, den = f.num, f.den
     return (RatFunc(num.derivative() * den - num * den.derivative(), den * den)
             * RatFunc(w.denominator))
+
+
+def oracle_choose_omega(places) -> OmegaForm:
+    """The two-pole form by ranking every candidate polar pair on (degree
+    of the denominator, polar places in the canonical place order): each
+    finite place of degree 1 with infinity, each two finite places of
+    degree 1, each finite place of degree 2; STooSmall when there is none."""
+    place_list = sorted(set(places), key=lambda p: p.sort_key())
+    finite1 = [p for p in place_list if not p.is_infinity and p.geom_degree == 1]
+    finite2 = [p for p in place_list if not p.is_infinity and p.geom_degree == 2]
+    has_inf = any(p.is_infinity for p in place_list)
+
+    candidates = []
+    if has_inf:
+        for p in finite1:
+            polar = (p, Place.infinity())
+            candidates.append(
+                ((p.poly.degree, tuple(q.sort_key() for q in polar)), p.poly, polar))
+    for p, q in itertools.combinations(finite1, 2):
+        polar = (p, q)
+        candidates.append(
+            ((2, tuple(r.sort_key() for r in polar)), p.poly * q.poly, polar))
+    for p in finite2:
+        polar = (p,)
+        candidates.append(((2, (p.sort_key(),)), p.poly, polar))
+
+    if not candidates:
+        raise STooSmall(
+            "need total geometric degree >= 2 with a representable polar pair")
+    key, den, polar = min(candidates, key=lambda c: c[0])
+    return OmegaForm(polar, den.monic())
 
 
 def over_known_den(num: Poly, den) -> RatFunc:

@@ -23,7 +23,6 @@ from ffvojta.bipoly import (
     _kronecker_irreducible,
     _lifted_roots,
     _specialised,
-    _value,
     b_polynomial,
     bipoly_gcd,
     check_dependence_transfer,
@@ -45,6 +44,7 @@ from ffvojta.field_core import (
     Poly,
     RatFunc,
     ZeroPolynomial,
+    _homogeneous_value,
     _image,
     choose_omega,
     clear_denominators,
@@ -946,8 +946,9 @@ class TestRationalRoots:
         F = _z(1)
         for c in (2, 3, 6):
             F = F * _z(-c, 0, 1)
-        image = [_value(ts, 0) for ts in _cleared_ints(F)]
-        assert all(any(not _value(image, x) % p for x in range(p))
+        image = [_homogeneous_value(ts, 0, 1) for ts in _cleared_ints(F)]
+        assert all(any(not _homogeneous_value(image, x, 1) % p
+                       for x in range(p))
                    for p in _SMALL_PRIMES if p >= len(image))
         assert _image_roots(image) == {}
         assert _lifted_roots(_cleared_ints(F)) == {}
@@ -1024,7 +1025,8 @@ class TestRationalRoots:
         root = rat("1/(2-t)")
         F = _linear(root) * _z(-rat("t"), 0, 1) * _z(rat("t-2"))
         ints = _cleared_ints(F)
-        assert _value(ints[-1], 2) == 0 and _value(ints[0], 2) != 0
+        assert _homogeneous_value(ints[-1], 2, 1) == 0
+        assert _homogeneous_value(ints[0], 2, 1) != 0
         assert _lifted_roots(ints) == {root: 1}
         assert rational_roots(F) == oracle_rational_roots(F) == ([root], False)
 
@@ -1034,7 +1036,8 @@ class TestRationalRoots:
         # lifted from the image roots, without the factorisation
         for expr in ("t", "t^2+1", "2*t-1", "-t^3+t"):
             F = _z(-rat(expr), 0, 1)
-            image = [_value(ts, _LIFT_POINTS[0]) for ts in _cleared_ints(F)]
+            image = [_homogeneous_value(ts, _LIFT_POINTS[0], 1)
+                     for ts in _cleared_ints(F)]
             assert _image_roots(image) == {}
             assert rational_roots(F) == ([], False)
         roots = [rat("1/t"), rat("(t+1)/(t-1)"), rat("-3/(2*t^2+1)")]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,9 @@ from ffvojta.constants import (
     cbrt_decimal,
     irred_ledger,
     pair_ledger,
-    section_height_constant,
     theta_ledger,
 )
+from ffvojta.verify import RunConfig, build_context
 
 
 class TestIrredLedger:
@@ -55,6 +57,12 @@ class TestIrredLedger:
         with pytest.raises(InvalidInput):
             irred_ledger(1, 1, -1, 1)
 
+    def test_json_keys(self):
+        # every field in order, the cube root's rendering under c7
+        assert list(irred_ledger(1, 1, 1, Fraction(1, 2)).to_json()) == [
+            "deg_x", "deg_y", "h", "eps", "c3", "c4", "c5", "c6", "c_v",
+            "c7_cubed", "c7", "c8", "c9", "c10", "c1", "c2", "step5_threshold"]
+
     def test_cube_rendering_roundtrip(self):
         for led in (irred_ledger(1, 1, 1, 1), irred_ledger(2, 2, 3, Fraction(1, 7))):
             rendered = Fraction(led.c7_decimal.replace(".", "")) / \
@@ -93,6 +101,21 @@ class TestPairLedger:
     def test_invalid(self):
         with pytest.raises(InvalidInput):
             pair_ledger(0, 1, 0, 0, 1)
+
+    def test_report_bytes(self):
+        # no verify golden has two factors: pin the ledger JSON of one
+        # that does, byte for byte
+        cfg = RunConfig(poly="(X+Y+1)*(X*Y-t)", places=("0", "inf"),
+                        epsilon="1/2",
+                        factors=(("X+Y+1", True), ("X*Y-t", True)))
+        ledger = build_context(cfg).ledger.to_json()
+        assert list(ledger["pairs"][0]) == [
+            "indices", "deg1", "deg2", "h1", "h2", "eps", "d3", "d4", "d5",
+            "d6", "d_v", "d7_cubed", "d7", "d8", "d1", "d2"]
+        digest = hashlib.sha256(
+            json.dumps(ledger, indent=2).encode()).hexdigest()
+        assert digest == ("bc451f740ad4da071595048fce7033433be1b065f26673d7"
+                          "038dcd4e5e86618a")
 
 
 class TestThetaLedger:
@@ -168,17 +191,6 @@ class TestMonotonicity:
                         assert pair_ledger(d1, 1, h1, h2, eps / 5).d2 >= led.d2
                         count += 1
         assert count >= 24
-
-
-class TestSectionHeightConstant:
-    def test_examples(self):
-        assert section_height_constant(1, 1, 3, 0, 0) == 8
-        assert section_height_constant(1, 2, 3, 0, 0) == 12
-        assert section_height_constant(1, 1, 3, 0, 10 ** 6) == 10 ** 6
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInput):
-            section_height_constant(1, 1, 2, 0, 0)
 
 
 def test_cbrt_decimal_small_values():

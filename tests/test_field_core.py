@@ -58,6 +58,7 @@ from ffvojta.sunits import PlaceSet
 from conftest import (
     deriv_omega,
     from_sympy,
+    oracle_choose_omega,
     oracle_clear_denominators,
     oracle_divide_out,
     oracle_factor,
@@ -1137,6 +1138,30 @@ class TestOmega:
             choose_omega({Place.rational(0)})
         with pytest.raises(ValueError):
             OmegaForm((Place.infinity(), Place.infinity()), Poly.one())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_candidate_ranking(self, seed):
+        # seeded place sets of rational places, t^2 + 1, t^2 - 2,
+        # t^2 + t + 1 and t^4 + 2, with and without infinity, some too
+        # small for any form
+        pool = [Place.rational(a) for a in (-2, -1, 0, Fraction(1, 2), 1, 3)]
+        pool += [Place.finite(Poly(c)) for c in
+                 ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (2, 0, 0, 0, 1))]
+        rng = random.Random(seed)
+        too_small = 0
+        for _ in range(300):
+            places = set(rng.sample(pool, rng.randint(0, 4)))
+            if rng.random() < 0.5:
+                places.add(Place.infinity())
+            try:
+                expected = oracle_choose_omega(places)
+            except STooSmall:
+                too_small += 1
+                with pytest.raises(STooSmall):
+                    choose_omega(places)
+                continue
+            assert choose_omega(places) == expected
+        assert too_small
 
     def test_deriv_examples(self):
         w = choose_omega({Place.rational(0), Place.infinity()})

@@ -4,8 +4,7 @@ Every top-level function and class of `src/ffvojta` is referenced by
 library code outside its own definition (`__init__.py`'s re-exports do not
 count), or named in `perfbench/tracing.py`, whose wrappers break a traced
 run when a name they wrap is missing.  The exceptions are the checkers an
-open ROADMAP item will wire into a CLI mode and two of the paper's
-constants.  Likewise every public method of a library class has its name
+open ROADMAP item will wire into a CLI mode.  Likewise every public method of a library class has its name
 read by library code outside the method itself, or by the tracing code.
 
 sympy stays out of the library's decisions: only `bipoly.bipoly_gcd`,
@@ -35,8 +34,6 @@ ALLOWED = {
     "check_cz_gcd_bound": "item 4, stage 3: the gcd lemma per common zero",
     "check_dependence_transfer": "item 4, stage 3: dependence transfer",
     "check_zannier_bound": "item 5: Zannier's bound beside BM in bm mode",
-    "section_height_constant": "item 7: a paper constant no mode prints yet",
-    "section_pullback_degree": "item 7: a paper constant no mode prints yet",
 }
 
 
