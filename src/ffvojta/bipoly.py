@@ -51,7 +51,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd as int_gcd, isqrt, lcm as int_lcm, perm
 from operator import add
 
@@ -71,13 +70,15 @@ from .field_core import (
     _image,
     _den_product,
     _divided,
-    _divmod_mod,
+    _euclid_below,
     _factor_squarefree,
     _homogeneous_value,
     _lift_modulus,
     _known_quotient,
     _kronecker_product,
+    _minus,
     _pack,
+    _plus,
     _primitive,
     _signed_digits,
     _squarefree_split,
@@ -902,32 +903,6 @@ def _series_inverse(a: list[int], n: int, mod: int) -> list[int]:
     return out
 
 
-def _plus(a: list[int], b: list[int], mod: int) -> list[int]:
-    """a + b mod `mod`, coefficientwise."""
-    return [(x + y) % mod for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
-    """a - b, coefficientwise and reduced mod `mod` when it is given, with
-    the trailing zeros dropped."""
-    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    return _trim([c % mod for c in out] if mod else out)
-
-
-def _pade(f: list[int], n: int, k: int, mod: int):
-    """(r, q) with r = q * f mod s^n, deg r < k and deg q <= n - k, over
-    the field Z/mod, by the extended Euclidean algorithm on s^n and f,
-    stopped at the first remainder of degree below k (Modern Computer
-    Algebra, 5.9): every such pair is a multiple of this one."""
-    r0, r1, q0, q1 = [0] * n + [1], _trim(f), [], [1]
-    while len(r1) > k:
-        quo, rem = _divmod_mod(r0, r1, mod)
-        prod = _series_mul(quo, q1, len(quo) + len(q1) - 1, mod)
-        q0, q1 = q1, _minus(q0, prod, mod)
-        r0, r1 = r1, rem
-    return r1, q1
-
-
 def _shift(f: list[int], tau: int, mod: int) -> list[int]:
     """The coefficients of f(s + tau) mod `mod`, lowest first."""
     out: list[int] = []
@@ -1000,7 +975,7 @@ def _lifted_root(shifted: list[list[int]], r0: Fraction, m: int, tau: int,
             return None
         step = _series_mul(val, _series_inverse(der, prec, mod), prec, mod)
         root = [(x - y) % mod for x, y in zip(root, step)]
-    r, q = _pade(root, n, degrees[1] + 1, mod)
+    r, q = _euclid_below([0] * n + [1], root, degrees[1] + 1, mod)
     if len(q) - 1 > degrees[0] or not q[0]:
         return None
     scale = lc_t * pow(q[-1], -1, mod)

@@ -532,11 +532,11 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
 # of `bipoly.rational_roots`.
 
 # Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
-# prime by the Lucas-Lehmer test); a big-prime step runs modulo the least
-# one above twice its coefficient bound (`_lift_modulus`).
+# prime by the Lucas-Lehmer test); the gcd lift and the t-adic root lift
+# run modulo the least one above twice their bound (`_lift_modulus`).
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        4253, 4423)
-# the largest of them, as the InputTooLarge texts name it
+# the largest of them, as the root lift's InputTooLarge text names it
 _LARGEST_LIFT_PRIME = f"2^{_MERSENNE_EXPONENTS[-1]} - 1"
 
 
@@ -586,6 +586,33 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _plus(a: list[int], b: list[int], mod: int) -> list[int]:
+    """a + b mod `mod`, coefficientwise."""
+    return [(x + y) % mod for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
+    """a - b, coefficientwise and reduced mod `mod` when it is given, with
+    the trailing zeros dropped."""
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    return _trim([c % mod for c in out] if mod else out)
+
+
+def _euclid_below(a: list[int], b: list[int], k: int, mod: int):
+    """(r, q) with r = q * b mod a and deg r < k, over the field Z/mod (a
+    of degree >= k), by the extended Euclidean algorithm on a and b stopped
+    at the first remainder of degree below k (Modern Computer Algebra,
+    5.9): every pair with deg r < k and deg q <= deg a - k is a multiple
+    of this one.  For coprime a and b and k = 1, r is a nonzero constant
+    and q / r is the inverse of b mod a."""
+    r0, r1, q0, q1 = a, _trim(b), [], [1]
+    while len(r1) > k:
+        quo, rem = _divmod_mod(r0, r1, mod)
+        q0, q1 = q1, _minus(q0, _kronecker_product(((quo, 1), (q1, 1))), mod)
+        r0, r1 = r1, rem
+    return r1, q1
+
+
 _GCD_PRIMES = (2305843009213693951, 4611686018427387847, 2147483647)
 
 
@@ -610,8 +637,8 @@ def _exact_gcd(a: list[int], b: list[int]) -> list[int] | None:
     primitive a (degree >= 1) and the nonzero b; None when the lift below
     fails.
 
-    The gcd g_P of the images mod the least Mersenne prime P above the
-    factoriser's bound 2 |lc a| 2^n ||a||_2 is lifted as lc(a) * g_P in
+    The gcd g_P of the images mod the least Mersenne prime P above
+    Mignotte's bound 2 |lc a| 2^n ||a||_2 is lifted as lc(a) * g_P in
     symmetric residues and made primitive.  The true gcd g divides a, so
     lc(a) / lc(g) * g has coefficients below P / 2 (Mignotte); P does not
     divide lc(a), so g mod P keeps its degree and divides g_P.  A lift
@@ -681,30 +708,29 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 #   to k, so the degrees a factor can have lie in the subset sums of the
 #   distinct-degree factorisation mod each such p; when those intersect to
 #   {0, n}, f is irreducible;
-# - otherwise Zassenhaus' recombination (J. Number Theory 1, 1969) with one
-#   big prime: f is split mod the least Mersenne prime P above
-#   2 |lc f| 2^n ||f||_2 at which it stays squarefree (distinct degrees,
-#   then Cantor-Zassenhaus with a = x, x + 1, ...).  An integer factor g has
-#   coefficients at most 2^deg g ||f||_2 (Mignotte), so lc(f/g) * g, the
-#   product of its modular factors times lc f, is read off exactly in
-#   symmetric residues, and each candidate is kept only if it divides
-#   exactly in Z[t].
+# - otherwise Zassenhaus' recombination (J. Number Theory 1, 1969) at the
+#   one prime p of the analysis with the fewest modular factors: its
+#   distinct-degree factors are split (Cantor-Zassenhaus), the factors are
+#   Hensel-lifted to q = p^k above 2 |lc f| 2^n ||f||_2 (Modern Computer
+#   Algebra, 15.4-15.6), and an integer factor g, whose coefficients are at
+#   most 2^deg g ||f||_2 (Mignotte), is read off as lc(f/g) * g, the
+#   product of its modular factors times lc f in symmetric residues mod q;
+#   each candidate is kept only if it divides exactly in Z[t].
 #
-# Nothing rests on probability, and the work is bounded: recombination
-# tries at most _SUBSET_BUDGET subsets, smallest first, and an input past
-# that budget or past the largest Mersenne prime raises InputTooLarge.
+# Nothing rests on probability, and the work is bounded (_SUBSET_BUDGET,
+# _SPLIT_TRIES, _LAST_SPLIT_PRIME): an input past a bound raises InputTooLarge.
 
 # the small primes of the degree analysis, and how many usable ones it takes
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97)
 _DEGREE_PRIMES = 8
-# the points a = x + c tried for one equal-degree split
+# the bound on the primes past them, tried when none of them is usable
+_LAST_SPLIT_PRIME = 2 ** 16
+# the points a tried for one equal-degree split
 _SPLIT_TRIES = 32
 # the most subsets of modular factors that recombination enumerates: every
 # subset of at most 8 of 17 factors, which proves irreducible a polynomial
-# with 17 modular factors that the degree analysis leaves open.  t^42 - 1,
-# with 42 linear factors mod 2^61 - 1, runs past it in about 4 s (2-vCPU
-# VM, CPython 3.11)
+# with 17 modular factors that the degree analysis leaves open
 _SUBSET_BUDGET = 2 ** 16
 
 
@@ -722,6 +748,8 @@ class _ModRing:
     row of x^n, ..., x^(2n-2) mod f, packed the same way: one integer sum.
     A digit of the product is a sum of fewer than n products of residues,
     and a high digit adds fewer than n more, so the width k holds 2 n p^2.
+    p is a prime of the degree analysis, below _LAST_SPLIT_PRIME, so its
+    powers are short square-and-multiply chains (`power`).
     """
 
     def __init__(self, f: list[int], p: int):
@@ -759,24 +787,6 @@ class _ModRing:
         packed *= packed if a is b else _pack(b, k)
         return self._reduced(packed, len(a) + len(b) - 1)
 
-    def pow(self, a: list[int], e: int) -> list[int]:
-        """a^e; for e = 2^k - 1 (x^P and the (P - 1) / 2 powers of a
-        Mersenne prime P) by the addition chain of a^(2^m - 1): k - 1
-        squarings and about 2 log2(k) products, where square-and-multiply
-        takes 2 (k - 1)."""
-        if not e or e & (e + 1):
-            return power(a, e, [1], self.mul)
-        # acc = a^(2^m - 1), m running through the leading bits of k
-        acc, m = a, 1
-        for bit in bin(e.bit_length())[3:]:
-            sq = acc
-            for _ in range(m):
-                sq = self.mul(sq, sq)
-            acc, m = self.mul(sq, acc), 2 * m
-            if bit == "1":
-                acc, m = self.mul(self.mul(acc, acc), a), m + 1
-        return acc
-
     def frobenius_base(self) -> list[int]:
         """The rows x^(ip) mod f, i < n, packed: the p-th power map is
         linear over Z/p, so h^p = sum h_i x^(ip)."""
@@ -788,7 +798,7 @@ class _ModRing:
                 rows.append(row)
                 row = self._reduced(_pack(row, k) << k * p, len(row) + p)
         else:
-            xp = self.pow([0, 1], p)
+            xp = power([0, 1], p, [1], self.mul)
             rows = [[1]]
             for _ in range(n - 1):
                 rows.append(self.mul(rows[-1], xp))
@@ -845,22 +855,24 @@ def _edf(g: list[int], d: int, p: int) -> list[list[int]] | None:
     (p odd) that is a product of distinct ones; None when the tries run
     out.
 
-    For a = x + c and e = (p^d - 1) / 2, a^e is +-1 or 0 modulo each
+    For a residue a and e = (p^d - 1) / 2, a^e is +-1 or 0 modulo each
     factor, so gcd(a^e - 1, part) collects the factors of a part where it
-    is 1; the parts are split again with the next c until each has degree
-    d."""
+    is 1; the parts are split again with the next a until each has degree
+    d.  The c-th a is p + c in base p as a polynomial in x, mod g: x + c
+    for c < p, and residues other than those p where p < _SPLIT_TRIES."""
     parts = [g]
     if len(g) - 1 == d:
         return parts
     ring = _ModRing(g, p)
     base = ring.frobenius_base()
     for c in range(_SPLIT_TRIES):
+        a = [(p + c) // p ** i % p for i in range(4)]  # p + c < p^4
         # a^((p^d - 1) / 2) = (a^(1 + p + ... + p^(d-1)))^((p - 1) / 2)
-        acc = frob = [c, 1]
+        acc = frob = _divmod_mod(a, g, p)[1]
         for _ in range(d - 1):
             frob = ring.frobenius(frob, base)
             acc = ring.mul(acc, frob)
-        b = ring.pow(acc, (p - 1) // 2) or [0]
+        b = power(acc, (p - 1) // 2, [1], ring.mul) or [0]
         b[0] = (b[0] - 1) % p
         b = _trim(b)
         split = []
@@ -887,9 +899,9 @@ def _subset_sums(degrees) -> int:
 def _recombined(f: list[int], mods: list[list[int]], mod: int,
                 degrees: int) -> list[list[int]] | None:
     """The irreducible factors of the primitive f in Z[t] (positive leading
-    coefficient), from its monic irreducible factors `mods` modulo a prime
-    `mod` above twice the factor bound: subsets of growing size, those
-    whose degree lies in the mask `degrees`, each tried by exact
+    coefficient), from its monic irreducible factors `mods` modulo `mod`,
+    a prime power above twice the factor bound: subsets of growing size,
+    those whose degree lies in the mask `degrees`, each tried by exact
     division; None once more than _SUBSET_BUDGET subsets are enumerated.
     A factor found from the fewest modular factors has no proper factor,
     since that would have been found first."""
@@ -920,61 +932,73 @@ def _recombined(f: list[int], mods: list[list[int]], mod: int,
     return found + [f]
 
 
-def _quadratic_factors(f: list[int]) -> list[list[int]]:
-    """The irreducible factors in Z[t] of the primitive squarefree
-    quadratic f = c + b t + a t^2 (a > 0).
+def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
+                   bound: int) -> tuple[list[list[int]], int]:
+    """(lifts, q): the distinct monic irreducible factors `mods` of the
+    primitive f over Z/p (p not dividing lc f) lifted to monic g_i with
+    f = lc f * prod g_i mod q, q the least power of p above `bound`.
 
-    The discriminant D = b^2 - 4ac, nonzero as f is squarefree, decides: f
-    has a rational root exactly when D is a square s^2, and then its roots
-    are (-b -+ s) / 2a, so its factors are the primitive parts of
-    2a t + b +- s."""
-    c, b, a = f
-    disc = b * b - 4 * a * c
-    s = isqrt(disc) if disc >= 0 else -1
-    if s * s != disc:
-        return [f]
-    return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+    Linear Hensel lifting (Modern Computer Algebra, 15.4): with F = f /
+    lc f mod p, s_i = (F / m_i)^-1 mod m_i (`_euclid_below`) make sum s_i
+    F / m_i = 1 mod p, and when f = lc f * prod g_i mod q, the error e =
+    (f - lc f * prod g_i) / q mod p gives g_i + q (s_i e / lc f mod m_i)."""
+    lc, image, cofactors = f[-1], _monic_image(f, p), []
+    for m in mods:
+        rest = _divmod_mod(_divmod_mod(image, m, p)[0], m, p)[1]
+        r, s = _euclid_below(m, rest, 1, p)
+        inv = pow(r[0], -1, p)
+        cofactors.append([c * inv % p for c in s])
+    inv_lc, q, lifts = pow(lc, -1, p), p, [list(m) for m in mods]
+    while q <= bound:
+        prod = _kronecker_product((g, 1) for g in lifts)
+        err = _trim([(x - lc * y) // q * inv_lc % p for x, y in zip(f, prod)])
+        if err:
+            for m, s, g in zip(mods, cofactors, lifts):
+                step = [c % p for c in _kronecker_product(((err, 1), (s, 1)))]
+                for i, c in enumerate(_divmod_mod(step, m, p)[1]):
+                    g[i] += q * c
+        q *= p
+    return lifts, q
 
 
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     """The irreducible factors in Z[t] of the primitive squarefree f
     (lowest degree first, degree >= 1, positive leading coefficient), or
-    None when a bound is reached.  A linear f is its own factor and a
-    quadratic is decided by its discriminant (`_quadratic_factors`);
-    otherwise the degree analysis runs on the small primes at which f stays
-    squarefree, and recombination on the first big prime at which it
-    does."""
+    None when a bound is reached.  A linear f is its own factor; otherwise
+    the degree analysis runs on the small primes at which f stays
+    squarefree (or the first such prime past them), and recombination on
+    the one with the fewest modular factors (`_edf`, `_hensel_lifted`)."""
     n = len(f) - 1
-    if n <= 2:
-        return [f] if n == 1 else _quadratic_factors(f)
+    if n == 1:
+        return [f]
     irreducible = 1 | 1 << n
-    degrees, usable = (1 << n + 1) - 1, 0
-    for p in _SMALL_PRIMES:
+    degrees, usable, best = (1 << n + 1) - 1, 0, (n + 1, 0, [])
+    past = (p for p in range(_SMALL_PRIMES[-1] + 2, _LAST_SPLIT_PRIME, 2)
+            if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+    for p in itertools.chain(_SMALL_PRIMES, past):
+        if usable and p > _SMALL_PRIMES[-1]:
+            break
         if not f[-1] % p:
             continue
         image = _monic_image(f, p)
         if not _squarefree_mod(image, p):
             continue
         usable += 1
-        degrees &= _subset_sums(d for g, d in _ddf(image, p)
-                                for _ in range((len(g) - 1) // d))
+        ddf = _ddf(image, p)
+        parts = [d for g, d in ddf for _ in range((len(g) - 1) // d)]
+        degrees &= _subset_sums(parts)
         if degrees == irreducible:
             return [f]
+        best = min(best, (len(parts), p, ddf))
         if usable == _DEGREE_PRIMES:
             break
-    mod = _lift_modulus(2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n)
-    while mod is not None:
-        image = _monic_image(f, mod)
-        if _squarefree_mod(image, mod):
-            mods = []
-            for g, d in _ddf(image, mod):
-                split = _edf(g, d, mod)
-                if split is None:
-                    return None
-                mods += split
-            return _recombined(f, mods, mod, degrees)
-        mod = _lift_modulus(mod)
-    return None
+    _, p, ddf = best
+    splits = [_edf(g, d, p) for g, d in ddf]
+    if not ddf or None in splits:
+        return None
+    mods = [m for split in splits for m in split]
+    bound = 2 * f[-1] * (isqrt(sum(c * c for c in f)) + 1) << n
+    return _recombined(f, *_hensel_lifted(f, mods, p, bound), degrees)
 
 
 def _squarefree_split(f: list[int]) -> tuple[list[int], list[int]]:
@@ -1007,8 +1031,8 @@ def _factor_cached(prim: tuple[int, ...]) -> tuple:
         raise InputTooLarge(
             f"factoring a polynomial of degree {len(f) - 1} is past the "
             f"factoriser's bounds: {_SUBSET_BUDGET} subsets of its modular "
-            f"factors, the prime {_LARGEST_LIFT_PRIME} and "
-            f"{_SPLIT_TRIES} split tries")
+            f"factors, {_SPLIT_TRIES} split tries and the primes below "
+            f"{_LAST_SPLIT_PRIME}")
     factors = [(q, 1 + _divided(g, q, len(g))[1]) for q in factors]
     factors.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     return tuple((_scaled(q, 1, q[-1]), m) for q, m in factors)

@@ -289,9 +289,10 @@ def _worker_pair(index: int) -> dict:
 def verify_trichotomy(cfg: RunConfig, workers: int = 1) -> list[dict]:
     """Run the trichotomy over cfg.count seeded pairs.
 
-    With workers > 1 the pairs are distributed over a process pool; the
-    outcome list is ordered by pair index either way.
+    The pairs go to a pool of min(workers, cfg.count) processes when that
+    is above 1; the outcome list is ordered by pair index either way.
     """
+    workers = min(workers, cfg.count)
     if workers <= 1:
         ctx = build_context(cfg)
         return [pair_outcome(ctx, i) for i in range(cfg.count)]

@@ -3,7 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd
+from math import comb, gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,22 +23,24 @@ from ffvojta.field_core import (
     ZeroPolynomial,
     _CERT_POINTS,
     _CERT_PRIME,
+    _LAST_SPLIT_PRIME,
     _MERSENNE_EXPONENTS,
     _POWER_CACHE_BITS,
-    _ModRing,
+    _SMALL_PRIMES,
+    _SPLIT_TRIES,
+    _SUBSET_BUDGET,
     _cached_power,
     _den_product,
     _divided,
+    _edf,
     _exact_gcd,
     _exact_quotient,
     _factor_cached,
-    _factor_squarefree,
     _image,
     _join_terms,
     _known_quotient,
     _kronecker_product,
     _multiplicity,
-    _quadratic_factors,
     _recombined,
     _scaled,
     _scaled_terms,
@@ -50,7 +52,6 @@ from ffvojta.field_core import (
     height,
     ord_at,
     poly_gcd,
-    power,
     proj_height,
     render_poly,
 )
@@ -1204,6 +1205,10 @@ class TestFactorShim:
         assert (info.misses, info.hits) == (1, 1)
 
 
+# every prime of the degree analysis divides it
+_LEAD = prod(_SMALL_PRIMES)
+
+
 def _primitive(p: Poly) -> list[int]:
     """p's integers, primitive with a positive leading coefficient."""
     c = gcd(*p.nums) * (1 if p.nums[-1] > 0 else -1)
@@ -1271,9 +1276,9 @@ class TestFactoriser:
         assert self.check(p * Poly((-2, 0, 1)))
 
     def test_quadratics_by_discriminant(self):
-        # a quadratic is decided by whether its discriminant is a square,
-        # without a prime: random reducible, irreducible and repeated ones
-        # factor as sympy factors them, in sympy's order
+        # random reducible, irreducible and repeated quadratics factor as
+        # sympy factors them, in sympy's order; a squarefree one splits
+        # exactly when its discriminant is a square
         rng = random.Random(26)
         small = list(range(-9, 10))
         kinds = {"reducible": 0, "irreducible": 0, "repeated": 0}
@@ -1287,29 +1292,28 @@ class TestFactoriser:
             else:
                 p = Poly((rng.choice(small), b, a))
             assert self.check(p)
-            f = _primitive(p)
-            if [m for _, m in factor_poly(p)] == [2]:
-                # the gcd splits a square off before the discriminant
-                kind = "repeated"
+            c0, b1, a2 = _primitive(p)
+            disc = b1 * b1 - 4 * a2 * c0
+            multiplicities = [m for _, m in factor_poly(p)]
+            if not disc:
+                assert multiplicities == [2]
+                kinds["repeated"] += 1
+            elif disc > 0 and isqrt(disc) ** 2 == disc:
+                assert multiplicities == [1, 1]
+                kinds["reducible"] += 1
             else:
-                found = _quadratic_factors(f)
-                kind = "reducible" if len(found) == 2 else "irreducible"
-                assert [len(g) for g in found] == ([2, 2] if len(found) == 2
-                                                   else [3])
-                assert _factor_squarefree(f) == found
-            kinds[kind] += 1
+                assert multiplicities == [1]
+                kinds["irreducible"] += 1
         assert min(kinds.values()) >= 30
-        # t^2 + t - 6 splits mod every small prime, so the degree analysis
-        # alone would send it to the big prime
-        assert _factor_squarefree([-6, 1, 1]) == [[-2, 1], [3, 1]]
+        # t^2 + t - 6 splits mod every small prime: recombination decides
         assert factor_poly(Poly((-6, 1, 1))) == [(Poly((-2, 1)), 1),
                                                  (Poly((3, 1)), 1)]
 
     @pytest.mark.parametrize("n", [2, 6, 8, 12, 15, 16, 24])
     def test_cyclotomics(self, n):
-        # t^15 - 1 and t^24 - 1 split into 15 and 24 linear factors mod the
-        # big prime; recombination, smallest subsets first, finds their
-        # factors within its budget (484 and 49 subsets)
+        # t^15 - 1 and t^24 - 1 split into 5 and 13 factors mod 17 and 11,
+        # the small primes with the fewest; recombination, smallest subsets
+        # first, finds their factors in 7 and 26 subsets
         assert self.check(Poly((-1,) + (0,) * (n - 1) + (1,)))
         assert self.check(Poly((1,) + (0,) * (n - 1) + (1,)))
 
@@ -1326,14 +1330,61 @@ class TestFactoriser:
         found = _recombined(f, mods, mod, 1 | 1 << k)
         assert found == ([f] if k == 17 else None)
 
-    def test_past_the_largest_prime_raises(self):
-        # no Mersenne prime lies above the factor bound, and no small prime
-        # proves the cubic irreducible
+    def test_past_the_largest_prime_factors(self):
+        # a coefficient past the largest Mersenne prime: the factors are
+        # lifted from a small prime, to whatever power the bound needs
         big = 2 ** (_MERSENNE_EXPONENTS[-1] + 1) + 1
         p = Poly((-big, 1)) * Poly((-1, 1)) * Poly((-2, 1))
-        with pytest.raises(InputTooLarge,
-                           match=f"2\\^{_MERSENNE_EXPONENTS[-1]} - 1"):
-            factor_poly(p)
+        assert self.check(p)
+        assert [q.degree for q, _ in factor_poly(p)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("p", [
+        Poly((-1,) + (0,) * 41 + (1,)),
+        Poly((-1,) + (0,) * 41 + (1,)) * Poly((-3, 1)) ** 2,
+    ], ids=["t^42-1", "(t^42-1)(t-3)^2"])
+    def test_lifted_from_the_prime_with_fewest_factors(self, p):
+        # t^42 - 1 has 42 linear factors mod 2^61 - 1, past the subset
+        # budget, and 10 mod 5, the small prime with the fewest
+        assert self.check(p)
+
+    def test_many_linear_factors(self):
+        # 30 linear factors, lifted from p = 31 to 31^29
+        p = Poly.one()
+        for k in range(1, 31):
+            p = p * Poly((-k, 1))
+        assert self.check(p)
+        assert len(factor_poly(p)) == 30
+
+    def test_split_at_a_prime_below_the_split_tries(self):
+        # mod 5 the sextic is x^6 + 2x^4 + 4x^2 + 4, two cubics that no
+        # x + c separates; the digits of 5 + c, c >= 5, give other residues
+        p = Poly((27, 75, 67, 70, 31, 15, 3))
+        assert self.check(p)
+        assert [q.degree for q, _ in factor_poly(p)] == [3, 3]
+        parts = _edf([4, 0, 4, 0, 2, 0, 1], 3, 5)
+        assert parts is not None and len(parts) == 2
+
+    @pytest.mark.parametrize("factors", [
+        [(1, 1, 0, _LEAD)],
+        [(-1, 1), (1, 1, 0, _LEAD)],
+        [(2, 0, 1), (5, 0, 0, 1), (-3, _LEAD)],
+    ], ids=["Lt^3+t+1", "(t-1)(Lt^3+t+1)", "(t^2+2)(t^3+5)(Lt-3)"])
+    def test_no_small_prime_usable(self, factors):
+        # L = prod _SMALL_PRIMES divides the leading coefficient, so the
+        # primes past them are tried, and the first usable one decides
+        p = Poly.one()
+        for nums in factors:
+            p = p * Poly(nums)
+        assert self.check(p)
+        assert len(factor_poly(p)) == len(factors)
+
+    def test_no_prime_usable_raises(self):
+        # every odd prime below the bound divides the leading coefficient
+        lead = prod(p for p in range(3, _LAST_SPLIT_PRIME, 2)
+                    if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+        with pytest.raises(InputTooLarge, match=f"{_SUBSET_BUDGET} subsets.*"
+                           f"{_SPLIT_TRIES} split tries.*{_LAST_SPLIT_PRIME}"):
+            factor_poly(Poly((1, 0, lead)))
 
     @pytest.mark.parametrize("p, multiplicities", [
         (Poly((0, 0, 1)), [2]),
@@ -1353,15 +1404,6 @@ class TestFactoriser:
         assert Poly(squarefree).monic() == distinct
         assert self.check(p)
         assert [m for _, m in factors] == multiplicities
-
-    @pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 7, 15, 31, 100, 2 ** 31 - 1,
-                                   2 ** 60 - 1, 2 ** 61 - 1, 2 ** 89 - 2])
-    def test_mod_ring_pow_against_power(self, e):
-        # 2^k - 1 takes the addition chain, the rest square-and-multiply
-        p = 2 ** 61 - 1
-        ring = _ModRing([3, 1, 4, 1, 5, 9, 1], p)
-        a = [2, 7, 1, 8]
-        assert ring.pow(a, e) == power(a, e, [1], ring.mul)
 
     def test_content_and_sign(self):
         p = Poly((Fraction(-6, 5), Fraction(3, 5), 0, Fraction(-12, 5)))

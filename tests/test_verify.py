@@ -332,6 +332,22 @@ class TestReports:
         par = build_report(cfg, verify_trichotomy(cfg, workers=3))
         assert json.dumps(seq) == json.dumps(par)
 
+    def test_one_pair_starts_no_pool(self):
+        # a pool starts all its workers at once, so workers are capped at
+        # the pair count: one pair runs in this process
+        src = os.path.dirname(os.path.dirname(ffvojta.__file__))
+        code = ("import sys\n"
+                "from ffvojta.verify import RunConfig, verify_trichotomy\n"
+                "cfg = RunConfig(poly='X*Y-t', places=('0', '1', 'inf'),\n"
+                "                count=1, max_exponent=6, seed=11)\n"
+                "assert len(verify_trichotomy(cfg, workers=3)) == 1\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_shipped_fixtures_never_violate(self):
         from ffvojta.verify import VERIFY_FIXTURES
 
