@@ -49,7 +49,6 @@ units expanded and A(u, v) evaluated exactly.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm as int_lcm, perm
 from operator import add
@@ -65,6 +64,7 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroPolynomial,
+    _Record,
     _exact_quotient,
     _horner,
     _image,
@@ -1085,8 +1085,7 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
 # Dependence transfer along a common zero of A and its companion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DependenceOutcome:
+class DependenceOutcome(_Record):
     """Result of transferring a quotient relation to the units themselves.
 
     kind is "constant_quotient" (with `which` naming the constant side) or
@@ -1097,10 +1096,14 @@ class DependenceOutcome:
     (nonzero constant of proportionality).
     """
 
-    kind: str
-    which: str | None = None
-    gamma: RatFunc | None = None
-    branch: str | None = None
+    __slots__ = ("kind", "which", "gamma", "branch")
+
+    def __init__(self, kind: str, which: str | None = None,
+                 gamma: RatFunc | None = None, branch: str | None = None):
+        self.kind = kind
+        self.which = which
+        self.gamma = gamma
+        self.branch = branch
 
 
 def check_dependence_transfer(

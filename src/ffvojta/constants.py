@@ -8,10 +8,11 @@ display, never for decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from .field_core import _Record
 
 
 class InvalidInput(ValueError):
@@ -47,43 +48,32 @@ def cbrt_decimal(x: Fraction) -> str:
     return f"{s[:-CBRT_DIGITS]}.{s[-CBRT_DIGITS:]}"
 
 
-class _Ledger:
+class _Ledger(_Record):
     """The JSON writer of a constant ledger: every field in order, a
     Fraction as its str, and the decimal rendering of a cube root under the
     root's own name (c7_decimal as c7, d7_decimal as d7)."""
 
+    __slots__ = ()
+
     def to_json(self) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, Fraction):
                 value = str(value)
-            out[f.name.removesuffix("_decimal")] = value
+            out[name.removesuffix("_decimal")] = value
         return out
 
 
-@dataclass(frozen=True)
 class IrredLedger(_Ledger):
     """Constant ledger for a single irreducible factor of bidegree
-    (deg_x, deg_y) and height h, at tolerance eps."""
+    (deg_x, deg_y) and height h, at tolerance eps.  Every entry is an int
+    or a Fraction but `c7_decimal`, the rendering of the cube root of
+    `c7_cubed`."""
 
-    deg_x: int
-    deg_y: int
-    h: int
-    eps: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6: Fraction
-    c_v: Fraction
-    c7_cubed: Fraction
-    c7_decimal: str
-    c8: Fraction
-    c9: Fraction
-    c10: Fraction
-    c1: Fraction
-    c2: Fraction
-    step5_threshold: Fraction
+    __slots__ = ("deg_x", "deg_y", "h", "eps", "c3", "c4", "c5", "c6", "c_v",
+                 "c7_cubed", "c7_decimal", "c8", "c9", "c10", "c1", "c2",
+                 "step5_threshold")
 
 
 def irred_ledger(deg_x: int, deg_y: int, h_a: int, eps) -> IrredLedger:
@@ -116,26 +106,14 @@ def irred_ledger(deg_x: int, deg_y: int, h_a: int, eps) -> IrredLedger:
     )
 
 
-@dataclass(frozen=True)
 class PairLedger(_Ledger):
     """Constant ledger for a coprime pair of factors of total degrees
-    (deg1, deg2) and heights (h1, h2), at tolerance eps."""
+    (deg1, deg2) and heights (h1, h2), at tolerance eps.  Every entry is
+    an int or a Fraction but `d7_decimal`, the rendering of the cube root
+    of `d7_cubed`."""
 
-    deg1: int
-    deg2: int
-    h1: int
-    h2: int
-    eps: Fraction
-    d3: Fraction
-    d4: Fraction
-    d5: Fraction
-    d6: Fraction
-    d_v: Fraction
-    d7_cubed: Fraction
-    d7_decimal: str
-    d8: Fraction
-    d1: Fraction
-    d2: Fraction
+    __slots__ = ("deg1", "deg2", "h1", "h2", "eps", "d3", "d4", "d5", "d6",
+                 "d_v", "d7_cubed", "d7_decimal", "d8", "d1", "d2")
 
 
 def pair_ledger(deg1: int, deg2: int, h1: int, h2: int, eps) -> PairLedger:
@@ -167,20 +145,14 @@ def pair_ledger(deg1: int, deg2: int, h1: int, h2: int, eps) -> PairLedger:
     )
 
 
-@dataclass(frozen=True)
-class ThetaLedger:
+class ThetaLedger(_Record):
     """The assembled height threshold and exponent bound for a factored
-    polynomial, with the provenance of each maximum."""
+    polynomial, with the provenance of each maximum: `factor_ledgers` holds
+    an `IrredLedger` per factor, `pair_ledgers` ((i, j), `PairLedger`) per
+    pair of factors."""
 
-    theta1: Fraction
-    theta2: Fraction
-    theta1_source: str
-    theta2_source: str
-    eps: Fraction
-    eps_prime: Fraction
-    deg_total: int
-    factor_ledgers: tuple[IrredLedger, ...]
-    pair_ledgers: tuple[tuple[tuple[int, int], PairLedger], ...]
+    __slots__ = ("theta1", "theta2", "theta1_source", "theta2_source", "eps",
+                 "eps_prime", "deg_total", "factor_ledgers", "pair_ledgers")
 
     def to_json(self) -> dict:
         return {

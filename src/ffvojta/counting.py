@@ -9,7 +9,6 @@ whether the inequality held, cube-comparing where a cube root appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +19,7 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _Record,
     _divide_out,
     _image,
     factor_poly,
@@ -58,12 +58,14 @@ class VanishingSubsum(ValueError):
         self.subset = tuple(sorted(subset))
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Record):
     """Total truncated count plus the per-place contributions (ord - 1)."""
 
-    total: int
-    per_place: tuple[tuple[Place, int], ...]
+    __slots__ = ("total", "per_place")
+
+    def __init__(self, total: int, per_place: tuple[tuple[Place, int], ...]):
+        self.total = total
+        self.per_place = per_place
 
     def to_json(self) -> dict:
         return {
@@ -140,8 +142,7 @@ def gcd_units_sum(u: RatFunc, alpha: RatFunc, v: RatFunc, beta: RatFunc,
     return min_ord_sum(d1, d2, V)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(_Record):
     """One evaluated inequality: exact sides and whether it held.
 
     When the right side involves a cube root, `rhs_cubed` carries the exact
@@ -150,11 +151,17 @@ class BoundCheck:
     right side that is a sum over places.
     """
 
-    lhs: int
-    holds: bool
-    rhs: int | Fraction | None = None
-    rhs_cubed: int | None = None
-    deficits: tuple[tuple[Place, int], ...] | None = None
+    __slots__ = ("lhs", "holds", "rhs", "rhs_cubed", "deficits")
+
+    def __init__(self, lhs: int, holds: bool,
+                 rhs: int | Fraction | None = None,
+                 rhs_cubed: int | None = None,
+                 deficits: tuple[tuple[Place, int], ...] | None = None):
+        self.lhs = lhs
+        self.holds = holds
+        self.rhs = rhs
+        self.rhs_cubed = rhs_cubed
+        self.deficits = deficits
 
     def to_json(self) -> dict:
         """lhs, the right side (a Fraction as "p/q"), the deficits keyed

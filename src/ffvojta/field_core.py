@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, total_ordering
 from math import gcd, isqrt, lcm
@@ -941,7 +940,9 @@ def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
     Linear Hensel lifting (Modern Computer Algebra, 15.4): with F = f /
     lc f mod p, s_i = (F / m_i)^-1 mod m_i (`_euclid_below`) make sum s_i
     F / m_i = 1 mod p, and when f = lc f * prod g_i mod q, the error e =
-    (f - lc f * prod g_i) / q mod p gives g_i + q (s_i e / lc f mod m_i)."""
+    (f - lc f * prod g_i) / q mod p gives g_i + q (s_i e / lc f mod m_i).
+    The product is kept mod q p, factor by factor: e mod p needs no more,
+    and an exact product's width grows with the number of factors."""
     lc, image, cofactors = f[-1], _monic_image(f, p), []
     for m in mods:
         rest = _divmod_mod(_divmod_mod(image, m, p)[0], m, p)[1]
@@ -950,7 +951,9 @@ def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
         cofactors.append([c * inv % p for c in s])
     inv_lc, q, lifts = pow(lc, -1, p), p, [list(m) for m in mods]
     while q <= bound:
-        prod = _kronecker_product((g, 1) for g in lifts)
+        qp, prod = q * p, [1]
+        for g in lifts:
+            prod = [c % qp for c in _kronecker_product(((prod, 1), (g, 1)))]
         err = _trim([(x - lc * y) // q * inv_lc % p for x, y in zip(f, prod)])
         if err:
             for m, s, g in zip(mods, cofactors, lifts):
@@ -1332,8 +1335,52 @@ class _CoeffOrder:
         return False
 
 
-@dataclass(frozen=True)
-class Place:
+class _Record:
+    """Base of the library's records.  A subclass names its fields in
+    `__slots__` ("__dict__" there is not a field: it holds the values of
+    `cached_property`s), and its records compare, hash and print by the
+    tuple of their fields in that order, equal only to a record of the same
+    class.  Records are immutable by convention: no code assigns a field
+    after `__init__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ())
+                             if name != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        # for a record built once per run: every field once, by position
+        # or by name
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if (len(args) + len(kwargs) != len(names)
+                or values.keys() != set(names)):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in values.items():
+            setattr(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Place(_Record):
     """Closed point of the projective line over Q.
 
     ``poly`` is a monic irreducible polynomial for a finite place, or None
@@ -1341,7 +1388,10 @@ class Place:
     geometric points the place carries.
     """
 
-    poly: Poly | None
+    __slots__ = ("poly", "__dict__")
+
+    def __init__(self, poly: Poly | None):
+        self.poly = poly
 
     @staticmethod
     def infinity() -> "Place":
@@ -1374,16 +1424,25 @@ class Place:
     def is_infinity(self) -> bool:
         return self.poly is None
 
-    @property
+    @cached_property
     def geom_degree(self) -> int:
+        # read once per place: a unit's height and balance weigh every
+        # exponent by it
         return 1 if self.poly is None else self.poly.degree
+
+    def __eq__(self, other):
+        # the record's equality without its tuples: set and map lookups
+        # compare places rebuilt from their polynomials
+        if other.__class__ is self.__class__:
+            return self.poly == other.poly
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # the dataclass's hash, found once per place: every exponent-map
+        # the record's hash, found once per place: every exponent-map
         # lookup hashes its places
         return hash((self.poly,))
 
@@ -1636,8 +1695,7 @@ def divisor_of(f: RatFunc) -> dict[Place, int]:
 # The two-pole differential form and the derivation it defines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaForm:
+class OmegaForm(_Record):
     """A differential form dt/q(t) with exactly two simple geometric poles.
 
     The polar places (total geometric degree 2) must lie inside the place
@@ -1646,15 +1704,15 @@ class OmegaForm:
     mean q = 1 and a double pole there, which is rejected.
     """
 
-    polar_places: tuple[Place, ...]
-    denominator: Poly
+    __slots__ = ("polar_places", "denominator")
 
-    def __post_init__(self):
-        total = sum(p.geom_degree for p in self.polar_places)
-        if total != 2:
+    def __init__(self, polar_places: tuple[Place, ...], denominator: Poly):
+        if sum(p.geom_degree for p in polar_places) != 2:
             raise ValueError("polar places must have total geometric degree 2")
-        if all(p.is_infinity for p in self.polar_places):
+        if all(p.is_infinity for p in polar_places):
             raise ValueError("a double pole at infinity is not simple")
+        self.polar_places = polar_places
+        self.denominator = denominator
 
     def __str__(self) -> str:
         return f"dt/({render_poly(self.denominator)})"

@@ -11,11 +11,10 @@ sections can be audited over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, SparsePoly
-from .field_core import Place, Poly, RatFunc, factor_poly
+from .field_core import Place, Poly, RatFunc, _Record, factor_poly
 from .sunits import PlaceSet
 
 
@@ -23,12 +22,10 @@ class DegenerateMap(ValueError):
     """Raised when the Jacobian determinant of a map vanishes identically."""
 
 
-@dataclass(frozen=True)
-class BiDegree:
+class BiDegree(_Record):
     """Bidegree (a, b) in Pic(P^2 x P^1)."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -117,16 +114,13 @@ def jacobian_ramification(g1: BiForm, g2: BiForm, g3: BiForm) -> BiForm:
 # The reducible-quartic pencil fixture
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuarticFamily:
-    """The worked pencil: two lines and a conic moving over P^1."""
+class QuarticFamily(_Record):
+    """The worked pencil: two lines and a conic moving over P^1.
 
-    jacobian: BiForm
-    divisor_bidegree: BiDegree
-    z_bidegree: BiDegree
-    z_component: BiForm  # y0^2 x2, the non-boundary ramification component
-    bad_places: PlaceSet
-    image_poly: BiPoly
+    `z_component` is y0^2 x2, the non-boundary ramification component."""
+
+    __slots__ = ("jacobian", "divisor_bidegree", "z_bidegree", "z_component",
+                 "bad_places", "image_poly")
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,6 @@ vectors, which keeps the test a two-row integer kernel computation.
 from __future__ import annotations
 
 from _random import Random as _Twister
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd as int_gcd
@@ -31,6 +30,7 @@ from .field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _Record,
     _T_NUMS,
     _horner,
     _kronecker_product,
@@ -45,15 +45,15 @@ class InvalidSUnit(ValueError):
     """Raised when an S-unit's divisor is not supported in its place set."""
 
 
-@dataclass(frozen=True)
-class PlaceSet:
+class PlaceSet(_Record):
     """A finite nonempty set of places, with its total geometric degree."""
 
-    places: frozenset[Place]
+    __slots__ = ("places", "__dict__")
 
-    def __post_init__(self):
-        if not self.places:
+    def __init__(self, places: frozenset[Place]):
+        if not places:
             raise ValueError("a place set must be nonempty")
+        self.places = places
 
     @staticmethod
     def of(*places) -> "PlaceSet":
@@ -113,17 +113,20 @@ def euler_char(S: PlaceSet) -> int:
     return S.geometric_size - 2
 
 
-@dataclass(frozen=True)
-class SUnit:
+class SUnit(_Record):
     """constant * prod place^exponent, with divisor supported in `places`.
 
     ``exponents`` holds (finite place, nonzero exponent) pairs sorted in the
     canonical place order; the order at infinity is derived.
     """
 
-    constant: Fraction
-    exponents: tuple[tuple[Place, int], ...]
-    places: PlaceSet
+    __slots__ = ("constant", "exponents", "places")
+
+    def __init__(self, constant: Fraction,
+                 exponents: tuple[tuple[Place, int], ...], places: PlaceSet):
+        self.constant = constant
+        self.exponents = exponents
+        self.places = places
 
     @staticmethod
     def make(constant, exponents: dict[Place, int], S: PlaceSet) -> "SUnit":
@@ -375,14 +378,17 @@ def _log_derivative_num(u: SUnit, q: Poly, places) -> Poly:
     return _scaled(total, 1, lift)
 
 
-@dataclass(frozen=True)
-class DependenceResult:
+class DependenceResult(_Record):
     """Outcome of the multiplicative dependence test for a unit pair."""
 
-    dependent: bool
-    r: int = 0
-    s: int = 0
-    gamma: RatFunc | None = None
+    __slots__ = ("dependent", "r", "s", "gamma")
+
+    def __init__(self, dependent: bool, r: int = 0, s: int = 0,
+                 gamma: RatFunc | None = None):
+        self.dependent = dependent
+        self.r = r
+        self.s = s
+        self.gamma = gamma
 
     @staticmethod
     def independent() -> "DependenceResult":

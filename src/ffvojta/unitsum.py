@@ -9,7 +9,6 @@ in S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .field_core import (
@@ -17,6 +16,7 @@ from .field_core import (
     _CERT_PRIME,
     Place,
     RatFunc,
+    _Record,
     _divide_out,
     _known_quotient,
     _kronecker_product,
@@ -65,8 +65,7 @@ def _check_term_count(n: int) -> None:
             f"subsum enumeration is capped at {MAX_SUBSUM_TERMS} terms")
 
 
-@dataclass(frozen=True)
-class VanishingSum:
+class VanishingSum(_Record):
     """Validated zero-sum of S-units with no vanishing proper subsum.
 
     ``orders`` is the table of orders of the terms at the places of S: one
@@ -76,9 +75,13 @@ class VanishingSum:
     off how they were built; the row at infinity is deg den - deg num.
     """
 
-    terms: tuple[RatFunc, ...]
-    place_set: PlaceSet
-    orders: tuple[tuple[int, ...], ...]
+    __slots__ = ("terms", "place_set", "orders")
+
+    def __init__(self, terms: tuple[RatFunc, ...], place_set: PlaceSet,
+                 orders: tuple[tuple[int, ...], ...]):
+        self.terms = terms
+        self.place_set = place_set
+        self.orders = orders
 
     @staticmethod
     def build(terms, S: PlaceSet) -> "VanishingSum":

@@ -37,6 +37,7 @@ from .field_core import (
     factor_poly,
     ord_at,
     Place,
+    _Record,
 )
 from .parser import parse_bipoly, parse_place, render_ratfunc_expr
 from .sunits import (
@@ -97,16 +98,12 @@ class RunConfig:
         }
 
 
-@dataclass
-class _Context:
-    """Parsed form of a RunConfig, built once per process."""
+class _Context(_Record):
+    """Parsed form of a RunConfig, built once per process: the polynomial
+    A, the list of its factors (each a BiPoly), the PlaceSet S, eps as a
+    Fraction, the ThetaLedger of the factors and the config itself."""
 
-    A: BiPoly
-    factors: list[BiPoly]
-    S: PlaceSet
-    eps: Fraction
-    ledger: ThetaLedger
-    cfg: RunConfig
+    __slots__ = ("A", "factors", "S", "eps", "ledger", "cfg")
 
 
 def build_context(cfg: RunConfig) -> _Context:
@@ -195,8 +192,7 @@ def gamma_candidate_membership(A: BiPoly, r: int, s: int,
             "candidates": len(zeros)}
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Where one unit pair landed in the trichotomy.
 
     u and v are the units as generated, never expanded here: a record is
@@ -206,12 +202,17 @@ class Classification:
     only for bound_holds and violation.
     """
 
-    u: SUnit
-    v: SUnit
-    kind: str
-    height: int | None
-    dependence: DependenceResult | None
-    count: BoundCheck | None
+    __slots__ = ("u", "v", "kind", "height", "dependence", "count")
+
+    def __init__(self, u: SUnit, v: SUnit, kind: str, height: int | None,
+                 dependence: DependenceResult | None,
+                 count: BoundCheck | None):
+        self.u = u
+        self.v = v
+        self.kind = kind
+        self.height = height
+        self.dependence = dependence
+        self.count = count
 
 
 def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,

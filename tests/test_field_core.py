@@ -1139,6 +1139,8 @@ class TestOmega:
             choose_omega({Place.rational(0)})
         with pytest.raises(ValueError):
             OmegaForm((Place.infinity(), Place.infinity()), Poly.one())
+        with pytest.raises(ValueError):
+            OmegaForm((Place.rational(0),), Poly((0, 1)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_candidate_ranking(self, seed):

@@ -15,6 +15,7 @@ module calls `id()`: an id is reused once its object is collected, so a
 per-instance cache lives in a slot of the instance, never in a dict keyed
 on ids.  An evaluated inequality is a `counting.BoundCheck`, whichever
 checker made it: no other class has both an `lhs` and a `holds` field.
+No class but `verify.RunConfig` is a dataclass.
 """
 
 from __future__ import annotations
@@ -167,13 +168,38 @@ def test_no_module_calls_id():
             and node.func.id == "id"] == []
 
 
+def _classes() -> list[tuple[str, ast.ClassDef]]:
+    """(`module.Class`, node) of each top-level class of the library."""
+    return [(f"{mod}.{cls.name}", cls) for mod, tree in _library()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)]
+
+
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """The fields a class declares: the names in its `__slots__` but
+    "__dict__", and the annotated names of its body (a dataclass's)."""
+    out = set()
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                          ast.Name):
+            out.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in stmt.targets):
+            out |= set(ast.literal_eval(stmt.value)) - {"__dict__"}
+    return out
+
+
 def test_one_bound_check_record():
-    records = [f"{mod}.{cls.name}" for mod, tree in _library()
-               for cls in tree.body if isinstance(cls, ast.ClassDef)
-               and {"lhs", "holds"} <= {stmt.target.id for stmt in cls.body
-                                        if isinstance(stmt, ast.AnnAssign)
-                                        and isinstance(stmt.target, ast.Name)}]
-    assert records == ["counting.BoundCheck"]
+    assert [name for name, cls in _classes()
+            if {"lhs", "holds"} <= _fields(cls)] == ["counting.BoundCheck"]
+
+
+def test_records_are_plain_classes():
+    # a dataclass costs every import the generation of its methods; the
+    # run config stays one because `dataclasses.replace` is called on it
+    assert [name for name, cls in _classes()
+            if any("dataclass" in ast.unparse(d)
+                   for d in cls.decorator_list)] == ["verify.RunConfig"]
 
 
 def test_import_loads_no_hashlib():

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ffvojta.bipoly import DependenceOutcome
+from ffvojta.counting import BoundCheck, CountReport
 from ffvojta.field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
@@ -24,6 +26,7 @@ from ffvojta.sunits import (
     CONSTANT_POOL,
     InvalidSUnit,
     PlaceSet,
+    DependenceResult,
     SUnit,
     _cached_terms,
     _unit_at_index,
@@ -36,6 +39,7 @@ from ffvojta.sunits import (
     sunit_from_ratfunc,
     unit_image,
 )
+from ffvojta.p2family import BiDegree
 from ffvojta.parser import render_ratfunc_expr
 from conftest import (
     ODD_PLACE_SETS,
@@ -111,6 +115,51 @@ class TestPlaceSet:
         first.reverse()
         assert [str(p) for p in S011.sorted_places()] == ["0", "1", "inf"]
         assert S011.sorted_places() is not S011.sorted_places()
+
+
+# each pair built apart from equal values
+_TWINS = [
+    (Place.rational(Fraction(1, 2)), Place(Poly((Fraction(-1, 2), 1)))),
+    (Place.infinity(), Place.infinity()),
+    (S011, PlaceSet.of("inf", 1, 0)),
+    (SUnit.make(3, {P0: 2, P1: -1}, S011),
+     SUnit.make(Fraction(6, 2), {P1: -1, P0: 2}, PlaceSet.of(0, 1, "inf"))),
+    (BoundCheck(2, True, rhs=Fraction(3, 2), deficits=((P0, 1),)),
+     BoundCheck(2, True, Fraction(3, 2), None, ((Place.rational(0), 1),))),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("a, b", _TWINS)
+    def test_equal_fields_equal_records(self, a, b):
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    @pytest.mark.parametrize("a, b", _TWINS)
+    def test_pickle_round_trip(self, a, b):
+        # worker pools send records between processes
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is type(a)
+        assert back == a == b and hash(back) == hash(b)
+
+    def test_other_classes_never_equal(self):
+        # equal field tuples, distinct classes
+        assert BiDegree(1, 2) != CountReport(1, 2)
+        assert DependenceResult(False) != DependenceOutcome(False)
+        assert BiDegree(1, 2) != (1, 2)
+        assert P0 != P0.poly and INF != (None,)
+
+    def test_fields_as_a_dataclass_has_them(self):
+        assert repr(BiDegree(1, 2)) == "BiDegree(a=1, b=2)"
+        assert repr(BoundCheck(0, True, rhs=1)) == (
+            "BoundCheck(lhs=0, holds=True, rhs=1, rhs_cubed=None, "
+            "deficits=None)")
+        assert BiDegree(a=1, b=2) == BiDegree(1, b=2)
+        assert hash(BiDegree(1, 2)) == hash((1, 2))
+        for args, kwargs in (((1,), {}), ((1, 2, 3), {}), ((1,), {"a": 2}),
+                             ((), {"a": 1, "c": 2})):
+            with pytest.raises(TypeError):
+                BiDegree(*args, **kwargs)
 
 
 class TestSUnit:
