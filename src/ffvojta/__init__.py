@@ -43,7 +43,6 @@ from .bipoly import (
 )
 from .counting import (
     BoundCheck,
-    CountReport,
     check_cz_gcd_bound,
     check_zannier_bound,
     gcd_units_sum,

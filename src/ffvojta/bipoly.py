@@ -16,22 +16,21 @@ cleared inputs into one integer by Kronecker substitution and takes one
 fraction-free Bareiss determinant, whose signed digits are the
 coefficients; it fills in its own cleared form from them, and the
 companion `b_polynomial` fills in its own from its known denominators.
-Rational roots specialise the cleared polynomial at a
-small t = tau, find the rational roots of that image p-adically (the roots
-mod the first small prime where they are all simple, Hensel-lifted and
-read through the leading coefficient; an image with a repeated root is
-decided on its squarefree part) and lift each one t-adically, modulo a
-Mersenne prime above Mignotte's factor bound, to a root rebuilt by Pade
-reconstruction; exact division in Z[t][Z] keeps it, and an image with no
-rational root proves there is none.  The points tau
-tried are bounded by the degrees, so that some point keeps the roots
-apart.  Coprimality over Q(t) is read off the two resultants, and the
-specialisation audit certifies A(tau) irreducible over Q by Kronecker's
-substitution Y -> X^N + c and the univariate factoriser, a point where
-that declines counting as one that split.  Gcds, root finding and
-resultants first check a size cap, and every bound raises InputTooLarge
-past it.  `bipoly_gcd`, which no library code calls, is the one function
-that imports sympy.
+Rational roots are read off one Kronecker image too: the cleared
+polynomial at t = 2^k, for k past Mignotte's bound on the leading
+coefficient times a root, has each root's value as a rational root, found
+p-adically (the roots mod the first small prime where they are all
+simple, Hensel-lifted and read through the leading coefficient; an image
+with a repeated root is decided on its squarefree part), and the leading
+coefficient times that value gives the root's coefficients as signed
+base-2^k digits; exact division in Z[t][Z] keeps it.  An image at t = 2
+with no rational root proves there is none.  Coprimality over Q(t) is
+read off the two resultants, and the specialisation audit certifies
+A(tau) irreducible over Q by Kronecker's substitution Y -> X^N + c and the
+univariate factoriser, a point where that declines counting as one that
+split.  Gcds, root finding and resultants first check a size cap, and
+every bound raises InputTooLarge past it.  `bipoly_gcd`, which no library
+code calls, is the one function that imports sympy.
 
 The zero test `vanishes_at` takes u and v each as an S-unit or a rational
 function.  For two S-units it first certifies A(u, v) != 0 by orders: at
@@ -50,13 +49,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, lcm as int_lcm, perm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm, log
 from operator import add
 
 from .field_core import (
     _CERT_POINTS,
     _CERT_PRIME,
-    _LARGEST_LIFT_PRIME,
+    _LAST_SPLIT_PRIME,
     _SMALL_PRIMES,
     InputTooLarge,
     OmegaForm,
@@ -70,15 +69,13 @@ from .field_core import (
     _image,
     _den_product,
     _divided,
-    _euclid_below,
     _factor_squarefree,
     _homogeneous_value,
-    _lift_modulus,
     _known_quotient,
     _kronecker_product,
+    _larger_primes,
     _minus,
     _pack,
-    _plus,
     _primitive,
     _signed_digits,
     _squarefree_split,
@@ -801,34 +798,58 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
 # Rational roots of a polynomial in one variable
 # ---------------------------------------------------------------------------
 
-# The first points t = tau at which `rational_roots` specialises, in this
-# order: small, so that the images have small coefficients.  They are all
-# tried whatever the degrees, and `_lifted_roots` goes on past them up to a
-# bound taken from the degrees.
-_LIFT_POINTS = tuple(range(2, 10))
+# Cap on the size, in bits, of the one integer image whose rational roots
+# `_lifted_roots` finds: n coefficients of k * (d + 1) bits each, for t at
+# 2^k and G with n coefficients in Z and of t-degree d.  Each of up to n - 1
+# roots is lifted p-adically by Horner's rule on integers of that width,
+# so the work grows with both.  Over planted products of 1 to 62 linear
+# factors, with roots of t-degree 0 to 16 and coefficients wide enough to
+# bring the image near the cap, the slowest took 0.3 s (2-vCPU Xeon VM,
+# CPython 3.11).  At twice the cap most took 0.3 to 0.9 s, but two roots of
+# t-degree 8 took 3.3 s, most of it in the gcd that brings a root to lowest
+# terms, by Euclid's algorithm once its coefficients are past the gcd
+# lift's largest prime.  A cap on the width alone would not do: 62
+# constant roots in an image 2^15 bits wide took 37 s.
+ROOT_IMAGE_CAP = 2 ** 17
+
 
 def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
     """The rational roots of g in Z[x] (lowest degree first, g(0) and
-    lc(g) nonzero) with their multiplicities, or None when neither a prime
-    of _SMALL_PRIMES nor g's squarefree part (`_squarefree_roots`) decides
-    them.
+    lc(g) nonzero) with their multiplicities, or None when no prime below
+    `field_core._LAST_SPLIT_PRIME` decides them.
 
-    The prime is the first p >= len(g) of _SMALL_PRIMES that does not
-    divide lc(g) and at which every root of g mod p is simple.  A rational
-    root of multiplicity >= 2 stays multiple mod every such p, so there
-    each rational root of g is simple, and reduces to a simple root x mod
-    p, which Newton's iteration lifts to the one p-adic root above x, to a
-    precision q = p^(2^i) above 2 |g(0) lc(g)|.  A root u/v in lowest terms
-    has u | g(0) and v | lc(g) (Gauss's lemma), so lc(g) u/v is an integer
-    below q/2 in absolute value: lc(g) times the lift, read in symmetric
-    residues (`field_core._symmetric`, as `_exact_gcd` and the factoriser's
-    recombination read their lifts), over lc(g) is the root if the lift is
-    rational, and exact division decides whether it is.  When no prime
-    qualifies, g has most likely a repeated factor, and its squarefree
-    part decides.
+    The first prime of _SMALL_PRIMES that serves (`_prime_roots`) decides
+    them; when none does, g has most likely a repeated factor, and its
+    squarefree part decides (`_squarefree_roots`); when g is squarefree,
+    or its part is not decided either, the walk goes on to the primes past
+    _SMALL_PRIMES (`field_core._larger_primes`), as the factoriser's does.
+    """
+    found = _prime_roots(g, _SMALL_PRIMES)
+    if found is None:
+        found = _squarefree_roots(g)
+    if found is None:
+        found = _prime_roots(g, _larger_primes())
+    return found
+
+
+def _prime_roots(g: list[int], primes) -> dict[Fraction, int] | None:
+    """The rational roots of g, each of multiplicity 1, decided at the first
+    p >= len(g) of `primes` that does not divide lc(g) and at which every
+    root of g mod p is simple; None when no prime of `primes` is one.
+
+    A rational root of multiplicity >= 2 stays multiple mod every p, so at
+    such a p each rational root of g is simple, and reduces to a simple
+    root x mod p, which Newton's iteration lifts to the one p-adic root
+    above x (`_padic_root`), to a precision q above 2 |g(0) lc(g)|.  A root
+    u/v in lowest terms has u | g(0) and v | lc(g) (Gauss's lemma), so
+    lc(g) u/v is an integer below q/2 in absolute value: lc(g) times the
+    lift, read in symmetric residues (`field_core._symmetric`, as
+    `_exact_gcd` and the factoriser's recombination read their lifts), over
+    lc(g) is the root if the lift is rational, and exact division decides
+    whether it is.
     """
     lc = g[-1]
-    for p in _SMALL_PRIMES:
+    for p in primes:
         if p < len(g) or not lc % p:
             continue
         gp = [c % p for c in g]
@@ -845,7 +866,7 @@ def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
                                    root.denominator]) is not None:
                 found[root] = 1
         return found
-    return _squarefree_roots(g)
+    return None
 
 
 def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
@@ -870,182 +891,126 @@ def _squarefree_roots(g: list[int]) -> dict[Fraction, int] | None:
 
 
 def _padic_root(h: list[int], x: int, p: int, bound: int) -> tuple[int, int]:
-    """The root of h above its simple root x mod p, to a precision q above
-    `bound`, by Newton's iteration: (root mod q, q)."""
-    q = p
-    while q <= bound:
-        q *= q
-        acc = der = 0
+    """The root of h above its simple root x mod p (0 <= x < p), to the
+    least power q = p^e above `bound`: (root mod q, q).
+
+    Newton's iteration runs at the precisions p^ceil(e / 2^i), lowest
+    first, and carries the inverse s of h'(root) along, one step
+    s <- s (2 - h'(y) s) behind the root y (Modern Computer Algebra, 9.27),
+    so that only h'(x) mod p is ever inverted."""
+    e = max(1, int(log(bound, p)))
+    while p ** e <= bound:
+        e += 1
+    while e > 1 and p ** (e - 1) > bound:
+        e -= 1
+    steps = []
+    while e > 1:
+        steps.append(e)
+        e = (e + 1) // 2
+    s, low = None, p
+    for e in reversed(steps):
+        # y is good to low = p^ceil(e/2) and s to the square root of that:
+        # one step makes s good to low, all that the step of y needs, so
+        # h'(y) is needed mod low only
+        q = p ** e
+        val = der = 0
         for c in reversed(h):
-            der = (der * x + acc) % q
-            acc = (acc * x + c) % q
-        x = (x - acc * pow(der, -1, q)) % q
-    return x, q
+            der = (der * x + val) % low
+            val = (val * x + c) % q
+        s = pow(der, -1, p) if s is None else s * (2 - der * s) % low
+        x = (x - val * s) % q
+        low = q
+    return x, low
 
 
-def _series_mul(a: list[int], b: list[int], n: int, mod: int) -> list[int]:
-    """a * b mod (s^n, mod) for power series a and b in s, lowest first."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i]):
-                out[i + j] += x * y
-    return [c % mod for c in out]
-
-
-def _series_inverse(a: list[int], n: int, mod: int) -> list[int]:
-    """1 / a mod (s^n, mod), for a[0] a unit mod `mod`."""
-    inv = pow(a[0], -1, mod)
-    out = [inv]
-    for k in range(1, n):
-        acc = sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
-        out.append(-acc * inv % mod)
-    return out
-
-
-def _shift(f: list[int], tau: int, mod: int) -> list[int]:
-    """The coefficients of f(s + tau) mod `mod`, lowest first."""
-    out: list[int] = []
-    for c in reversed(f):
-        nxt = [tau * x for x in out] + [0]
-        for i, x in enumerate(out):
-            nxt[i + 1] += x
-        nxt[0] += c
-        out = [x % mod for x in nxt]
-    return out
-
-
-def _divide_linear(cols: list[list[int]], a: list[int], b: list[int],
-                   m: int) -> list[list[int]] | None:
-    """The quotient of sum cols[i] Z^i by (a*Z + b)^m in Z[t][Z] (integer
-    lists in t, lowest first, [] for 0), or None when the division is not
+def _divide_linear(cols: list[list[int]], a: list[int],
+                   b: list[int]) -> list[list[int]] | None:
+    """The quotient of sum cols[i] Z^i by a*Z + b in Z[t][Z] (integer lists
+    in t, lowest first, [] for 0), or None when the division is not
     exact."""
-    for _ in range(m):
-        quo = [[]] * (len(cols) - 1)
-        rem = cols[-1]
-        for i in range(len(cols) - 2, -1, -1):
-            q = _exact_quotient(rem, a) if rem else []
-            if q is None:
-                return None
-            quo[i] = q
-            if b and q:
-                rem = _minus(cols[i], _kronecker_product(((b, 1), (q, 1))))
-            else:
-                rem = cols[i]
-        if rem:
+    quo = [[]] * (len(cols) - 1)
+    rem = cols[-1]
+    for i in range(len(cols) - 2, -1, -1):
+        q = _exact_quotient(rem, a) if rem else []
+        if q is None:
             return None
-        cols = quo
-    return cols
-
-
-def _lifted_root(shifted: list[list[int]], r0: Fraction, m: int, tau: int,
-                 lc_t: int, degrees: tuple[int, int], mod: int):
-    """The primitive a*Z + b, as integer lists (a, b), that the image root
-    r0 of multiplicity m lifts to, or None.
-
-    `shifted` holds G's coefficients in s = t - tau, mod `mod`.  r0 is a
-    simple root of the image of H, the (m-1)-th Z-derivative of G, so
-    Newton's iteration lifts it to the one root R of H in (Z/mod)[[s]]
-    above it, to the precision n = deg a + deg b + 1 of the degree bounds
-    `degrees` = (deg lc_Z(G), deg G(0)).  If G has a root -b/a of
-    multiplicity m above r0, that root is R, and Pade reconstruction gives
-    r/q = R with q a constant multiple of a mod `mod` (while a and b stay
-    coprime mod `mod`).  Scaled so that lc(q) = lc_t and shifted back to t,
-    q and -r are a' = a * lc_t / lc(a) and b' = b * lc_t / lc(a) mod `mod`,
-    which exceeds twice their coefficients, so the symmetric residues are
-    a' and b' themselves.  The caller's exact division decides every other
-    case.
-    """
-    h = [[perm(i, m - 1) * c % mod for c in ts]
-         for i, ts in enumerate(shifted)][m - 1:]
-    den = r0.denominator % mod
-    if not den:
-        return None
-    root = [r0.numerator * pow(den, -1, mod) % mod]
-    n = degrees[0] + degrees[1] + 1
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        root += [0] * (prec - len(root))
-        val, der = h[-1][:prec], []
-        for ts in reversed(h[:-1]):
-            der = _plus(_series_mul(der, root, prec, mod), val, mod)
-            val = _plus(_series_mul(val, root, prec, mod), ts[:prec], mod)
-        if not der[0]:
-            return None
-        step = _series_mul(val, _series_inverse(der, prec, mod), prec, mod)
-        root = [(x - y) % mod for x, y in zip(root, step)]
-    r, q = _euclid_below([0] * n + [1], root, degrees[1] + 1, mod)
-    if len(q) - 1 > degrees[0] or not q[0]:
-        return None
-    scale = lc_t * pow(q[-1], -1, mod)
-    a, b = (_symmetric(_shift([x * scale for x in f], -tau, mod), mod)
-            for f in (q, [-x for x in r]))
-    content = int_gcd(*a, *b)
-    return [c // content for c in a], [c // content for c in b]
+        quo[i] = q
+        if b and q:
+            rem = _minus(cols[i], _kronecker_product(((b, 1), (q, 1))))
+        else:
+            rem = cols[i]
+    return None if rem else quo
 
 
 def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     """The roots in Q(t) with their multiplicities of G = sum cols[i] Z^i
-    in Z[t][Z] (integer lists in t, lowest first; G(0) nonzero).
+    in Z[t][Z] (integer lists in t, lowest first; G(0) nonzero), found from
+    one integer image (Kronecker substitution: Modern Computer Algebra,
+    8.4).
 
-    A root -b/a with a*Z + b primitive divides G (Gauss's lemma), so a |
-    lc_Z(G) and b | G(0).  At a tau where neither vanishes, a(tau) != 0 and
-    the root's value at tau is a rational root r0 of the image
-    G(Z, tau); if r0 has multiplicity m there, m roots of G over the
-    algebraic closure, with multiplicity, take the value r0 at tau.  Each
-    r0 is lifted to one candidate (`_lifted_root`), kept only if a*Z + b
-    divides G exactly m times: then it accounts for all m, and when every
-    r0 has such a candidate, they are all the roots.  Otherwise the next
-    tau is tried.  By Mignotte's factor bound (Modern Computer Algebra,
-    6.33) the coefficients of a' = a * lc_t / lc(a) are at most
-    2^deg(a) ||lc_Z(G)||_2 and those of b' at most
-    |lc_t| 2^deg(b) ||G(0)||_2, lc_t the leading coefficient of lc_Z(G),
-    so the lift runs modulo the least Mersenne prime above twice the
-    larger.
+    A root -b/a with a*Z + b primitive divides G (Gauss's lemma), so
+    lc_Z(G) = a*h and b | G(0), and lc_Z(G) times the root is -b*h, in
+    Z[t].  By Mignotte's bound (Modern Computer Algebra, 6.33) the
+    coefficients of b*h are at most ||b||_1 ||h||_1 <= M =
+    2^(deg lc_Z(G) + deg G(0)) ||lc_Z(G)||_2 ||G(0)||_2.  So with
+    2^(k-1) > M, the root's value r at t = 2^k is a rational root of the
+    image g = G(Z, 2^k), and lc_Z(G)(2^k) * r has the coefficients of -b*h
+    as its signed base-2^k digits: every root is read back exactly from
+    its image, and since two roots with one image read back the same,
+    distinct roots have distinct images.  Each rational root r of g
+    (`_image_roots`) gives one candidate, its digits over lc_Z(G), which is
+    kept only if a*Z + b divides G exactly in Z[t][Z]; its multiplicity is
+    the number of times it divides, at most r's multiplicity in g.
 
-    The points tau run through _LIFT_POINTS and on, up to (2n + 1) d + 2
-    for G of Z-degree n and t-degree d.  lc_Z(G) and G(0) vanish at no more
-    than 2d points, and two distinct roots meet only where the
-    discriminant of G's squarefree part vanishes, at no more than
-    (2n - 1) d points, so some point of the range keeps the roots apart.
-    InputTooLarge is raised when no point of the range decides, or when
-    the lift needs a prime past 2^4423 - 1.
+    One certificate comes first: at t = 2, where lc_Z(G) and G(0) do not
+    vanish, every root of G has a rational value, so an image with no
+    rational root there proves that G has none.  InputTooLarge is raised
+    at once when the image at 2^k is past ROOT_IMAGE_CAP bits, and when no
+    prime decides its roots.
     """
     if len(cols) == 1:
         return {}
     lc, g0 = cols[-1], cols[0]
-    degrees = (len(lc) - 1, len(g0) - 1)
-    norm = isqrt(max(sum(c * c for c in lc), sum(c * c for c in g0))) + 1
-    mod = _lift_modulus(2 * abs(lc[-1]) * norm << max(degrees))
-    if mod is None:
-        raise InputTooLarge(
-            "lifting the rational roots needs a prime past "
-            + _LARGEST_LIFT_PRIME)
     d = max(len(ts) for ts in cols) - 1
-    last = max(_LIFT_POINTS[-1], (2 * len(cols) - 1) * d + 2)
-    for tau in range(_LIFT_POINTS[0], last + 1):
-        image = [_homogeneous_value(ts, tau, 1) for ts in cols]
-        if not image[0] or not image[-1]:
+    bound = ((isqrt(sum(c * c for c in lc)) + 1)
+             * (isqrt(sum(c * c for c in g0)) + 1)) << len(lc) + len(g0) - 2
+    k = bound.bit_length() + 1
+    size = len(cols) * k * (d + 1)
+    if size > ROOT_IMAGE_CAP:
+        raise InputTooLarge(
+            f"the rational roots of a polynomial of degree {len(cols) - 1} "
+            f"in Z and {d} in t need an image of {size} bits, past the cap "
+            f"{ROOT_IMAGE_CAP}")
+    image = [_pack(ts, 1) for ts in cols]
+    if image[0] and image[-1] and _image_roots(image) == {}:
+        return {}
+    image_roots = _image_roots([_pack(ts, k) for ts in cols])
+    if image_roots is None:
+        raise InputTooLarge(
+            f"no prime below {_LAST_SPLIT_PRIME} decides the rational roots "
+            "of the image")
+    top = _pack(lc, k)
+    found: dict[RatFunc, int] = {}
+    rest = cols
+    for r, m in image_roots.items():
+        value, frac = divmod(top * r.numerator, r.denominator)
+        if frac:
             continue
-        image_roots = _image_roots(image)
-        if image_roots is None:
+        try:
+            digits = _signed_digits(value, k, len(lc) + len(g0) - 1)
+        except ArithmeticError:
             continue
-        shifted = [_shift(ts, tau, mod) for ts in cols] if image_roots else []
-        found: dict[RatFunc, int] = {}
-        rest = cols
-        for r0, m in image_roots.items():
-            factor = _lifted_root(shifted, r0, m, tau, lc[-1], degrees, mod)
-            rest = factor and _divide_linear(rest, *factor, m)
-            if rest is None:
-                break
-            a, b = factor
-            found[RatFunc(Poly([-c for c in b]), Poly(a))] = m
-        else:
-            return found
-    raise InputTooLarge(
-        f"no point t = {_LIFT_POINTS[0]}, ..., {last} decides the rational "
-        "roots")
+        root = RatFunc(Poly(digits), Poly(lc))
+        a = [c * root.num.den for c in root.den.nums]
+        b = [-c * root.den.den for c in root.num.nums]
+        content = int_gcd(*a, *b)
+        a, b = [c // content for c in a], [c // content for c in b]
+        count = 0
+        while count < m and (quo := _divide_linear(rest, a, b)) is not None:
+            rest, count = quo, count + 1
+        if count:
+            found[root] = count
+    return found
 
 
 def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
@@ -1055,15 +1020,13 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
 
     The root 0 comes off first: F = Z^k * G with G(0) != 0 has it k times.
     G is read in Z[t][Z] off F's cleared form (`BiPoly.cleared`, which a
-    resultant brings filled in) and its roots are found by specialising t at a
-    small tau, finding the rational roots of that image p-adically and
-    lifting each t-adically (`_lifted_roots`); an image with no rational
-    root proves there is none, and an image whose repeated roots leave
-    every prime undecided is decided on its squarefree part.  The points
-    tau are bounded, and InputTooLarge is raised past the bound.
-    Roots are sorted by their numerator and denominator coefficients, so
-    zero roots come first.  The flag is True exactly when the roots account
-    for the full degree of F.
+    resultant brings filled in) and its roots are read back from the
+    rational roots of one integer image, G at t = 2^k for k past Mignotte's
+    bound, found p-adically (`_lifted_roots`); an image at t = 2 with no
+    rational root proves there is none.  InputTooLarge is raised past the
+    size cap and past the image's cap, ROOT_IMAGE_CAP.  Roots are sorted by their
+    numerator and denominator coefficients, so zero roots come first.  The
+    flag is True exactly when the roots account for the full degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")

@@ -58,22 +58,6 @@ class VanishingSubsum(ValueError):
         self.subset = tuple(sorted(subset))
 
 
-class CountReport(_Record):
-    """Total truncated count plus the per-place contributions (ord - 1)."""
-
-    __slots__ = ("total", "per_place")
-
-    def __init__(self, total: int, per_place: tuple[tuple[Place, int], ...]):
-        self.total = total
-        self.per_place = per_place
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "per_place": {str(p): c for p, c in self.per_place},
-        }
-
-
 def strip_set_factors(num: Poly, S: PlaceSet) -> Poly:
     """Divide out every factor supported at a finite place of S."""
     return _divide_out(num, [p.poly for p in S.finite_places()])[0]
@@ -88,30 +72,21 @@ def _check_s_integer(f: RatFunc, S: PlaceSet) -> None:
         raise NotSInteger(Place.infinity())
 
 
-def trunc_count(f: RatFunc, S: PlaceSet) -> CountReport:
+def trunc_count(f: RatFunc, S: PlaceSet) -> int:
     """Sum over places outside S of max(0, ord - 1), geometrically weighted.
 
     Strips the S-supported part N of the numerator.  Over Q, gcd(N, N') is
-    the product of q^(m - 1) over the irreducible factors q^m of N, so only
-    that gcd is factored, never N: each factor q^k of it is a place with
-    count k, contributing k * deg q.  When the gcd is 1, which `poly_gcd`
-    usually proves with one modular image, nothing is factored.
+    the product of q^(m - 1) over the irreducible factors q^m of N, so its
+    degree is the count at the finite places, and nothing is factored; the
+    order at infinity adds its share when infinity is not in S.
     """
     if f.is_zero:
         raise ZeroFunction("cannot count zeros of the zero function")
     stripped = strip_set_factors(f.num, S)
-    total = 0
-    per: list[tuple[Place, int]] = []
-    for q, k in factor_poly(poly_gcd(stripped, stripped.derivative())):
-        total += k * q.degree
-        per.append((Place._trusted(q), k))
+    total = poly_gcd(stripped, stripped.derivative()).degree
     if not S.has_infinity:
-        inf_ord = f.den.degree - f.num.degree
-        if inf_ord >= 2:
-            total += inf_ord - 1
-            per.append((Place.infinity(), inf_ord - 1))
-    per.sort(key=lambda pc: pc[0].sort_key())
-    return CountReport(total, tuple(per))
+        total += max(0, f.den.degree - f.num.degree - 1)
+    return total
 
 
 def min_ord_sum(f: RatFunc, g: RatFunc, S: PlaceSet) -> int:

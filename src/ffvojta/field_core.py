@@ -527,16 +527,13 @@ def clear_denominators(coeffs: Mapping) -> tuple[dict, Poly]:
 # --- polynomials over Z/p ---------------------------------------------------
 #
 # Residue lists, lowest degree first, without trailing zeros: the images
-# behind the gcd certificate and the factoriser below, and the t-adic lifts
-# of `bipoly.rational_roots`.
+# behind the gcd certificate and the factoriser below.
 
 # Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1 (all proven
-# prime by the Lucas-Lehmer test); the gcd lift and the t-adic root lift
-# run modulo the least one above twice their bound (`_lift_modulus`).
+# prime by the Lucas-Lehmer test); the gcd lift runs modulo the least one
+# above twice its bound (`_lift_modulus`).
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        4253, 4423)
-# the largest of them, as the root lift's InputTooLarge text names it
-_LARGEST_LIFT_PRIME = f"2^{_MERSENNE_EXPONENTS[-1]} - 1"
 
 
 def _lift_modulus(bound: int) -> int | None:
@@ -585,11 +582,6 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _plus(a: list[int], b: list[int], mod: int) -> list[int]:
-    """a + b mod `mod`, coefficientwise."""
-    return [(x + y) % mod for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-
-
 def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
     """a - b, coefficientwise and reduced mod `mod` when it is given, with
     the trailing zeros dropped."""
@@ -601,9 +593,8 @@ def _euclid_below(a: list[int], b: list[int], k: int, mod: int):
     """(r, q) with r = q * b mod a and deg r < k, over the field Z/mod (a
     of degree >= k), by the extended Euclidean algorithm on a and b stopped
     at the first remainder of degree below k (Modern Computer Algebra,
-    5.9): every pair with deg r < k and deg q <= deg a - k is a multiple
-    of this one.  For coprime a and b and k = 1, r is a nonzero constant
-    and q / r is the inverse of b mod a."""
+    5.9).  For coprime a and b and k = 1, r is a nonzero constant and
+    q / r is the inverse of b mod a: the factoriser's Bezout cofactors."""
     r0, r1, q0, q1 = a, _trim(b), [], [1]
     while len(r1) > k:
         quo, rem = _divmod_mod(r0, r1, mod)
@@ -964,6 +955,14 @@ def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
     return lifts, q
 
 
+def _larger_primes():
+    """The odd primes past _SMALL_PRIMES and below _LAST_SPLIT_PRIME, in
+    order: where the factoriser and `bipoly._image_roots` walk on when no
+    small prime serves."""
+    return (p for p in range(_SMALL_PRIMES[-1] + 2, _LAST_SPLIT_PRIME, 2)
+            if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+
+
 def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
     """The irreducible factors in Z[t] of the primitive squarefree f
     (lowest degree first, degree >= 1, positive leading coefficient), or
@@ -976,9 +975,7 @@ def _factor_squarefree(f: list[int]) -> list[list[int]] | None:
         return [f]
     irreducible = 1 | 1 << n
     degrees, usable, best = (1 << n + 1) - 1, 0, (n + 1, 0, [])
-    past = (p for p in range(_SMALL_PRIMES[-1] + 2, _LAST_SPLIT_PRIME, 2)
-            if all(p % d for d in range(3, isqrt(p) + 1, 2)))
-    for p in itertools.chain(_SMALL_PRIMES, past):
+    for p in itertools.chain(_SMALL_PRIMES, _larger_primes()):
         if usable and p > _SMALL_PRIMES[-1]:
             break
         if not f[-1] % p:

@@ -107,6 +107,13 @@ class PlaceSet(_Record):
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.sorted_places()) + "}"
 
+    def __repr__(self) -> str:
+        # the places in the canonical order: a frozenset prints in an order
+        # that depends on its history and on the per-process hash of
+        # infinity, so equal sets could print differently
+        return ("PlaceSet(places=frozenset({"
+                + ", ".join(repr(p) for p in self._sorted) + "}))")
+
 
 def euler_char(S: PlaceSet) -> int:
     """Euler characteristic of the complement of S in the genus-zero curve."""

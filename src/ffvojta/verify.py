@@ -239,7 +239,7 @@ def classify(A: BiPoly, S: PlaceSet, u: SUnit, v: SUnit, theta1: Fraction,
     dep = mult_dependence(u, v)
     if dep.dependent and max(abs(dep.r), abs(dep.s)) <= theta2:
         return Classification(u, v, "relation", h, dep, None)
-    lhs = trunc_count(evaluate(A, as_ratfunc(u), as_ratfunc(v)), S).total
+    lhs = trunc_count(evaluate(A, as_ratfunc(u), as_ratfunc(v)), S)
     rhs = eps * h
     count = BoundCheck(lhs, lhs <= rhs, rhs=rhs)
     kind = "bound_holds" if count.holds else "violation"

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ffvojta.bipoly import (
     BiPoly,
     CLEARED_SIZE_CAP,
+    ROOT_IMAGE_CAP,
     SYLVESTER_WORK_CAP,
     BothZero,
     ConstantPolynomial,
@@ -18,10 +19,10 @@ from ffvojta.bipoly import (
     PreconditionViolated,
     _orders_certify,
     _squarefree_roots,
-    _LIFT_POINTS,
     _image_roots,
     _kronecker_irreducible,
     _lifted_roots,
+    _padic_root,
     _specialised,
     b_polynomial,
     bipoly_gcd,
@@ -816,14 +817,13 @@ def _planted(rng: random.Random) -> tuple[BiPoly, list[RatFunc], bool]:
 
 @st.composite
 def _lift_inputs(draw):
-    """(F, planted, quadratic) for the specialise-and-lift path: planted
-    nonzero roots, each 1 to 3 times and 4 in all at most, among them roots
-    that agree with another at the first tau, roots with a pole there (so
-    the cleared leading coefficient vanishes) and roots with coefficients
-    near 2^61, where the lift's modulus moves to the next Mersenne prime;
-    maybe an irreducible quadratic cofactor.  The extreme coefficients stay
-    within the oracle's degree cap."""
-    tau = _LIFT_POINTS[0]
+    """(F, planted, quadratic) for the root finder: planted nonzero roots,
+    each 1 to 3 times and 4 in all at most, among them roots that agree
+    with another at t = 2, the certificate point, roots with a pole there
+    (so the cleared leading coefficient vanishes) and roots with
+    coefficients near 2^61; maybe an irreducible quadratic cofactor.  The
+    extreme coefficients stay within the oracle's degree cap."""
+    tau = 2
     small = st.integers(-4, 4)
     big = st.integers(2 ** 59, 2 ** 63) | st.integers(-2 ** 63, -2 ** 59)
     roots: list[RatFunc] = []
@@ -1000,6 +1000,29 @@ class TestRationalRoots:
                 g = g * Poly((-r.numerator, r.denominator)) ** m
         assert _image_roots(list(g.nums)) == planted
 
+    @given(st.sampled_from(_SMALL_PRIMES),
+           st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=2, max_size=8),
+           st.integers(0, 10 ** 6), st.integers(1, 2 ** 300))
+    @example(3, [-2, 0, 1], 1, 2)
+    @example(97, [5, 1], 92, 97 ** 8)
+    @settings(max_examples=120, deadline=None, database=None,
+              derandomize=True)
+    def test_padic_root(self, p, h, x, bound):
+        # h planted with the root x mod p (its constant term moved), which
+        # must be simple: the lift stays above x, is a root mod q, and q is
+        # the least power of p above the bound
+        x %= p
+        h = [h[0] - _homogeneous_value(h, x, 1) % p] + h[1:]
+        assume(_homogeneous_value([i * c for i, c in enumerate(h)][1:],
+                                  x, 1) % p)
+        y, q = _padic_root(h, x, p, bound)
+        assert y % p == x and not _homogeneous_value(h, y, 1) % q
+        e = 0
+        while q > 1 and not q % p:
+            q //= p
+            e += 1
+        assert q == 1 and p ** e > bound and (e == 1 or p ** (e - 1) <= bound)
+
     def test_repeated_nonlinear_factors_agree_with_oracle(self):
         # planted roots beside a repeated factor with no rational root:
         # (Z^3 + 13 t - 7)^3 and (Z^2 - t)^2
@@ -1017,11 +1040,10 @@ class TestRationalRoots:
                 sorted(planted, key=_key), False)
 
     def test_vanishing_leading_coefficient_skipped(self):
-        # ((t - 2) Z + 1)(Z^2 - t): at the first tau the leading coefficient
-        # vanishes and the image would drop to Z^2 - 2, which has no
-        # rational root; that tau is skipped and the root 1/(2 - t) is
-        # still found, without the factorisation
-        assert _LIFT_POINTS[0] == 2
+        # ((t - 2) Z + 1)(Z^2 - t): at t = 2, the certificate point, the
+        # leading coefficient vanishes and the image would drop to Z^2 - 2,
+        # which has no rational root; the certificate is skipped and the
+        # root 1/(2 - t) is still found, without the factorisation
         root = rat("1/(2-t)")
         F = _linear(root) * _z(-rat("t"), 0, 1) * _z(rat("t-2"))
         ints = _cleared_ints(F)
@@ -1036,8 +1058,7 @@ class TestRationalRoots:
         # lifted from the image roots, without the factorisation
         for expr in ("t", "t^2+1", "2*t-1", "-t^3+t"):
             F = _z(-rat(expr), 0, 1)
-            image = [_homogeneous_value(ts, _LIFT_POINTS[0], 1)
-                     for ts in _cleared_ints(F)]
+            image = [_homogeneous_value(ts, 2, 1) for ts in _cleared_ints(F)]
             assert _image_roots(image) == {}
             assert rational_roots(F) == ([], False)
         roots = [rat("1/t"), rat("(t+1)/(t-1)"), rat("-3/(2*t^2+1)")]
@@ -1065,26 +1086,41 @@ class TestRationalRoots:
         assert rational_roots(_swap(F)) == (roots, complete)
 
     def test_roots_agreeing_at_every_lift_point(self):
-        # R2 - R1 vanishes at every tau of _LIFT_POINTS, so each image has
-        # the double root R1(tau), whose lift (a root of dG/dZ) is no root
-        # of G; the search goes on past them, and tau = 10 decides
+        # R2 - R1 vanishes at t = 2, ..., 9, so the image at t = 2, the
+        # certificate point, has the double root R1(2) and certifies
+        # nothing; the image at t = 2^k keeps the two roots apart
         r1 = rat("t+1")
         gap = RatFunc.one()
-        for tau in _LIFT_POINTS:
+        for tau in range(2, 10):
             gap = gap * RatFunc(Poly([-tau, 1]))
         r2 = r1 + gap
         F = _linear(r1) * _linear(r2)
+        image = [_homogeneous_value(ts, 2, 1) for ts in _cleared_ints(F)]
+        assert _image_roots(image) == {Fraction(3): 2}
         assert _lifted_roots(_cleared_ints(F)) == {r1: 1, r2: 1}
         assert rational_roots(F) == oracle_rational_roots(F) == (
             sorted([r1, r2], key=_key), True)
         assert rational_roots(_swap(F)) == rational_roots(F)
 
-    def test_lift_past_the_largest_prime_raises(self):
-        # a leading coefficient near 2^4500 puts Mignotte's bound past
-        # every Mersenne prime of the lift
+    def test_root_past_the_old_lift_prime(self):
+        # a leading coefficient near 2^4500, past the largest Mersenne
+        # prime 2^4423 - 1: the image at t = 2^k, 2 coefficients of 2 k
+        # bits, is well under ROOT_IMAGE_CAP, and the root is found
         F = _z(1, rat(f"{2 ** 4500}*t+1"))
-        with pytest.raises(InputTooLarge, match="2\\^4423 - 1"):
+        roots, complete = rational_roots(F)
+        assert complete and roots == [rat(f"-1/({2 ** 4500}*t+1)")]
+        assert evaluate(F, roots[0], RatFunc.zero()).is_zero
+
+    def test_image_cap_raises_at_once(self):
+        # (c t + 1) Z - 1 with c = 2^(ROOT_IMAGE_CAP / 4): the image at
+        # t = 2^k, 2 coefficients of 2 k bits, is past ROOT_IMAGE_CAP bits,
+        # so no root is sought
+        F = _z(-1, RatFunc(Poly([1, 2 ** (ROOT_IMAGE_CAP // 4)])))
+        start = time.perf_counter()
+        with pytest.raises(InputTooLarge,
+                           match=f"past the cap {ROOT_IMAGE_CAP}"):
             rational_roots(F)
+        assert time.perf_counter() - start < 1
 
     def test_complete_past_old_cap(self):
         # extreme coefficients of t-degree above 12: the oracle gives up,

@@ -25,13 +25,13 @@ from ffvojta.field_core import (
     Poly,
     RatFunc,
     ZeroFunction,
+    _factor_cached,
     _image,
 )
 from ffvojta.sunits import PlaceSet, SUnit, as_ratfunc, euler_char, mult_dependence
 from conftest import (
     oracle_min_ord_sum,
     oracle_trunc_count,
-    oracle_trunc_per_place,
     oracle_vanishing_subsum,
     rat,
     unit_over,
@@ -47,18 +47,15 @@ S011 = PlaceSet.of(0, 1, "inf")
 
 class TestTruncCount:
     def test_examples(self):
-        r = trunc_count(rat("t^2*(t-1)^3*(t-2)"), S01)
-        assert r.total == 2
-        assert dict((str(p), c) for p, c in r.per_place) == {"1": 2}
-
-        assert trunc_count(rat("(t-3)^2"), S01).total == 1
-        assert trunc_count(rat("t^5*(t-1)*(t-2)*(t-7)"), S01).total == 0
+        assert trunc_count(rat("t^2*(t-1)^3*(t-2)"), S01) == 2
+        assert trunc_count(rat("(t-3)^2"), S01) == 1
+        assert trunc_count(rat("t^5*(t-1)*(t-2)*(t-7)"), S01) == 0
 
     def test_fixture_pair(self):
         # A = X+Y+1 at (t^2, -2t) gives (t-1)^2
         value = rat("t^2") + rat("-2*t") + RatFunc.one()
         assert value == rat("(t-1)^2")
-        assert trunc_count(value, S01).total == 1
+        assert trunc_count(value, S01) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroFunction):
@@ -67,26 +64,22 @@ class TestTruncCount:
     def test_infinity_outside_s(self):
         S = PlaceSet.of(0, 1)
         # 1/t^3 has a zero of order 3 at infinity
-        assert trunc_count(rat("1/t^3"), S).total == 2
+        assert trunc_count(rat("1/t^3"), S) == 2
 
     def test_total_is_weighted_per_place(self):
+        # the place t^2 + 1 counts 2 twice, t - 4 once
         f = rat("(t^2+1)^3*(t-4)^2")
-        r = trunc_count(f, S01)
-        assert r.total == sum(p.geom_degree * c for p, c in r.per_place)
-        assert r.total == 2 * 2 + 1
+        assert trunc_count(f, S01) == 2 * 2 + 1 == oracle_trunc_count(f, S01)
 
-    def test_report_json(self):
-        r = trunc_count(rat("(t-3)^2*(t^2+1)^2"), S01)
-        assert r.to_json() == {"total": 3,
-                               "per_place": {"3": 1, "t^2 + 1": 1}}
-
-    def test_only_the_repeated_part_is_factored(self):
-        # t^42 - 1 splits into 42 linear factors mod the factoriser's big
-        # prime, past its subset budget; gcd(N, N') = t - 3 is all that is
-        # factored
+    def test_count_factors_nothing(self):
+        # t^42 - 1 splits into 42 linear factors mod the factoriser's
+        # primes, past its subset budget; the count is deg gcd(N, N') and
+        # leaves the factor cache untouched
         f = RatFunc(Poly((-1,) + (0,) * 41 + (1,)) * Poly((-3, 1)) ** 2)
-        r = trunc_count(f, PlaceSet.of("inf"))
-        assert r.to_json() == {"total": 1, "per_place": {"3": 1}}
+        before = _factor_cached.cache_info()
+        assert trunc_count(f, PlaceSet.of("inf")) == 1
+        after = _factor_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_oracle_equivalence(self):
         rng = random.Random(17)
@@ -102,10 +95,7 @@ class TestTruncCount:
             u = as_ratfunc(unit_over(S011, rng, 3))
             funcs.append(RatFunc(f) * u)
         for func in funcs:
-            r = trunc_count(func, S011)
-            assert r.total == oracle_trunc_count(func, S011)
-            assert {p.poly.coeffs: c for p, c in r.per_place} == \
-                oracle_trunc_per_place(func, S011)
+            assert trunc_count(func, S011) == oracle_trunc_count(func, S011)
 
 
 class TestMinOrdSum:
