@@ -20,15 +20,16 @@ Rational roots are read off one Kronecker image too: the cleared
 polynomial at t = 2^k, for k past Mignotte's bound on the leading
 coefficient times a root, has each root's value as a rational root, found
 p-adically (the roots mod the first small prime where they are all
-simple, Hensel-lifted and read through the leading coefficient; an image
-with a repeated root is decided on its squarefree part), and the leading
-coefficient times that value gives the root's coefficients as signed
-base-2^k digits; exact division in Z[t][Z] keeps it.  An image at t = 2
-with no rational root proves there is none.  Coprimality over Q(t) is
-read off the two resultants, and the specialisation audit certifies
-A(tau) irreducible over Q by Kronecker's substitution Y -> X^N + c and the
-univariate factoriser, a point where that declines counting as one that
-split.  Gcds, root finding and resultants first check a size cap, and
+simple, Hensel-lifted one at a time, read through the leading coefficient
+and divided out before the next; an image with a repeated root is decided
+on its squarefree part), and the leading coefficient times that value
+gives the root's coefficients as signed base-2^k digits, brought to
+lowest terms by the heuristic gcd; exact division in Z[t][Z] keeps it.
+An image at t = 2 with no rational root proves there is none.
+Coprimality over Q(t) is read off the two resultants, and the
+specialisation audit certifies A(tau) irreducible over Q by Kronecker's
+substitution Y -> X^N + c and the univariate factoriser, a point where
+that declines counting as one that split.  Gcds, root finding and resultants first check a size cap, and
 every bound raises InputTooLarge past it.  `bipoly_gcd`, which no library
 code calls, is the one function that imports sympy.
 
@@ -65,6 +66,7 @@ from .field_core import (
     ZeroPolynomial,
     _Record,
     _exact_quotient,
+    _heuristic_gcd,
     _horner,
     _image,
     _den_product,
@@ -77,6 +79,7 @@ from .field_core import (
     _minus,
     _pack,
     _primitive,
+    _scaled,
     _signed_digits,
     _squarefree_split,
     _symmetric,
@@ -798,19 +801,21 @@ def bipoly_gcd(A: BiPoly, B: BiPoly) -> BiPoly:
 # Rational roots of a polynomial in one variable
 # ---------------------------------------------------------------------------
 
-# Cap on the size, in bits, of the one integer image whose rational roots
-# `_lifted_roots` finds: n coefficients of k * (d + 1) bits each, for t at
-# 2^k and G with n coefficients in Z and of t-degree d.  Each of up to n - 1
-# roots is lifted p-adically by Horner's rule on integers of that width,
-# so the work grows with both.  Over planted products of 1 to 62 linear
-# factors, with roots of t-degree 0 to 16 and coefficients wide enough to
-# bring the image near the cap, the slowest took 0.3 s (2-vCPU Xeon VM,
-# CPython 3.11).  At twice the cap most took 0.3 to 0.9 s, but two roots of
-# t-degree 8 took 3.3 s, most of it in the gcd that brings a root to lowest
-# terms, by Euclid's algorithm once its coefficients are past the gcd
-# lift's largest prime.  A cap on the width alone would not do: 62
-# constant roots in an image 2^15 bits wide took 37 s.
-ROOT_IMAGE_CAP = 2 ** 17
+# Cap on the lift of `_lifted_roots`: the n coefficients of G in Z times
+# the precision, k * (deg lc_Z(G) + deg G(0) + 1) bits, to which the
+# roots of its image at t = 2^k are lifted.  Each root costs n Horner steps
+# at that precision, whose divisions CPython does in quadratic time, and
+# the roots divided out shorten the later lifts, so the work grows as the
+# square of this product.  At the cap, planted products of linear factors
+# (1 to 62 roots of t-degree 0 to 16, some repeated) took 1.1 to 3.5 s,
+# and 5.4 s for one root beside a quadratic factor whose image splits mod
+# p, so that its two roots there are lifted in vain (2-vCPU Xeon VM,
+# CPython 3.11).  The cap admits every input that a t-adic lift modulo
+# the Mersenne primes up to 2^4423 - 1 decides among 52 seeded products of
+# 2 to 12 linear factors with coefficients of 40 to 260 bits: the largest
+# needs 1.43e6 bits and takes that lift 2.6 to 3.3 s, and the least it
+# refuses 1.71e6.  A cap with every input under 1 s would refuse some.
+ROOT_LIFT_CAP = 1_500_000
 
 
 def _image_roots(g: list[int]) -> dict[Fraction, int] | None:
@@ -846,7 +851,10 @@ def _prime_roots(g: list[int], primes) -> dict[Fraction, int] | None:
     lift, read in symmetric residues (`field_core._symmetric`, as
     `_exact_gcd` and the factoriser's recombination read their lifts), over
     lc(g) is the root if the lift is rational, and exact division decides
-    whether it is.
+    whether it is.  Each root found is divided out of g before the next
+    is lifted, so later lifts run over fewer coefficients to a lower
+    precision; the other roots mod p stay simple roots of the quotient,
+    and once it is linear its root is read off it.
     """
     lc = g[-1]
     for p in primes:
@@ -857,14 +865,17 @@ def _prime_roots(g: list[int], primes) -> dict[Fraction, int] | None:
         roots = [x for x in range(p) if not _horner(gp, x, p)]
         if any(not _horner(der, x, p) for x in roots):
             continue
-        bound = 2 * abs(g[0] * lc)
         found: dict[Fraction, int] = {}
         for x in roots:
-            y, q = _padic_root(g, x, p, bound)
-            root = Fraction(_symmetric([y * lc], q)[0], lc)
-            if _exact_quotient(g, [-root.numerator,
-                                   root.denominator]) is not None:
+            if len(g) == 2:
+                root = Fraction(-g[0], g[1])
+            else:
+                y, q = _padic_root(g, x, p, 2 * abs(g[0] * g[-1]))
+                root = Fraction(_symmetric([y * g[-1]], q)[0], g[-1])
+            quo = _exact_quotient(g, [-root.numerator, root.denominator])
+            if quo is not None:
                 found[root] = 1
+                g = quo
         return found
     return None
 
@@ -960,13 +971,18 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     distinct roots have distinct images.  Each rational root r of g
     (`_image_roots`) gives one candidate, its digits over lc_Z(G), which is
     kept only if a*Z + b divides G exactly in Z[t][Z]; its multiplicity is
-    the number of times it divides, at most r's multiplicity in g.
+    the number of times it divides, at most r's multiplicity in g.  The
+    candidate's lowest terms come from the heuristic gcd of lc_Z(G) and
+    its digits (`field_core._heuristic_gcd`), for which 2^k is large
+    enough, and whose first value, gcd(lc_Z(G)(2^k), lc_Z(G)(2^k) r), is
+    lc_Z(G)(2^k) over r's denominator.
 
     One certificate comes first: at t = 2, where lc_Z(G) and G(0) do not
     vanish, every root of G has a rational value, so an image with no
-    rational root there proves that G has none.  InputTooLarge is raised
-    at once when the image at 2^k is past ROOT_IMAGE_CAP bits, and when no
-    prime decides its roots.
+    rational root there proves that G has none (when G is free of t, that
+    image is the one at 2^k).  InputTooLarge is raised at once when the
+    lift is past ROOT_LIFT_CAP, and when no prime decides the image's
+    roots.
     """
     if len(cols) == 1:
         return {}
@@ -975,14 +991,14 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
     bound = ((isqrt(sum(c * c for c in lc)) + 1)
              * (isqrt(sum(c * c for c in g0)) + 1)) << len(lc) + len(g0) - 2
     k = bound.bit_length() + 1
-    size = len(cols) * k * (d + 1)
-    if size > ROOT_IMAGE_CAP:
+    lift = len(cols) * k * (len(lc) + len(g0) - 1)
+    if lift > ROOT_LIFT_CAP:
         raise InputTooLarge(
             f"the rational roots of a polynomial of degree {len(cols) - 1} "
-            f"in Z and {d} in t need an image of {size} bits, past the cap "
-            f"{ROOT_IMAGE_CAP}")
+            f"in Z and {d} in t need a lift of {lift} bits, past the cap "
+            f"{ROOT_LIFT_CAP}")
     image = [_pack(ts, 1) for ts in cols]
-    if image[0] and image[-1] and _image_roots(image) == {}:
+    if d and image[0] and image[-1] and _image_roots(image) == {}:
         return {}
     image_roots = _image_roots([_pack(ts, k) for ts in cols])
     if image_roots is None:
@@ -997,19 +1013,19 @@ def _lifted_roots(cols: list[list[int]]) -> dict[RatFunc, int]:
         if frac:
             continue
         try:
-            digits = _signed_digits(value, k, len(lc) + len(g0) - 1)
+            digits = _trim(_signed_digits(value, k, len(lc) + len(g0) - 1))
         except ArithmeticError:
             continue
-        root = RatFunc(Poly(digits), Poly(lc))
-        a = [c * root.num.den for c in root.den.nums]
-        b = [-c * root.den.den for c in root.num.nums]
+        # gcd(lc(2^k), value) = lc(2^k) / r's denominator, r in lowest terms
+        _, a, b = _heuristic_gcd(lc, digits, k, top // r.denominator)
         content = int_gcd(*a, *b)
-        a, b = [c // content for c in a], [c // content for c in b]
+        a, b = [c // content for c in a], [-c // content for c in b]
         count = 0
         while count < m and (quo := _divide_linear(rest, a, b)) is not None:
             rest, count = quo, count + 1
         if count:
-            found[root] = count
+            found[RatFunc._trusted(_scaled(b, -1, a[-1]),
+                                   _scaled(a, 1, a[-1]))] = count
     return found
 
 
@@ -1024,9 +1040,10 @@ def rational_roots(F: BiPoly) -> tuple[list[RatFunc], bool]:
     rational roots of one integer image, G at t = 2^k for k past Mignotte's
     bound, found p-adically (`_lifted_roots`); an image at t = 2 with no
     rational root proves there is none.  InputTooLarge is raised past the
-    size cap and past the image's cap, ROOT_IMAGE_CAP.  Roots are sorted by their
-    numerator and denominator coefficients, so zero roots come first.  The
-    flag is True exactly when the roots account for the full degree of F.
+    size cap and past the lift's cap, ROOT_LIFT_CAP.  Roots are sorted by
+    their numerator and denominator coefficients, so zero roots come
+    first.  The flag is True exactly when the roots account for the full
+    degree of F.
     """
     if F.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")

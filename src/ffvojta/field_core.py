@@ -589,18 +589,18 @@ def _minus(a: list[int], b: list[int], mod: int | None = None) -> list[int]:
     return _trim([c % mod for c in out] if mod else out)
 
 
-def _euclid_below(a: list[int], b: list[int], k: int, mod: int):
-    """(r, q) with r = q * b mod a and deg r < k, over the field Z/mod (a
-    of degree >= k), by the extended Euclidean algorithm on a and b stopped
-    at the first remainder of degree below k (Modern Computer Algebra,
-    5.9).  For coprime a and b and k = 1, r is a nonzero constant and
-    q / r is the inverse of b mod a: the factoriser's Bezout cofactors."""
+def _inverse_mod(b: list[int], a: list[int], p: int) -> list[int]:
+    """The inverse of b modulo a over the field Z/p, for coprime a and b,
+    deg a >= 1: the extended Euclidean algorithm on a and b, run to a
+    constant remainder (Modern Computer Algebra, ch. 3).  These are the
+    factoriser's Bezout cofactors."""
     r0, r1, q0, q1 = a, _trim(b), [], [1]
-    while len(r1) > k:
-        quo, rem = _divmod_mod(r0, r1, mod)
-        q0, q1 = q1, _minus(q0, _kronecker_product(((quo, 1), (q1, 1))), mod)
+    while len(r1) > 1:
+        quo, rem = _divmod_mod(r0, r1, p)
+        q0, q1 = q1, _minus(q0, _kronecker_product(((quo, 1), (q1, 1))), p)
         r0, r1 = r1, rem
-    return r1, q1
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in q1]
 
 
 _GCD_PRIMES = (2305843009213693951, 4611686018427387847, 2147483647)
@@ -647,14 +647,45 @@ def _exact_gcd(a: list[int], b: list[int]) -> list[int] | None:
     return g
 
 
+def _heuristic_gcd(f: list[int], g: list[int], k: int,
+                   value: int) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) for h = gcd(f, g) in Z[t], primitive with a
+    positive leading coefficient, from value = +-gcd(f(2^k), g(2^k)), for
+    nonzero f and g without trailing zeros.
+
+    This is the heuristic gcd (Char, Geddes and Gonnet; Algorithms for
+    Computer Algebra, 7.7): value is h(2^k) times the integer gcd of the
+    cofactors' values, so its signed base-2^k digits are a multiple of h
+    when that integer is small.  A primitive part of the digits that
+    divides both f and g is h when the cofactors are coprime, which one
+    image mod a prime certifies (`_mod_gcd_is_one`), and in any case once
+    2^k > 2 min(||f||_inf, ||g||_inf) + 2.  Otherwise k doubles; the
+    integer divides the cofactors' resultant, so the digits come right at
+    some k."""
+    sure = (2 * min(max(map(abs, f)), max(map(abs, g))) + 2).bit_length()
+    while True:
+        try:
+            h = _trim(_signed_digits(value, k, min(len(f), len(g))))
+        except ArithmeticError:
+            h = []
+        if h:
+            h = _primitive(h)
+            a = _exact_quotient(f, h)
+            b = a and _exact_quotient(g, h)
+            if b and (k >= sure or _mod_gcd_is_one(a, b)):
+                return h, a, b
+        k *= 2
+        value = gcd(_pack(f, k), _pack(g, k))
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd in Q[t].
 
     A modular pre-check certifies the (common) coprime case without exact
     big-integer arithmetic; otherwise the gcd of the primitive parts is
     lifted from one big prime and checked by exact division
-    (`_exact_gcd`).  Only when that lift fails does Euclid's algorithm on
-    the Polys decide.
+    (`_exact_gcd`), and where that lift fails the heuristic gcd decides
+    (`_heuristic_gcd`).
     """
     if a.is_zero and b.is_zero:
         return Poly.zero()
@@ -669,12 +700,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     # each operand's nums on its own: a constant factor moves no gcd
     if _mod_gcd_is_one(a.nums, b.nums):
         return Poly.one()
-    g = _exact_gcd(_primitive(a.nums), _primitive(b.nums))
-    if g is not None:
-        return _scaled(g, 1, g[-1])
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a, b = _primitive(a.nums), _primitive(b.nums)
+    g = _exact_gcd(a, b)
+    if g is None:
+        g = _heuristic_gcd(a, b, 64, gcd(_pack(a, 64), _pack(b, 64)))[0]
+    return _scaled(g, 1, g[-1])
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -929,7 +959,7 @@ def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
     f = lc f * prod g_i mod q, q the least power of p above `bound`.
 
     Linear Hensel lifting (Modern Computer Algebra, 15.4): with F = f /
-    lc f mod p, s_i = (F / m_i)^-1 mod m_i (`_euclid_below`) make sum s_i
+    lc f mod p, s_i = (F / m_i)^-1 mod m_i (`_inverse_mod`) make sum s_i
     F / m_i = 1 mod p, and when f = lc f * prod g_i mod q, the error e =
     (f - lc f * prod g_i) / q mod p gives g_i + q (s_i e / lc f mod m_i).
     The product is kept mod q p, factor by factor: e mod p needs no more,
@@ -937,9 +967,7 @@ def _hensel_lifted(f: list[int], mods: list[list[int]], p: int,
     lc, image, cofactors = f[-1], _monic_image(f, p), []
     for m in mods:
         rest = _divmod_mod(_divmod_mod(image, m, p)[0], m, p)[1]
-        r, s = _euclid_below(m, rest, 1, p)
-        inv = pow(r[0], -1, p)
-        cofactors.append([c * inv % p for c in s])
+        cofactors.append(_inverse_mod(rest, m, p))
     inv_lc, q, lifts = pow(lc, -1, p), p, [list(m) for m in mods]
     while q <= bound:
         qp, prod = q * p, [1]

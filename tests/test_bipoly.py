@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ffvojta.bipoly import (
     BiPoly,
     CLEARED_SIZE_CAP,
-    ROOT_IMAGE_CAP,
+    ROOT_LIFT_CAP,
     SYLVESTER_WORK_CAP,
     BothZero,
     ConstantPolynomial,
@@ -1104,23 +1104,39 @@ class TestRationalRoots:
 
     def test_root_past_the_old_lift_prime(self):
         # a leading coefficient near 2^4500, past the largest Mersenne
-        # prime 2^4423 - 1: the image at t = 2^k, 2 coefficients of 2 k
-        # bits, is well under ROOT_IMAGE_CAP, and the root is found
+        # prime 2^4423 - 1: 2 coefficients lifted to 2 k bits are well
+        # under ROOT_LIFT_CAP, and the root is found
         F = _z(1, rat(f"{2 ** 4500}*t+1"))
         roots, complete = rational_roots(F)
         assert complete and roots == [rat(f"-1/({2 ** 4500}*t+1)")]
         assert evaluate(F, roots[0], RatFunc.zero()).is_zero
 
     def test_image_cap_raises_at_once(self):
-        # (c t + 1) Z - 1 with c = 2^(ROOT_IMAGE_CAP / 4): the image at
-        # t = 2^k, 2 coefficients of 2 k bits, is past ROOT_IMAGE_CAP bits,
+        # (c t + 1) Z - 1 with c = 2^(ROOT_LIFT_CAP / 4): 2 coefficients
+        # lifted to 2 k bits, k above ROOT_LIFT_CAP / 4, are past the cap,
         # so no root is sought
-        F = _z(-1, RatFunc(Poly([1, 2 ** (ROOT_IMAGE_CAP // 4)])))
+        F = _z(-1, RatFunc(Poly([1, 2 ** (ROOT_LIFT_CAP // 4)])))
         start = time.perf_counter()
         with pytest.raises(InputTooLarge,
-                           match=f"past the cap {ROOT_IMAGE_CAP}"):
+                           match=f"past the cap {ROOT_LIFT_CAP}"):
             rational_roots(F)
         assert time.perf_counter() - start < 1
+
+    def test_products_past_the_old_image_cap(self):
+        # products of 5 to 7 linear factors a Z + b with 200-bit
+        # coefficients, deg a + deg b <= 4, whose images at t = 2^k hold
+        # 108,000 to 315,000 bits: every root is found
+        rng = random.Random(12)
+        for n in (5, 6, 7):
+            F, planted = _z(1), []
+            for _ in range(n):
+                da = rng.randint(0, 2)
+                a, b = (Poly([rng.randint(-2 ** 200, 2 ** 200)
+                              for _ in range(deg)] + [rng.randint(1, 2 ** 200)])
+                        for deg in (da, rng.randint(0, 4 - da)))
+                F = F * _z(RatFunc(b), RatFunc(a))
+                planted.append(-RatFunc(b) / RatFunc(a))
+            assert rational_roots(F) == (sorted(planted, key=_key), True)
 
     def test_complete_past_old_cap(self):
         # extreme coefficients of t-degree above 12: the oracle gives up,

@@ -36,11 +36,13 @@ from ffvojta.field_core import (
     _exact_gcd,
     _exact_quotient,
     _factor_cached,
+    _heuristic_gcd,
     _image,
     _join_terms,
     _known_quotient,
     _kronecker_product,
     _multiplicity,
+    _pack,
     _recombined,
     _scaled,
     _scaled_terms,
@@ -340,12 +342,53 @@ class TestPoly:
 
     def test_exact_gcd_declines_past_the_largest_prime(self):
         # a coefficient past the largest Mersenne prime leaves no prime
-        # above the bound; Euclid's algorithm on the Polys decides
+        # above the bound; the heuristic gcd decides
         big = 2 ** (_MERSENNE_EXPONENTS[-1] + 1) + 1
         a = Poly((big, 1)) * Poly((1, 1))
         b = Poly((2, 1)) * Poly((1, 1))
         assert _exact_gcd(_primitive(a), _primitive(b)) is None
         assert poly_gcd(a, b) == Poly((1, 1))
+
+    @given(*[st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1,
+                      max_size=4).filter(lambda f: f[-1])] * 3,
+           st.integers(0, 2))
+    @example([1, 1], [-2, 1], [11], 0)
+    # 8 (7 - t) and t - 7 at t = 8 are -8 and 1, whose gcd 1 divides both;
+    # only the certificate rejects it
+    @example([8], [-1], [7, -1], 0)
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    def test_heuristic_gcd_against_sympy_oracle(self, a, b, h, more):
+        # f = a h and g = b h from 2^3, where only the certificate that the
+        # cofactors are coprime can stop the doubling, and from the least
+        # 2^k past which dividing both is enough (or a few doublings past
+        # it): the gcd is sympy's, primitive with a positive leading
+        # coefficient, and the cofactors multiply back
+        import sympy
+        from conftest import SYMPY_T, to_sympy
+
+        f = _kronecker_product(((a, 1), (h, 1)))
+        g = _kronecker_product(((b, 1), (h, 1)))
+        expected = sympy.gcd(to_sympy(Poly(f)).as_expr(),
+                             to_sympy(Poly(g)).as_expr())
+        epoly = sympy.Poly(expected, SYMPY_T, domain="QQ").monic()
+        coeffs = [Fraction(c.p, c.q) for c in reversed(epoly.all_coeffs())]
+        sure = (2 * min(max(map(abs, f)), max(map(abs, g))) + 2).bit_length()
+        for k in (3, sure + more):
+            out, fa, gb = _heuristic_gcd(f, g, k,
+                                         gcd(_pack(f, k), _pack(g, k)))
+            assert Poly(out).monic() == Poly(coeffs)
+            assert out[-1] > 0 and gcd(*out) == 1
+            assert _kronecker_product(((out, 1), (fa, 1))) == f
+            assert _kronecker_product(((out, 1), (gb, 1))) == g
+
+    def test_heuristic_gcd_doubles_k(self):
+        # 11 (t + 1) and 11 (t - 2) at t = 32: the values 363 and 330 share
+        # 33 = 32 + 1, whose digits read t + 1, which divides the first but
+        # not the second; at t = 2^10 they share 11 only, and the gcd is 1
+        f, g = [11, 11], [-22, 11]
+        assert gcd(_pack(f, 5), _pack(g, 5)) == 33
+        assert _heuristic_gcd(f, g, 5, 33) == ([1], f, g)
 
 
 _BIG = 10 ** 30
